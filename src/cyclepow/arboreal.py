@@ -15,9 +15,10 @@ Everything here comes in (at least) two independent flavours:
   * tau_contracted -- spanning trees of the graph with 0 and ell identified,
                       again an exact determinant; equals forests.
 
-Analytic tree counts are never rounded silently: a value farther than 1e-6
-(absolute-or-relative) from an integer fails loudly, since quiet rounding
-would mask precision bugs.
+Analytic tree counts are never rounded silently.  A value is rounded only
+when its certified error, |value| * residual_tolerance(precision_bits), is
+below 1/2 and it lies within 1e-6 (absolute-or-relative) of an integer;
+anything else fails loudly, since quiet rounding would mask precision bugs.
 """
 
 from __future__ import annotations
@@ -59,8 +60,10 @@ ROUNDING_DEFECT_LIMIT = 1e-6
 
 
 def tau_det(spec: GraphSpec) -> int:
-    """Spanning trees as the reduced-Laplacian determinant, exact."""
-    return fractionfree.determinant(build_laplacian(spec).delete_row_col(0).rows)
+    """Spanning trees as the reduced-Laplacian determinant, exact (banded, in
+    folded vertex order)."""
+    reduced = build_laplacian(spec).delete_row_col(0)
+    return fractionfree.determinant(reduced.folded().rows)
 
 
 def tau_eigen(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -154,12 +157,30 @@ def tau_contracted(spec: GraphSpec, ell: int) -> int:
     if not 1 <= ell < spec.n:
         raise ParameterError(f"need 1 <= ell < {spec.n}, got {ell}")
     contracted = contract_vertices(build_laplacian(spec), 0, ell)
-    return fractionfree.determinant(contracted.delete_row_col(0).rows)
+    return fractionfree.determinant(contracted.delete_row_col(0).folded().rows)
 
 
-def nearest_integer(value, max_defect: float = ROUNDING_DEFECT_LIMIT) -> int:
-    """Round an analytic count to the integer it must equal, or fail loudly."""
+def nearest_integer(
+    value,
+    max_defect: float = ROUNDING_DEFECT_LIMIT,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
+) -> int:
+    """Round an analytic count to the integer it must equal, or fail loudly.
+
+    value comes from a route whose relative error is certified below
+    residual_tolerance(precision_bits).  Rounding is refused unless the
+    absolute error that allows is below 1/2, so the nearest integer is the
+    only candidate; the PrecisionError names a precision that suffices.
+    """
     with mp.workprec(mp.prec + _GUARD_BITS):
+        if abs(value) * residual_tolerance(precision_bits) >= 0.5:
+            # |value| <= 2^mag, so 2^(mag+2) * 2^(-bits/2) <= 1/4 at this bits.
+            enough = 2 * (int(mp.mag(value)) + 2)
+            raise PrecisionError(
+                f"cannot round {mp.nstr(mp.mpf(value), 12)} to an integer: at "
+                f"precision_bits={precision_bits} its certified error exceeds "
+                f"1/2; use precision_bits >= {enough}"
+            )
         nearest = mp.nint(value)
         defect = abs(value - nearest) / max(1, abs(nearest))
         if defect > max_defect:
@@ -202,12 +223,14 @@ def arboreal_counts(
     eigen = tau_eigen(spec, precision_bits)
     product = tau_product(spec, factorization)
     with mp.workprec(precision_bits + _GUARD_BITS):
-        if nearest_integer(eigen) != tau:
+        if nearest_integer(eigen, precision_bits=precision_bits) != tau:
             raise ConsistencyError(
                 f"eigenvalue tree product {mp.nstr(eigen, 20)} disagrees with "
                 f"the determinant count {tau}"
             )
-        if nearest_integer(product) != tau:
+        if nearest_integer(
+            product, precision_bits=factorization.precision_bits
+        ) != tau:
             raise ConsistencyError(
                 f"root tree product {mp.nstr(product, 20)} disagrees with "
                 f"the determinant count {tau}"

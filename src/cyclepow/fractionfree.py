@@ -2,8 +2,19 @@
 
 One-step (Bareiss-style) elimination keeps every intermediate entry an exact
 integer -- each is a minor of the input -- so there is no rational blow-up
-mid-run and no rounding ever.  Rationals appear only in the final
-back-substitution of the solver.
+mid-run and no rounding ever.
+
+The elimination is banded.  It measures the lower and upper bandwidth of the
+matrix it is given and touches nothing outside the band: the pivot search
+looks at the `lower` rows below the diagonal, and, as in LAPACK's gbtrf,
+partial pivoting widens the upper reach to lower + upper.  A matrix with
+half-bandwidths p and q costs O(n * p * (p + q)) integer operations, not
+O(n^3); a dense matrix simply has a wide band.  The values computed are those
+of dense Bareiss elimination with the same pivots, so each fraction-free
+division is still exact and still checked.
+
+Back-substitution also stays in integers: with D the final pivot (+-det A),
+Cramer's rule makes D * x integral, so only the returned Fractions divide.
 """
 
 from __future__ import annotations
@@ -16,18 +27,45 @@ from .errors import ConsistencyError
 __all__ = ["determinant", "solve"]
 
 
-def _forward(aug: list[list[int]], width: int) -> int | None:
-    """Eliminate below the diagonal in place; return the row-swap sign.
+def _bandwidths(aug: list[list[int]], n: int) -> tuple[int, int]:
+    """Largest distance below and above the diagonal of a nonzero entry
+    among the first n columns."""
+    lower = upper = 0
+    for i, row in enumerate(aug):
+        nonzero = list(map(bool, row[:n]))
+        if True in nonzero:
+            lower = max(lower, i - nonzero.index(True))
+            upper = max(upper, n - 1 - nonzero[::-1].index(True) - i)
+    return lower, upper
 
-    Returns None if some pivot column is entirely zero (singular matrix).
-    Every division below is exact by construction; a nonzero remainder means
-    the input was not integral.
+
+def _forward(aug: list[list[int]], n: int) -> tuple[int, int] | None:
+    """Eliminate below the diagonal in place; return (row-swap sign, reach).
+
+    Columns n and beyond are right-hand sides and are updated in full.  After
+    the call every nonzero of row i among the first n columns lies in
+    i..i+reach.  Returns None if some pivot column is entirely zero
+    (singular matrix).  Every division below is exact by construction; a
+    nonzero remainder means the input was not integral.
     """
-    n = len(aug)
+    lower, upper = _bandwidths(aug, n)
+    reach = lower + upper
+    rhs = range(n, len(aug[0]))
     sign = 1
     prev = 1
-    for col in range(n - 1):
-        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
+    # The last column has nothing to eliminate, but its row may still have
+    # to enter the window (when lower == 0).
+    for col in range(n):
+        window = min(n, col + lower + 1)
+        entering = col + lower
+        if col and entering < n:
+            # Dense elimination rescales every row below the pivot by
+            # pivot/prev at each step, so an untouched row that enters the
+            # window now must carry the product of those factors: prev.
+            row = aug[entering]
+            for c in (*range(col, min(n, entering + upper + 1)), *rhs):
+                row[c] *= prev
+        pivot_row = next((r for r in range(col, window) if aug[r][col]), None)
         if pivot_row is None:
             return None
         if pivot_row != col:
@@ -35,17 +73,18 @@ def _forward(aug: list[list[int]], width: int) -> int | None:
             sign = -sign
         pivot = aug[col][col]
         base = aug[col]
-        for r in range(col + 1, n):
+        columns = (*range(col + 1, min(n, col + reach + 1)), *rhs)
+        for r in range(col + 1, window):
             row = aug[r]
             lead = row[col]
-            for c in range(col + 1, width):
+            for c in columns:
                 quotient, remainder = divmod(pivot * row[c] - lead * base[c], prev)
                 if remainder:
                     raise ConsistencyError("fraction-free step left a remainder")
                 row[c] = quotient
             row[col] = 0
         prev = pivot
-    return sign
+    return sign, reach
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -53,29 +92,34 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if n == 0:
         return 1
-    aug = [[int(entry) for entry in row] for row in rows]
-    sign = _forward(aug, n)
-    if sign is None:
+    aug = [list(map(int, row)) for row in rows]
+    forward = _forward(aug, n)
+    if forward is None:
         return 0
-    return sign * aug[n - 1][n - 1]
+    return forward[0] * aug[n - 1][n - 1]
 
 
 def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
     """Exact solution of a nonsingular integer system A x = b.
 
-    Forward elimination stays in integers; back-substitution produces
-    Fractions.  Raises ConsistencyError when the matrix is singular.
+    Raises ConsistencyError when the matrix is singular.
     """
     n = len(rows)
     if len(rhs) != n:
         raise ConsistencyError("right-hand side length does not match the matrix")
-    aug = [[int(entry) for entry in row] + [int(b)] for row, b in zip(rows, rhs)]
-    if _forward(aug, n + 1) is None or aug[n - 1][n - 1] == 0:
+    aug = [[*map(int, row), int(b)] for row, b in zip(rows, rhs)]
+    forward = _forward(aug, n)
+    if forward is None or aug[n - 1][n - 1] == 0:
         raise ConsistencyError("system is singular")
-    solution: list[Fraction] = [Fraction(0)] * n
+    reach = forward[1]
+    scale = aug[n - 1][n - 1]
+    scaled = [0] * n  # scale * x, integral by Cramer's rule
     for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * solution[j]
-        solution[i] = acc / aug[i][i]
-    return solution
+        row = aug[i]
+        acc = scale * row[n]
+        for j in range(i + 1, min(n, i + reach + 1)):
+            acc -= row[j] * scaled[j]
+        scaled[i], remainder = divmod(acc, row[i])
+        if remainder:
+            raise ConsistencyError("back-substitution left a remainder")
+    return [Fraction(value, scale) for value in scaled]

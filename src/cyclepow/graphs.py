@@ -6,9 +6,11 @@ simple and 2k-regular, which is the regime every formula in this package
 assumes, so smaller N is rejected outright.  N = 2k+1 (the complete graph) is
 allowed and makes a handy degenerate test case.
 
-Matrices are dense tuples of Python ints: sizes stay at desk scale and
-exactness matters more than speed, since all downstream elimination is
-fraction-free.
+Matrices are dense tuples of Python ints, built in O(n^2).  The Laplacian is
+a circulant band, and fold_order renumbers the vertices of a reduced or
+contracted Laplacian so that the band closes up around the wrap-around: the
+result has lower and upper bandwidth at most 2k, and the fraction-free
+elimination downstream costs O(n * k^2) integer operations instead of O(n^3).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(entry) for entry in row) for row in self.rows)
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         if any(len(row) != len(rows) for row in rows):
             raise ParameterError("matrix must be square")
         object.__setattr__(self, "rows", rows)
@@ -86,6 +88,12 @@ class IntMatrix:
     def total(self) -> int:
         return sum(sum(row) for row in self.rows)
 
+    def folded(self) -> "IntMatrix":
+        """Rows and columns taken in fold_order(size)."""
+        order = fold_order(self.size)
+        rows = self.rows
+        return IntMatrix(tuple(tuple(map(rows[i].__getitem__, order)) for i in order))
+
     def delete_row_col(self, index: int) -> "IntMatrix":
         """The principal submatrix with one row and its column removed."""
         if not 0 <= index < self.size:
@@ -97,6 +105,16 @@ class IntMatrix:
                 if i != index
             )
         )
+
+
+def fold_order(size: int) -> tuple[int, ...]:
+    """Indices from both ends inward: 0, size-1, 1, size-2, ...
+
+    With vertex 0 deleted, index i of a reduced Laplacian is vertex i+1, so
+    the folded order visits 1, n-1, 2, n-2, ...: vertices at cyclic distance
+    r <= k end up at most 2k positions apart, across the wrap-around as well.
+    """
+    return tuple(i // 2 if i % 2 == 0 else size - 1 - i // 2 for i in range(size))
 
 
 def build_laplacian(spec: GraphSpec) -> IntMatrix:

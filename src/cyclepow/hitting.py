@@ -8,7 +8,7 @@ Methods, graded against one another:
 
   * hit_exact     -- ground truth: first-step analysis gives h(0)=0 and
                      (L h)(i) = 2k for i != 0, a nonsingular integer system
-                     solved exactly by fraction-free elimination;
+                     solved exactly by banded fraction-free elimination;
   * hit_spectral  -- the eigenvalue sum over the Fourier modes of the
                      circulant Laplacian, in high-precision arithmetic;
   * hit_closed    -- exact quadratic term plus finitely many geometric
@@ -39,7 +39,7 @@ from .errors import (
     PrecisionError,
     SimulationBudgetError,
 )
-from .graphs import GraphSpec, build_laplacian
+from .graphs import GraphSpec, build_laplacian, fold_order
 from .recurrences import correction_ratio, full_index_ratio
 from .spectral import (
     DEFAULT_PRECISION_BITS,
@@ -106,11 +106,15 @@ def hit_exact_all(spec: GraphSpec) -> tuple[Fraction, ...]:
 
     Deleting the target row and column of the Laplacian leaves a positive
     definite integer system with right-hand side 2k; its unique solution is
-    the hitting-time vector.
+    the hitting-time vector.  The system is solved in folded vertex order,
+    where it is banded, and the solution is put back in vertex order.
     """
     reduced = build_laplacian(spec).delete_row_col(0)
-    solution = fractionfree.solve(reduced.rows, [spec.degree] * (spec.n - 1))
-    return (Fraction(0), *solution)
+    folded = fractionfree.solve(reduced.folded().rows, [spec.degree] * (spec.n - 1))
+    solution = [Fraction(0)] * spec.n
+    for position, index in enumerate(fold_order(reduced.size)):
+        solution[index + 1] = folded[position]
+    return tuple(solution)
 
 
 def hit_exact(spec: GraphSpec, ell: int) -> Fraction:

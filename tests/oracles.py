@@ -20,11 +20,16 @@ def fibonacci(n: int) -> int:
 
 
 def gauss_solve(rows, rhs) -> list[Fraction]:
-    """Plain fraction-arithmetic Gaussian elimination with partial pivoting."""
+    """Plain fraction-arithmetic Gaussian elimination with partial pivoting.
+
+    Raises ZeroDivisionError when the matrix is singular.
+    """
     n = len(rows)
     aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
     for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inverse = 1 / aug[col][col]
         aug[col] = [x * inverse for x in aug[col]]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from oracles import (
     count_separating_forests,
     count_spanning_trees,
     edges_from_laplacian,
+    fibonacci,
 )
 
 
@@ -41,6 +43,13 @@ def test_tau_det_examples():
     assert tau_det(GraphSpec(5, 2)) == 125
     assert tau_det(GraphSpec(7, 3)) == 16807
     assert tau_det(GraphSpec(6, 2)) == 384
+
+
+def test_exact_counts_at_n_1000():
+    assert tau_det(GraphSpec(1000, 1)) == 1000
+    spec = GraphSpec(1000, 2)
+    assert tau_det(spec) == 1000 * fibonacci(1000) ** 2
+    assert forests(spec, 417) == tau_contracted(spec, 417)
 
 
 @given(specs(max_k=2, max_n=8))
@@ -159,6 +168,16 @@ def test_nearest_integer_contract():
             nearest_integer(mp.mpf(125) + mp.mpf("1e-3"))
         with pytest.raises(PrecisionError):
             nearest_integer(mp.mpf("0.4"))
+
+
+def test_arboreal_counts_refuses_to_round_beyond_its_precision():
+    # tau(200, 3) has 433 bits: at 256 bits the certified relative error
+    # 2^-128 leaves many integers within reach, so rounding must be refused.
+    spec = GraphSpec(200, 3)
+    with pytest.raises(PrecisionError, match=r"precision_bits >= \d+") as caught:
+        arboreal_counts(spec)
+    enough = int(re.search(r"precision_bits >= (\d+)", str(caught.value)).group(1))
+    assert arboreal_counts(spec, precision_bits=enough).tree_count == tau_det(spec)
 
 
 def test_arboreal_counts_bundle():

@@ -1,13 +1,30 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclepow.errors import ConsistencyError
 from cyclepow.fractionfree import determinant, solve
 
 from oracles import gauss_solve, permutation_determinant
+
+
+@st.composite
+def banded_matrices(draw, max_size=7, max_band=3):
+    """Integer matrices that are zero outside a random band.
+
+    Zeros are drawn often inside the band too, so leading entries vanish and
+    force row swaps inside the pivot window, and singular matrices occur.
+    """
+    n = draw(st.integers(1, max_size))
+    lower = draw(st.integers(0, max_band))
+    upper = draw(st.integers(0, max_band))
+    entries = st.one_of(st.just(0), st.integers(-5, 5))
+    return [
+        [draw(entries) if -lower <= j - i <= upper else 0 for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def square_matrices(max_size=5, lo=-6, hi=6):
@@ -24,6 +41,38 @@ def square_matrices(max_size=5, lo=-6, hi=6):
 @settings(max_examples=150, deadline=None)
 def test_determinant_matches_permanent_formula(rows):
     assert determinant(rows) == permutation_determinant(rows)
+
+
+@given(banded_matrices())
+@example([[2, 0], [0, 2]])  # no band below the diagonal: the last row still scales
+@example([[0, 2, 0, 0], [3, 1, 1, 0], [0, 1, 0, 5], [0, 0, 2, 1]])
+@example([[0, 1, 0], [1, 0, 1], [0, 1, 0]])  # singular after a swap
+@settings(max_examples=200, deadline=None)
+def test_banded_determinant_matches_permanent_formula(rows):
+    assert determinant(rows) == permutation_determinant(rows)
+
+
+def banded_systems(max_size=12):
+    return banded_matrices(max_size=max_size).flatmap(
+        lambda rows: st.tuples(
+            st.just(rows),
+            st.lists(st.integers(-9, 9), min_size=len(rows), max_size=len(rows)),
+        )
+    )
+
+
+@given(banded_systems())
+@example(([[0, 3, 0], [2, 0, 0], [0, 0, 0]], [1, 2, 3]))
+@settings(max_examples=200, deadline=None)
+def test_banded_solve_matches_plain_gaussian_elimination(system):
+    rows, rhs = system
+    try:
+        expected = gauss_solve(rows, rhs)
+    except ZeroDivisionError:
+        with pytest.raises(ConsistencyError):
+            solve(rows, rhs)
+    else:
+        assert solve(rows, rhs) == expected
 
 
 def test_determinant_empty_and_singular():

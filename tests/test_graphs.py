@@ -10,6 +10,7 @@ from cyclepow import (
     contract_vertices,
 )
 from cyclepow.fractionfree import determinant
+from cyclepow.graphs import fold_order
 
 from oracles import count_spanning_trees, edges_from_laplacian
 
@@ -100,6 +101,31 @@ def test_contraction_invariants(spec, data):
     assert all(s == 0 for s in merged.row_sums())
     assert merged.total() == 0
     assert merged.is_symmetric()
+
+
+def half_bandwidths(rows):
+    """(lower, upper): largest distance of a nonzero below/above the diagonal."""
+    offsets = [j - i for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+    return max(0, -min(offsets)), max(0, max(offsets))
+
+
+@given(specs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_folded_laplacians_are_banded(spec, data):
+    lap = build_laplacian(spec)
+    ell = data.draw(st.integers(1, spec.n - 1))
+    reduced = lap.delete_row_col(0)
+    contracted = contract_vertices(lap, 0, ell).delete_row_col(0)
+    for matrix in (reduced, contracted):
+        folded = matrix.folded()
+        assert max(half_bandwidths(folded.rows)) <= 2 * spec.k
+        assert determinant(folded.rows) == determinant(matrix.rows)
+
+
+def test_fold_order_from_both_ends():
+    assert fold_order(6) == (0, 5, 1, 4, 2, 3)
+    assert fold_order(5) == (0, 4, 1, 3, 2)
+    assert fold_order(1) == (0,)
 
 
 def test_int_matrix_must_be_square():

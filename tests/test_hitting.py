@@ -21,7 +21,7 @@ from cyclepow import (
     laplacian_eigenvalues,
 )
 
-from oracles import gauss_solve
+from oracles import fibonacci, gauss_solve
 
 
 def specs(max_k=5, max_n=24):
@@ -65,9 +65,18 @@ def test_exact_symmetry_and_positivity(spec):
 
 
 def test_k1_is_quadratic():
-    for n in (3, 7, 12, 20):
+    for n in (3, 7, 12, 20, 1000):
         profile = hit_exact_all(GraphSpec(n, 1))
         assert all(profile[ell] == ell * (n - ell) for ell in range(n))
+
+
+def test_k2_fibonacci_form_at_n_1000():
+    n = 1000
+    for ell in (1, 2, 377, 500, 999):
+        expected = Fraction(2, 5) * ell * (n - ell) + Fraction(4, 5) * n * Fraction(
+            fibonacci(ell) * fibonacci(n - ell), fibonacci(n)
+        )
+        assert hit_exact(GraphSpec(n, 2), ell) == expected
 
 
 def test_eigenvalues_positive_away_from_constant_mode():
