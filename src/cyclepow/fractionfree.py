@@ -107,6 +107,8 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
     n = len(rows)
     if len(rhs) != n:
         raise ConsistencyError("right-hand side length does not match the matrix")
+    if n == 0:
+        return []
     aug = [[*map(int, row), int(b)] for row, b in zip(rows, rhs)]
     forward = _forward(aug, n)
     if forward is None or aug[n - 1][n - 1] == 0:

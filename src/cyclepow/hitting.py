@@ -13,9 +13,11 @@ Methods, graded against one another:
                      circulant Laplacian, in high-precision arithmetic;
   * hit_closed    -- exact quadratic term plus finitely many geometric
                      corrections from the partial-fraction data;
-  * hit_simulate  -- Monte Carlo over independent walks with a counter-based
-                     generator keyed by (seed, walk index), so runs are
-                     reproducible regardless of execution order.
+  * hit_simulate  -- Monte Carlo over independent walks, walk w drawing from
+                     numpy's Philox4x64 stream keyed by (seed, w); the
+                     streams are computed for many walks at once (Philox
+                     blocks and bounded draws in numpy uint64 arithmetic),
+                     so runs are reproducible regardless of batching.
 
 Vertex transitivity makes h between arbitrary pairs equivalent to some
 h(0, ell), so only that form is exposed.
@@ -66,9 +68,22 @@ __all__ = [
 
 _GUARD_BITS = 32
 
-# Pinned simulation stream: one Philox4x64 instance per walk, keyed by the
-# 128-bit pair (seed, walk index).  Recorded in run metadata.
+# Pinned simulation stream: walk w takes its steps from
+# Generator(Philox(key=(seed, w))).integers(0, 2k), numpy's Philox4x64 keyed
+# by the 128-bit pair (seed, walk index).  hit_simulate computes these same
+# draws for many walks in lockstep.  Recorded in run metadata.
 GENERATOR_ID = "numpy.random.Philox4x64(key=(seed,walk))"
+
+# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 2**64 - 1
+# Walks advanced together, and uint32 draws per lockstep round across them;
+# both only bound memory and per-round overhead, never the result.
+_SLICE_WALKS = 4096
+_WINDOW_DRAWS = 2**15
 
 
 def _check_ell(spec: GraphSpec, ell: int) -> None:
@@ -224,6 +239,100 @@ def hit_closed_literal(
         )
 
 
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit product a * b, built from
+    32-bit halves so that no partial product overflows uint64."""
+    a_hi, a_lo = np.uint64(a >> 32), np.uint64(a & _MASK32)
+    hi = b >> 32
+    b_lo = b & _MASK32
+    middle = a_hi * b_lo
+    middle += (a_lo * b_lo) >> 32
+    cross = a_lo * hi
+    cross += middle & _MASK32
+    hi *= a_hi
+    hi += middle >> 32
+    hi += cross >> 32
+    return hi, np.uint64(a) * b
+
+
+def _philox_blocks(
+    counters: np.ndarray, seed: int, walks: np.ndarray
+) -> np.ndarray:
+    """Philox4x64-10 blocks for counter (c, 0, 0, 0) and key (seed, walk).
+
+    `counters` and `walks` are uint64 arrays that broadcast against each
+    other; the result has their broadcast shape plus a last axis of the four
+    output words.  numpy's Philox increments its counter before making a
+    block, so a fresh Philox(key=(seed, walk)) emits the blocks for c = 1,
+    2, ... in order.
+    """
+    shape = np.broadcast_shapes(counters.shape, walks.shape)
+    x0 = np.broadcast_to(counters, shape).astype(np.uint64)
+    x1, x2, x3 = (np.zeros(shape, dtype=np.uint64) for _ in range(3))
+    for r in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        hi1 ^= x1
+        hi1 ^= np.uint64((seed + r * _PHILOX_W[0]) & _MASK64)
+        hi0 ^= x3
+        hi0 ^= walks + np.uint64((r * _PHILOX_W[1]) & _MASK64)
+        x0, x1, x2, x3 = hi1, lo1, hi0, lo0
+    return np.stack((x0, x1, x2, x3), axis=-1)
+
+
+def _bounded_draws(words: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draws in [0, bound) from uint64 words, as Generator.integers makes them.
+
+    Each word gives two uint32s, low half first, and each uint32 u gives
+    (u * bound) >> 32 (Lemire's method).  numpy rejects u, and draws the next
+    uint32 in its place, when the low 32 bits of u * bound fall below
+    2**32 mod bound; the second array marks those draws, after which the
+    stream is shifted.  Above 2**32 numpy draws from whole uint64 words, and
+    then every draw is marked.  The last axis of `words` becomes twice as
+    long.
+    """
+    halves = np.stack((words & _MASK32, words >> 32), axis=-1)
+    scaled = halves.reshape(*words.shape[:-1], -1) * np.uint64(bound)
+    return (scaled >> 32).view(np.int64), (scaled & _MASK32) < 2**32 % bound
+
+
+def _moves(draws: np.ndarray, k: int) -> np.ndarray:
+    """The step for each draw d in [0, 2k): d + 1 if d < k, else k - 1 - d."""
+    return np.where(draws < k, draws + 1, k - 1 - draws)
+
+
+def _walk_on(
+    spec: GraphSpec,
+    ell: int,
+    seed: int,
+    walk: int,
+    blocks_used: int,
+    position: int,
+    allowance: int,
+) -> int:
+    """Steps from `position` to the first visit of ell, drawn with the walk's
+    own Generator past its first `blocks_used` Philox blocks.
+
+    This is exact whatever numpy rejects.  Stops early, returning a count
+    above `allowance`, once the walk has taken more than `allowance` steps.
+    """
+    generator = np.random.Generator(
+        np.random.Philox(
+            key=np.array([seed, walk], dtype=np.uint64), counter=blocks_used
+        )
+    )
+    taken = 0
+    while taken <= allowance:
+        draws = generator.integers(0, spec.degree, size=64)
+        path = (position + np.cumsum(_moves(draws, spec.k))) % spec.n
+        hits = np.flatnonzero(path == ell)
+        if hits.size:
+            return taken + int(hits[0]) + 1
+        taken += 64
+        position = int(path[-1])
+    return taken
+
+
 class SimulationResult(NamedTuple):
     mean: float
     stderr: float
@@ -234,15 +343,19 @@ def hit_simulate(
     ell: int,
     walks: int,
     seed: int,
-    chunk: int = 64,
     step_cap: int = 10**9,
 ) -> SimulationResult:
     """Empirical mean and standard error of the first-passage time.
 
-    Each walk draws from its own Philox stream keyed by (seed, walk index),
-    so results are deterministic for a fixed seed and independent of batching
-    or execution order.  A global cap of `step_cap` simulated steps aborts
-    runaway runs with a diagnostic.
+    Walk w takes its steps from Generator(Philox(key=(seed, w))).integers(0,
+    2k) (see GENERATOR_ID), so results are deterministic for a fixed seed.
+    The walks of a slice advance in lockstep: every round computes the next
+    window of Philox blocks for all of them at once, and each walk retires at
+    its first visit to ell.  A walk whose window holds a draw numpy would
+    reject (about 1e-9 per draw at k = 3) finishes on its own Generator
+    instead, so every walk time equals the one-walk-at-a-time computation.
+    SimulationBudgetError is raised once the finished walk times plus the
+    steps taken by unfinished walks exceed `step_cap`.
     """
     _check_ell(spec, ell)
     if walks < 1:
@@ -251,33 +364,45 @@ def hit_simulate(
         raise ParameterError("seed must fit in 64 bits")
     if ell == 0:
         return SimulationResult(0.0, 0.0)
-    n, k = spec.n, spec.k
+    n, degree = spec.n, spec.degree
     times = np.empty(walks, dtype=np.int64)
-    spent = 0
-    for walk in range(walks):
-        generator = np.random.Generator(
-            np.random.Philox(key=np.array([seed, walk], dtype=np.uint64))
-        )
-        position = 0
-        steps = 0
-        while True:
-            draws = generator.integers(0, 2 * k, size=chunk)
-            offsets = np.where(draws < k, draws + 1, k - 1 - draws)
-            path = (position + np.cumsum(offsets)) % n
-            hits = np.flatnonzero(path == ell)
-            if hits.size:
-                steps += int(hits[0]) + 1
-                spent += int(hits[0]) + 1
-                break
-            steps += chunk
-            spent += chunk
-            position = int(path[-1])
-            if spent > step_cap:
-                raise SimulationBudgetError(
-                    f"step cap {step_cap} exceeded after {walk} complete walks "
-                    f"(n={n}, k={k}, ell={ell})"
-                )
-        times[walk] = steps
+    spent = finished = 0
+
+    def check_budget() -> None:
+        if spent > step_cap:
+            raise SimulationBudgetError(
+                f"step cap {step_cap} exceeded after {finished} complete walks "
+                f"(n={n}, k={spec.k}, ell={ell})"
+            )
+
+    for first in range(0, walks, _SLICE_WALKS):
+        active = np.arange(first, min(walks, first + _SLICE_WALKS), dtype=np.uint64)
+        position = np.zeros(active.size, dtype=np.int64)
+        used = 0  # Philox blocks consumed by every active walk
+        while active.size:
+            blocks = max(1, _WINDOW_DRAWS // (8 * active.size))
+            counters = np.arange(used + 1, used + blocks + 1, dtype=np.uint64)
+            words = _philox_blocks(counters, seed, active[:, None])
+            draws, rejected = _bounded_draws(words.reshape(active.size, -1), degree)
+            moves = _moves(draws, spec.k)
+            path = (position[:, None] + np.cumsum(moves, axis=1)) % n
+            hits = path == ell
+            redo = rejected.any(axis=1)
+            done = hits.any(axis=1) & ~redo
+            going = ~(done | redo)
+            first_hits = hits[done].argmax(axis=1) + 1
+            times[active[done]] = 8 * used + first_hits
+            spent += int(first_hits.sum()) + draws.shape[1] * int(going.sum())
+            finished += first_hits.size
+            check_budget()
+            for walk, start in zip(active[redo].tolist(), position[redo].tolist()):
+                taken = _walk_on(spec, ell, seed, walk, used, start, step_cap - spent)
+                spent += taken
+                check_budget()
+                times[walk] = 8 * used + taken
+                finished += 1
+            active, position = active[going], path[going, -1]
+            used += blocks
     mean = float(times.mean())
     if walks == 1:
         return SimulationResult(mean, 0.0)

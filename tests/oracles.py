@@ -2,14 +2,18 @@
 
 These deliberately avoid the library's own code paths: spanning trees and
 forests are counted by brute-force subset enumeration, linear systems are
-solved by plain Gaussian elimination over Fractions, and Fibonacci numbers
-come from the integer recurrence.
+solved by plain Gaussian elimination over Fractions, Fibonacci numbers
+come from the integer recurrence, and simulated walks run one at a time, each
+from its own numpy Philox generator.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 
 def fibonacci(n: int) -> int:
@@ -119,3 +123,42 @@ def count_separating_forests(n_vertices: int, edges, u: int, v: int) -> int:
         if dsu.find(u) != dsu.find(v):
             count += 1
     return count
+
+
+def reference_walk_times(spec, ell: int, walks: int, seed: int) -> np.ndarray:
+    """First-passage times from 0 to ell (ell != 0), one walk at a time.
+
+    Walk w draws its steps with Generator.integers(0, 2k) from
+    numpy.random.Philox(key=(seed, w)): draw d < k moves d + 1 forward,
+    d >= k moves d - k + 1 back.
+    """
+    n, k = spec.n, spec.k
+    times = np.empty(walks, dtype=np.int64)
+    for walk in range(walks):
+        generator = np.random.Generator(
+            np.random.Philox(key=np.array([seed, walk], dtype=np.uint64))
+        )
+        position = 0
+        steps = 0
+        while True:
+            draws = generator.integers(0, 2 * k, size=64)
+            offsets = np.where(draws < k, draws + 1, k - 1 - draws)
+            path = (position + np.cumsum(offsets)) % n
+            hits = np.flatnonzero(path == ell)
+            if hits.size:
+                steps += int(hits[0]) + 1
+                break
+            steps += 64
+            position = int(path[-1])
+        times[walk] = steps
+    return times
+
+
+def simulate_reference(spec, ell: int, walks: int, seed: int) -> tuple[float, float]:
+    """(mean, standard error) of reference_walk_times; (0, 0) at ell = 0."""
+    if ell == 0:
+        return 0.0, 0.0
+    times = reference_walk_times(spec, ell, walks, seed)
+    if walks == 1:
+        return float(times.mean()), 0.0
+    return float(times.mean()), float(times.std(ddof=1) / math.sqrt(walks))

@@ -106,3 +106,9 @@ def test_solve_simple_system():
 def test_solve_rejects_mismatched_rhs():
     with pytest.raises(ConsistencyError):
         solve([[1, 0], [0, 1]], [1])
+
+
+def test_solve_empty_system():
+    assert solve([], []) == []
+    with pytest.raises(ConsistencyError):
+        solve([], [1])

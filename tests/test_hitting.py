@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,13 @@ from cyclepow import (
     laplacian_eigenvalues,
 )
 
-from oracles import fibonacci, gauss_solve
+from cyclepow import hitting
+from oracles import (
+    fibonacci,
+    gauss_solve,
+    reference_walk_times,
+    simulate_reference,
+)
 
 
 def specs(max_k=5, max_n=24):
@@ -163,6 +170,94 @@ def test_simulate_deterministic_per_seed():
 def test_simulate_step_cap():
     with pytest.raises(SimulationBudgetError):
         hit_simulate(GraphSpec(24, 1), 23, 1000, 7, step_cap=500)
+
+
+# 2k = 3 * 2**13: numpy rejects a uint32 with probability 2**-20, often
+# enough that some lockstep windows of these long walks hold a rejection.
+REJECTING = GraphSpec(3 * 2**13 + 1, 3 * 2**12)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.integers(2 * k + 1, 24).map(lambda n: GraphSpec(n, k))
+    ),
+    st.sampled_from(["one", "half", "last"]),
+    st.integers(1, 300),
+    st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_simulate_matches_per_walk_reference(spec, where, walks, seed):
+    ell = {"one": 1, "half": spec.n // 2, "last": spec.n - 1}[where]
+    assert tuple(hit_simulate(spec, ell, walks, seed)) == simulate_reference(
+        spec, ell, walks, seed
+    )
+
+
+def test_simulate_matches_reference_across_slices():
+    walks = 2 * hitting._SLICE_WALKS + 3
+    spec = GraphSpec(9, 2)
+    assert tuple(hit_simulate(spec, 4, walks, 5)) == simulate_reference(
+        spec, 4, walks, 5
+    )
+
+
+def test_simulate_rejected_draws_fall_back_exactly(monkeypatch):
+    redone = []
+    walk_on = hitting._walk_on
+
+    def spy(*args):
+        redone.append(args[3])
+        return walk_on(*args)
+
+    monkeypatch.setattr(hitting, "_walk_on", spy)
+    result = hit_simulate(REJECTING, 1, 20, 1)
+    assert redone
+    assert tuple(result) == simulate_reference(REJECTING, 1, 20, 1)
+
+
+@pytest.mark.parametrize(
+    "spec, ell, walks, seed",
+    [(GraphSpec(24, 1), 23, 50, 7), (GraphSpec(11, 3), 5, 5000, 8),
+     (REJECTING, 1, 20, 1)],
+)
+def test_simulate_step_cap_is_total_walk_time(spec, ell, walks, seed):
+    total = int(reference_walk_times(spec, ell, walks, seed).sum())
+    hit_simulate(spec, ell, walks, seed, step_cap=total)
+    with pytest.raises(SimulationBudgetError, match=r"after \d+ complete walks"):
+        hit_simulate(spec, ell, walks, seed, step_cap=total - 1)
+
+
+@pytest.mark.parametrize("seed, walk", [(0, 0), (2**64 - 1, 12345), (7, 2**64 - 1)])
+def test_philox_blocks_match_numpy(seed, walk):
+    key = np.array([seed, walk], dtype=np.uint64)
+    walks = np.array([walk], dtype=np.uint64)
+    fresh = np.random.Philox(key=key).random_raw(4 * 9)
+    blocks = hitting._philox_blocks(np.arange(1, 10, dtype=np.uint64), seed, walks)
+    assert np.array_equal(blocks.reshape(-1), fresh)
+    # A counter of c makes the next block c + 1, as the fallback relies on.
+    later = np.random.Philox(key=key, counter=1000).random_raw(4 * 3)
+    blocks = hitting._philox_blocks(np.arange(1001, 1004, dtype=np.uint64), seed, walks)
+    assert np.array_equal(blocks.reshape(-1), later)
+
+
+@pytest.mark.parametrize("bound", [3 * 2**30, 6, 8, 2**32, 2**32 + 2])
+def test_bounded_draws_match_generator_integers(bound):
+    key = np.array([11, 3], dtype=np.uint64)
+    words = np.random.Philox(key=key).random_raw(4000)
+    draws, rejected = hitting._bounded_draws(words, bound)
+    if bound == 3 * 2**30:
+        # 2**32 mod 3 * 2**30 = 2**30: a quarter of the uint32s are rejected.
+        assert 0.2 < rejected.mean() < 0.3
+    elif bound & (bound - 1) == 0:
+        assert not rejected.any()
+    elif bound > 2**32:
+        # numpy draws from whole uint64 words here, so nothing is kept.
+        assert rejected.all()
+    accepted = draws[~rejected]
+    expected = np.random.Generator(np.random.Philox(key=key)).integers(
+        0, bound, size=accepted.size
+    )
+    assert np.array_equal(accepted, expected)
 
 
 def test_profile_assembles_methods():
