@@ -80,6 +80,7 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 2**64 - 1
+_BLOCK_DRAWS = 8  # uint32 draws from one four-word Philox4x64 block
 # Walks advanced together, and uint32 draws per lockstep round across them;
 # both only bound memory and per-round overhead, never the result.
 _SLICE_WALKS = 4096
@@ -380,7 +381,7 @@ def hit_simulate(
         position = np.zeros(active.size, dtype=np.int64)
         used = 0  # Philox blocks consumed by every active walk
         while active.size:
-            blocks = max(1, _WINDOW_DRAWS // (8 * active.size))
+            blocks = max(1, _WINDOW_DRAWS // (_BLOCK_DRAWS * active.size))
             counters = np.arange(used + 1, used + blocks + 1, dtype=np.uint64)
             words = _philox_blocks(counters, seed, active[:, None])
             draws, rejected = _bounded_draws(words.reshape(active.size, -1), degree)
@@ -391,7 +392,7 @@ def hit_simulate(
             done = hits.any(axis=1) & ~redo
             going = ~(done | redo)
             first_hits = hits[done].argmax(axis=1) + 1
-            times[active[done]] = 8 * used + first_hits
+            times[active[done]] = _BLOCK_DRAWS * used + first_hits
             spent += int(first_hits.sum()) + draws.shape[1] * int(going.sum())
             finished += first_hits.size
             check_budget()
@@ -399,7 +400,7 @@ def hit_simulate(
                 taken = _walk_on(spec, ell, seed, walk, used, start, step_cap - spent)
                 spent += taken
                 check_budget()
-                times[walk] = 8 * used + taken
+                times[walk] = _BLOCK_DRAWS * used + taken
                 finished += 1
             active, position = active[going], path[going, -1]
             used += blocks

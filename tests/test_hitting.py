@@ -172,7 +172,7 @@ def test_simulate_step_cap():
         hit_simulate(GraphSpec(24, 1), 23, 1000, 7, step_cap=500)
 
 
-# 2k = 3 * 2**13: numpy rejects a uint32 with probability 2**-20, often
+# 2k = 3 * 2**13: numpy rejects a uint32 with probability 2**-18, often
 # enough that some lockstep windows of these long walks hold a rejection.
 REJECTING = GraphSpec(3 * 2**13 + 1, 3 * 2**12)
 
