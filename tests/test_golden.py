@@ -1,10 +1,16 @@
-"""Byte gate for the simulation streams.
+"""Byte gates for CLI output.
 
 `data/hit_golden.json` holds `hit --format json` output of the `simulate`
 and `all` methods recorded from the per-walk generator implementation
 (one `numpy.random.Generator(Philox(key=(seed, walk)))` per walk, kept as
 `oracles.simulate_reference`).  Any change to the draws, their order or the
 statistics shows up here as a byte difference.
+
+`data/verify_golden.json` holds `verify --report full` output without its
+`# wall_time_s` line, and `data/sweep_golden.json` the files `sweep` writes
+for every quantity in csv and json, both recorded before the per-graph and
+per-factor work of `verify` and `sweep` was hoisted out of their loops over
+ell.
 """
 
 import json
@@ -15,11 +21,37 @@ from click.testing import CliRunner
 
 from cyclepow.cli import main
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "hit_golden.json").read_text())
+DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=[case["args"] for case in GOLDEN])
+def load(name):
+    return json.loads((DATA / name).read_text())
+
+
+HIT = load("hit_golden.json")
+VERIFY = load("verify_golden.json")
+SWEEP = load("sweep_golden.json")
+
+
+@pytest.mark.parametrize("case", HIT, ids=[case["args"] for case in HIT])
 def test_hit_output_matches_recorded_bytes(case):
     result = CliRunner().invoke(main, case["args"].split())
     assert result.exit_code == 0, result.output
     assert result.output == case["output"]
+
+
+@pytest.mark.parametrize("case", VERIFY, ids=[case["args"] for case in VERIFY])
+def test_verify_report_matches_recorded_bytes(case):
+    result = CliRunner().invoke(main, case["args"].split())
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines(keepends=True)
+    assert lines[-1].startswith("# wall_time_s=")
+    assert "".join(lines[:-1]) == case["output"]
+
+
+@pytest.mark.parametrize("case", SWEEP, ids=[case["args"] for case in SWEEP])
+def test_sweep_file_matches_recorded_bytes(case, tmp_path):
+    out = tmp_path / "sweep.out"
+    result = CliRunner().invoke(main, [*case["args"].split(), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == case["output"].encode("utf-8")
