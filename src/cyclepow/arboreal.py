@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp
 
@@ -34,6 +35,7 @@ from .graphs import GraphSpec, build_laplacian, contract_vertices
 from .hitting import cosine_table, hit_exact
 from .polynomials import build_phi, eval_poly
 from .spectral import (
+    _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
     SpectralFactorization,
     cached_factorization,
@@ -53,8 +55,6 @@ __all__ = [
     "tau_product",
 ]
 
-_GUARD_BITS = 32
-
 # Rounding contract for analytic tree counts.
 ROUNDING_DEFECT_LIMIT = 1e-6
 
@@ -64,6 +64,12 @@ def tau_det(spec: GraphSpec) -> int:
     folded vertex order)."""
     reduced = build_laplacian(spec).delete_row_col(0)
     return fractionfree.determinant(reduced.folded().rows)
+
+
+@lru_cache(maxsize=512)
+def _graph_tau(spec: GraphSpec) -> int:
+    """tau_det(spec), once per graph for the forest counts of every ell."""
+    return tau_det(spec)
 
 
 def tau_eigen(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -140,10 +146,12 @@ def forests(spec: GraphSpec, ell: int) -> int:
 
     tau * h(0, ell) / (n*k) computed in exact rational arithmetic; the result
     must reduce to an integer, anything else indicates a broken invariant.
+    tau and the hitting times are each computed once per graph and reused
+    for every ell.
     """
     if not 1 <= ell < spec.n:
         raise ParameterError(f"need 1 <= ell < {spec.n}, got {ell}")
-    value = tau_det(spec) * hit_exact(spec, ell) / spec.num_edges
+    value = _graph_tau(spec) * hit_exact(spec, ell) / spec.num_edges
     if value.denominator != 1:
         raise ConsistencyError(
             f"forest count {value} is not an integer for n={spec.n}, "

@@ -48,7 +48,7 @@ from .hitting import (
     hit_simulate,
     hit_spectral,
 )
-from .spectral import cached_factorization, residual_tolerance
+from .spectral import _GUARD_BITS, cached_factorization, residual_tolerance
 from .verify import run_verification
 
 CSV_HEADER = "n,k,ell,method,value,err_bound"
@@ -418,7 +418,7 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> None:
                     record.results.append(
                         ("exact", str(resistance(spec, ell)), None)
                     )
-                    with mp.workprec(precision + 32):
+                    with mp.workprec(precision + _GUARD_BITS):
                         value = hit_closed(spec, ell, sf) / spec.num_edges
                     record.results.append(
                         ("closed", _format_value(value, precision),

@@ -6,7 +6,8 @@ simple and 2k-regular, which is the regime every formula in this package
 assumes, so smaller N is rejected outright.  N = 2k+1 (the complete graph) is
 allowed and makes a handy degenerate test case.
 
-Matrices are dense tuples of Python ints, built in O(n^2).  The Laplacian is
+Matrices are dense tuples of Python ints, built in O(n^2) and converted to
+int only where they enter through the IntMatrix constructor.  The Laplacian is
 a circulant band, and fold_order renumbers the vertices of a reduced or
 contracted Laplacian so that the band closes up around the wrap-around: the
 result has lower and upper bandwidth at most 2k, and the fraction-free
@@ -53,7 +54,12 @@ class GraphSpec:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable dense square matrix of arbitrary-precision integers."""
+    """Immutable dense square matrix of arbitrary-precision integers.
+
+    The constructor converts every entry with int() and checks the shape;
+    matrices derived inside this module are built from rows that are already
+    tuples of ints and skip that pass.
+    """
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -62,6 +68,14 @@ class IntMatrix:
         if any(len(row) != len(rows) for row in rows):
             raise ParameterError("matrix must be square")
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _of_int_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap square rows of ints as they are, without the constructor's
+        conversion pass."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        return matrix
 
     @property
     def size(self) -> int:
@@ -92,13 +106,15 @@ class IntMatrix:
         """Rows and columns taken in fold_order(size)."""
         order = fold_order(self.size)
         rows = self.rows
-        return IntMatrix(tuple(tuple(map(rows[i].__getitem__, order)) for i in order))
+        return IntMatrix._of_int_rows(
+            tuple(tuple(map(rows[i].__getitem__, order)) for i in order)
+        )
 
     def delete_row_col(self, index: int) -> "IntMatrix":
         """The principal submatrix with one row and its column removed."""
         if not 0 <= index < self.size:
             raise ParameterError(f"index {index} out of range for size {self.size}")
-        return IntMatrix(
+        return IntMatrix._of_int_rows(
             tuple(
                 row[:index] + row[index + 1 :]
                 for i, row in enumerate(self.rows)
@@ -133,7 +149,7 @@ def build_laplacian(spec: GraphSpec) -> IntMatrix:
             row[(i + r) % n] -= 1
             row[(i - r) % n] -= 1
         rows.append(tuple(row))
-    return IntMatrix(tuple(rows))
+    return IntMatrix._of_int_rows(tuple(rows))
 
 
 def contract_vertices(lap: IntMatrix, u: int, v: int) -> IntMatrix:
@@ -156,4 +172,6 @@ def contract_vertices(lap: IntMatrix, u: int, v: int) -> IntMatrix:
     for i in range(n):
         work[i][u] += work[i][v]
     keep = [i for i in range(n) if i != v]
-    return IntMatrix(tuple(tuple(work[i][j] for j in keep) for i in keep))
+    return IntMatrix._of_int_rows(
+        tuple(tuple(work[i][j] for j in keep) for i in keep)
+    )

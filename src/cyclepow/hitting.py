@@ -44,6 +44,7 @@ from .errors import (
 from .graphs import GraphSpec, build_laplacian, fold_order
 from .recurrences import correction_ratio, full_index_ratio
 from .spectral import (
+    _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
     SpectralFactorization,
     cached_factorization,
@@ -65,8 +66,6 @@ __all__ = [
     "hitting_profile",
     "laplacian_eigenvalues",
 ]
-
-_GUARD_BITS = 32
 
 # Pinned simulation stream: walk w takes its steps from
 # Generator(Philox(key=(seed, w))).integers(0, 2k), numpy's Philox4x64 keyed

@@ -19,6 +19,13 @@ the exponential and half-index forms are the trusted evaluation paths and the
 full-index ratio is kept only for erratum reporting.  The exponential form is
 also the default for large N: |rho| < 1 keeps it uniformly well-conditioned,
 whereas |W_N| grows like |rho|^(-N/2).
+
+correction_ratio evaluates one ell with a single recurrence pass that keeps
+only W_ell, W_{N-ell} and W_N, so it holds O(1) values even at N in the
+tens of thousands.  correction_ratios returns the ratio for every ell = 0..N
+of one (factor, N) from one pass over 0..N (or one table of rho^m), for
+callers that loop over ell; both build each value with the same operations,
+so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from mpmath import mp
 
 from .errors import DegeneracyError, ParameterError
 from .spectral import (
+    _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
     FactorData,
     separation_tolerance,
@@ -37,14 +45,13 @@ from .spectral import (
 __all__ = [
     "RecurrenceSpec",
     "correction_ratio",
+    "correction_ratios",
     "full_index_ratio",
     "full_index_spec",
     "half_index_spec",
     "term_by_binet",
     "term_by_recurrence",
 ]
-
-_GUARD_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -130,6 +137,29 @@ def term_by_binet(base, n: int, precision_bits: int = DEFAULT_PRECISION_BITS):
         return (b**n - b**-n) / (b - 1 / b)
 
 
+def _ratio_parts(factor, indices, n_vertices, form, branch, precision_bits):
+    """(values, denominator) with ratio(ell) = values[ell] * values[N - ell]
+    / denominator, `values` holding the indices asked for.
+
+    Exponential form: values[m] = 1 - rho^m and denominator
+    (1/rho - rho)(1 - rho^N).  Sequence form: values[m] = W_m and denominator
+    delta * W_N.  Runs in the caller's working precision.
+    """
+    if form == "exponential":
+        rho = mp.mpc(factor.inner_root)
+        values = {m: 1 - rho**m for m in indices}
+        return values, (1 / rho - rho) * values[n_vertices]
+    if form == "sequence":
+        delta = half_index_spec(factor, branch, precision_bits).coefficient
+        values = _terms(delta, indices)
+        return values, delta * values[n_vertices]
+    raise ParameterError(f"unknown form {form!r}")
+
+
+def _ratio(values, denominator, ell, n_vertices):
+    return values[ell] * values[n_vertices - ell] / denominator
+
+
 def correction_ratio(
     factor: FactorData,
     ell: int,
@@ -142,23 +172,46 @@ def correction_ratio(
     form="exponential" evaluates (1 - rho^ell)(1 - rho^(N-ell)) /
     ((1/rho - rho)(1 - rho^N)) directly from the inner root; form="sequence"
     evaluates W_ell * W_{N-ell} / (delta * W_N) through the half-index
-    recurrence.  The two agree to the certified-residual tolerance and are
-    symmetric in ell <-> N - ell by construction.
+    recurrence, in one pass that keeps only W_ell, W_{N-ell} and W_N.  The
+    two agree to the certified-residual tolerance and are symmetric in
+    ell <-> N - ell by construction.
     """
     if not 0 <= ell <= n_vertices:
         raise ParameterError(f"need 0 <= ell <= {n_vertices}, got {ell}")
     with mp.workprec(precision_bits + _GUARD_BITS):
-        if form == "exponential":
-            rho = mp.mpc(factor.inner_root)
-            numerator = (1 - rho**ell) * (1 - rho ** (n_vertices - ell))
-            denominator = (1 / rho - rho) * (1 - rho**n_vertices)
-            return numerator / denominator
-        if form == "sequence":
-            spec = half_index_spec(factor, 1, precision_bits)
-            delta = spec.coefficient
-            terms = _terms(spec.coefficient, (ell, n_vertices - ell, n_vertices))
-            return terms[ell] * terms[n_vertices - ell] / (delta * terms[n_vertices])
-    raise ParameterError(f"unknown form {form!r}")
+        values, denominator = _ratio_parts(
+            factor, (ell, n_vertices - ell, n_vertices), n_vertices, form, 1,
+            precision_bits,
+        )
+        return _ratio(values, denominator, ell, n_vertices)
+
+
+def correction_ratios(
+    factor: FactorData,
+    n_vertices: int,
+    form: str = "exponential",
+    precision_bits: int = DEFAULT_PRECISION_BITS,
+    branch: int = 1,
+) -> tuple:
+    """correction_ratio(factor, ell, n_vertices, ...) for ell = 0..n_vertices.
+
+    The values are those of the per-ell function, bit for bit, but the
+    recurrence runs once over 0..N (or each rho^m is taken once) instead of
+    once per ell.  `branch` picks the square root of the sequence form (see
+    half_index_spec); negating it negates delta and every even-index term
+    exactly, so the ratios do not change.  Holds N + 1 values, so large-N
+    callers that need a few ell should call correction_ratio.
+    """
+    if n_vertices < 0:
+        raise ParameterError(f"n_vertices must be >= 0, got {n_vertices}")
+    with mp.workprec(precision_bits + _GUARD_BITS):
+        values, denominator = _ratio_parts(
+            factor, range(n_vertices + 1), n_vertices, form, branch, precision_bits
+        )
+        return tuple(
+            _ratio(values, denominator, ell, n_vertices)
+            for ell in range(n_vertices + 1)
+        )
 
 
 def full_index_ratio(

@@ -40,13 +40,14 @@ from .hitting import (
 )
 from .polynomials import IntPolynomial, build_phi, build_psi, derivative, eval_poly
 from .recurrences import (
-    correction_ratio,
+    correction_ratios,
     full_index_spec,
     half_index_spec,
     term_by_binet,
     term_by_recurrence,
 )
 from .spectral import (
+    _GUARD_BITS,
     cached_factorization,
     check_decomposition,
     conjugate_pairs,
@@ -54,8 +55,6 @@ from .spectral import (
 )
 
 __all__ = ["CheckResult", "run_verification"]
-
-_GUARD_BITS = 32
 
 ORACLE_RTOL = 1e-10
 EIGENPRODUCT_RTOL = 1e-12
@@ -379,9 +378,9 @@ def _check_ratio_branch_invariance(kmax, nmax, bits) -> CheckResult:
             sf = cached_factorization(k, bits)
             for n in range(2 * k + 1, min(nmax, 24) + 1):
                 for factor in sf.factors:
-                    for ell in range(n + 1):
-                        plus = _sequence_ratio(factor, ell, n, 1, bits)
-                        minus = _sequence_ratio(factor, ell, n, -1, bits)
+                    pluses = correction_ratios(factor, n, "sequence", bits, 1)
+                    minuses = correction_ratios(factor, n, "sequence", bits, -1)
+                    for ell, (plus, minus) in enumerate(zip(pluses, minuses)):
                         worst.update(
                             float(abs(plus - minus) / max(1, abs(plus))),
                             f"(n={n}, k={k}, ell={ell})",
@@ -394,15 +393,6 @@ def _check_ratio_branch_invariance(kmax, nmax, bits) -> CheckResult:
     )
 
 
-def _sequence_ratio(factor, ell, n, branch, bits):
-    spec = half_index_spec(factor, branch, bits)
-    with mp.workprec(bits + _GUARD_BITS):
-        w_ell = term_by_recurrence(spec, ell, bits)
-        w_rest = term_by_recurrence(spec, n - ell, bits)
-        w_n = term_by_recurrence(spec, n, bits)
-        return w_ell * w_rest / (spec.coefficient * w_n)
-
-
 def _check_ratio_form_agreement(kmax, nmax, bits) -> CheckResult:
     worst = _Worst()
     with mp.workprec(bits + _GUARD_BITS):
@@ -410,11 +400,11 @@ def _check_ratio_form_agreement(kmax, nmax, bits) -> CheckResult:
             sf = cached_factorization(k, bits)
             for n in range(2 * k + 1, min(nmax, 48) + 1):
                 for factor in sf.factors:
-                    for ell in range(n + 1):
-                        exp_form = correction_ratio(
-                            factor, ell, n, "exponential", bits
-                        )
-                        seq_form = correction_ratio(factor, ell, n, "sequence", bits)
+                    exp_forms = correction_ratios(factor, n, "exponential", bits)
+                    seq_forms = correction_ratios(factor, n, "sequence", bits)
+                    for ell, (exp_form, seq_form) in enumerate(
+                        zip(exp_forms, seq_forms)
+                    ):
                         worst.update(
                             float(abs(exp_form - seq_form) / max(1, abs(exp_form))),
                             f"(n={n}, k={k}, ell={ell})",
@@ -434,13 +424,11 @@ def _check_ratio_symmetry(kmax, nmax, bits) -> CheckResult:
             sf = cached_factorization(k, bits)
             for n in range(2 * k + 1, min(nmax, 32) + 1):
                 for factor in sf.factors:
+                    ratios = correction_ratios(factor, n, "exponential", bits)
                     for ell in range(n // 2 + 1):
-                        left = correction_ratio(factor, ell, n, "exponential", bits)
-                        right = correction_ratio(
-                            factor, n - ell, n, "exponential", bits
-                        )
                         worst.update(
-                            float(abs(left - right)), f"(n={n}, k={k}, ell={ell})"
+                            float(abs(ratios[ell] - ratios[n - ell])),
+                            f"(n={n}, k={k}, ell={ell})",
                         )
     return worst.result(
         "ratio-symmetry",
@@ -458,9 +446,10 @@ def _check_ratio_conjugation(kmax, nmax, bits) -> CheckResult:
             _, pairs = conjugate_pairs(sf.factors, bits)
             for n in range(2 * k + 1, min(nmax, 24) + 1):
                 for upper, lower in pairs:
+                    uppers = correction_ratios(upper, n, "exponential", bits)
+                    lowers = correction_ratios(lower, n, "exponential", bits)
                     for ell in range(0, n + 1, max(1, n // 6)):
-                        a = correction_ratio(upper, ell, n, "exponential", bits)
-                        b = correction_ratio(lower, ell, n, "exponential", bits)
+                        a, b = uppers[ell], lowers[ell]
                         worst.update(
                             float(abs(mp.conj(a) - b) / max(1, abs(a))),
                             f"(n={n}, k={k}, ell={ell})",
@@ -488,8 +477,8 @@ def _check_fibonacci_anchor(kmax, nmax, bits) -> CheckResult:
         with mp.workprec(bits + _GUARD_BITS):
             for n in range(5, min(nmax, 48) + 1):
                 f_n = _fibonacci(n)
-                for ell in range(n + 1):
-                    ratio = correction_ratio(factor, ell, n, "sequence", bits)
+                ratios = correction_ratios(factor, n, "sequence", bits)
+                for ell, ratio in enumerate(ratios):
                     expected = mp.mpf(-_fibonacci(ell) * _fibonacci(n - ell)) / f_n
                     worst.update(
                         float(abs(ratio - expected) / max(1, abs(expected))),
@@ -615,15 +604,14 @@ def _check_resolvent_periodization(kmax, nmax, bits) -> CheckResult:
                 cosines = cosine_table(n, bits)
                 for factor in sf.factors:
                     gamma = mp.mpc(factor.root)
+                    ratios = correction_ratios(factor, n, "exponential", bits)
                     for ell in range(n):
                         direct = mp.mpc(0)
                         for j in range(1, n):
                             direct += (1 - cosines[(j * ell) % n]) / (
                                 gamma - 2 * cosines[j]
                             )
-                        via_ratio = n * correction_ratio(
-                            factor, ell, n, "exponential", bits
-                        )
+                        via_ratio = n * ratios[ell]
                         worst.update(
                             float(
                                 abs(direct - via_ratio)

@@ -14,6 +14,7 @@ from cyclepow import (
     build_laplacian,
     cached_factorization,
     forests,
+    hit_exact,
     hit_exact_all,
     nearest_integer,
     resistance,
@@ -22,6 +23,8 @@ from cyclepow import (
     tau_eigen,
     tau_product,
 )
+
+from cyclepow import arboreal
 
 from oracles import (
     count_separating_forests,
@@ -118,6 +121,28 @@ def test_forests_bounds():
         forests(GraphSpec(6, 1), 0)
     with pytest.raises(ParameterError):
         forests(GraphSpec(6, 1), 6)
+
+
+# Graphs that share n or k, so a memo keyed on either alone would mix them up.
+MEMO_GRAPHS = (GraphSpec(9, 1), GraphSpec(9, 2), GraphSpec(9, 4), GraphSpec(10, 2),
+               GraphSpec(10, 3))
+
+
+@given(
+    st.permutations(
+        [(spec, ell) for spec in MEMO_GRAPHS for ell in range(1, spec.n)]
+    ).map(lambda cases: cases[:12])
+)
+@settings(max_examples=25, deadline=None)
+def test_memoised_forests_in_any_call_order(cases):
+    arboreal._graph_tau.cache_clear()
+    for spec, ell in cases:
+        count = forests(spec, ell)
+        assert count == tau_contracted(spec, ell)
+        assert count == tau_det(spec) * hit_exact(spec, ell) / spec.num_edges
+    info = arboreal._graph_tau.cache_info()
+    assert info.misses == len({spec for spec, _ in cases})
+    assert info.hits == len(cases) - info.misses
 
 
 def test_tau_contracted_examples():

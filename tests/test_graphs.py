@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,3 +132,30 @@ def test_fold_order_from_both_ends():
 def test_int_matrix_must_be_square():
     with pytest.raises(ParameterError):
         IntMatrix(((1, 2), (3,)))
+
+
+def test_int_matrix_constructor_converts_entries():
+    matrix = IntMatrix([[True, np.int64(-2)], (3.0, "4")])
+    assert matrix.rows == ((1, -2), (3, 4))
+    assert all(type(x) is int for row in matrix.rows for x in row)
+
+
+@given(specs(max_k=4, max_n=16), st.data())
+@settings(max_examples=30, deadline=None)
+def test_derived_matrices_equal_their_validated_construction(spec, data):
+    ell = data.draw(st.integers(1, spec.n - 1))
+    lap = build_laplacian(spec)
+    derived = [
+        lap,
+        lap.delete_row_col(0),
+        lap.delete_row_col(0).folded(),
+        contract_vertices(lap, 0, ell),
+        contract_vertices(lap, 0, ell).delete_row_col(0).folded(),
+    ]
+    for matrix in derived:
+        assert matrix == IntMatrix(matrix.rows)
+        assert type(matrix.rows) is tuple
+        assert all(type(row) is tuple for row in matrix.rows)
+        assert all(type(x) is int for row in matrix.rows for x in row)
+        assert all(len(row) == matrix.size for row in matrix.rows)
+    assert determinant(derived[2].rows) == determinant(derived[1].rows)

@@ -215,6 +215,29 @@ def test_simulate_rejected_draws_fall_back_exactly(monkeypatch):
     assert tuple(result) == simulate_reference(REJECTING, 1, 20, 1)
 
 
+def test_fallback_walk_overruns_a_budget_of_whole_draw_batches(monkeypatch):
+    # Seed 3: the first lockstep window of walk 0 holds a rejected draw, so
+    # the whole walk (10497 steps) runs on its own Generator, 64 draws at a
+    # time, with the full step cap as its budget.  A cap of 164 * 64 steps
+    # ends exactly on a batch boundary one step short of the hit; the walk
+    # must still overrun it instead of stopping at the boundary.
+    total = int(reference_walk_times(REJECTING, 1, 1, 3)[0])
+    cap = 64 * ((total - 1) // 64)
+    assert (total, cap) == (10497, 10496)
+    allowances = []
+    walk_on = hitting._walk_on
+
+    def spy(*args):
+        allowances.append(args[-1])
+        return walk_on(*args)
+
+    monkeypatch.setattr(hitting, "_walk_on", spy)
+    with pytest.raises(SimulationBudgetError):
+        hit_simulate(REJECTING, 1, 1, 3, step_cap=cap)
+    assert allowances == [cap]
+    assert hit_simulate(REJECTING, 1, 1, 3, step_cap=total) == (total, 0.0)
+
+
 @pytest.mark.parametrize(
     "spec, ell, walks, seed",
     [(GraphSpec(24, 1), 23, 50, 7), (GraphSpec(11, 3), 5, 5000, 8),

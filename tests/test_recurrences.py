@@ -14,6 +14,8 @@ from cyclepow import (
     term_by_recurrence,
 )
 
+from cyclepow.recurrences import correction_ratios
+
 from oracles import fibonacci
 
 
@@ -96,6 +98,40 @@ def test_correction_ratio_bounds_checked():
         correction_ratio(k2_factor(), -1, 6)
     with pytest.raises(ParameterError):
         correction_ratio(k2_factor(), 1, 6, form="nope")
+
+
+@pytest.mark.parametrize("form", ["exponential", "sequence"])
+@pytest.mark.parametrize("branch", [1, -1])
+@pytest.mark.parametrize("k", range(2, 5))
+def test_ratio_table_is_bit_identical_to_each_ell(k, branch, form):
+    for factor in cached_factorization(k, 256).factors:
+        for n in range(2 * k + 1, 31):
+            table = correction_ratios(factor, n, form, 256, branch)
+            assert len(table) == n + 1
+            for ell, value in enumerate(table):
+                single = correction_ratio(factor, ell, n, form, 256)
+                assert value.real == single.real and value.imag == single.imag
+
+
+def test_ratio_table_validates_its_arguments():
+    with pytest.raises(ParameterError):
+        correction_ratios(k2_factor(), 6, form="nope")
+    with pytest.raises(ParameterError):
+        correction_ratios(k2_factor(), 6, "sequence", 256, 0)
+    with pytest.raises(ParameterError):
+        correction_ratios(k2_factor(), -1)
+
+
+def test_sequence_branch_flips_signs_exactly():
+    # The other square root negates delta, and with it W_n for every even n;
+    # negation is exact, so the two branches give the same ratios bit for bit.
+    factor = cached_factorization(3, 256).factors[0]
+    plus, minus = (half_index_spec(factor, b).coefficient for b in (1, -1))
+    with mp.workprec(288):
+        assert minus == -plus
+    assert correction_ratios(factor, 12, "sequence", 256, 1) == correction_ratios(
+        factor, 12, "sequence", 256, -1
+    )
 
 
 @pytest.mark.parametrize("k", range(2, 7))
