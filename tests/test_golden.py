@@ -11,6 +11,10 @@ statistics shows up here as a byte difference.
 for every quantity in csv and json, both recorded before the per-graph and
 per-factor work of `verify` and `sweep` was hoisted out of their loops over
 ell.
+
+`data/trees_golden.json` holds `trees` output in json, csv and text (the
+text without its `# wall_time_s` line) for a few small graphs with and
+without `--ell`.
 """
 
 import json
@@ -31,6 +35,7 @@ def load(name):
 HIT = load("hit_golden.json")
 VERIFY = load("verify_golden.json")
 SWEEP = load("sweep_golden.json")
+TREES = load("trees_golden.json")
 
 
 @pytest.mark.parametrize("case", HIT, ids=[case["args"] for case in HIT])
@@ -55,3 +60,15 @@ def test_sweep_file_matches_recorded_bytes(case, tmp_path):
     result = CliRunner().invoke(main, [*case["args"].split(), "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert out.read_bytes() == case["output"].encode("utf-8")
+
+
+@pytest.mark.parametrize("case", TREES, ids=[case["args"] for case in TREES])
+def test_trees_output_matches_recorded_bytes(case):
+    result = CliRunner().invoke(main, case["args"].split())
+    assert result.exit_code == 0, result.output
+    output = result.output
+    if case["args"].endswith("--format text"):
+        lines = output.splitlines(keepends=True)
+        assert lines[-1].startswith("# wall_time_s=")
+        output = "".join(lines[:-1])
+    assert output == case["output"]
