@@ -37,8 +37,6 @@ from .errors import (
 from .graphs import GraphSpec, IntMatrix, build_laplacian, contract_vertices
 from .hitting import (
     GENERATOR_ID,
-    HittingProfile,
-    MethodValue,
     SimulationResult,
     hit_closed,
     hit_closed_literal,
@@ -46,7 +44,6 @@ from .hitting import (
     hit_exact_all,
     hit_simulate,
     hit_spectral,
-    hitting_profile,
     laplacian_eigenvalues,
 )
 from .polynomials import (
@@ -93,10 +90,8 @@ __all__ = [
     "FactorData",
     "GENERATOR_ID",
     "GraphSpec",
-    "HittingProfile",
     "IntMatrix",
     "IntPolynomial",
-    "MethodValue",
     "ParameterError",
     "PrecisionError",
     "RecurrenceSpec",
@@ -126,7 +121,6 @@ __all__ = [
     "hit_exact_all",
     "hit_simulate",
     "hit_spectral",
-    "hitting_profile",
     "inner_root",
     "laplacian_eigenvalues",
     "nearest_integer",

@@ -31,7 +31,7 @@ from mpmath import mp
 
 from . import fractionfree
 from .errors import ConsistencyError, ParameterError, PrecisionError
-from .graphs import GraphSpec, build_laplacian, contract_vertices
+from .graphs import GraphSpec, build_laplacian, check_ell, contract_vertices
 from .hitting import cosine_table, hit_exact
 from .polynomials import build_phi, eval_poly
 from .spectral import (
@@ -149,8 +149,7 @@ def forests(spec: GraphSpec, ell: int) -> int:
     tau and the hitting times are each computed once per graph and reused
     for every ell.
     """
-    if not 1 <= ell < spec.n:
-        raise ParameterError(f"need 1 <= ell < {spec.n}, got {ell}")
+    check_ell(spec, ell, lowest=1)
     value = _graph_tau(spec) * hit_exact(spec, ell) / spec.num_edges
     if value.denominator != 1:
         raise ConsistencyError(
@@ -162,8 +161,7 @@ def forests(spec: GraphSpec, ell: int) -> int:
 
 def tau_contracted(spec: GraphSpec, ell: int) -> int:
     """Spanning trees of the multigraph with vertices 0 and ell identified."""
-    if not 1 <= ell < spec.n:
-        raise ParameterError(f"need 1 <= ell < {spec.n}, got {ell}")
+    check_ell(spec, ell, lowest=1)
     contracted = contract_vertices(build_laplacian(spec), 0, ell)
     return fractionfree.determinant(contracted.delete_row_col(0).folded().rows)
 

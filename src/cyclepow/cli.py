@@ -39,7 +39,7 @@ from .arboreal import (
     tau_product,
 )
 from .errors import CyclepowError, ParameterError
-from .graphs import GraphSpec
+from .graphs import GraphSpec, check_ell
 from .hitting import (
     GENERATOR_ID,
     hit_closed,
@@ -56,16 +56,12 @@ CSV_HEADER = "n,k,ell,method,value,err_bound"
 _FORM_NAMES = {"exp": "exponential", "seq": "sequence"}
 
 
-def _make_spec(n: int, k: int) -> GraphSpec:
+def _usage_checked(call, *args):
+    """call(*args), reporting a ParameterError as a usage error (exit 2)."""
     try:
-        return GraphSpec(n, k)
+        return call(*args)
     except ParameterError as exc:
         raise click.UsageError(str(exc))
-
-
-def _check_ell(spec: GraphSpec, ell: int) -> None:
-    if not 0 <= ell < spec.n:
-        raise click.UsageError(f"need 0 <= ell < {spec.n}, got {ell}")
 
 
 def _check_precision(precision: int) -> None:
@@ -194,8 +190,8 @@ def main() -> None:
 )
 def cmd_hit(n, k, ell, method, form, precision, walks, seed, erratum, fmt) -> None:
     """Average hitting time h(0, ell) on the (n, k) cycle power graph."""
-    spec = _make_spec(n, k)
-    _check_ell(spec, ell)
+    spec = _usage_checked(GraphSpec, n, k)
+    _usage_checked(check_ell, spec, ell)
     _check_precision(precision)
     if walks < 1:
         raise click.UsageError("walks must be >= 1")
@@ -261,10 +257,10 @@ def cmd_hit(n, k, ell, method, form, precision, walks, seed, erratum, fmt) -> No
 def cmd_trees(n, k, ell, precision, fmt) -> None:
     """Spanning-tree counts; with --ell also resistance, forests, and the
     contracted-graph tree count."""
-    spec = _make_spec(n, k)
+    spec = _usage_checked(GraphSpec, n, k)
     _check_precision(precision)
     if ell is not None:
-        _check_ell(spec, ell)
+        _usage_checked(check_ell, spec, ell)
         if ell == 0:
             raise click.UsageError("ell must be nonzero for forest counts")
     started = time.perf_counter()
@@ -306,13 +302,9 @@ def cmd_trees(n, k, ell, precision, fmt) -> None:
 )
 def cmd_verify(kmax, nmax, precision, report) -> None:
     """Run every cross-method identity check up to the given bounds."""
-    if not 1 <= kmax <= 8:
-        raise click.UsageError("kmax must be in 1..8")
-    if nmax < 2 * kmax + 1:
-        raise click.UsageError(f"nmax must be >= 2*kmax+1 = {2 * kmax + 1}")
     _check_precision(precision)
     started = time.perf_counter()
-    results = run_verification(kmax, nmax, precision)
+    results = _usage_checked(run_verification, kmax, nmax, precision)
     width = max(len(result.check_id) for result in results)
     click.echo(
         f"{'check':<{width}}  {'cases':>6}  {'worst':>11}  "

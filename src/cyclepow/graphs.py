@@ -52,6 +52,12 @@ class GraphSpec:
         return self.n * self.k
 
 
+def check_ell(spec: GraphSpec, ell: int, lowest: int = 0) -> None:
+    """Reject a target vertex ell outside lowest..n-1."""
+    if not lowest <= ell < spec.n:
+        raise ParameterError(f"need {lowest} <= ell < {spec.n}, got {ell}")
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable dense square matrix of arbitrary-precision integers.

@@ -26,7 +26,6 @@ h(0, ell), so only that form is exposed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -41,7 +40,7 @@ from .errors import (
     PrecisionError,
     SimulationBudgetError,
 )
-from .graphs import GraphSpec, build_laplacian, fold_order
+from .graphs import GraphSpec, build_laplacian, check_ell, fold_order
 from .recurrences import correction_ratio, full_index_ratio
 from .spectral import (
     _GUARD_BITS,
@@ -53,8 +52,6 @@ from .spectral import (
 
 __all__ = [
     "GENERATOR_ID",
-    "HittingProfile",
-    "MethodValue",
     "SimulationResult",
     "cosine_table",
     "hit_closed",
@@ -63,7 +60,6 @@ __all__ = [
     "hit_exact_all",
     "hit_simulate",
     "hit_spectral",
-    "hitting_profile",
     "laplacian_eigenvalues",
 ]
 
@@ -84,11 +80,6 @@ _BLOCK_DRAWS = 8  # uint32 draws from one four-word Philox4x64 block
 # both only bound memory and per-round overhead, never the result.
 _SLICE_WALKS = 4096
 _WINDOW_DRAWS = 2**15
-
-
-def _check_ell(spec: GraphSpec, ell: int) -> None:
-    if not 0 <= ell < spec.n:
-        raise ParameterError(f"need 0 <= ell < {spec.n}, got {ell}")
 
 
 @lru_cache(maxsize=None)
@@ -134,7 +125,7 @@ def hit_exact_all(spec: GraphSpec) -> tuple[Fraction, ...]:
 
 def hit_exact(spec: GraphSpec, ell: int) -> Fraction:
     """Exact rational h(0, ell)."""
-    _check_ell(spec, ell)
+    check_ell(spec, ell)
     return hit_exact_all(spec)[ell]
 
 
@@ -142,7 +133,7 @@ def hit_spectral(
     spec: GraphSpec, ell: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ):
     """The (n-1)-term eigenvalue sum 2k * sum_j (1 - cos(2 pi j ell / n)) / lambda_j."""
-    _check_ell(spec, ell)
+    check_ell(spec, ell)
     if ell == 0:
         return mp.mpf(0)
     n = spec.n
@@ -190,7 +181,7 @@ def hit_closed(
     correction sum must be real up to the certified residual, otherwise the
     requested precision was insufficient.
     """
-    _check_ell(spec, ell)
+    check_ell(spec, ell)
     sf = _resolve_factorization(spec, factorization)
     bits = sf.precision_bits
     quadratic = _quadratic_term(sf, spec, ell)
@@ -223,7 +214,7 @@ def hit_closed_literal(
     with hit_exact (e.g. n=6, k=2, ell=1 gives 23/6 instead of 5) and must
     never be used for real evaluation.
     """
-    _check_ell(spec, ell)
+    check_ell(spec, ell)
     sf = _resolve_factorization(spec, factorization)
     bits = sf.precision_bits
     quadratic = _quadratic_term(sf, spec, ell)
@@ -357,7 +348,7 @@ def hit_simulate(
     SimulationBudgetError is raised once the finished walk times plus the
     steps taken by unfinished walks exceed `step_cap`.
     """
-    _check_ell(spec, ell)
+    check_ell(spec, ell)
     if walks < 1:
         raise ParameterError(f"walks must be >= 1, got {walks}")
     if not 0 <= seed < 2**64:
@@ -408,61 +399,3 @@ def hit_simulate(
         return SimulationResult(mean, 0.0)
     stderr = float(times.std(ddof=1) / math.sqrt(walks))
     return SimulationResult(mean, stderr)
-
-
-@dataclass(frozen=True)
-class MethodValue:
-    """One computed value with its method tag and error bound (if any)."""
-
-    method: str
-    value: object
-    err_bound: object | None
-
-
-@dataclass(frozen=True)
-class HittingProfile:
-    """h(0, ell) per method plus the maximum pairwise relative deviation."""
-
-    spec: GraphSpec
-    ell: int
-    values: tuple[MethodValue, ...]
-    agreement: float
-
-
-def hitting_profile(
-    spec: GraphSpec,
-    ell: int,
-    methods: tuple[str, ...] = ("exact", "spectral", "closed"),
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    form: str = "exponential",
-    walks: int = 10_000,
-    seed: int = 0,
-) -> HittingProfile:
-    """Compute h(0, ell) by the requested methods and report their spread."""
-    _check_ell(spec, ell)
-    entries: list[MethodValue] = []
-    bound = residual_tolerance(precision_bits)
-    for method in methods:
-        if method == "exact":
-            entries.append(MethodValue("exact", hit_exact(spec, ell), None))
-        elif method == "spectral":
-            entries.append(
-                MethodValue("spectral", hit_spectral(spec, ell, precision_bits), bound)
-            )
-        elif method == "closed":
-            sf = cached_factorization(spec.k, precision_bits)
-            entries.append(
-                MethodValue("closed", hit_closed(spec, ell, sf, form), bound)
-            )
-        elif method == "simulate":
-            result = hit_simulate(spec, ell, walks, seed)
-            entries.append(MethodValue("simulate", result.mean, result.stderr))
-        else:
-            raise ParameterError(f"unknown method {method!r}")
-    numbers = [float(entry.value) for entry in entries]
-    agreement = 0.0
-    for i in range(len(numbers)):
-        for j in range(i + 1, len(numbers)):
-            scale = max(1.0, abs(numbers[i]), abs(numbers[j]))
-            agreement = max(agreement, abs(numbers[i] - numbers[j]) / scale)
-    return HittingProfile(spec, ell, tuple(entries), agreement)

@@ -220,3 +220,10 @@ def test_arboreal_counts_k5_fixture():
     assert counts.tree_count == 125
     assert counts.resistance == Fraction(2, 5)
     assert counts.forest_count == 50
+
+
+@pytest.mark.parametrize("count", [forests, tau_contracted])
+def test_forest_counts_name_their_ell_range(count):
+    for ell in (0, 6):
+        with pytest.raises(ParameterError, match=rf"^need 1 <= ell < 6, got {ell}$"):
+            count(GraphSpec(6, 1), ell)

@@ -147,6 +147,23 @@ def test_trees_rejects_zero_ell(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("hit --n 6 --k 2 --ell 9", "need 0 <= ell < 6, got 9"),
+        ("hit --n 6 --k 2 --ell -1", "need 0 <= ell < 6, got -1"),
+        ("trees --n 6 --k 1 --ell 6", "need 0 <= ell < 6, got 6"),
+        ("trees --n 6 --k 1 --ell 0", "ell must be nonzero for forest counts"),
+        ("verify --kmax 9 --nmax 40", "kmax must be in 1..8, got 9"),
+        ("verify --kmax 3 --nmax 5", "nmax must be >= 2*kmax+1, got 5"),
+    ],
+)
+def test_usage_error_messages(runner, args, message):
+    result = runner.invoke(main, args.split())
+    assert result.exit_code == 2
+    assert result.output.endswith(f"Error: {message}\n")
+
+
 def test_csv_format(runner):
     result = runner.invoke(
         main, ["hit", "--n", "6", "--k", "2", "--ell", "3", "--method", "exact",

@@ -11,7 +11,7 @@ from cyclepow import (
     contract_vertices,
 )
 from cyclepow.fractionfree import determinant
-from cyclepow.graphs import fold_order
+from cyclepow.graphs import check_ell, fold_order
 
 from oracles import count_spanning_trees, edges_from_laplacian
 
@@ -159,3 +159,14 @@ def test_derived_matrices_equal_their_validated_construction(spec, data):
         assert all(type(x) is int for row in matrix.rows for x in row)
         assert all(len(row) == matrix.size for row in matrix.rows)
     assert determinant(derived[2].rows) == determinant(derived[1].rows)
+
+
+def test_check_ell_bounds_and_message():
+    spec = GraphSpec(6, 2)
+    for ell in range(6):
+        check_ell(spec, ell)
+    check_ell(spec, 1, lowest=1)
+    for ell, lowest in ((-1, 0), (6, 0), (0, 1), (6, 1)):
+        with pytest.raises(ParameterError) as info:
+            check_ell(spec, ell, lowest)
+        assert str(info.value) == f"need {lowest} <= ell < 6, got {ell}"

@@ -18,7 +18,6 @@ from cyclepow import (
     hit_exact_all,
     hit_simulate,
     hit_spectral,
-    hitting_profile,
     laplacian_eigenvalues,
 )
 
@@ -281,27 +280,3 @@ def test_bounded_draws_match_generator_integers(bound):
         0, bound, size=accepted.size
     )
     assert np.array_equal(accepted, expected)
-
-
-def test_profile_assembles_methods():
-    profile = hitting_profile(
-        GraphSpec(6, 2), 1, ("exact", "spectral", "closed", "simulate"),
-        precision_bits=128, walks=2000, seed=3,
-    )
-    tags = [entry.method for entry in profile.values]
-    assert tags == ["exact", "spectral", "closed", "simulate"]
-    assert profile.values[0].value == Fraction(5)
-    assert profile.values[0].err_bound is None
-    assert profile.values[3].err_bound is not None
-    assert profile.agreement < 0.1
-
-
-def test_profile_zero_displacement():
-    profile = hitting_profile(GraphSpec(6, 2), 0, ("exact", "spectral", "closed"))
-    assert all(float(entry.value) == 0 for entry in profile.values)
-    assert profile.agreement == 0.0
-
-
-def test_profile_rejects_unknown_method():
-    with pytest.raises(ParameterError):
-        hitting_profile(GraphSpec(6, 2), 1, ("exact", "bogus"))

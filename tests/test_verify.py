@@ -1,6 +1,10 @@
+import json
+import math
+from pathlib import Path
+
 import pytest
 
-from cyclepow import ParameterError, run_verification
+from cyclepow import ParameterError, run_verification, verify
 
 
 def test_run_verification_small_bounds_all_pass():
@@ -45,3 +49,96 @@ def test_k3_bounds_exercise_conjugate_checks():
     assert by_id["ratio-conjugation"].cases > 0
     assert by_id["ratio-conjugation"].passed
     assert all(r.passed for r in results)
+
+
+def fold(cases, comparison="<=", threshold=0.0, informational=False):
+    """Run the verify runner on one synthetic row yielding `cases`."""
+    check = verify._Check(
+        "synthetic", "synthetic row", threshold, comparison, informational,
+        lambda kmax, nmax, bits: iter(cases),
+    )
+    return verify._fold(check, 1, 3, 64)
+
+
+NAN = float("nan")
+
+
+def test_all_zero_max_row_names_no_case():
+    result = fold([(0.0, "a"), (0.0, "b")])
+    assert (result.cases, result.statistic, result.worst_case) == (2, 0.0, "")
+    assert result.passed
+
+
+def test_first_of_equal_maxima_wins():
+    result = fold([(1.0, "a"), (2.0, "b"), (2.0, "c"), (0.5, "d")], threshold=5.0)
+    assert (result.statistic, result.worst_case, result.passed) == (2.0, "b", True)
+    assert not fold([(1.0, "a")], threshold=0.5).passed
+
+
+def test_min_row_keeps_first_smallest():
+    result = fold([(3.0, "a"), (1.0, "b"), (1.0, "c"), (2.0, "d")], ">=", 0.5)
+    assert (result.statistic, result.worst_case, result.passed) == (1.0, "b", True)
+    assert not fold([(0.25, "a")], ">=", 0.5).passed
+
+
+@pytest.mark.parametrize("comparison", ["<=", ">="])
+def test_row_without_cases_passes_vacuously(comparison):
+    result = fold([], comparison, 1.0)
+    assert (result.cases, result.statistic, result.worst_case) == (0, 0.0, "")
+    assert result.passed
+
+
+@pytest.mark.parametrize("comparison", ["<=", ">="])
+@pytest.mark.parametrize(
+    "cases",
+    [
+        [(NAN, "a"), (0.0, "b")],
+        [(0.5, "x"), (NAN, "a"), (NAN, "b"), (7.0, "c"), (-1.0, "d")],
+        [(NAN, "a")],
+    ],
+)
+def test_nan_statistic_fails_and_names_its_first_case(comparison, cases):
+    result = fold(cases, comparison, 1.0)
+    assert math.isnan(result.statistic)
+    assert result.worst_case == "a"
+    assert result.cases == len(cases)
+    assert not result.passed
+
+
+@pytest.mark.parametrize("cases", [[(5.0, "a")], [(NAN, "a")], [(0.0, "a")]])
+def test_informational_rows_never_fail(cases):
+    for comparison in ("<=", ">="):
+        result = fold(cases, comparison, 1.0, informational=True)
+        assert result.passed and result.informational
+    assert fold([], informational=True) is None
+
+
+def test_table_order_matches_recorded_report():
+    ids = [check.check_id for check in verify._CHECKS]
+    assert len(ids) == len(set(ids))
+    golden = Path(__file__).parent / "data" / "verify_golden.json"
+    for case in json.loads(golden.read_text()):
+        lines = case["output"].splitlines()[1:]
+        recorded = [
+            line.split()[0]
+            for line in lines
+            if not line.startswith((" ", "note:"))
+        ]
+        assert recorded == ids
+
+
+def test_oracle_rows_share_one_pass(monkeypatch):
+    calls = []
+    spectral = verify.hit_spectral
+
+    def counted(spec, ell, bits):
+        calls.append((spec, ell))
+        return spectral(spec, ell, bits)
+
+    monkeypatch.setattr(verify, "hit_spectral", counted)
+    results = {r.check_id: r for r in run_verification(kmax=1, nmax=6)}
+    # n = 3..6 on k = 1, every ell once.
+    assert len(calls) == len(set(calls)) == 3 + 4 + 5 + 6
+    assert results["hitting-oracle-spectral"].cases == len(calls)
+    assert results["hitting-oracle-closed"].cases == len(calls)
+    assert verify._oracle_deviations.cache_info().currsize == 0
