@@ -4,7 +4,10 @@
 and `all` methods recorded from the per-walk generator implementation
 (one `numpy.random.Generator(Philox(key=(seed, walk)))` per walk, kept as
 `oracles.simulate_reference`).  Any change to the draws, their order or the
-statistics shows up here as a byte difference.
+statistics shows up here as a byte difference.  It also holds
+`hit --method closed --form seq` output up to N = 16000, two cases with
+`--erratum`, recorded while every half-index and full-index term was still
+reached by stepping the recurrence through every index.
 
 `data/verify_golden.json` holds `verify --report full` output without its
 `# wall_time_s` line, and `data/sweep_golden.json` the files `sweep` writes
