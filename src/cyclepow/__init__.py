@@ -39,6 +39,7 @@ from .hitting import (
     GENERATOR_ID,
     SimulationResult,
     hit_closed,
+    hit_closed_all,
     hit_closed_literal,
     hit_exact,
     hit_exact_all,
@@ -116,6 +117,7 @@ __all__ = [
     "full_index_spec",
     "half_index_spec",
     "hit_closed",
+    "hit_closed_all",
     "hit_closed_literal",
     "hit_exact",
     "hit_exact_all",

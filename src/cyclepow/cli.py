@@ -43,6 +43,7 @@ from .graphs import GraphSpec, check_ell
 from .hitting import (
     GENERATOR_ID,
     hit_closed,
+    hit_closed_all,
     hit_closed_literal,
     hit_exact,
     hit_simulate,
@@ -397,11 +398,13 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> None:
                 )
                 records.append(record)
                 continue
+            if quantity in ("hit", "resist"):
+                closed = hit_closed_all(spec, sf)
             for ell in range(n):
                 record = Record("sweep", n, k, ell, precision)
                 if quantity == "hit":
                     record.results.append(("exact", str(hit_exact(spec, ell)), None))
-                    value = hit_closed(spec, ell, sf)
+                    value = closed[ell]
                     record.results.append(
                         ("closed", _format_value(value, precision),
                          _bound_string(value, precision))
@@ -411,7 +414,7 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> None:
                         ("exact", str(resistance(spec, ell)), None)
                     )
                     with mp.workprec(precision + _GUARD_BITS):
-                        value = hit_closed(spec, ell, sf) / spec.num_edges
+                        value = closed[ell] / spec.num_edges
                     record.results.append(
                         ("closed", _format_value(value, precision),
                          _bound_string(value, precision))

@@ -41,7 +41,7 @@ from .errors import (
     SimulationBudgetError,
 )
 from .graphs import GraphSpec, build_laplacian, check_ell, fold_order
-from .recurrences import correction_ratio, full_index_ratio
+from .recurrences import correction_ratio, correction_ratios, full_index_ratio
 from .spectral import (
     _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
@@ -55,6 +55,7 @@ __all__ = [
     "SimulationResult",
     "cosine_table",
     "hit_closed",
+    "hit_closed_all",
     "hit_closed_literal",
     "hit_exact",
     "hit_exact_all",
@@ -168,6 +169,27 @@ def _resolve_factorization(
     return factorization
 
 
+def _closed_value(spec: GraphSpec, ell: int, sf: SpectralFactorization, ratios):
+    """hit_closed's value at ell from `ratios`, the correction ratio of each
+    factor of `sf` in order."""
+    bits = sf.precision_bits
+    quadratic = _quadratic_term(sf, spec, ell)
+    with mp.workprec(bits + _GUARD_BITS):
+        corrections = mp.mpc(0)
+        for factor, ratio in zip(sf.factors, ratios):
+            corrections += factor.coefficient * ratio
+        corrections *= spec.n
+        if abs(mp.im(corrections)) > residual_tolerance(bits) * max(
+            1, abs(corrections)
+        ):
+            raise PrecisionError(
+                "correction sum has a nonreal residue beyond tolerance"
+            )
+        return mp.mpf(quadratic.numerator) / quadratic.denominator + mp.re(
+            corrections
+        )
+
+
 def hit_closed(
     spec: GraphSpec,
     ell: int,
@@ -183,23 +205,30 @@ def hit_closed(
     """
     check_ell(spec, ell)
     sf = _resolve_factorization(spec, factorization)
-    bits = sf.precision_bits
-    quadratic = _quadratic_term(sf, spec, ell)
-    with mp.workprec(bits + _GUARD_BITS):
-        corrections = mp.mpc(0)
-        for factor in sf.factors:
-            ratio = correction_ratio(factor, ell, spec.n, form, bits)
-            corrections += factor.coefficient * ratio
-        corrections *= spec.n
-        if abs(mp.im(corrections)) > residual_tolerance(bits) * max(
-            1, abs(corrections)
-        ):
-            raise PrecisionError(
-                "correction sum has a nonreal residue beyond tolerance"
-            )
-        return mp.mpf(quadratic.numerator) / quadratic.denominator + mp.re(
-            corrections
-        )
+    ratios = (
+        correction_ratio(factor, ell, spec.n, form, sf.precision_bits)
+        for factor in sf.factors
+    )
+    return _closed_value(spec, ell, sf, ratios)
+
+
+def hit_closed_all(
+    spec: GraphSpec, factorization: SpectralFactorization | None = None
+) -> tuple:
+    """hit_closed(spec, ell, factorization) for ell = 0..n-1, bit for bit.
+
+    Each factor's exponential-form ratios come from one correction_ratios
+    table over every ell instead of three powers of rho per ell.
+    """
+    sf = _resolve_factorization(spec, factorization)
+    tables = [
+        correction_ratios(factor, spec.n, "exponential", sf.precision_bits)
+        for factor in sf.factors
+    ]
+    return tuple(
+        _closed_value(spec, ell, sf, (table[ell] for table in tables))
+        for ell in range(spec.n)
+    )
 
 
 def hit_closed_literal(

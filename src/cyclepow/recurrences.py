@@ -20,12 +20,15 @@ full-index ratio is kept only for erratum reporting.  The exponential form is
 also the default for large N: |rho| < 1 keeps it uniformly well-conditioned,
 whereas |W_N| grows like |rho|^(-N/2).
 
-correction_ratio evaluates one ell with a single recurrence pass that keeps
-only W_ell, W_{N-ell} and W_N, so it holds O(1) values even at N in the
-tens of thousands.  correction_ratios returns the ratio for every ell = 0..N
-of one (factor, N) from one pass over 0..N (or one table of rho^m), for
-callers that loop over ell; both build each value with the same operations,
-so the two agree bit for bit.
+correction_ratio evaluates one ell from W_ell, W_{N-ell} and W_N alone,
+each reached by index doubling in O(log N) operations (_doubled_terms), so a
+factor costs O(log N) even at N in the millions; full_index_ratio takes its
+V terms the same way.  correction_ratios returns the ratio for every
+ell = 0..N of one (factor, N) from one pass over 0..N (or one table of
+rho^m), for callers that loop over ell.  In exponential form it builds each
+value with the same operations as correction_ratio, so the two agree bit for
+bit; in sequence form the table steps and the single ell doubles, so they
+agree to within a few units in the last place of the working precision.
 """
 
 from __future__ import annotations
@@ -106,6 +109,49 @@ def _terms(coefficient, indices):
     return values
 
 
+def _doubled_terms(coefficient, indices):
+    """The {m: W_m} of _terms, reached by index doubling in O(log m)
+    operations per index instead of one pass over 0..max(indices).
+
+    From W_j and W_{j+1}, with c the coefficient (c = s + 1/s, |s| >= 1,
+    and W_j = (s^j - s^-j)/(s - 1/s)),
+
+        W_{2j}   = W_j * (2 W_{j+1} - c W_j)     (the factor is s^j + s^-j)
+        W_{2j+1} = W_{j+1}^2 - W_j^2
+        W_{2j+2} = c W_{2j+1} - W_{2j},
+
+    so reading the bits of m from the top, starting at (W_0, W_1) = (0, 1),
+    reaches (W_m, W_{m+1}) after L = m.bit_length() levels.  Exact for
+    int/Fraction coefficients.
+
+    Error: a rounding error in the pair (W_j, W_{j+1}) is a multiple of that
+    pair plus a multiple of the pair of the other solution, which grows like
+    s^-j.  A level is quadratic in the pair, so it doubles the relative size
+    of the first part, and it shrinks the second by |s|^(-2j) against the
+    result; L levels lose about L bits, plus a few bits in the first levels
+    where the two differences lose more.  (At N = 10^6 + 3, k = 8 and 256
+    bits the ratio is off by 2^-268 without extra bits, 2^-286 with them.)
+    So the levels run 2L bits above the caller's working precision, L taken
+    from the largest index, and the terms are rounded back to it.  Stepping
+    loses about log2(m) bits as well, with no extra bits to absorb them.
+    """
+    wanted = set(indices)
+    extra_bits = 2 * max(wanted).bit_length()
+    with mp.workprec(mp.prec + extra_bits):
+        values = {}
+        for m in wanted:
+            low, high = coefficient * 0, coefficient * 0 + 1
+            for bit in bin(m)[2:]:
+                even = low * (2 * high - coefficient * low)
+                odd = high * high - low * low
+                if bit == "1":
+                    low, high = odd, coefficient * odd - even
+                else:
+                    low, high = even, odd
+            values[m] = low
+    return {m: +value for m, value in values.items()}
+
+
 def term_by_recurrence(spec: RecurrenceSpec, n: int, precision_bits: int | None = None):
     """s_n by the three-term recurrence in O(n) steps.
 
@@ -137,13 +183,14 @@ def term_by_binet(base, n: int, precision_bits: int = DEFAULT_PRECISION_BITS):
         return (b**n - b**-n) / (b - 1 / b)
 
 
-def _ratio_parts(factor, indices, n_vertices, form, branch, precision_bits):
+def _ratio_parts(factor, indices, n_vertices, form, branch, precision_bits, terms):
     """(values, denominator) with ratio(ell) = values[ell] * values[N - ell]
     / denominator, `values` holding the indices asked for.
 
     Exponential form: values[m] = 1 - rho^m and denominator
-    (1/rho - rho)(1 - rho^N).  Sequence form: values[m] = W_m and denominator
-    delta * W_N.  Runs in the caller's working precision.
+    (1/rho - rho)(1 - rho^N).  Sequence form: values[m] = W_m, taken by
+    `terms` (_terms or _doubled_terms), and denominator delta * W_N.  Runs in
+    the caller's working precision.
     """
     if form == "exponential":
         rho = mp.mpc(factor.inner_root)
@@ -151,7 +198,7 @@ def _ratio_parts(factor, indices, n_vertices, form, branch, precision_bits):
         return values, (1 / rho - rho) * values[n_vertices]
     if form == "sequence":
         delta = half_index_spec(factor, branch, precision_bits).coefficient
-        values = _terms(delta, indices)
+        values = terms(delta, indices)
         return values, delta * values[n_vertices]
     raise ParameterError(f"unknown form {form!r}")
 
@@ -172,16 +219,16 @@ def correction_ratio(
     form="exponential" evaluates (1 - rho^ell)(1 - rho^(N-ell)) /
     ((1/rho - rho)(1 - rho^N)) directly from the inner root; form="sequence"
     evaluates W_ell * W_{N-ell} / (delta * W_N) through the half-index
-    recurrence, in one pass that keeps only W_ell, W_{N-ell} and W_N.  The
-    two agree to the certified-residual tolerance and are symmetric in
-    ell <-> N - ell by construction.
+    recurrence, taking only W_ell, W_{N-ell} and W_N, each by index doubling
+    in O(log N) operations.  The two agree to the certified-residual
+    tolerance and are symmetric in ell <-> N - ell by construction.
     """
     if not 0 <= ell <= n_vertices:
         raise ParameterError(f"need 0 <= ell <= {n_vertices}, got {ell}")
     with mp.workprec(precision_bits + _GUARD_BITS):
         values, denominator = _ratio_parts(
             factor, (ell, n_vertices - ell, n_vertices), n_vertices, form, 1,
-            precision_bits,
+            precision_bits, _doubled_terms,
         )
         return _ratio(values, denominator, ell, n_vertices)
 
@@ -195,9 +242,11 @@ def correction_ratios(
 ) -> tuple:
     """correction_ratio(factor, ell, n_vertices, ...) for ell = 0..n_vertices.
 
-    The values are those of the per-ell function, bit for bit, but the
-    recurrence runs once over 0..N (or each rho^m is taken once) instead of
-    once per ell.  `branch` picks the square root of the sequence form (see
+    The recurrence runs once over 0..N (or each rho^m is taken once) instead
+    of once per ell.  Exponential-form values are those of the per-ell
+    function bit for bit; sequence-form values step where the per-ell
+    function doubles, and differ from it in the last few working bits.
+    `branch` picks the square root of the sequence form (see
     half_index_spec); negating it negates delta and every even-index term
     exactly, so the ratios do not change.  Holds N + 1 values, so large-N
     callers that need a few ell should call correction_ratio.
@@ -206,7 +255,8 @@ def correction_ratios(
         raise ParameterError(f"n_vertices must be >= 0, got {n_vertices}")
     with mp.workprec(precision_bits + _GUARD_BITS):
         values, denominator = _ratio_parts(
-            factor, range(n_vertices + 1), n_vertices, form, branch, precision_bits
+            factor, range(n_vertices + 1), n_vertices, form, branch, precision_bits,
+            _terms,
         )
         return tuple(
             _ratio(values, denominator, ell, n_vertices)
@@ -224,10 +274,13 @@ def full_index_ratio(
 
     Kept solely for erratum reporting: this ratio does not equal the verified
     correction ratio (already at N=6, ell=1 for the square of the cycle it
-    gives -55/144 where the true ratio is -5/8).
+    gives -55/144 where the true ratio is -5/8).  The three V terms come by
+    index doubling, as in correction_ratio.
     """
     if not 0 <= ell <= n_vertices:
         raise ParameterError(f"need 0 <= ell <= {n_vertices}, got {ell}")
     with mp.workprec(precision_bits + _GUARD_BITS):
-        terms = _terms(mp.mpc(factor.root), (ell, n_vertices - ell, n_vertices))
+        terms = _doubled_terms(
+            mp.mpc(factor.root), (ell, n_vertices - ell, n_vertices)
+        )
         return terms[ell] * terms[n_vertices - ell] / terms[n_vertices]

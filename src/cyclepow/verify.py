@@ -43,7 +43,7 @@ from .errors import ParameterError
 from .graphs import GraphSpec, build_laplacian, contract_vertices
 from .hitting import (
     cosine_table,
-    hit_closed,
+    hit_closed_all,
     hit_closed_literal,
     hit_exact_all,
     hit_spectral,
@@ -609,13 +609,13 @@ def _oracle_deviations(kmax, nmax, bits) -> tuple[tuple[float, float, str], ...]
     deviations = []
     for spec in _specs(kmax, nmax):
         exact_all = hit_exact_all(spec)
-        sf = cached_factorization(spec.k, bits)
+        closed_all = hit_closed_all(spec, cached_factorization(spec.k, bits))
         for ell in range(spec.n):
             exact = mp.mpf(exact_all[ell].numerator) / exact_all[ell].denominator
             deviations.append(
                 (
                     _rel(hit_spectral(spec, ell, bits), exact),
-                    _rel(hit_closed(spec, ell, sf), exact),
+                    _rel(closed_all[ell], exact),
                     f"(n={spec.n}, k={spec.k}, ell={ell})",
                 )
             )

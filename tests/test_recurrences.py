@@ -14,7 +14,8 @@ from cyclepow import (
     term_by_recurrence,
 )
 
-from cyclepow.recurrences import correction_ratios
+from cyclepow.recurrences import _doubled_terms, _terms, correction_ratios
+from cyclepow.spectral import residual_tolerance
 
 from oracles import fibonacci
 
@@ -32,6 +33,15 @@ def test_recurrence_against_even_fibonacci():
     assert term_by_recurrence(spec, 6) == -144
     for n in range(1, 15):
         assert abs(term_by_recurrence(spec, n)) == fibonacci(2 * n)
+
+
+@pytest.mark.parametrize("coefficient", [2, 3, -3, mp.mpc(1, 2)])
+def test_doubled_terms_equal_stepped_terms_when_exact(coefficient):
+    # |W_m| < 2^(2m) for these coefficients, so at 4 * 4097 bits every
+    # Gaussian-integer term of either route is exact
+    indices = [*range(301), 1023, 1024, 4097]
+    with mp.workprec(4 * 4097):
+        assert _doubled_terms(coefficient, indices) == _terms(coefficient, indices)
 
 
 def test_recurrence_rejects_negative_index():
@@ -110,7 +120,11 @@ def test_ratio_table_is_bit_identical_to_each_ell(k, branch, form):
             assert len(table) == n + 1
             for ell, value in enumerate(table):
                 single = correction_ratio(factor, ell, n, form, 256)
-                assert value.real == single.real and value.imag == single.imag
+                if form == "exponential":
+                    assert value.real == single.real and value.imag == single.imag
+                else:
+                    # the table steps through every index, one ell doubles
+                    assert abs(value - single) <= mp.mpf(2) ** -(256 + 16) * abs(single)
 
 
 def test_ratio_table_validates_its_arguments():
@@ -180,6 +194,28 @@ def test_form_agreement_sampled(k):
                     )
 
 
+@pytest.mark.parametrize("k", [2, 3, 6, 8])
+def test_sequence_form_by_doubling_at_large_n(k):
+    # against the exponential form at the same precision (the certified
+    # tolerance) and at twice the precision (the doubling's own error)
+    bits = 256
+    factors = cached_factorization(k, bits).factors
+    references = cached_factorization(k, 2 * bits).factors
+    for n in (10**5, 10**6 + 3):
+        for ell in (1, n // 3, n // 2, n - 1):
+            for factor, reference in zip(factors, references):
+                seq_form = correction_ratio(factor, ell, n, "sequence", bits)
+                exp_form = correction_ratio(factor, ell, n, "exponential", bits)
+                exact = correction_ratio(reference, ell, n, "exponential", 2 * bits)
+                with mp.workprec(4 * bits):
+                    assert abs(seq_form - exp_form) <= residual_tolerance(bits) * max(
+                        1, abs(exp_form)
+                    )
+                    assert abs(seq_form - exact) <= mp.mpf(2) ** -(bits + 24) * abs(
+                        exact
+                    )
+
+
 def test_ratio_symmetry():
     with mp.workprec(256):
         for k in (2, 3, 4):
@@ -204,9 +240,11 @@ def test_ratio_conjugation():
 
 def test_fibonacci_anchor_k2():
     factor = k2_factor()
+    cases = [(n, range(n + 1)) for n in range(5, 49)]
+    cases.append((10**4, (1, 3333, 5000, 9999)))
     with mp.workprec(288):
-        for n in range(5, 49):
-            for ell in range(n + 1):
+        for n, ells in cases:
+            for ell in ells:
                 ratio = correction_ratio(factor, ell, n, "sequence", 256)
                 expected = mp.mpf(-fibonacci(ell) * fibonacci(n - ell)) / fibonacci(n)
                 assert abs(ratio - expected) <= mp.mpf(2) ** -120 * max(
