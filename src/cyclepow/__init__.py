@@ -39,7 +39,6 @@ from .hitting import (
     GENERATOR_ID,
     SimulationResult,
     hit_closed,
-    hit_closed_all,
     hit_closed_literal,
     hit_exact,
     hit_exact_all,
@@ -117,7 +116,6 @@ __all__ = [
     "full_index_spec",
     "half_index_spec",
     "hit_closed",
-    "hit_closed_all",
     "hit_closed_literal",
     "hit_exact",
     "hit_exact_all",

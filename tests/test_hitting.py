@@ -13,7 +13,6 @@ from cyclepow import (
     build_laplacian,
     cached_factorization,
     hit_closed,
-    hit_closed_all,
     hit_closed_literal,
     hit_exact,
     hit_exact_all,
@@ -124,7 +123,7 @@ def test_closed_rejects_mismatched_factorization():
     with pytest.raises(ParameterError):
         hit_closed(GraphSpec(9, 3), 1, sf)
     with pytest.raises(ParameterError):
-        hit_closed_all(GraphSpec(9, 3), sf)
+        hitting.hit_closed_all(GraphSpec(9, 3), sf)
 
 
 def test_closed_all_is_bit_identical_to_each_ell():
@@ -132,11 +131,12 @@ def test_closed_all_is_bit_identical_to_each_ell():
         (GraphSpec(7, 1), 256), (GraphSpec(13, 4), 256), (GraphSpec(30, 3), 128)
     ):
         sf = cached_factorization(spec.k, bits)
-        assert hit_closed_all(spec, sf) == tuple(
+        assert hitting.hit_closed_all(spec, sf) == tuple(
             hit_closed(spec, ell, sf) for ell in range(spec.n)
         )
     spec = GraphSpec(9, 2)
-    assert hit_closed_all(spec) == tuple(hit_closed(spec, ell) for ell in range(9))
+    default = tuple(hit_closed(spec, ell) for ell in range(spec.n))
+    assert hitting.hit_closed_all(spec) == default
 
 
 def test_closed_literal_reproduces_known_deviation():
