@@ -30,7 +30,7 @@ from functools import lru_cache
 from mpmath import mp
 
 from . import fractionfree
-from .errors import ConsistencyError, ParameterError, PrecisionError
+from .errors import ConsistencyError, PrecisionError
 from .graphs import GraphSpec, build_laplacian, check_ell, contract_vertices
 from .hitting import cosine_table, hit_exact
 from .polynomials import build_phi, eval_poly
@@ -38,6 +38,7 @@ from .spectral import (
     _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
     SpectralFactorization,
+    _resolve_factorization,
     cached_factorization,
     conjugate_pairs,
     residual_tolerance,
@@ -105,12 +106,7 @@ def tau_product(
     makes the product positive for even n as well.  Grouping the square before
     dividing by rho^(n-1) keeps intermediates tame for large n.
     """
-    if factorization is None:
-        factorization = cached_factorization(spec.k, DEFAULT_PRECISION_BITS)
-    if factorization.k != spec.k:
-        raise ParameterError(
-            f"factorization was built for k={factorization.k}, spec has k={spec.k}"
-        )
+    factorization = _resolve_factorization(spec.k, factorization)
     n = spec.n
     bits = factorization.precision_bits
     with mp.workprec(bits + _GUARD_BITS):

@@ -14,8 +14,9 @@ strings for integers) so no consumer ever sees a rounded float where an exact
 value exists.  Output is byte-deterministic for identical flags (including
 --seed); only the wall-time comment of the text format varies.
 
-Exit codes: 0 success, 1 verification/consistency failure, 2 usage error,
-3 I/O error.
+Exit codes, the same for every command: 0 success; 1 a failed `verify`
+check or an error from the computation, reported on stderr as
+"error: <message>"; 2 usage error; 3 I/O error.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ def _check_precision(precision: int) -> None:
 
 
 def _format_value(value, precision_bits: int) -> str:
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
     return mp.nstr(value, prec_to_dps(precision_bits), strip_zeros=True)
 
 
@@ -97,60 +94,92 @@ class Record:
     seed: str | None = None
     generator: str | None = None
 
-    def to_json(self) -> str:
-        payload = {
-            "cmd": self.cmd,
-            "n": self.n,
-            "k": self.k,
-            "ell": self.ell,
-            "results": [
-                {"method": method, "value": value, "err": err}
-                for method, value, err in self.results
-            ],
-            "precision_bits": self.precision_bits,
-            "seed": self.seed,
-            "generator": self.generator,
-        }
-        return json.dumps(payload)
-
-    def csv_rows(self) -> list[str]:
-        ell = "" if self.ell is None else str(self.ell)
-        return [
-            f"{self.n},{self.k},{ell},{method},{value},{err or ''}"
-            for method, value, err in self.results
-        ]
-
-    def text_lines(self) -> list[str]:
-        ell = "-" if self.ell is None else str(self.ell)
-        lines = []
-        for method, value, err in self.results:
-            suffix = f"  err<={err}" if err else ""
-            lines.append(
-                f"{self.cmd} n={self.n} k={self.k} ell={ell} "
-                f"method={method} value={value}{suffix}"
+    def add(self, label: str, value) -> None:
+        """Append a row: an exact int or Fraction in full with no bound, an
+        mpmath value to the record's precision with its error bound."""
+        if isinstance(value, (int, Fraction)):
+            self.results.append((label, str(value), None))
+        else:
+            bits = self.precision_bits
+            self.results.append(
+                (label, _format_value(value, bits), _bound_string(value, bits))
             )
-        if self.seed is not None:
-            lines.append(f"# seed={self.seed} generator={self.generator}")
-        return lines
 
 
-def _emit(records: list[Record], fmt: str, wall_time: float) -> None:
+def _tau_rows(record: Record, spec: GraphSpec) -> None:
+    """The spanning-tree count by all three routes."""
+    bits = record.precision_bits
+    record.add("tau_det", tau_det(spec))
+    record.add("tau_eigen", tau_eigen(spec, bits))
+    record.add("tau_product", tau_product(spec, cached_factorization(spec.k, bits)))
+
+
+def _forest_rows(record: Record, spec: GraphSpec, ell: int) -> None:
+    """The forests separating 0 and ell, and the contracted tree count."""
+    record.add("forests", forests(spec, ell))
+    record.add("tau_contracted", tau_contracted(spec, ell))
+
+
+def _lines(records: list[Record], fmt: str) -> list[str]:
+    """The output lines of `records` in `fmt`; csv opens with its header."""
     if fmt == "json":
-        for record in records:
-            click.echo(record.to_json())
-    elif fmt == "csv":
-        click.echo(CSV_HEADER)
-        for record in records:
-            for row in record.csv_rows():
-                click.echo(row)
-    else:
-        for record in records:
-            for line in record.text_lines():
-                click.echo(line)
-        click.echo(f"# wall_time_s={wall_time:.3f}")
+        return [
+            json.dumps({
+                "cmd": r.cmd,
+                "n": r.n,
+                "k": r.k,
+                "ell": r.ell,
+                "results": [
+                    {"method": method, "value": value, "err": err}
+                    for method, value, err in r.results
+                ],
+                "precision_bits": r.precision_bits,
+                "seed": r.seed,
+                "generator": r.generator,
+            })
+            for r in records
+        ]
+    lines = [CSV_HEADER] if fmt == "csv" else []
+    for r in records:
+        for method, value, err in r.results:
+            if fmt == "csv":
+                ell = "" if r.ell is None else r.ell
+                lines.append(f"{r.n},{r.k},{ell},{method},{value},{err or ''}")
+            else:
+                ell = "-" if r.ell is None else r.ell
+                suffix = f"  err<={err}" if err else ""
+                lines.append(
+                    f"{r.cmd} n={r.n} k={r.k} ell={ell} "
+                    f"method={method} value={value}{suffix}"
+                )
+        if fmt == "text" and r.seed is not None:
+            lines.append(f"# seed={r.seed} generator={r.generator}")
+    return lines
 
 
-@click.group()
+def _emit(records: list[Record], fmt: str, started: float) -> None:
+    """Echo the lines of `records`; text ends with the wall time since
+    `started`."""
+    lines = _lines(records, fmt)
+    if fmt == "text":
+        lines.append(f"# wall_time_s={time.perf_counter() - started:.3f}")
+    for line in lines:
+        click.echo(line)
+
+
+class _Group(click.Group):
+    """Reports a package error from any command as "error: <message>" on
+    stderr, with exit code 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except CyclepowError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_Group)
 @click.version_option(package_name="cyclepow")
 def main() -> None:
     """Hitting times, resistances, and tree counts on cycle power graphs."""
@@ -203,44 +232,27 @@ def cmd_hit(n, k, ell, method, form, precision, walks, seed, erratum, fmt) -> No
     )
     started = time.perf_counter()
     records = []
-    try:
-        for tag in methods:
-            record = Record("hit", n, k, ell, precision)
-            if tag == "exact":
-                record.results.append(("exact", str(hit_exact(spec, ell)), None))
-            elif tag == "spectral":
-                value = hit_spectral(spec, ell, precision)
-                record.results.append(
-                    ("spectral", _format_value(value, precision),
-                     _bound_string(value, precision))
-                )
-            elif tag == "closed":
-                sf = cached_factorization(k, precision)
-                value = hit_closed(spec, ell, sf, _FORM_NAMES[form])
-                record.results.append(
-                    ("closed", _format_value(value, precision),
-                     _bound_string(value, precision))
-                )
-            else:
-                result = hit_simulate(spec, ell, walks, seed)
-                record.results.append(
-                    ("simulate", repr(result.mean), repr(result.stderr))
-                )
-                record.seed = str(seed)
-                record.generator = GENERATOR_ID
-            records.append(record)
-        if erratum:
+    for tag in methods:
+        record = Record("hit", n, k, ell, precision)
+        if tag == "exact":
+            record.add("exact", hit_exact(spec, ell))
+        elif tag == "spectral":
+            record.add("spectral", hit_spectral(spec, ell, precision))
+        elif tag == "closed":
             sf = cached_factorization(k, precision)
-            value = hit_closed_literal(spec, ell, sf)
-            record = Record("hit", n, k, ell, precision)
-            record.results.append(
-                ("closed-literal", _format_value(value, precision), None)
-            )
-            records.append(record)
-    except CyclepowError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    _emit(records, fmt, time.perf_counter() - started)
+            record.add("closed", hit_closed(spec, ell, sf, _FORM_NAMES[form]))
+        else:
+            result = hit_simulate(spec, ell, walks, seed)
+            record.results.append(("simulate", repr(result.mean), repr(result.stderr)))
+            record.seed = str(seed)
+            record.generator = GENERATOR_ID
+        records.append(record)
+    if erratum:
+        value = hit_closed_literal(spec, ell, cached_factorization(k, precision))
+        record = Record("hit", n, k, ell, precision)
+        record.results.append(("closed-literal", _format_value(value, precision), None))
+        records.append(record)
+    _emit(records, fmt, started)
 
 
 @main.command("trees")
@@ -266,29 +278,11 @@ def cmd_trees(n, k, ell, precision, fmt) -> None:
             raise click.UsageError("ell must be nonzero for forest counts")
     started = time.perf_counter()
     record = Record("trees", n, k, ell, precision)
-    try:
-        sf = cached_factorization(k, precision)
-        record.results.append(("tau_det", str(tau_det(spec)), None))
-        eigen = tau_eigen(spec, precision)
-        record.results.append(
-            ("tau_eigen", _format_value(eigen, precision),
-             _bound_string(eigen, precision))
-        )
-        product = tau_product(spec, sf)
-        record.results.append(
-            ("tau_product", _format_value(product, precision),
-             _bound_string(product, precision))
-        )
-        if ell is not None:
-            record.results.append(("resistance", str(resistance(spec, ell)), None))
-            record.results.append(("forests", str(forests(spec, ell)), None))
-            record.results.append(
-                ("tau_contracted", str(tau_contracted(spec, ell)), None)
-            )
-    except CyclepowError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    _emit([record], fmt, time.perf_counter() - started)
+    _tau_rows(record, spec)
+    if ell is not None:
+        record.add("resistance", resistance(spec, ell))
+        _forest_rows(record, spec, ell)
+    _emit([record], fmt, started)
 
 
 @main.command("verify")
@@ -382,61 +376,30 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> None:
             if k < 1 or n < max(3, 2 * k + 1):
                 continue
             spec = GraphSpec(n, k)
-            sf = cached_factorization(k, precision)
             if quantity == "tau":
                 record = Record("sweep", n, k, None, precision)
-                record.results.append(("tau_det", str(tau_det(spec)), None))
-                eigen = tau_eigen(spec, precision)
-                record.results.append(
-                    ("tau_eigen", _format_value(eigen, precision),
-                     _bound_string(eigen, precision))
-                )
-                product = tau_product(spec, sf)
-                record.results.append(
-                    ("tau_product", _format_value(product, precision),
-                     _bound_string(product, precision))
-                )
+                _tau_rows(record, spec)
                 records.append(record)
                 continue
-            if quantity in ("hit", "resist"):
-                closed = hit_closed_all(spec, sf)
-            for ell in range(n):
+            if quantity != "forests":
+                closed = hit_closed_all(spec, cached_factorization(k, precision))
+            for ell in range(1 if quantity == "forests" else 0, n):
                 record = Record("sweep", n, k, ell, precision)
                 if quantity == "hit":
-                    record.results.append(("exact", str(hit_exact(spec, ell)), None))
-                    value = closed[ell]
-                    record.results.append(
-                        ("closed", _format_value(value, precision),
-                         _bound_string(value, precision))
-                    )
+                    record.add("exact", hit_exact(spec, ell))
+                    record.add("closed", closed[ell])
                 elif quantity == "resist":
-                    record.results.append(
-                        ("exact", str(resistance(spec, ell)), None)
-                    )
+                    record.add("exact", resistance(spec, ell))
                     with mp.workprec(precision + _GUARD_BITS):
                         value = closed[ell] / spec.num_edges
-                    record.results.append(
-                        ("closed", _format_value(value, precision),
-                         _bound_string(value, precision))
-                    )
-                else:  # forests
-                    if ell == 0:
-                        continue
-                    record.results.append(("forests", str(forests(spec, ell)), None))
-                    record.results.append(
-                        ("tau_contracted", str(tau_contracted(spec, ell)), None)
-                    )
+                    record.add("closed", value)
+                else:
+                    _forest_rows(record, spec, ell)
                 records.append(record)
+    text = "".join(line + "\n" for line in _lines(records, fmt))
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            if fmt == "csv":
-                handle.write(CSV_HEADER + "\n")
-                for record in records:
-                    for row in record.csv_rows():
-                        handle.write(row + "\n")
-            else:
-                for record in records:
-                    handle.write(record.to_json() + "\n")
+            handle.write(text)
     except OSError as exc:
         click.echo(f"cannot write {out_path}: {exc}", err=True)
         sys.exit(3)

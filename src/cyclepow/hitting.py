@@ -46,7 +46,7 @@ from .spectral import (
     _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
     SpectralFactorization,
-    cached_factorization,
+    _resolve_factorization,
     residual_tolerance,
 )
 
@@ -157,18 +157,6 @@ def _quadratic_term(sf: SpectralFactorization, spec: GraphSpec, ell: int) -> Fra
     return Fraction(sf.pole_coefficient, 2) * ell * (spec.n - ell)
 
 
-def _resolve_factorization(
-    spec: GraphSpec, factorization: SpectralFactorization | None
-) -> SpectralFactorization:
-    if factorization is None:
-        return cached_factorization(spec.k, DEFAULT_PRECISION_BITS)
-    if factorization.k != spec.k:
-        raise ParameterError(
-            f"factorization was built for k={factorization.k}, spec has k={spec.k}"
-        )
-    return factorization
-
-
 def _closed_value(spec: GraphSpec, ell: int, sf: SpectralFactorization, ratios):
     """hit_closed's value at ell from `ratios`, the correction ratio of each
     factor of `sf` in order."""
@@ -204,7 +192,7 @@ def hit_closed(
     requested precision was insufficient.
     """
     check_ell(spec, ell)
-    sf = _resolve_factorization(spec, factorization)
+    sf = _resolve_factorization(spec.k, factorization)
     ratios = (
         correction_ratio(factor, ell, spec.n, form, sf.precision_bits)
         for factor in sf.factors
@@ -220,7 +208,7 @@ def hit_closed_all(
     Each factor's exponential-form ratios come from one correction_ratios
     table over every ell instead of three powers of rho per ell.
     """
-    sf = _resolve_factorization(spec, factorization)
+    sf = _resolve_factorization(spec.k, factorization)
     tables = [
         correction_ratios(factor, spec.n, "exponential", sf.precision_bits)
         for factor in sf.factors
@@ -237,26 +225,20 @@ def hit_closed_literal(
     factorization: SpectralFactorization | None = None,
 ):
     """The closed form with full-index sequence ratios instead of the
-    verified correction ratios.
+    verified correction ratios, summed as hit_closed sums them (including its
+    nonreal-residue check).
 
     This is the uncorrected variant kept for erratum reporting; it disagrees
     with hit_exact (e.g. n=6, k=2, ell=1 gives 23/6 instead of 5) and must
     never be used for real evaluation.
     """
     check_ell(spec, ell)
-    sf = _resolve_factorization(spec, factorization)
-    bits = sf.precision_bits
-    quadratic = _quadratic_term(sf, spec, ell)
-    with mp.workprec(bits + _GUARD_BITS):
-        corrections = mp.mpc(0)
-        for factor in sf.factors:
-            corrections += factor.coefficient * full_index_ratio(
-                factor, ell, spec.n, bits
-            )
-        corrections *= spec.n
-        return mp.mpf(quadratic.numerator) / quadratic.denominator + mp.re(
-            corrections
-        )
+    sf = _resolve_factorization(spec.k, factorization)
+    ratios = (
+        full_index_ratio(factor, ell, spec.n, sf.precision_bits)
+        for factor in sf.factors
+    )
+    return _closed_value(spec, ell, sf, ratios)
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

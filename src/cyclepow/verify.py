@@ -361,6 +361,13 @@ def _binet_recurrence(kmax, nmax, bits):
                     yield deviation, f"(k={k}, n={n})"
 
 
+@lru_cache(maxsize=None)
+def _ratio_table(factor, n: int, form: str, bits: int, branch: int) -> tuple:
+    """correction_ratios(factor, n, form, bits, branch), built once per run
+    for every check that reads it; run_verification clears it."""
+    return correction_ratios(factor, n, form, bits, branch)
+
+
 @_check(
     "ratio-branch-invariance",
     "sequence-form ratio identical for both square-root branches",
@@ -371,8 +378,8 @@ def _ratio_branch_invariance(kmax, nmax, bits):
         sf = cached_factorization(k, bits)
         for n in range(2 * k + 1, min(nmax, 24) + 1):
             for factor in sf.factors:
-                pluses = correction_ratios(factor, n, "sequence", bits, 1)
-                minuses = correction_ratios(factor, n, "sequence", bits, -1)
+                pluses = _ratio_table(factor, n, "sequence", bits, 1)
+                minuses = _ratio_table(factor, n, "sequence", bits, -1)
                 for ell, (plus, minus) in enumerate(zip(pluses, minuses)):
                     yield (
                         float(abs(plus - minus) / max(1, abs(plus))),
@@ -390,8 +397,8 @@ def _ratio_form_agreement(kmax, nmax, bits):
         sf = cached_factorization(k, bits)
         for n in range(2 * k + 1, min(nmax, 48) + 1):
             for factor in sf.factors:
-                exp_forms = correction_ratios(factor, n, "exponential", bits)
-                seq_forms = correction_ratios(factor, n, "sequence", bits)
+                exp_forms = _ratio_table(factor, n, "exponential", bits, 1)
+                seq_forms = _ratio_table(factor, n, "sequence", bits, 1)
                 for ell, (exp_form, seq_form) in enumerate(zip(exp_forms, seq_forms)):
                     yield (
                         float(abs(exp_form - seq_form) / max(1, abs(exp_form))),
@@ -405,7 +412,7 @@ def _ratio_symmetry(kmax, nmax, bits):
         sf = cached_factorization(k, bits)
         for n in range(2 * k + 1, min(nmax, 32) + 1):
             for factor in sf.factors:
-                ratios = correction_ratios(factor, n, "exponential", bits)
+                ratios = _ratio_table(factor, n, "exponential", bits, 1)
                 for ell in range(n // 2 + 1):
                     yield (
                         float(abs(ratios[ell] - ratios[n - ell])),
@@ -424,8 +431,8 @@ def _ratio_conjugation(kmax, nmax, bits):
         _, pairs = conjugate_pairs(sf.factors, bits)
         for n in range(2 * k + 1, min(nmax, 24) + 1):
             for upper, lower in pairs:
-                uppers = correction_ratios(upper, n, "exponential", bits)
-                lowers = correction_ratios(lower, n, "exponential", bits)
+                uppers = _ratio_table(upper, n, "exponential", bits, 1)
+                lowers = _ratio_table(lower, n, "exponential", bits, 1)
                 for ell in range(0, n + 1, max(1, n // 6)):
                     a, b = uppers[ell], lowers[ell]
                     yield (
@@ -452,7 +459,7 @@ def _fibonacci_anchor(kmax, nmax, bits):
     factor = cached_factorization(2, bits).factors[0]
     for n in range(5, min(nmax, 48) + 1):
         f_n = _fibonacci(n)
-        ratios = correction_ratios(factor, n, "sequence", bits)
+        ratios = _ratio_table(factor, n, "sequence", bits, 1)
         for ell, ratio in enumerate(ratios):
             expected = mp.mpf(-_fibonacci(ell) * _fibonacci(n - ell)) / f_n
             yield (
@@ -521,7 +528,7 @@ def _resolvent_periodization(kmax, nmax, bits):
             cosines = cosine_table(n, bits)
             for factor in sf.factors:
                 gamma = mp.mpc(factor.root)
-                ratios = correction_ratios(factor, n, "exponential", bits)
+                ratios = _ratio_table(factor, n, "exponential", bits, 1)
                 for ell in range(n):
                     direct = mp.mpc(0)
                     for j in range(1, n):
@@ -684,4 +691,5 @@ def run_verification(
         raise ParameterError(f"nmax must be >= 2*kmax+1, got {nmax}")
     results = [_fold(check, kmax, nmax, precision_bits) for check in _CHECKS]
     _oracle_deviations.cache_clear()
+    _ratio_table.cache_clear()
     return [result for result in results if result is not None]

@@ -15,17 +15,17 @@ from mpmath import mp
 from cyclepow import (
     GraphSpec,
     cached_factorization,
-    conjugate_pairs,
-    correction_ratio,
     hit_closed,
     hit_exact,
-    hit_exact_all,
     hit_simulate,
     hit_spectral,
     tau_det,
     tau_eigen,
     tau_product,
 )
+from cyclepow.hitting import hit_exact_all
+from cyclepow.recurrences import correction_ratio
+from cyclepow.spectral import conjugate_pairs
 from cyclepow.cli import main as cli_main
 from cyclepow.hitting import cosine_table
 

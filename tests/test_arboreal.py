@@ -11,18 +11,19 @@ from cyclepow import (
     ParameterError,
     PrecisionError,
     arboreal_counts,
-    build_laplacian,
     cached_factorization,
     forests,
+    hit_closed,
     hit_exact,
-    hit_exact_all,
-    nearest_integer,
     resistance,
     tau_contracted,
     tau_det,
     tau_eigen,
     tau_product,
 )
+from cyclepow.arboreal import nearest_integer
+from cyclepow.graphs import build_laplacian
+from cyclepow.hitting import hit_exact_all
 
 from cyclepow import arboreal
 
@@ -85,6 +86,17 @@ def test_tau_product_rejects_mismatched_factorization():
     sf = cached_factorization(2, 256)
     with pytest.raises(ParameterError):
         tau_product(GraphSpec(9, 3), sf)
+
+
+def test_tau_product_and_hit_closed_reject_another_k_alike():
+    sf = cached_factorization(2, 256)
+    spec = GraphSpec(9, 3)
+    with pytest.raises(ParameterError) as trees:
+        tau_product(spec, sf)
+    with pytest.raises(ParameterError) as hits:
+        hit_closed(spec, 1, sf)
+    assert str(trees.value) == str(hits.value)
+    assert str(trees.value) == "factorization was built for k=2, spec has k=3"
 
 
 @given(specs())

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from cyclepow import GraphSpec, hit_exact, tau_det
+import cyclepow.cli as cli_module
+from cyclepow import GraphSpec, PrecisionError, hit_exact, tau_det
 from cyclepow.cli import main
 
 
@@ -162,6 +163,33 @@ def test_usage_error_messages(runner, args, message):
     result = runner.invoke(main, args.split())
     assert result.exit_code == 2
     assert result.output.endswith(f"Error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "args, route",
+    [
+        ("hit --n 12 --k 2 --ell 5 --method spectral", "hit_spectral"),
+        ("hit --n 12 --k 2 --ell 5 --method closed --erratum", "hit_closed_literal"),
+        ("trees --n 12 --k 2 --ell 5", "tau_contracted"),
+        ("verify --kmax 1 --nmax 3", "run_verification"),
+        ("sweep --n-range 5:8 --k-range 1:2 --quantity tau", "tau_eigen"),
+        ("sweep --n-range 5:8 --k-range 1:2 --quantity resist", "hit_closed_all"),
+    ],
+)
+def test_package_error_is_reported_for_every_command(
+    runner, monkeypatch, tmp_path, args, route
+):
+    def fail(*args, **kwargs):
+        raise PrecisionError("root refinement did not converge")
+
+    monkeypatch.setattr(cli_module, route, fail)
+    out = tmp_path / "sweep.out"
+    argv = args.split() + (["--out", str(out)] if args.startswith("sweep") else [])
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1
+    assert result.stderr == "error: root refinement did not converge\n"
+    assert result.stdout == ""
+    assert not out.exists()
 
 
 def test_csv_format(runner):

@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclepow import (
-    GraphSpec,
-    IntMatrix,
-    ParameterError,
-    build_laplacian,
-    contract_vertices,
-)
+from cyclepow import GraphSpec, ParameterError
+from cyclepow.graphs import IntMatrix, build_laplacian, contract_vertices
 from cyclepow.fractionfree import determinant
 from cyclepow.graphs import check_ell, fold_order
 

@@ -9,17 +9,18 @@ from mpmath import mp
 from cyclepow import (
     GraphSpec,
     ParameterError,
+    PrecisionError,
     SimulationBudgetError,
-    build_laplacian,
     cached_factorization,
     hit_closed,
     hit_closed_literal,
     hit_exact,
-    hit_exact_all,
     hit_simulate,
     hit_spectral,
-    laplacian_eigenvalues,
 )
+from cyclepow.graphs import build_laplacian
+from cyclepow.hitting import hit_exact_all, laplacian_eigenvalues
+from cyclepow.recurrences import full_index_ratio
 
 from cyclepow import hitting
 from oracles import (
@@ -145,6 +146,31 @@ def test_closed_literal_reproduces_known_deviation():
         literal = hit_closed_literal(spec, 1)
         assert abs(literal - mp.mpf(23) / 6) <= mp.mpf(2) ** -90
         assert abs(literal - 5) > 1
+
+
+def test_closed_literal_is_the_closed_sum_over_full_index_ratios():
+    for spec, bits in (
+        (GraphSpec(6, 2), 256), (GraphSpec(13, 4), 64), (GraphSpec(30, 3), 256)
+    ):
+        sf = cached_factorization(spec.k, bits)
+        for ell in range(spec.n):
+            quadratic = Fraction(sf.pole_coefficient, 2) * ell * (spec.n - ell)
+            with mp.workprec(bits + 32):
+                corrections = mp.mpc(0)
+                for factor in sf.factors:
+                    corrections += factor.coefficient * full_index_ratio(
+                        factor, ell, spec.n, bits
+                    )
+                corrections *= spec.n
+                expected = mp.mpf(quadratic.numerator) / quadratic.denominator
+                expected += mp.re(corrections)
+            assert hit_closed_literal(spec, ell, sf) == expected
+
+
+def test_closed_literal_rejects_a_nonreal_correction_sum(monkeypatch):
+    monkeypatch.setattr(hitting, "full_index_ratio", lambda *args: mp.mpc(0, 1))
+    with pytest.raises(PrecisionError, match="nonreal residue"):
+        hit_closed_literal(GraphSpec(9, 2), 1)
 
 
 @given(specs(max_k=4, max_n=20), st.data())

@@ -1,0 +1,83 @@
+"""The package API and the callers of it outside the tests.
+
+`cyclepow.__all__` holds what the README, the CLI and the scripts import,
+plus the exception types; every other helper is imported from its module.
+The two scripts and the README's library snippet run here in fresh
+processes, so a name they need cannot leave the API unnoticed.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cyclepow
+
+ROOT = Path(__file__).resolve().parent.parent
+
+API = {
+    "GraphSpec",
+    "hit_exact",
+    "hit_spectral",
+    "hit_closed",
+    "hit_closed_literal",
+    "hit_simulate",
+    "GENERATOR_ID",
+    "tau_det",
+    "tau_eigen",
+    "tau_product",
+    "resistance",
+    "forests",
+    "tau_contracted",
+    "arboreal_counts",
+    "cached_factorization",
+    "build_phi",
+    "build_psi",
+    "run_verification",
+    "CyclepowError",
+    "ParameterError",
+    "ConsistencyError",
+    "PrecisionError",
+    "DegeneracyError",
+    "SimulationBudgetError",
+}
+
+
+def test_package_api_is_pinned_and_importable():
+    assert sorted(cyclepow.__all__) == sorted(API)
+    namespace = {}
+    exec("from cyclepow import *", namespace)
+    assert API <= namespace.keys()
+
+
+def run_python(*args):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        (["scripts/worked_cases.py", "--kmax", "2", "--n", "9"], "4        190/17"),
+        (["scripts/erratum_report.py"], "verified form is exact everywhere"),
+    ],
+)
+def test_script_runs(argv, last_line):
+    result = run_python(*argv)
+    assert result.returncode == 0, result.stderr
+    assert last_line in result.stdout.strip().splitlines()[-1]
+
+
+def test_readme_library_snippet_runs():
+    readme = (ROOT / "README.md").read_text()
+    snippet = re.search(r"## Library\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    result = run_python("-c", snippet)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "55/3"

@@ -5,15 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from cyclepow import (
-    ConsistencyError,
-    IntPolynomial,
-    basis_term,
-    build_phi,
-    build_psi,
-    derivative,
-    eval_poly,
-)
+from cyclepow import ConsistencyError, build_phi, build_psi
+from cyclepow.polynomials import IntPolynomial, basis_term, derivative, eval_poly
 from cyclepow.errors import ParameterError
 from cyclepow.polynomials import divide_exact
 

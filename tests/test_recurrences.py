@@ -1,11 +1,9 @@
 import pytest
 from mpmath import mp
 
-from cyclepow import (
-    DegeneracyError,
-    ParameterError,
+from cyclepow import DegeneracyError, ParameterError, cached_factorization
+from cyclepow.recurrences import (
     RecurrenceSpec,
-    cached_factorization,
     correction_ratio,
     full_index_ratio,
     full_index_spec,

@@ -4,10 +4,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from cyclepow import (
-    DegeneracyError,
-    ParameterError,
-    build_psi,
+from cyclepow import DegeneracyError, ParameterError, build_psi
+from cyclepow.spectral import (
     check_decomposition,
     conjugate_pairs,
     find_roots,
@@ -39,7 +37,7 @@ def test_root_count_and_residuals(k):
     assert len(roots) == k - 1
     psi = build_psi(k)
     with mp.workprec(288):
-        from cyclepow import eval_poly
+        from cyclepow.polynomials import eval_poly
 
         for gamma in roots:
             assert abs(eval_poly(psi, gamma)) <= mp.mpf(2) ** -128

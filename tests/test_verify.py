@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,21 @@ def test_run_verification_small_bounds_all_pass():
     assert all(r.passed for r in results)
     assert any(r.check_id == "hitting-oracle-spectral" for r in results)
     assert any(r.check_id == "hitting-oracle-closed" for r in results)
+
+
+def test_ratio_tables_are_built_once_per_run(monkeypatch):
+    real = verify.correction_ratios
+    built = Counter()
+
+    def counted(factor, n, form, bits, branch):
+        built[factor, n, form, bits, branch] += 1
+        return real(factor, n, form, bits, branch)
+
+    monkeypatch.setattr(verify, "correction_ratios", counted)
+    run_verification(kmax=3, nmax=14, precision_bits=128)
+    assert len(built) > 0
+    assert set(built.values()) == {1}
+    assert verify._ratio_table.cache_info().currsize == 0
 
 
 def test_erratum_fixtures_are_informational():
