@@ -109,9 +109,10 @@ class Record:
 def _tau_rows(record: Record, spec: GraphSpec) -> None:
     """The spanning-tree count by all three routes."""
     bits = record.precision_bits
+    sf = cached_factorization(spec.k, bits)
     record.add("tau_det", tau_det(spec))
     record.add("tau_eigen", tau_eigen(spec, bits))
-    record.add("tau_product", tau_product(spec, cached_factorization(spec.k, bits)))
+    record.add("tau_product", tau_product(spec, sf))
 
 
 def _forest_rows(record: Record, spec: GraphSpec, ell: int) -> None:
