@@ -140,20 +140,22 @@ def _lines(records: list[Record], fmt: str) -> list[str]:
             })
             for r in records
         ]
-    lines = [CSV_HEADER] if fmt == "csv" else []
+    if fmt == "csv":
+        return [CSV_HEADER] + [
+            f"{r.n},{r.k},{'' if r.ell is None else r.ell},{method},{value},{err or ''}"
+            for r in records
+            for method, value, err in r.results
+        ]
+    lines = []
     for r in records:
+        ell = "-" if r.ell is None else r.ell
         for method, value, err in r.results:
-            if fmt == "csv":
-                ell = "" if r.ell is None else r.ell
-                lines.append(f"{r.n},{r.k},{ell},{method},{value},{err or ''}")
-            else:
-                ell = "-" if r.ell is None else r.ell
-                suffix = f"  err<={err}" if err else ""
-                lines.append(
-                    f"{r.cmd} n={r.n} k={r.k} ell={ell} "
-                    f"method={method} value={value}{suffix}"
-                )
-        if fmt == "text" and r.seed is not None:
+            suffix = f"  err<={err}" if err else ""
+            lines.append(
+                f"{r.cmd} n={r.n} k={r.k} ell={ell} "
+                f"method={method} value={value}{suffix}"
+            )
+        if r.seed is not None:
             lines.append(f"# seed={r.seed} generator={r.generator}")
     return lines
 
