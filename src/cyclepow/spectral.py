@@ -10,10 +10,10 @@ Each gamma lies off the real interval [-2, 2] (the spectrum arc), so the
 quadratic rho^2 - gamma*rho + 1 = 0 has exactly one root with |rho| < 1; that
 inner root drives all the geometric corrections downstream.
 
-Roots are located from the companion matrix at double precision, then polished
-by Newton iteration in mpmath arithmetic, with residuals certified against the
-2^(-precision_bits/2) convention used package-wide.  Distinctness is verified
-numerically per k rather than assumed.
+Roots are located all at once by mpmath's Durand-Kerner iteration at the
+working precision, then polished by Newton iteration, with residuals certified
+against the 2^(-precision_bits/2) convention used package-wide.  Distinctness
+is verified numerically per k rather than assumed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
 from mpmath import mp
 
 from .errors import (
@@ -96,13 +95,40 @@ class SpectralFactorization:
     factors: tuple[FactorData, ...]
 
 
+def _root_estimates(psi: IntPolynomial, precision_bits: int):
+    """All deg(psi) roots from mpmath's Durand-Kerner iteration (polyroots),
+    run inside the caller's working precision.
+
+    The roots of psi_k lie within 2.1 of the origin, where sum |c_i| 2.1^i
+    stays under 2^(1.4 deg(psi) + 4) for k <= 80, so evaluating psi near a
+    root cancels fewer than 2 bits per degree; that many extra bits, plus the
+    guard bits, keep the iteration's error test reachable.  The iteration
+    needs about deg(psi) + log2(precision_bits) steps (measured for k <= 64
+    up to 1056 bits), and twice that bounds it.
+    """
+    degree = psi.degree
+    maxsteps = 2 * (degree + precision_bits.bit_length())
+    try:
+        return mp.polyroots(
+            list(reversed(psi.coeffs)),
+            maxsteps=maxsteps,
+            extraprec=2 * degree + _GUARD_BITS,
+        )
+    except mp.NoConvergence:
+        raise PrecisionError(
+            f"root estimates for a degree-{degree} psi did not converge in "
+            f"{maxsteps} Durand-Kerner steps; the seeding, not precision_bits, "
+            "falls short at this k"
+        ) from None
+
+
 def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS):
     """All deg(psi) roots, Newton-refined until |psi(root)| is certified.
 
-    Initial estimates come from numpy's companion-matrix solver; each is then
-    polished in mpmath arithmetic until the residual drops below
-    2^(-precision_bits/2).  The refined roots must be pairwise separated by
-    more than 2^(-precision_bits/4).
+    Initial estimates come from mpmath's Durand-Kerner solver at the working
+    precision; each is then polished by Newton iteration until the residual
+    drops below 2^(-precision_bits/2).  The refined roots must be pairwise
+    separated by more than 2^(-precision_bits/4).
     """
     if precision_bits < 64:
         raise ParameterError("precision_bits must be >= 64")
@@ -119,11 +145,11 @@ def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS)
             c0, c1 = psi.coeffs
             roots = [mp.mpc(mp.mpf(-c0) / c1)]
         else:
-            estimates = np.roots([float(c) for c in reversed(psi.coeffs)])
+            estimates = _root_estimates(psi, precision_bits)
             dpsi = derivative(psi)
             roots = []
             for estimate in estimates:
-                z = mp.mpc(complex(estimate))
+                z = mp.mpc(estimate)
                 best = z
                 best_residual = mp.inf
                 for _ in range(_NEWTON_BUDGET):

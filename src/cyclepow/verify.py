@@ -364,8 +364,12 @@ def _binet_recurrence(kmax, nmax, bits):
 @lru_cache(maxsize=None)
 def _ratio_table(factor, n: int, form: str, bits: int, branch: int) -> tuple:
     """correction_ratios(factor, n, form, bits, branch), built once per run
-    for every check that reads it; run_verification clears it."""
+    for every check that reads it; run_verification clears it after
+    _LAST_RATIO_READER, so the later checks do not allocate on top of it."""
     return correction_ratios(factor, n, form, bits, branch)
+
+
+_LAST_RATIO_READER = "resolvent-periodization"
 
 
 @_check(
@@ -689,7 +693,10 @@ def run_verification(
         raise ParameterError(f"kmax must be in 1..8, got {kmax}")
     if nmax < 2 * kmax + 1:
         raise ParameterError(f"nmax must be >= 2*kmax+1, got {nmax}")
-    results = [_fold(check, kmax, nmax, precision_bits) for check in _CHECKS]
+    results = []
+    for check in _CHECKS:
+        results.append(_fold(check, kmax, nmax, precision_bits))
+        if check.check_id == _LAST_RATIO_READER:
+            _ratio_table.cache_clear()
     _oracle_deviations.cache_clear()
-    _ratio_table.cache_clear()
     return [result for result in results if result is not None]

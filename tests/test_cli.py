@@ -50,6 +50,30 @@ def test_hit_all_methods_consistent(runner):
     assert recs[3]["generator"]
 
 
+def test_hit_closed_at_k48_matches_the_complete_graph(runner):
+    # n = 2k + 1 is the complete graph K_97, where every h(0, ell) is n - 1.
+    args = ["hit", "--n", "97", "--k", "48", "--ell", "5", "--format", "json"]
+    exact = runner.invoke(main, args + ["--method", "exact"])
+    closed = runner.invoke(main, args + ["--method", "closed"])
+    assert exact.exit_code == 0 and closed.exit_code == 0, closed.output
+    (exact_row,) = records(exact.output)[0]["results"]
+    (closed_row,) = records(closed.output)[0]["results"]
+    assert exact_row["value"] == "96"
+    assert abs(Fraction(closed_row["value"]) - 96) <= Fraction(closed_row["err"])
+
+
+def test_trees_at_k48_match_the_complete_graph(runner):
+    # On K_97 Cayley's formula gives tau = n^(n-2).
+    result = runner.invoke(
+        main, ["trees", "--n", "97", "--k", "48", "--format", "json"]
+    )
+    assert result.exit_code == 0, result.output
+    rows = {row["method"]: row for row in records(result.output)[0]["results"]}
+    assert rows["tau_det"]["value"] == str(97**95)
+    product = rows["tau_product"]
+    assert abs(Fraction(product["value"]) - 97**95) <= Fraction(product["err"])
+
+
 def test_hit_zero_displacement(runner):
     result = runner.invoke(
         main, ["hit", "--n", "6", "--k", "2", "--ell", "0", "--method", "all",

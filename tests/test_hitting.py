@@ -22,7 +22,7 @@ from cyclepow.graphs import build_laplacian
 from cyclepow.hitting import hit_exact_all, laplacian_eigenvalues
 from cyclepow.recurrences import full_index_ratio
 
-from cyclepow import hitting
+from cyclepow import _philox, hitting
 from oracles import (
     fibonacci,
     gauss_solve,
@@ -234,7 +234,7 @@ def test_simulate_matches_per_walk_reference(spec, where, walks, seed):
 
 
 def test_simulate_matches_reference_across_slices():
-    walks = 2 * hitting._SLICE_WALKS + 3
+    walks = 2 * _philox._SLICE_WALKS + 3
     spec = GraphSpec(9, 2)
     assert tuple(hit_simulate(spec, 4, walks, 5)) == simulate_reference(
         spec, 4, walks, 5
@@ -243,13 +243,13 @@ def test_simulate_matches_reference_across_slices():
 
 def test_simulate_rejected_draws_fall_back_exactly(monkeypatch):
     redone = []
-    walk_on = hitting._walk_on
+    walk_on = _philox._walk_on
 
     def spy(*args):
         redone.append(args[3])
         return walk_on(*args)
 
-    monkeypatch.setattr(hitting, "_walk_on", spy)
+    monkeypatch.setattr(_philox, "_walk_on", spy)
     result = hit_simulate(REJECTING, 1, 20, 1)
     assert redone
     assert tuple(result) == simulate_reference(REJECTING, 1, 20, 1)
@@ -265,13 +265,13 @@ def test_fallback_walk_overruns_a_budget_of_whole_draw_batches(monkeypatch):
     cap = 64 * ((total - 1) // 64)
     assert (total, cap) == (10497, 10496)
     allowances = []
-    walk_on = hitting._walk_on
+    walk_on = _philox._walk_on
 
     def spy(*args):
         allowances.append(args[-1])
         return walk_on(*args)
 
-    monkeypatch.setattr(hitting, "_walk_on", spy)
+    monkeypatch.setattr(_philox, "_walk_on", spy)
     with pytest.raises(SimulationBudgetError):
         hit_simulate(REJECTING, 1, 1, 3, step_cap=cap)
     assert allowances == [cap]
@@ -295,11 +295,11 @@ def test_philox_blocks_match_numpy(seed, walk):
     key = np.array([seed, walk], dtype=np.uint64)
     walks = np.array([walk], dtype=np.uint64)
     fresh = np.random.Philox(key=key).random_raw(4 * 9)
-    blocks = hitting._philox_blocks(np.arange(1, 10, dtype=np.uint64), seed, walks)
+    blocks = _philox._philox_blocks(np.arange(1, 10, dtype=np.uint64), seed, walks)
     assert np.array_equal(blocks.reshape(-1), fresh)
     # A counter of c makes the next block c + 1, as the fallback relies on.
     later = np.random.Philox(key=key, counter=1000).random_raw(4 * 3)
-    blocks = hitting._philox_blocks(np.arange(1001, 1004, dtype=np.uint64), seed, walks)
+    blocks = _philox._philox_blocks(np.arange(1001, 1004, dtype=np.uint64), seed, walks)
     assert np.array_equal(blocks.reshape(-1), later)
 
 
@@ -307,7 +307,7 @@ def test_philox_blocks_match_numpy(seed, walk):
 def test_bounded_draws_match_generator_integers(bound):
     key = np.array([11, 3], dtype=np.uint64)
     words = np.random.Philox(key=key).random_raw(4000)
-    draws, rejected = hitting._bounded_draws(words, bound)
+    draws, rejected = _philox._bounded_draws(words, bound)
     if bound == 3 * 2**30:
         # 2**32 mod 3 * 2**30 = 2**30: a quarter of the uint32s are rejected.
         assert 0.2 < rejected.mean() < 0.3

@@ -3,7 +3,8 @@
 `cyclepow.__all__` holds what the README, the CLI and the scripts import,
 plus the exception types; every other helper is imported from its module.
 The two scripts and the README's library snippet run here in fresh
-processes, so a name they need cannot leave the API unnoticed.
+processes, so a name they need cannot leave the API unnoticed.  Fresh
+processes also show that numpy is loaded only to simulate walks.
 """
 
 import os
@@ -81,3 +82,39 @@ def test_readme_library_snippet_runs():
     result = run_python("-c", snippet)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[0] == "55/3"
+
+
+@pytest.mark.parametrize("module", ["cyclepow", "cyclepow.cli"])
+def test_import_does_not_load_numpy(module):
+    result = run_python("-c", f"import sys, {module}; print('numpy' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
+CLI_PROBE = """
+import sys
+from cyclepow.cli import main
+main.main(args=sys.argv[1:], prog_name="cyclepow", standalone_mode=False)
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, loads_numpy",
+    [
+        ("trees --n 30 --k 3 --ell 7", False),
+        ("hit --n 30 --k 3 --ell 7 --method exact", False),
+        ("hit --n 30 --k 3 --ell 7 --method spectral", False),
+        ("hit --n 30 --k 3 --ell 7 --method closed", False),
+        ("sweep --n-range 5:12 --k-range 1:3 --quantity hit", False),
+        ("verify --kmax 1 --nmax 5", False),
+        ("hit --n 30 --k 3 --ell 7 --method simulate --walks 100", True),
+    ],
+)
+def test_only_simulation_loads_numpy(args, loads_numpy, tmp_path):
+    argv = args.split()
+    if argv[0] == "sweep":
+        argv += ["--out", str(tmp_path / "sweep.csv")]
+    result = run_python("-c", CLI_PROBE, *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(loads_numpy)

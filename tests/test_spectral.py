@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from cyclepow import DegeneracyError, ParameterError, build_psi
+from cyclepow import DegeneracyError, ParameterError, PrecisionError, build_psi
 from cyclepow.spectral import (
     check_decomposition,
     conjugate_pairs,
     find_roots,
     inner_root,
     partial_fractions,
+    residual_tolerance,
+    separation_tolerance,
 )
 
 
@@ -46,6 +48,30 @@ def test_root_count_and_residuals(k):
 def test_find_roots_requires_64_bits():
     with pytest.raises(ParameterError):
         find_roots(build_psi(3), 32)
+
+
+def test_partial_fractions_certifies_large_k():
+    sf = partial_fractions(48, 256)
+    assert len(sf.factors) == 47
+    assert all(factor.residual <= residual_tolerance(256) for factor in sf.factors)
+    roots = [factor.root for factor in sf.factors]
+    with mp.workprec(288):
+        separation = min(
+            abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]
+        )
+    assert separation > separation_tolerance(256)
+    reals, pairs = conjugate_pairs(sf.factors, 256)
+    assert len(reals) + 2 * len(pairs) == 47
+
+
+def test_unconverged_seeding_is_a_precision_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise mp.NoConvergence("Didn't converge")
+
+    monkeypatch.setattr(mp, "polyroots", no_convergence)
+    with pytest.raises(PrecisionError, match="not precision_bits") as error:
+        find_roots(build_psi(5), 128)
+    assert "degree-4" in str(error.value)
 
 
 def test_inner_root_examples():

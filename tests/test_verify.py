@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -30,6 +31,24 @@ def test_ratio_tables_are_built_once_per_run(monkeypatch):
     assert len(built) > 0
     assert set(built.values()) == {1}
     assert verify._ratio_table.cache_info().currsize == 0
+
+
+def test_ratio_memo_is_released_after_its_last_reader(monkeypatch):
+    sizes = {}
+
+    def spied(check):
+        def cases(kmax, nmax, bits):
+            sizes[check.check_id] = verify._ratio_table.cache_info().currsize
+            yield from check.cases(kmax, nmax, bits)
+
+        return dataclasses.replace(check, cases=cases)
+
+    monkeypatch.setattr(verify, "_CHECKS", [spied(c) for c in verify._CHECKS])
+    run_verification(kmax=3, nmax=14, precision_bits=128)
+    order = list(sizes)
+    last = order.index("resolvent-periodization")
+    assert sizes["resolvent-periodization"] > 0
+    assert order[last + 1:] and all(sizes[i] == 0 for i in order[last + 1:])
 
 
 def test_erratum_fixtures_are_informational():
