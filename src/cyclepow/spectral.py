@@ -99,12 +99,12 @@ def _root_estimates(psi: IntPolynomial, precision_bits: int):
     """All deg(psi) roots from mpmath's Durand-Kerner iteration (polyroots),
     run inside the caller's working precision.
 
-    The roots of psi_k lie within 2.1 of the origin, where sum |c_i| 2.1^i
-    stays under 2^(1.4 deg(psi) + 4) for k <= 80, so evaluating psi near a
-    root cancels fewer than 2 bits per degree; that many extra bits, plus the
-    guard bits, keep the iteration's error test reachable.  The iteration
-    needs about deg(psi) + log2(precision_bits) steps (measured for k <= 64
-    up to 1056 bits), and twice that bounds it.
+    The roots of psi_k lie within 2.5 of the origin (checked for k <= 64),
+    where log2(sum |c_i| 2.5^i) < 2 deg(psi) + 1 for 3 <= k <= 128, so
+    evaluating psi near a root cancels about 2 bits per degree at most; that
+    many extra bits, plus the guard bits, keep the iteration's error test
+    reachable.  The iteration needs about deg(psi) + log2(precision_bits)
+    steps (measured for k <= 64 up to 1056 bits), and twice that bounds it.
     """
     degree = psi.degree
     maxsteps = 2 * (degree + precision_bits.bit_length())
