@@ -15,8 +15,9 @@ All exact quantities are arbitrary-precision integers or rationals; all
 analytic quantities carry a stated binary precision with certified residuals.
 
 The package API below is what the README, the CLI and the scripts use;
-helpers (matrices, polynomials, recurrence sequences, root finding) are
-imported from their modules, for example ``cyclepow.graphs.IntMatrix``.
+helpers (band Laplacians, polynomials, recurrence sequences, root finding)
+are imported from their modules, for example
+``cyclepow.graphs.build_laplacian``.
 """
 
 from .arboreal import (

@@ -2,8 +2,9 @@
 
 Everything here comes in (at least) two independent flavours:
 
-  * tau_det        -- exact spanning-tree count: determinant of the reduced
-                      Laplacian, fraction-free;
+  * tau_det        -- exact spanning-tree count: determinant of the
+                      Laplacian with vertex 0 deleted, fraction-free on
+                      band rows;
   * tau_eigen      -- the eigenvalue product prod_j phi_k(2 cos(2 pi j/n)) / n;
   * tau_product    -- the same product collapsed onto the inner roots, one
                       geometric factor per root of psi_k;
@@ -12,8 +13,9 @@ Everything here comes in (at least) two independent flavours:
   * forests        -- two-component spanning forests separating 0 and ell:
                       tau * h / (n*k), exact rational arithmetic that must
                       land on an integer;
-  * tau_contracted -- spanning trees of the graph with 0 and ell identified,
-                      again an exact determinant; equals forests.
+  * tau_contracted -- spanning trees of the graph with 0 and ell identified:
+                      det L with both 0 and ell deleted, again exact on band
+                      rows; equals forests.
 
 Analytic tree counts are never rounded silently.  A value is rounded only
 when its certified error, |value| * residual_tolerance(precision_bits), is
@@ -31,7 +33,7 @@ from mpmath import mp
 
 from . import fractionfree
 from .errors import ConsistencyError, PrecisionError
-from .graphs import GraphSpec, build_laplacian, check_ell, contract_vertices
+from .graphs import GraphSpec, build_laplacian, check_ell
 from .hitting import cosine_table, hit_exact
 from .polynomials import build_phi, eval_poly
 from .spectral import (
@@ -61,10 +63,9 @@ ROUNDING_DEFECT_LIMIT = 1e-6
 
 
 def tau_det(spec: GraphSpec) -> int:
-    """Spanning trees as the reduced-Laplacian determinant, exact (banded, in
-    folded vertex order)."""
-    reduced = build_laplacian(spec).delete_row_col(0)
-    return fractionfree.determinant(reduced.folded().rows)
+    """Spanning trees as the reduced-Laplacian determinant, exact (vertex 0
+    deleted, band rows in fold order)."""
+    return fractionfree.determinant(build_laplacian(spec, (0,))[1])
 
 
 @lru_cache(maxsize=512)
@@ -100,7 +101,7 @@ def tau_product(
 
         (-1)^(n-1) * ((1 - rho^n)/(1 - rho))^2 / rho^(n-1).
 
-    Conjugate factors are folded pairwise into |.|^2 (their alternating signs
+    Conjugate factors are merged pairwise into |.|^2 (their alternating signs
     cancel), which halves the complex work and forces a real result; leftover
     real roots are multiplied directly, each carrying the (-1)^(n-1) sign that
     makes the product positive for even n as well.  Grouping the square before
@@ -156,10 +157,14 @@ def forests(spec: GraphSpec, ell: int) -> int:
 
 
 def tau_contracted(spec: GraphSpec, ell: int) -> int:
-    """Spanning trees of the multigraph with vertices 0 and ell identified."""
+    """Spanning trees of the multigraph with vertices 0 and ell identified.
+
+    Deleting the merged vertex's row and column from that multigraph's
+    Laplacian leaves the Laplacian with both 0 and ell deleted, so by the
+    matrix-tree theorem the count is its determinant.
+    """
     check_ell(spec, ell, lowest=1)
-    contracted = contract_vertices(build_laplacian(spec), 0, ell)
-    return fractionfree.determinant(contracted.delete_row_col(0).folded().rows)
+    return fractionfree.determinant(build_laplacian(spec, (0, ell))[1])
 
 
 def nearest_integer(

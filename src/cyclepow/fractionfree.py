@@ -1,17 +1,19 @@
-"""Fraction-free integer elimination: exact determinants and linear solves.
+"""Fraction-free integer elimination on band rows: exact determinants and
+linear solves.
 
 One-step (Bareiss-style) elimination keeps every intermediate entry an exact
 integer -- each is a minor of the input -- so there is no rational blow-up
 mid-run and no rounding ever.
 
-The elimination is banded.  It measures the lower and upper bandwidth of the
-matrix it is given and touches nothing outside the band: the pivot search
-looks at the `lower` rows below the diagonal, and, as in LAPACK's gbtrf,
-partial pivoting widens the upper reach to lower + upper.  A matrix with
-half-bandwidths p and q costs O(n * p * (p + q)) integer operations, not
-O(n^3); a dense matrix simply has a wide band.  The values computed are those
-of dense Bareiss elimination with the same pivots, so each fraction-free
-division is still exact and still checked.
+A matrix arrives as band rows: row i holds columns i-b..i+b, zero off the
+matrix, so the half-width b is the row length's.  As in LAPACK's gbtrf,
+partial pivoting among the b rows below the diagonal widens the upper reach
+to 2b, so each working row is its band widened by b for fill.  The rows that
+can still be pivots all start at the current pivot column, so a row swap
+keeps every row's column offset and each step shifts them all by one.  An
+n x n matrix costs O(n * b^2) integer operations and O(n * b) storage.  The
+values computed are those of dense Bareiss elimination with the same pivots,
+so each fraction-free division is still exact and still checked.
 
 Back-substitution also stays in integers: with D the final pivot (+-det A),
 Cramer's rule makes D * x integral, so only the returned Fractions divide.
@@ -27,80 +29,77 @@ from .errors import ConsistencyError
 __all__ = ["determinant", "solve"]
 
 
-def _bandwidths(aug: list[list[int]], n: int) -> tuple[int, int]:
-    """Largest distance below and above the diagonal of a nonzero entry
-    among the first n columns."""
-    lower = upper = 0
-    for i, row in enumerate(aug):
-        nonzero = list(map(bool, row[:n]))
-        if True in nonzero:
-            lower = max(lower, i - nonzero.index(True))
-            upper = max(upper, n - 1 - nonzero[::-1].index(True) - i)
-    return lower, upper
+def _forward(
+    rows: Sequence[Sequence[int]], rhs: Sequence[int] | None
+) -> tuple[int, list[list[int]]] | None:
+    """Eliminate below the diagonal; return (row-swap sign, upper rows).
 
-
-def _forward(aug: list[list[int]], n: int) -> tuple[int, int] | None:
-    """Eliminate below the diagonal in place; return (row-swap sign, reach).
-
-    Columns n and beyond are right-hand sides and are updated in full.  After
-    the call every nonzero of row i among the first n columns lies in
-    i..i+reach.  Returns None if some pivot column is entirely zero
-    (singular matrix).  Every division below is exact by construction; a
-    nonzero remainder means the input was not integral.
+    Upper row i holds columns i..i+2b of the triangular factor, then its
+    right-hand side.  Without a right-hand side only the last upper row is
+    kept, since a determinant needs no more.  Returns None if some pivot
+    column is entirely zero (singular matrix).  Every division below is
+    exact by construction; a nonzero remainder means the input was not
+    integral.
     """
-    lower, upper = _bandwidths(aug, n)
-    reach = lower + upper
-    rhs = range(n, len(aug[0]))
+    n = len(rows)
+    width = len(rows[0])
+    if width % 2 == 0 or any(len(row) != width for row in rows):
+        raise ConsistencyError("band rows must all have the same odd length")
+    b = width // 2
+    window: list[list[int]] = []  # rows col..col+b, from column col on
+    upper = []
     sign = 1
     prev = 1
-    # The last column has nothing to eliminate, but its row may still have
-    # to enter the window (when lower == 0).
     for col in range(n):
-        window = min(n, col + lower + 1)
-        entering = col + lower
-        if col and entering < n:
-            # Dense elimination rescales every row below the pivot by
-            # pivot/prev at each step, so an untouched row that enters the
-            # window now must carry the product of those factors: prev.
-            row = aug[entering]
-            for c in (*range(col, min(n, entering + upper + 1)), *rhs):
-                row[c] *= prev
-        pivot_row = next((r for r in range(col, window) if aug[r][col]), None)
-        if pivot_row is None:
+        # Rows whose band reaches column col enter the window.  Dense
+        # elimination rescales every row below the pivot by pivot/prev at
+        # each step, so an untouched row that enters now must carry the
+        # product of those factors: prev.
+        for r in range(col + len(window), min(n, col + b + 1)):
+            off_matrix = b - (r - col)  # leading entries left of column 0
+            entering = [int(x) * prev for x in rows[r][off_matrix:]]
+            entering += [0] * off_matrix
+            if rhs is not None:
+                entering.append(int(rhs[r]) * prev)
+            window.append(entering)
+        pivot_at = next((i for i, row in enumerate(window) if row[0]), None)
+        if pivot_at is None:
             return None
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        if pivot_at:
+            window[0], window[pivot_at] = window[pivot_at], window[0]
             sign = -sign
-        pivot = aug[col][col]
-        base = aug[col]
-        columns = (*range(col + 1, min(n, col + reach + 1)), *rhs)
-        for r in range(col + 1, window):
-            row = aug[r]
-            lead = row[col]
-            for c in columns:
-                quotient, remainder = divmod(pivot * row[c] - lead * base[c], prev)
+        base = window.pop(0)
+        pivot = base[0]
+        tail = base[1:]
+        for i, row in enumerate(window):
+            lead = row[0]
+            updated = []
+            for x, y in zip(row[1:], tail):
+                quotient, remainder = divmod(pivot * x - lead * y, prev)
                 if remainder:
                     raise ConsistencyError("fraction-free step left a remainder")
-                row[c] = quotient
-            row[col] = 0
+                updated.append(quotient)
+            updated.insert(2 * b, 0)  # column col+2b+1, beyond every pivot row
+            window[i] = updated
+        if rhs is not None or col == n - 1:
+            upper.append(base)
         prev = pivot
-    return sign, reach
+    return sign, upper
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (1 for the empty matrix)."""
-    n = len(rows)
-    if n == 0:
+    """Exact determinant of an integer band matrix (1 for the empty one)."""
+    if not rows:
         return 1
-    aug = [list(map(int, row)) for row in rows]
-    forward = _forward(aug, n)
+    forward = _forward(rows, None)
     if forward is None:
         return 0
-    return forward[0] * aug[n - 1][n - 1]
+    sign, upper = forward
+    return sign * upper[-1][0]
 
 
 def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
-    """Exact solution of a nonsingular integer system A x = b.
+    """Exact solution of a nonsingular integer band system A x = b.
 
     Raises ConsistencyError when the matrix is singular.
     """
@@ -109,19 +108,18 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
         raise ConsistencyError("right-hand side length does not match the matrix")
     if n == 0:
         return []
-    aug = [[*map(int, row), int(b)] for row, b in zip(rows, rhs)]
-    forward = _forward(aug, n)
-    if forward is None or aug[n - 1][n - 1] == 0:
+    forward = _forward(rows, rhs)
+    if forward is None:
         raise ConsistencyError("system is singular")
-    reach = forward[1]
-    scale = aug[n - 1][n - 1]
+    upper = forward[1]
+    scale = upper[-1][0]
     scaled = [0] * n  # scale * x, integral by Cramer's rule
     for i in range(n - 1, -1, -1):
-        row = aug[i]
-        acc = scale * row[n]
-        for j in range(i + 1, min(n, i + reach + 1)):
-            acc -= row[j] * scaled[j]
-        scaled[i], remainder = divmod(acc, row[i])
+        row = upper[i]
+        acc = scale * row[-1]
+        for j in range(1, min(len(row) - 1, n - i)):
+            acc -= row[j] * scaled[i + j]
+        scaled[i], remainder = divmod(acc, row[0])
         if remainder:
             raise ConsistencyError("back-substitution left a remainder")
     return [Fraction(value, scale) for value in scaled]

@@ -34,7 +34,7 @@ from mpmath import mp
 
 from . import fractionfree
 from .errors import ConsistencyError, ParameterError, PrecisionError
-from .graphs import GraphSpec, build_laplacian, check_ell, fold_order
+from .graphs import GraphSpec, build_laplacian, check_ell
 from .recurrences import correction_ratio, correction_ratios, full_index_ratio
 from .spectral import (
     _GUARD_BITS,
@@ -94,14 +94,14 @@ def hit_exact_all(spec: GraphSpec) -> tuple[Fraction, ...]:
 
     Deleting the target row and column of the Laplacian leaves a positive
     definite integer system with right-hand side 2k; its unique solution is
-    the hitting-time vector.  The system is solved in folded vertex order,
-    where it is banded, and the solution is put back in vertex order.
+    the hitting-time vector.  The system is solved on band rows in fold
+    order, and the solution is put back in vertex order.
     """
-    reduced = build_laplacian(spec).delete_row_col(0)
-    folded = fractionfree.solve(reduced.folded().rows, [spec.degree] * (spec.n - 1))
+    order, rows = build_laplacian(spec, (0,))
+    values = fractionfree.solve(rows, [spec.degree] * len(rows))
     solution = [Fraction(0)] * spec.n
-    for position, index in enumerate(fold_order(reduced.size)):
-        solution[index + 1] = folded[position]
+    for vertex, value in zip(order, values):
+        solution[vertex] = value
     return tuple(solution)
 
 

@@ -40,7 +40,7 @@ from .arboreal import (
     tau_product,
 )
 from .errors import ParameterError
-from .graphs import GraphSpec, build_laplacian, contract_vertices
+from .graphs import GraphSpec, build_laplacian
 from .hitting import (
     cosine_table,
     hit_closed_all,
@@ -182,15 +182,28 @@ def _rel(a, b) -> float:
     return float(abs(a - b) / max(1, abs(a), abs(b)))
 
 
+def _adjacent(spec: GraphSpec, u: int, v: int) -> int:
+    """1 if u and v are joined (cyclic distance 1..k), else 0."""
+    distance = (u - v) % spec.n
+    return int(1 <= min(distance, spec.n - distance) <= spec.k)
+
+
 @_check("laplacian-structure", "row sums 0, symmetric, diagonal 2k, trace 2nk")
 def _laplacian_structure(kmax, nmax, bits):
     for spec in _specs(kmax, nmax):
-        lap = build_laplacian(spec)
+        _, rows = build_laplacian(spec)
+        n, b = len(rows), len(rows[0]) // 2
+        # Entry (i, i+d) sits at rows[i][b+d]; off the matrix it must be 0.
+        symmetric = all(
+            row[b + d] == (rows[i + d][b - d] if 0 <= i + d < n else 0)
+            for i, row in enumerate(rows)
+            for d in range(-b, b + 1)
+        )
         deviation = max(
-            max(abs(s) for s in lap.row_sums()),
-            0 if lap.is_symmetric() else 1,
-            max(abs(lap[i, i] - spec.degree) for i in range(spec.n)),
-            abs(lap.trace() - 2 * spec.num_edges),
+            max(abs(sum(row)) for row in rows),
+            0 if symmetric else 1,
+            max(abs(row[b] - spec.degree) for row in rows),
+            abs(sum(row[b] for row in rows) - 2 * spec.num_edges),
         )
         yield float(deviation), f"(n={spec.n}, k={spec.k})"
 
@@ -200,12 +213,16 @@ def _laplacian_structure(kmax, nmax, bits):
 )
 def _contraction_structure(kmax, nmax, bits):
     for spec in _specs(kmax, nmax):
-        lap = build_laplacian(spec)
         for ell in range(1, spec.n):
-            contracted = contract_vertices(lap, 0, ell)
-            deviation = max(
-                max(abs(s) for s in contracted.row_sums()), abs(contracted.total())
-            )
+            # The contracted Laplacian is the Laplacian with 0 and ell
+            # deleted, bordered by the merged vertex: each other vertex has
+            # its edges into {0, ell} there, from cyclic distances.
+            order, rows = build_laplacian(spec, (0, ell))
+            border = [_adjacent(spec, v, 0) + _adjacent(spec, v, ell) for v in order]
+            merged_diagonal = 2 * spec.degree - 2 * _adjacent(spec, 0, ell)
+            row_sums = [merged_diagonal - sum(border)]
+            row_sums += [sum(row) - edges for row, edges in zip(rows, border)]
+            deviation = max(max(map(abs, row_sums)), abs(sum(row_sums)))
             yield float(deviation), f"(n={spec.n}, k={spec.k}, ell={ell})"
 
 

@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's own code paths: spanning trees and
 forests are counted by brute-force subset enumeration, linear systems are
-solved by plain Gaussian elimination over Fractions, Fibonacci numbers
-come from the integer recurrence, and simulated walks run one at a time, each
-from its own numpy Philox generator.
+solved by plain Gaussian elimination over Fractions, Laplacians are dense
+matrices that are deleted, contracted and folded entry by entry and only
+then cut to band rows, Fibonacci numbers come from the integer recurrence,
+and simulated walks run one at a time, each from its own numpy Philox
+generator.
 """
 
 from __future__ import annotations
@@ -72,6 +74,67 @@ def permutation_determinant(rows) -> int:
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def dense_laplacian(n: int, k: int) -> list[list[int]]:
+    """Circulant Laplacian of the distance-k power of the n-cycle, one edge
+    end at a time."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for r in range(1, k + 1):
+            for j in ((i + r) % n, (i - r) % n):
+                rows[i][j] -= 1
+                rows[i][i] += 1
+    return rows
+
+
+def contract(rows, u: int, v: int) -> list[list[int]]:
+    """Laplacian of the multigraph with u and v identified.
+
+    Row and column v are added into u's, which turns the u-v edges into
+    diagonal weight that cancels; the merged vertex keeps u's index and v's
+    row and column are dropped.
+    """
+    n = len(rows)
+    work = [list(row) for row in rows]
+    for j in range(n):
+        work[u][j] += work[v][j]
+    for i in range(n):
+        work[i][u] += work[i][v]
+    keep = [i for i in range(n) if i != v]
+    return [[work[i][j] for j in keep] for i in keep]
+
+
+def fold_order(n: int) -> list[int]:
+    """0, n-1, 1, n-2, ...: both ends inward."""
+    return [v for pair in zip(range(n), range(n - 1, -1, -1)) for v in pair][:n]
+
+
+def to_band(rows, b: int | None = None) -> list[list[int]]:
+    """Band rows of a dense square matrix: row i holds columns i-b..i+b,
+    zero off the matrix.  b defaults to the largest distance of a nonzero
+    from the diagonal; a nonzero outside a given b raises ValueError."""
+    n = len(rows)
+    widest = max(
+        (abs(i - j) for i, row in enumerate(rows) for j, x in enumerate(row) if x),
+        default=0,
+    )
+    if b is None:
+        b = widest
+    elif widest > b:
+        raise ValueError(f"a nonzero lies {widest} from the diagonal, beyond {b}")
+    return [
+        [rows[i][j] if 0 <= j < n else 0 for j in range(i - b, i + b + 1)]
+        for i in range(n)
+    ]
+
+
+def reference_band(n: int, k: int, removed=()) -> tuple[list[int], list[list[int]]]:
+    """(vertex order, band rows) of the dense Laplacian with `removed`
+    deleted and the rest taken in fold order, at half-width 2k."""
+    dense = dense_laplacian(n, k)
+    order = [v for v in fold_order(n) if v not in removed]
+    return order, to_band([[dense[u][v] for v in order] for u in order], 2 * k)
 
 
 def edges_from_laplacian(rows) -> list[tuple[int, int]]:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from cyclepow import (
     tau_product,
 )
 from cyclepow.arboreal import nearest_integer
-from cyclepow.graphs import build_laplacian
 from cyclepow.hitting import hit_exact_all
 
 from cyclepow import arboreal
@@ -30,6 +30,7 @@ from cyclepow import arboreal
 from oracles import (
     count_separating_forests,
     count_spanning_trees,
+    dense_laplacian,
     edges_from_laplacian,
     fibonacci,
 )
@@ -59,9 +60,21 @@ def test_exact_counts_at_n_1000():
 @given(specs(max_k=2, max_n=8))
 @settings(max_examples=20, deadline=None)
 def test_tau_det_against_brute_force(spec):
-    lap = build_laplacian(spec)
-    edges = edges_from_laplacian(lap.rows)
+    edges = edges_from_laplacian(dense_laplacian(spec.n, spec.k))
     assert tau_det(spec) == count_spanning_trees(spec.n, edges)
+
+
+@pytest.mark.parametrize("route", [tau_det, hit_exact_all], ids=lambda f: f.__name__)
+def test_exact_routes_use_band_memory(route):
+    # Band rows take O(N * k) integers where an N x N matrix took ~26 MB here.
+    hit_exact_all.cache_clear()
+    tracemalloc.start()
+    try:
+        route(GraphSpec(1000, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_tau_eigen_examples():
@@ -122,7 +135,7 @@ def test_forests_examples():
 
 def test_forests_against_brute_force():
     for spec, ell in ((GraphSpec(6, 1), 3), (GraphSpec(5, 2), 1), (GraphSpec(7, 1), 2)):
-        edges = edges_from_laplacian(build_laplacian(spec).rows)
+        edges = edges_from_laplacian(dense_laplacian(spec.n, spec.k))
         assert forests(spec, ell) == count_separating_forests(
             spec.n, edges, 0, ell
         )

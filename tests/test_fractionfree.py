@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from cyclepow.errors import ConsistencyError
 from cyclepow.fractionfree import determinant, solve
 
-from oracles import gauss_solve, permutation_determinant
+from oracles import gauss_solve, permutation_determinant, to_band
 
 
 @st.composite
@@ -40,7 +40,7 @@ def square_matrices(max_size=5, lo=-6, hi=6):
 @given(square_matrices())
 @settings(max_examples=150, deadline=None)
 def test_determinant_matches_permanent_formula(rows):
-    assert determinant(rows) == permutation_determinant(rows)
+    assert determinant(to_band(rows)) == permutation_determinant(rows)
 
 
 @given(banded_matrices())
@@ -49,7 +49,7 @@ def test_determinant_matches_permanent_formula(rows):
 @example([[0, 1, 0], [1, 0, 1], [0, 1, 0]])  # singular after a swap
 @settings(max_examples=200, deadline=None)
 def test_banded_determinant_matches_permanent_formula(rows):
-    assert determinant(rows) == permutation_determinant(rows)
+    assert determinant(to_band(rows)) == permutation_determinant(rows)
 
 
 def banded_systems(max_size=12):
@@ -70,20 +70,20 @@ def test_banded_solve_matches_plain_gaussian_elimination(system):
         expected = gauss_solve(rows, rhs)
     except ZeroDivisionError:
         with pytest.raises(ConsistencyError):
-            solve(rows, rhs)
+            solve(to_band(rows), rhs)
     else:
-        assert solve(rows, rhs) == expected
+        assert solve(to_band(rows), rhs) == expected
 
 
 def test_determinant_empty_and_singular():
-    assert determinant([]) == 1
-    assert determinant([[0, 0], [0, 0]]) == 0
-    assert determinant([[1, 2], [2, 4]]) == 0
+    assert determinant(to_band([])) == 1
+    assert determinant(to_band([[0, 0], [0, 0]])) == 0
+    assert determinant(to_band([[1, 2], [2, 4]])) == 0
 
 
 def test_determinant_needs_pivot_swap():
-    assert determinant([[0, 1], [1, 0]]) == -1
-    assert determinant([[0, 2, 1], [3, 0, 0], [0, 0, 1]]) == -6
+    assert determinant(to_band([[0, 1], [1, 0]])) == -1
+    assert determinant(to_band([[0, 2, 1], [3, 0, 0], [0, 0, 1]])) == -6
 
 
 @given(square_matrices(max_size=4))
@@ -91,24 +91,32 @@ def test_determinant_needs_pivot_swap():
 def test_solve_matches_plain_gaussian_elimination(rows):
     n = len(rows)
     rhs = list(range(1, n + 1))
-    if determinant(rows) == 0:
+    if determinant(to_band(rows)) == 0:
         with pytest.raises(ConsistencyError):
-            solve(rows, rhs)
+            solve(to_band(rows), rhs)
     else:
-        assert solve(rows, rhs) == gauss_solve(rows, rhs)
+        assert solve(to_band(rows), rhs) == gauss_solve(rows, rhs)
 
 
 def test_solve_simple_system():
     # 2x + y = 5, x - y = 1  ->  x = 2, y = 1
-    assert solve([[2, 1], [1, -1]], [5, 1]) == [Fraction(2), Fraction(1)]
+    assert solve(to_band([[2, 1], [1, -1]]), [5, 1]) == [Fraction(2), Fraction(1)]
 
 
 def test_solve_rejects_mismatched_rhs():
     with pytest.raises(ConsistencyError):
-        solve([[1, 0], [0, 1]], [1])
+        solve(to_band([[1, 0], [0, 1]]), [1])
 
 
 def test_solve_empty_system():
     assert solve([], []) == []
     with pytest.raises(ConsistencyError):
         solve([], [1])
+
+
+def test_band_rows_must_share_one_odd_length():
+    for rows in ([[0, 1, 0], [1, 0]], [[1, 0], [0, 1]]):
+        with pytest.raises(ConsistencyError):
+            determinant(rows)
+        with pytest.raises(ConsistencyError):
+            solve(rows, [1, 1])

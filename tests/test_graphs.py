@@ -1,14 +1,13 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclepow import GraphSpec, ParameterError
-from cyclepow.graphs import IntMatrix, build_laplacian, contract_vertices
-from cyclepow.fractionfree import determinant
-from cyclepow.graphs import check_ell, fold_order
+from cyclepow import ConsistencyError, GraphSpec, ParameterError, graphs
+from cyclepow.arboreal import tau_contracted
+from cyclepow.graphs import build_laplacian, check_ell, fold_order
 
-from oracles import count_spanning_trees, edges_from_laplacian
+import oracles
+from oracles import count_spanning_trees, edges_from_laplacian, reference_band
 
 
 def specs(max_k=6, max_n=40):
@@ -18,20 +17,41 @@ def specs(max_k=6, max_n=40):
 
 
 def test_triangle_laplacian():
-    lap = build_laplacian(GraphSpec(3, 1))
-    assert lap.rows == ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+    order, rows = build_laplacian(GraphSpec(3, 1))
+    assert order == (0, 2, 1)
+    # half-width 2: row i holds columns i-2..i+2
+    assert rows == ((0, 0, 2, -1, -1), (0, -1, 2, -1, 0), (-1, -1, 2, 0, 0))
 
 
 def test_complete_graph_laplacian():
-    lap = build_laplacian(GraphSpec(5, 2))
+    order, rows = build_laplacian(GraphSpec(5, 2))
+    assert order == (0, 4, 1, 3, 2)
     assert all(
-        lap[i, j] == (4 if i == j else -1) for i in range(5) for j in range(5)
+        rows[i][4 + j - i] == (4 if i == j else -1) for i in range(5) for j in range(5)
     )
 
 
 def test_n6_k2_first_row():
-    lap = build_laplacian(GraphSpec(6, 2))
-    assert lap.rows[0] == (4, -1, -1, 0, -1, -1)
+    order, rows = build_laplacian(GraphSpec(6, 2))
+    # positions 0..4 hold vertices 0, 5, 1, 4, 2; vertex 3 is not a neighbour
+    assert order[:5] == (0, 5, 1, 4, 2)
+    assert rows[0] == (0, 0, 0, 0, 4, -1, -1, -1, -1)
+
+
+def test_removed_vertices_are_skipped():
+    order, rows = build_laplacian(GraphSpec(7, 1), (0, 3))
+    assert order == (6, 1, 5, 2, 4)
+    assert [row[2] for row in rows] == [2] * 5
+    assert sum(map(sum, rows)) == 4  # one per edge end at 0 or 3 gone
+    with pytest.raises(ParameterError):
+        build_laplacian(GraphSpec(7, 1), (7,))
+
+
+def test_neighbour_outside_the_band_raises(monkeypatch):
+    # In vertex order 0..n-1 the wrap-around edge 0 -- n-1 spans the matrix.
+    monkeypatch.setattr(graphs, "fold_order", lambda size: tuple(range(size)))
+    with pytest.raises(ConsistencyError):
+        build_laplacian(GraphSpec(9, 1))
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (2, 1), (3, 0)])
@@ -49,111 +69,72 @@ def test_degree_and_edge_count():
 @given(specs())
 @settings(max_examples=60, deadline=None)
 def test_laplacian_invariants(spec):
-    lap = build_laplacian(spec)
-    assert all(s == 0 for s in lap.row_sums())
-    assert lap.is_symmetric()
-    assert all(lap[i, i] == spec.degree for i in range(spec.n))
-    assert lap.trace() == 2 * spec.num_edges
+    _, rows = build_laplacian(spec)
+    b = 2 * spec.k
+    assert all(sum(row) == 0 for row in rows)
+    assert all(
+        row[b + d] == rows[i + d][b - d]
+        for i, row in enumerate(rows)
+        for d in range(-b, b + 1)
+        if 0 <= i + d < spec.n
+    )
+    assert all(row[b] == spec.degree for row in rows)
+    assert sum(row[b] for row in rows) == 2 * spec.num_edges
 
 
 def test_contract_triangle_to_doubled_edge():
-    lap = build_laplacian(GraphSpec(3, 1))
-    merged = contract_vertices(lap, 0, 1)
-    assert merged.rows == ((2, -2), (-2, 2))
+    merged = oracles.contract(oracles.dense_laplacian(3, 1), 0, 1)
+    assert merged == [[2, -2], [-2, 2]]
+    assert tau_contracted(GraphSpec(3, 1), 1) == 2
 
 
 def test_contract_k5_reduced_determinant():
-    lap = build_laplacian(GraphSpec(5, 2))
-    merged = contract_vertices(lap, 0, 2)
-    assert merged.size == 4
-    assert merged[0, 0] == 6
-    assert determinant(merged.delete_row_col(0).rows) == 50
+    assert tau_contracted(GraphSpec(5, 2), 2) == 50
 
 
 def test_contract_c6_opposite_vertices_brute_force():
     # contracting opposite vertices of the 6-cycle makes two triangles
     # sharing a vertex: 3 * 3 spanning trees
-    lap = build_laplacian(GraphSpec(6, 1))
-    merged = contract_vertices(lap, 0, 3)
-    edges = edges_from_laplacian(merged.rows)
-    assert count_spanning_trees(merged.size, edges) == 9
-    assert determinant(merged.delete_row_col(0).rows) == 9
+    merged = oracles.contract(oracles.dense_laplacian(6, 1), 0, 3)
+    assert count_spanning_trees(5, edges_from_laplacian(merged)) == 9
+    assert tau_contracted(GraphSpec(6, 1), 3) == 9
 
 
 def test_contract_rejects_bad_vertices():
-    lap = build_laplacian(GraphSpec(5, 1))
-    with pytest.raises(ParameterError):
-        contract_vertices(lap, 2, 2)
-    with pytest.raises(ParameterError):
-        contract_vertices(lap, 0, 5)
+    for ell in (0, 5):
+        with pytest.raises(ParameterError):
+            tau_contracted(GraphSpec(5, 1), ell)
 
 
-@given(specs(max_k=4, max_n=20), st.data())
+@pytest.mark.parametrize(
+    "spec",
+    [GraphSpec(n, k) for k in (1, 2) for n in range(2 * k + 1, 9)],
+    ids=str,
+)
+def test_contracted_tree_counts_against_brute_force(spec):
+    lap = oracles.dense_laplacian(spec.n, spec.k)
+    for ell in range(1, spec.n):
+        edges = edges_from_laplacian(oracles.contract(lap, 0, ell))
+        assert tau_contracted(spec, ell) == count_spanning_trees(spec.n - 1, edges)
+
+
+@given(specs(max_k=8, max_n=200), st.data())
 @settings(max_examples=60, deadline=None)
-def test_contraction_invariants(spec, data):
-    ell = data.draw(st.integers(1, spec.n - 1))
-    merged = contract_vertices(build_laplacian(spec), 0, ell)
-    assert merged.size == spec.n - 1
-    assert all(s == 0 for s in merged.row_sums())
-    assert merged.total() == 0
-    assert merged.is_symmetric()
-
-
-def half_bandwidths(rows):
-    """(lower, upper): largest distance of a nonzero below/above the diagonal."""
-    offsets = [j - i for i, row in enumerate(rows) for j, x in enumerate(row) if x]
-    return max(0, -min(offsets)), max(0, max(offsets))
-
-
-@given(specs(), st.data())
-@settings(max_examples=60, deadline=None)
-def test_folded_laplacians_are_banded(spec, data):
-    lap = build_laplacian(spec)
-    ell = data.draw(st.integers(1, spec.n - 1))
-    reduced = lap.delete_row_col(0)
-    contracted = contract_vertices(lap, 0, ell).delete_row_col(0)
-    for matrix in (reduced, contracted):
-        folded = matrix.folded()
-        assert max(half_bandwidths(folded.rows)) <= 2 * spec.k
-        assert determinant(folded.rows) == determinant(matrix.rows)
+def test_band_rows_equal_the_dense_construction(spec, data):
+    n, k = spec.n, spec.k
+    if n <= 40:
+        ell = data.draw(st.integers(1, n - 1))
+    else:
+        ell = data.draw(st.sampled_from([1, 2, k, n // 2, n - 1]))
+    for removed in ((), (0,), (0, ell)):
+        order, rows = build_laplacian(spec, removed)
+        assert (list(order), list(map(list, rows))) == reference_band(n, k, removed)
 
 
 def test_fold_order_from_both_ends():
     assert fold_order(6) == (0, 5, 1, 4, 2, 3)
     assert fold_order(5) == (0, 4, 1, 3, 2)
     assert fold_order(1) == (0,)
-
-
-def test_int_matrix_must_be_square():
-    with pytest.raises(ParameterError):
-        IntMatrix(((1, 2), (3,)))
-
-
-def test_int_matrix_constructor_converts_entries():
-    matrix = IntMatrix([[True, np.int64(-2)], (3.0, "4")])
-    assert matrix.rows == ((1, -2), (3, 4))
-    assert all(type(x) is int for row in matrix.rows for x in row)
-
-
-@given(specs(max_k=4, max_n=16), st.data())
-@settings(max_examples=30, deadline=None)
-def test_derived_matrices_equal_their_validated_construction(spec, data):
-    ell = data.draw(st.integers(1, spec.n - 1))
-    lap = build_laplacian(spec)
-    derived = [
-        lap,
-        lap.delete_row_col(0),
-        lap.delete_row_col(0).folded(),
-        contract_vertices(lap, 0, ell),
-        contract_vertices(lap, 0, ell).delete_row_col(0).folded(),
-    ]
-    for matrix in derived:
-        assert matrix == IntMatrix(matrix.rows)
-        assert type(matrix.rows) is tuple
-        assert all(type(row) is tuple for row in matrix.rows)
-        assert all(type(x) is int for row in matrix.rows for x in row)
-        assert all(len(row) == matrix.size for row in matrix.rows)
-    assert determinant(derived[2].rows) == determinant(derived[1].rows)
 
 
 def test_check_ell_bounds_and_message():
