@@ -79,15 +79,20 @@ def tau_eigen(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
 
     The nonzero Laplacian eigenvalues are the values of the symbol phi_k at
     2*cos(2*pi*j/n); their product over j = 1..n-1, divided by n, counts
-    spanning trees.
+    spanning trees.  Mode j and mode n - j share a value, so phi_k is
+    evaluated only at j <= n/2: the product is (prod_{1<=j<n/2} v_j)^2 *
+    v_(n/2), the middle factor present for even n only.
     """
     n = spec.n
     phi = build_phi(spec.k)
     cosines = cosine_table(n, precision_bits)
     with mp.workprec(precision_bits + _GUARD_BITS):
         product = mp.mpf(1)
-        for j in range(1, n):
+        for j in range(1, (n + 1) // 2):
             product *= eval_poly(phi, 2 * cosines[j])
+        product *= product
+        if n % 2 == 0:
+            product *= eval_poly(phi, 2 * cosines[n // 2])
         return product / n
 
 

@@ -66,19 +66,42 @@ GENERATOR_ID = "numpy.random.Philox4x64(key=(seed,walk))"
 
 @lru_cache(maxsize=None)
 def cosine_table(n: int, precision_bits: int):
-    """cos(2*pi*m/n) for m = 0..n-1 at the requested precision."""
+    """cos(2*pi*m/n) for m = 0..n-1 at the requested precision.
+
+    Only one octant is evaluated when 4 | n: mp.cospi_sinpi at m <= n/8
+    gives c_m and, as sin(2*pi*m/n), c_(n/4-m).  Other even n evaluate
+    mp.cospi at m <= n/4, odd n at m <= (n-1)/2.  The rest is copied exactly:
+    c_(n/2-m) = -c_m for even n, then c_(n-m) = c_m.
+    """
+    half = [None] * (n // 2 + 1)
     with mp.workprec(precision_bits + _GUARD_BITS):
-        return tuple(mp.cospi(mp.mpf(2 * m) / n) for m in range(n))
+        if n % 4 == 0:
+            quarter = n // 4
+            for m in range(n // 8 + 1):
+                cos, sin = mp.cospi_sinpi(mp.mpf(2 * m) / n)
+                half[quarter - m] = sin
+                half[m] = cos
+        else:
+            for m in range((n // 2 if n % 2 else n // 4) + 1):
+                half[m] = mp.cospi(mp.mpf(2 * m) / n)
+        if n % 2 == 0:
+            for m in range(n // 4 + 1, n // 2 + 1):
+                half[m] = -half[n // 2 - m]
+    return tuple(half + [half[n - m] for m in range(n // 2 + 1, n)])
 
 
 @lru_cache(maxsize=None)
 def _eigenvalue_table(n: int, k: int, precision_bits: int):
+    """lambda_j = 2k - 2*sum_r c_(jr mod n), the k cosines added by mp.fsum,
+    for j <= n/2 only; the table's exact mirror makes lambda_(n-j) the same
+    sum, so it is copied."""
     cosines = cosine_table(n, precision_bits)
     with mp.workprec(precision_bits + _GUARD_BITS):
-        return tuple(
-            2 * k - 2 * sum(cosines[(j * r) % n] for r in range(1, k + 1))
-            for j in range(n)
-        )
+        half = [
+            2 * k - 2 * mp.fsum(cosines[(j * r) % n] for r in range(1, k + 1))
+            for j in range(n // 2 + 1)
+        ]
+    return tuple(half + [half[n - m] for m in range(n // 2 + 1, n)])
 
 
 def laplacian_eigenvalues(
@@ -114,7 +137,12 @@ def hit_exact(spec: GraphSpec, ell: int) -> Fraction:
 def hit_spectral(
     spec: GraphSpec, ell: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ):
-    """The (n-1)-term eigenvalue sum 2k * sum_j (1 - cos(2 pi j ell / n)) / lambda_j."""
+    """The eigenvalue sum 2k * sum_j (1 - cos(2 pi j ell / n)) / lambda_j.
+
+    Term j equals term n - j, so the sum is 2k * (2 * sum_{1<=j<n/2} t_j +
+    t_(n/2)), the middle term present for even n only; the t_j with j < n/2
+    are added by mp.fsum.
+    """
     check_ell(spec, ell)
     if ell == 0:
         return mp.mpf(0)
@@ -122,16 +150,17 @@ def hit_spectral(
     cosines = cosine_table(n, precision_bits)
     eigenvalues = _eigenvalue_table(n, spec.k, precision_bits)
     with mp.workprec(precision_bits + _GUARD_BITS):
-        total = mp.mpf(0)
-        for j in range(1, n):
+        terms = []
+        for j in range(1, n // 2 + 1):
             lam = eigenvalues[j]
             if lam <= 0:
                 raise ConsistencyError(
                     "nonpositive Laplacian eigenvalue; the spectrum must be "
                     "positive away from the constant mode"
                 )
-            total += (1 - cosines[(j * ell) % n]) / lam
-        return spec.degree * total
+            terms.append((1 - cosines[(j * ell) % n]) / lam)
+        middle = terms.pop() if n % 2 == 0 else 0
+        return spec.degree * (2 * mp.fsum(terms) + middle)
 
 
 def _quadratic_term(sf: SpectralFactorization, spec: GraphSpec, ell: int) -> Fraction:

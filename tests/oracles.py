@@ -5,8 +5,9 @@ forests are counted by brute-force subset enumeration, linear systems are
 solved by plain Gaussian elimination over Fractions, Laplacians are dense
 matrices that are deleted, contracted and folded entry by entry and only
 then cut to band rows, Fibonacci numbers come from the integer recurrence,
-and simulated walks run one at a time, each from its own numpy Philox
-generator.
+simulated walks run one at a time, each from its own numpy Philox
+generator, and spectral sums and products run over every Fourier mode with
+one mp.cospi call per cosine.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from mpmath import mp
 
 
 def fibonacci(n: int) -> int:
@@ -225,3 +227,34 @@ def simulate_reference(spec, ell: int, walks: int, seed: int) -> tuple[float, fl
     if walks == 1:
         return float(times.mean()), 0.0
     return float(times.mean()), float(times.std(ddof=1) / math.sqrt(walks))
+
+
+def unfolded_eigenvalues(n: int, k: int) -> list:
+    """2k - 2 sum_r cos(2 pi j r / n) for every j, each cosine its own
+    mp.cospi call at the current working precision."""
+    return [
+        2 * k
+        - 2 * sum(mp.cospi(mp.mpf(2 * (j * r % n)) / n) for r in range(1, k + 1))
+        for j in range(n)
+    ]
+
+
+def spectral_sum_reference(n: int, k: int, ell: int, precision_bits: int):
+    """2k * sum_{j=1..n-1} (1 - cos(2 pi j ell / n)) / lambda_j, every term
+    summed in order, at precision_bits + 32."""
+    with mp.workprec(precision_bits + 32):
+        eigenvalues = unfolded_eigenvalues(n, k)
+        total = mp.mpf(0)
+        for j in range(1, n):
+            total += (1 - mp.cospi(mp.mpf(2 * (j * ell % n)) / n)) / eigenvalues[j]
+        return 2 * k * total
+
+
+def eigen_product_reference(n: int, k: int, precision_bits: int):
+    """Matrix-tree count prod_{j=1..n-1} lambda_j / n over every nonzero mode,
+    at precision_bits + 32."""
+    with mp.workprec(precision_bits + 32):
+        product = mp.mpf(1)
+        for lam in unfolded_eigenvalues(n, k)[1:]:
+            product *= lam
+        return product / n

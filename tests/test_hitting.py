@@ -8,6 +8,7 @@ from mpmath import mp
 
 from cyclepow import (
     GraphSpec,
+    tau_eigen,
     ParameterError,
     PrecisionError,
     SimulationBudgetError,
@@ -18,16 +19,20 @@ from cyclepow import (
     hit_simulate,
     hit_spectral,
 )
-from cyclepow.hitting import hit_exact_all, laplacian_eigenvalues
+from cyclepow.hitting import cosine_table, hit_exact_all, laplacian_eigenvalues
+from cyclepow.spectral import residual_tolerance
 from cyclepow.recurrences import full_index_ratio
 
 from cyclepow import _philox, hitting
 from oracles import (
     dense_laplacian,
+    eigen_product_reference,
     fibonacci,
     gauss_solve,
     reference_walk_times,
     simulate_reference,
+    spectral_sum_reference,
+    unfolded_eigenvalues,
 )
 
 
@@ -90,6 +95,84 @@ def test_eigenvalues_positive_away_from_constant_mode():
     eigenvalues = laplacian_eigenvalues(GraphSpec(12, 3), 128)
     assert eigenvalues[0] == 0
     assert all(lam > 0 for lam in eigenvalues[1:])
+
+
+# Every residue of n mod 8, small and large.
+TABLE_SIZES = [*range(3, 71), 97, 98, 100, 104, 1000, 1001, 1002, 1003, 1004, 4096]
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_cosine_table_is_within_guard_bits_of_each_cosine(bits):
+    tolerance = 8 * mp.mpf(2) ** -(bits + 32)
+    for n in TABLE_SIZES:
+        table = cosine_table(n, bits)
+        assert len(table) == n
+        with mp.workprec(bits + 96):
+            for m, value in enumerate(table):
+                assert abs(value - mp.cospi(mp.mpf(2 * m) / n)) <= tolerance, (n, m)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_cosine_table_mirrors_exactly(bits):
+    for n in TABLE_SIZES:
+        table = cosine_table(n, bits)
+        assert table[0] == 1
+        for m in range(1, n):
+            assert table[m] == table[n - m], (n, m)
+        if n % 2 == 0:
+            for m in range(n // 2 + 1):
+                assert table[n // 2 - m] == mp.fneg(table[m], exact=True), (n, m)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_eigenvalues_match_the_unfolded_sum(bits):
+    for n in [*range(3, 20), 97, 98, 100, 104]:
+        for k in range(1, min(4, (n - 1) // 2) + 1):
+            eigenvalues = laplacian_eigenvalues(GraphSpec(n, k), bits)
+            tolerance = 32 * k * mp.mpf(2) ** -(bits + 32)
+            with mp.workprec(bits + 96):
+                expected = unfolded_eigenvalues(n, k)
+            assert len(eigenvalues) == n
+            for j in range(n):
+                assert abs(eigenvalues[j] - expected[j]) <= tolerance, (n, k, j)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_folded_spectral_sum_and_product_match_unfolded_references(bits):
+    tolerance = residual_tolerance(bits)
+    for n in [*range(3, 20), 97, 98, 100, 104]:
+        for k in range(1, min(4, (n - 1) // 2) + 1):
+            spec = GraphSpec(n, k)
+            for ell in sorted({1, 2, n // 3, n // 2, n - 1}):
+                expected = spectral_sum_reference(n, k, ell, bits)
+                value = hit_spectral(spec, ell, bits)
+                assert abs(value - expected) <= tolerance * expected, (n, k, ell)
+            expected = eigen_product_reference(n, k, bits)
+            value = tau_eigen(spec, bits)
+            assert abs(value - expected) <= tolerance * expected, (n, k)
+
+
+def test_tables_evaluate_only_the_unmirrored_cosines(monkeypatch):
+    calls = []
+    for name in ("cospi", "cospi_sinpi"):
+        original = getattr(mp, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mp, name, counted)
+    # One octant, one quarter and one half period of mp calls.
+    limits = {4096: 4096 // 8 + 1, 4098: 4098 // 4 + 1, 4097: 4097 // 2 + 1}
+    for n, limit in limits.items():
+        hitting.cosine_table.cache_clear()
+        hitting._eigenvalue_table.cache_clear()
+        calls.clear()
+        hitting.cosine_table(n, 64)
+        assert 0 < len(calls) <= limit, n
+        calls.clear()
+        hit_spectral(GraphSpec(n, 3), n // 3, 64)
+        assert calls == [], n
 
 
 def test_spectral_examples():
