@@ -13,7 +13,14 @@ reached by stepping the recurrence through every index.
 `# wall_time_s` line, and `data/sweep_golden.json` the files `sweep` writes
 for every quantity in csv and json, both recorded before the per-graph and
 per-factor work of `verify` and `sweep` was hoisted out of their loops over
-ell.
+ell.  The verify file was re-recorded once, when the cosine table came to be
+evaluated on one octant and mirrored and the spectral sum and eigenvalue
+product folded over the half period: that moves only rounding in the guard
+bits, so only the `worst` value and its location changed, in the
+discrete-quadratic-identity, resolvent-periodization,
+cycle-eigenvalue-product and hitting-oracle-spectral rows and the 512-bit
+tree-triple-agreement row (residues near 1e-86 at 256 bits and 1e-162 at
+512 bits).  Case counts, thresholds and statuses stayed the same.
 
 `data/trees_golden.json` holds `trees` output in json, csv and text (the
 text without its `# wall_time_s` line) for a few small graphs with and
