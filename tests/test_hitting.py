@@ -8,7 +8,6 @@ from mpmath import mp
 
 from cyclepow import (
     GraphSpec,
-    tau_eigen,
     ParameterError,
     PrecisionError,
     SimulationBudgetError,
@@ -18,10 +17,11 @@ from cyclepow import (
     hit_exact,
     hit_simulate,
     hit_spectral,
+    tau_eigen,
 )
 from cyclepow.hitting import cosine_table, hit_exact_all, laplacian_eigenvalues
-from cyclepow.spectral import residual_tolerance
 from cyclepow.recurrences import full_index_ratio
+from cyclepow.spectral import residual_tolerance
 
 from cyclepow import _philox, hitting
 from oracles import (
