@@ -91,10 +91,16 @@ def cosine_table(n: int, precision_bits: int):
 
 
 @lru_cache(maxsize=None)
-def _eigenvalue_table(n: int, k: int, precision_bits: int):
-    """lambda_j = 2k - 2*sum_r c_(jr mod n), the k cosines added by mp.fsum,
-    for j <= n/2 only; the table's exact mirror makes lambda_(n-j) the same
-    sum, so it is copied."""
+def laplacian_eigenvalues(
+    spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS
+):
+    """Eigenvalues lambda_j = 2k - 2*sum_r cos(2*pi*j*r/n) for j = 0..n-1.
+
+    The k cosines c_(jr mod n) are added by mp.fsum for j <= n/2 only; the
+    cosine table's exact mirror makes lambda_(n-j) the same sum, so it is
+    copied.
+    """
+    n, k = spec.n, spec.k
     cosines = cosine_table(n, precision_bits)
     with mp.workprec(precision_bits + _GUARD_BITS):
         half = [
@@ -102,13 +108,6 @@ def _eigenvalue_table(n: int, k: int, precision_bits: int):
             for j in range(n // 2 + 1)
         ]
     return tuple(half + [half[n - m] for m in range(n // 2 + 1, n)])
-
-
-def laplacian_eigenvalues(
-    spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS
-):
-    """Eigenvalues 2k - 2*sum_r cos(2*pi*j*r/n) for j = 0..n-1."""
-    return _eigenvalue_table(spec.n, spec.k, precision_bits)
 
 
 @lru_cache(maxsize=512)
@@ -148,7 +147,7 @@ def hit_spectral(
         return mp.mpf(0)
     n = spec.n
     cosines = cosine_table(n, precision_bits)
-    eigenvalues = _eigenvalue_table(n, spec.k, precision_bits)
+    eigenvalues = laplacian_eigenvalues(spec, precision_bits)
     with mp.workprec(precision_bits + _GUARD_BITS):
         terms = []
         for j in range(1, n // 2 + 1):

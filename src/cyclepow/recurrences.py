@@ -13,7 +13,8 @@ The geometric correction ratio that enters the closed-form hitting time,
     (1 - rho^ell)(1 - rho^(N-ell)) / ((1/rho - rho)(1 - rho^N)),
 
 equals W_ell * W_{N-ell} / (delta * W_N) for the half-index sequence W, for
-either choice of sigma.  The analogous full-index ratio V_ell * V_{N-ell} /
+either choice of sigma: -sigma negates delta and every even-index W_n
+exactly, so the principal root is the only one taken.  The analogous full-index ratio V_ell * V_{N-ell} /
 V_N does NOT reproduce it (off by more than a unit already at N=6, k=2), so
 the exponential and half-index forms are the trusted evaluation paths and the
 full-index ratio is kept only for erratum reporting.  The exponential form is
@@ -33,8 +34,6 @@ agree to within a few units in the last place of the working precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from mpmath import mp
 
 from .errors import DegeneracyError, ParameterError
@@ -46,49 +45,28 @@ from .spectral import (
 )
 
 __all__ = [
-    "RecurrenceSpec",
     "correction_ratio",
     "correction_ratios",
     "full_index_ratio",
-    "full_index_spec",
-    "half_index_spec",
+    "half_index_coefficient",
     "term_by_binet",
     "term_by_recurrence",
 ]
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
-    """Coefficient of s_{n+1} = coefficient*s_n - s_{n-1}, seeds 0 and 1."""
+def half_index_coefficient(
+    factor: FactorData, precision_bits: int = DEFAULT_PRECISION_BITS
+):
+    """delta = sigma + 1/sigma for the principal square root sigma of rho,
+    so delta^2 = gamma + 2.
 
-    coefficient: object
-
-
-def full_index_spec(factor: FactorData) -> RecurrenceSpec:
-    """Recurrence driven by the root itself (Binet base rho)."""
-    return RecurrenceSpec(factor.root)
-
-
-def half_index_spec(
-    factor: FactorData,
-    branch: int = 1,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> RecurrenceSpec:
-    """Recurrence driven by delta = sigma + 1/sigma with sigma^2 = rho.
-
-    `branch` picks the square root: +1 for the principal one, -1 for its
-    negative.  Either branch yields the same correction ratio (the sequence
-    flips sign as (-1)^(n-1) and delta flips with it).  Note
-    delta^2 = gamma + 2.
+    The other root -sigma is not needed: it negates delta, and with it W_n
+    for every even n, exactly, so both give the same correction ratios bit
+    for bit.
     """
-    if branch not in (1, -1):
-        raise ParameterError("branch must be +1 or -1")
     with mp.workprec(precision_bits + _GUARD_BITS):
         sigma = mp.sqrt(mp.mpc(factor.inner_root))
-        if branch == -1:
-            sigma = -sigma
-        delta = sigma + 1 / sigma
-    return RecurrenceSpec(delta)
+        return sigma + 1 / sigma
 
 
 def _terms(coefficient, indices):
@@ -152,8 +130,9 @@ def _doubled_terms(coefficient, indices):
     return {m: +value for m, value in values.items()}
 
 
-def term_by_recurrence(spec: RecurrenceSpec, n: int, precision_bits: int | None = None):
-    """s_n by the three-term recurrence in O(n) steps.
+def term_by_recurrence(coefficient, n: int, precision_bits: int | None = None):
+    """s_n of s_{n+1} = coefficient*s_n - s_{n-1}, seeds 0 and 1, by the
+    recurrence in O(n) steps.
 
     Arithmetic happens at `precision_bits` when given, otherwise in the
     ambient mpmath context (exact for int/Fraction coefficients either way).
@@ -161,9 +140,9 @@ def term_by_recurrence(spec: RecurrenceSpec, n: int, precision_bits: int | None 
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
     if precision_bits is None:
-        return _terms(spec.coefficient, (n,))[n]
+        return _terms(coefficient, (n,))[n]
     with mp.workprec(precision_bits + _GUARD_BITS):
-        return _terms(spec.coefficient, (n,))[n]
+        return _terms(coefficient, (n,))[n]
 
 
 def term_by_binet(base, n: int, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -183,7 +162,7 @@ def term_by_binet(base, n: int, precision_bits: int = DEFAULT_PRECISION_BITS):
         return (b**n - b**-n) / (b - 1 / b)
 
 
-def _ratio_parts(factor, indices, n_vertices, form, branch, precision_bits, terms):
+def _ratio_parts(factor, indices, n_vertices, form, precision_bits, terms):
     """(values, denominator) with ratio(ell) = values[ell] * values[N - ell]
     / denominator, `values` holding the indices asked for.
 
@@ -197,7 +176,7 @@ def _ratio_parts(factor, indices, n_vertices, form, branch, precision_bits, term
         values = {m: 1 - rho**m for m in indices}
         return values, (1 / rho - rho) * values[n_vertices]
     if form == "sequence":
-        delta = half_index_spec(factor, branch, precision_bits).coefficient
+        delta = half_index_coefficient(factor, precision_bits)
         values = terms(delta, indices)
         return values, delta * values[n_vertices]
     raise ParameterError(f"unknown form {form!r}")
@@ -227,7 +206,7 @@ def correction_ratio(
         raise ParameterError(f"need 0 <= ell <= {n_vertices}, got {ell}")
     with mp.workprec(precision_bits + _GUARD_BITS):
         values, denominator = _ratio_parts(
-            factor, (ell, n_vertices - ell, n_vertices), n_vertices, form, 1,
+            factor, (ell, n_vertices - ell, n_vertices), n_vertices, form,
             precision_bits, _doubled_terms,
         )
         return _ratio(values, denominator, ell, n_vertices)
@@ -238,7 +217,6 @@ def correction_ratios(
     n_vertices: int,
     form: str = "exponential",
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    branch: int = 1,
 ) -> tuple:
     """correction_ratio(factor, ell, n_vertices, ...) for ell = 0..n_vertices.
 
@@ -246,17 +224,14 @@ def correction_ratios(
     of once per ell.  Exponential-form values are those of the per-ell
     function bit for bit; sequence-form values step where the per-ell
     function doubles, and differ from it in the last few working bits.
-    `branch` picks the square root of the sequence form (see
-    half_index_spec); negating it negates delta and every even-index term
-    exactly, so the ratios do not change.  Holds N + 1 values, so large-N
+    Holds N + 1 values, so large-N
     callers that need a few ell should call correction_ratio.
     """
     if n_vertices < 0:
         raise ParameterError(f"n_vertices must be >= 0, got {n_vertices}")
     with mp.workprec(precision_bits + _GUARD_BITS):
         values, denominator = _ratio_parts(
-            factor, range(n_vertices + 1), n_vertices, form, branch, precision_bits,
-            _terms,
+            factor, range(n_vertices + 1), n_vertices, form, precision_bits, _terms,
         )
         return tuple(
             _ratio(values, denominator, ell, n_vertices)

@@ -51,8 +51,7 @@ from .hitting import (
 from .polynomials import IntPolynomial, build_phi, build_psi, derivative, eval_poly
 from .recurrences import (
     correction_ratios,
-    full_index_spec,
-    half_index_spec,
+    half_index_coefficient,
     term_by_binet,
     term_by_recurrence,
 )
@@ -365,12 +364,12 @@ def _binet_recurrence(kmax, nmax, bits):
             rho = mp.mpc(factor.inner_root)
             # Full-index sequence on base rho, half-index on base sqrt(rho).
             terms = (
-                (full_index_spec(factor), rho),
-                (half_index_spec(factor, 1, bits), mp.sqrt(rho)),
+                (factor.root, rho),
+                (half_index_coefficient(factor, bits), mp.sqrt(rho)),
             )
-            for spec, base in terms:
+            for coefficient, base in terms:
                 for n in range(0, 65, 7):
-                    by_recurrence = term_by_recurrence(spec, n, bits)
+                    by_recurrence = term_by_recurrence(coefficient, n, bits)
                     by_binet = term_by_binet(base, n, bits)
                     deviation = float(
                         abs(by_recurrence - by_binet) / max(1, abs(by_recurrence))
@@ -379,33 +378,14 @@ def _binet_recurrence(kmax, nmax, bits):
 
 
 @lru_cache(maxsize=None)
-def _ratio_table(factor, n: int, form: str, bits: int, branch: int) -> tuple:
-    """correction_ratios(factor, n, form, bits, branch), built once per run
+def _ratio_table(factor, n: int, form: str, bits: int) -> tuple:
+    """correction_ratios(factor, n, form, bits), built once per run
     for every check that reads it; run_verification clears it after
     _LAST_RATIO_READER, so the later checks do not allocate on top of it."""
-    return correction_ratios(factor, n, form, bits, branch)
+    return correction_ratios(factor, n, form, bits)
 
 
 _LAST_RATIO_READER = "resolvent-periodization"
-
-
-@_check(
-    "ratio-branch-invariance",
-    "sequence-form ratio identical for both square-root branches",
-    residual_tolerance,
-)
-def _ratio_branch_invariance(kmax, nmax, bits):
-    for k in range(2, kmax + 1):
-        sf = cached_factorization(k, bits)
-        for n in range(2 * k + 1, min(nmax, 24) + 1):
-            for factor in sf.factors:
-                pluses = _ratio_table(factor, n, "sequence", bits, 1)
-                minuses = _ratio_table(factor, n, "sequence", bits, -1)
-                for ell, (plus, minus) in enumerate(zip(pluses, minuses)):
-                    yield (
-                        float(abs(plus - minus) / max(1, abs(plus))),
-                        f"(n={n}, k={k}, ell={ell})",
-                    )
 
 
 @_check(
@@ -418,8 +398,8 @@ def _ratio_form_agreement(kmax, nmax, bits):
         sf = cached_factorization(k, bits)
         for n in range(2 * k + 1, min(nmax, 48) + 1):
             for factor in sf.factors:
-                exp_forms = _ratio_table(factor, n, "exponential", bits, 1)
-                seq_forms = _ratio_table(factor, n, "sequence", bits, 1)
+                exp_forms = _ratio_table(factor, n, "exponential", bits)
+                seq_forms = _ratio_table(factor, n, "sequence", bits)
                 for ell, (exp_form, seq_form) in enumerate(zip(exp_forms, seq_forms)):
                     yield (
                         float(abs(exp_form - seq_form) / max(1, abs(exp_form))),
@@ -433,7 +413,7 @@ def _ratio_symmetry(kmax, nmax, bits):
         sf = cached_factorization(k, bits)
         for n in range(2 * k + 1, min(nmax, 32) + 1):
             for factor in sf.factors:
-                ratios = _ratio_table(factor, n, "exponential", bits, 1)
+                ratios = _ratio_table(factor, n, "exponential", bits)
                 for ell in range(n // 2 + 1):
                     yield (
                         float(abs(ratios[ell] - ratios[n - ell])),
@@ -452,8 +432,8 @@ def _ratio_conjugation(kmax, nmax, bits):
         _, pairs = conjugate_pairs(sf.factors, bits)
         for n in range(2 * k + 1, min(nmax, 24) + 1):
             for upper, lower in pairs:
-                uppers = _ratio_table(upper, n, "exponential", bits, 1)
-                lowers = _ratio_table(lower, n, "exponential", bits, 1)
+                uppers = _ratio_table(upper, n, "exponential", bits)
+                lowers = _ratio_table(lower, n, "exponential", bits)
                 for ell in range(0, n + 1, max(1, n // 6)):
                     a, b = uppers[ell], lowers[ell]
                     yield (
@@ -480,7 +460,7 @@ def _fibonacci_anchor(kmax, nmax, bits):
     factor = cached_factorization(2, bits).factors[0]
     for n in range(5, min(nmax, 48) + 1):
         f_n = _fibonacci(n)
-        ratios = _ratio_table(factor, n, "sequence", bits, 1)
+        ratios = _ratio_table(factor, n, "sequence", bits)
         for ell, ratio in enumerate(ratios):
             expected = mp.mpf(-_fibonacci(ell) * _fibonacci(n - ell)) / f_n
             yield (
@@ -543,19 +523,22 @@ def _discrete_quadratic_identity(kmax, nmax, bits):
     ORACLE_RTOL,
 )
 def _resolvent_periodization(kmax, nmax, bits):
+    # Term j equals term n - j (the cosine table mirrors exactly), so the sum
+    # over 1 <= j < n is folded as hit_spectral folds it.
     for k in range(2, min(kmax, 3) + 1):
         sf = cached_factorization(k, bits)
         for n in range(2 * k + 1, min(nmax, 32) + 1):
             cosines = cosine_table(n, bits)
             for factor in sf.factors:
                 gamma = mp.mpc(factor.root)
-                ratios = _ratio_table(factor, n, "exponential", bits, 1)
+                ratios = _ratio_table(factor, n, "exponential", bits)
                 for ell in range(n):
-                    direct = mp.mpc(0)
-                    for j in range(1, n):
-                        direct += (1 - cosines[(j * ell) % n]) / (
-                            gamma - 2 * cosines[j]
-                        )
+                    terms = [
+                        (1 - cosines[(j * ell) % n]) / (gamma - 2 * cosines[j])
+                        for j in range(1, n // 2 + 1)
+                    ]
+                    middle = terms.pop() if n % 2 == 0 else 0
+                    direct = 2 * mp.fsum(terms) + middle
                     yield _rel(direct, n * ratios[ell]), f"(n={n}, k={k}, ell={ell})"
 
 

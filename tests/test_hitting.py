@@ -166,13 +166,29 @@ def test_tables_evaluate_only_the_unmirrored_cosines(monkeypatch):
     limits = {4096: 4096 // 8 + 1, 4098: 4098 // 4 + 1, 4097: 4097 // 2 + 1}
     for n, limit in limits.items():
         hitting.cosine_table.cache_clear()
-        hitting._eigenvalue_table.cache_clear()
+        hitting.laplacian_eigenvalues.cache_clear()
         calls.clear()
         hitting.cosine_table(n, 64)
         assert 0 < len(calls) <= limit, n
         calls.clear()
         hit_spectral(GraphSpec(n, 3), n // 3, 64)
         assert calls == [], n
+
+
+def test_spectral_sum_reads_eigenvalues_through_the_public_table(monkeypatch):
+    # A profiler that wraps the public functions attributes the eigenvalue
+    # table to laplacian_eigenvalues only if hit_spectral calls it by name.
+    calls = []
+    original = hitting.laplacian_eigenvalues
+
+    def counted(spec, precision_bits):
+        calls.append((spec, precision_bits))
+        return original(spec, precision_bits)
+
+    monkeypatch.setattr(hitting, "laplacian_eigenvalues", counted)
+    spec = GraphSpec(13, 3)
+    hit_spectral(spec, 4, 128)
+    assert calls == [(spec, 128)]
 
 
 def test_spectral_examples():

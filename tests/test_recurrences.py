@@ -3,17 +3,15 @@ from mpmath import mp
 
 from cyclepow import DegeneracyError, ParameterError, cached_factorization
 from cyclepow.recurrences import (
-    RecurrenceSpec,
     correction_ratio,
     full_index_ratio,
-    full_index_spec,
-    half_index_spec,
+    half_index_coefficient,
     term_by_binet,
     term_by_recurrence,
 )
 
 from cyclepow.recurrences import _doubled_terms, _terms, correction_ratios
-from cyclepow.spectral import residual_tolerance
+from cyclepow.spectral import _GUARD_BITS, residual_tolerance
 
 from oracles import fibonacci
 
@@ -24,13 +22,12 @@ def k2_factor():
 
 def test_recurrence_against_even_fibonacci():
     # coefficient -3 generates (up to sign) the even-indexed Fibonacci numbers
-    spec = RecurrenceSpec(-3)
-    assert term_by_recurrence(spec, 0) == 0
-    assert term_by_recurrence(spec, 1) == 1
-    assert term_by_recurrence(spec, 5) == 55
-    assert term_by_recurrence(spec, 6) == -144
+    assert term_by_recurrence(-3, 0) == 0
+    assert term_by_recurrence(-3, 1) == 1
+    assert term_by_recurrence(-3, 5) == 55
+    assert term_by_recurrence(-3, 6) == -144
     for n in range(1, 15):
-        assert abs(term_by_recurrence(spec, n)) == fibonacci(2 * n)
+        assert abs(term_by_recurrence(-3, n)) == fibonacci(2 * n)
 
 
 @pytest.mark.parametrize("coefficient", [2, 3, -3, mp.mpc(1, 2)])
@@ -44,7 +41,7 @@ def test_doubled_terms_equal_stepped_terms_when_exact(coefficient):
 
 def test_recurrence_rejects_negative_index():
     with pytest.raises(ParameterError):
-        term_by_recurrence(RecurrenceSpec(1), -1)
+        term_by_recurrence(1, -1)
 
 
 def test_binet_examples():
@@ -55,7 +52,7 @@ def test_binet_examples():
         value = term_by_binet(mp.mpf("0.5"), 3)
         assert abs(value - mp.mpf(21) / 4) < mp.mpf(2) ** -120
         # same sequence through the recurrence with coefficient 1/2 + 2
-        assert abs(term_by_recurrence(RecurrenceSpec(mp.mpf("2.5")), 3, 256) - value) \
+        assert abs(term_by_recurrence(mp.mpf("2.5"), 3, 256) - value) \
             < mp.mpf(2) ** -100
 
 
@@ -66,28 +63,22 @@ def test_binet_degenerate_base():
         term_by_binet(-1, 3)
 
 
-def test_half_index_spec_squares_to_root_plus_two():
+def test_half_index_coefficient_squares_to_root_plus_two():
     for k in range(2, 7):
         for factor in cached_factorization(k, 256).factors:
-            spec = half_index_spec(factor, 1, 256)
+            delta = half_index_coefficient(factor, 256)
             with mp.workprec(256):
-                delta = spec.coefficient
                 assert abs(delta**2 - (factor.root + 2)) < mp.mpf(2) ** -120
 
 
 def test_half_index_k2_is_fibonacci_scale():
     factor = k2_factor()
-    spec = half_index_spec(factor, 1, 256)
+    delta = half_index_coefficient(factor, 256)
     with mp.workprec(256):
         # delta^2 = gamma + 2 = -1, so |W_n| = F_n
-        assert abs(spec.coefficient**2 + 1) < mp.mpf(2) ** -120
-        w6 = term_by_recurrence(spec, 6, 256)
+        assert abs(delta**2 + 1) < mp.mpf(2) ** -120
+        w6 = term_by_recurrence(delta, 6, 256)
         assert abs(abs(w6) - 8) < mp.mpf(2) ** -100
-
-
-def test_half_index_branch_validation():
-    with pytest.raises(ParameterError):
-        half_index_spec(k2_factor(), 0)
 
 
 def test_correction_ratio_k2_fixed_values():
@@ -109,12 +100,11 @@ def test_correction_ratio_bounds_checked():
 
 
 @pytest.mark.parametrize("form", ["exponential", "sequence"])
-@pytest.mark.parametrize("branch", [1, -1])
 @pytest.mark.parametrize("k", range(2, 5))
-def test_ratio_table_is_bit_identical_to_each_ell(k, branch, form):
+def test_ratio_table_is_bit_identical_to_each_ell(k, form):
     for factor in cached_factorization(k, 256).factors:
         for n in range(2 * k + 1, 31):
-            table = correction_ratios(factor, n, form, 256, branch)
+            table = correction_ratios(factor, n, form, 256)
             assert len(table) == n + 1
             for ell, value in enumerate(table):
                 single = correction_ratio(factor, ell, n, form, 256)
@@ -129,21 +119,32 @@ def test_ratio_table_validates_its_arguments():
     with pytest.raises(ParameterError):
         correction_ratios(k2_factor(), 6, form="nope")
     with pytest.raises(ParameterError):
-        correction_ratios(k2_factor(), 6, "sequence", 256, 0)
-    with pytest.raises(ParameterError):
         correction_ratios(k2_factor(), -1)
 
 
-def test_sequence_branch_flips_signs_exactly():
-    # The other square root negates delta, and with it W_n for every even n;
-    # negation is exact, so the two branches give the same ratios bit for bit.
-    factor = cached_factorization(3, 256).factors[0]
-    plus, minus = (half_index_spec(factor, b).coefficient for b in (1, -1))
-    with mp.workprec(288):
-        assert minus == -plus
-    assert correction_ratios(factor, 12, "sequence", 256, 1) == correction_ratios(
-        factor, 12, "sequence", 256, -1
-    )
+def _sequence_ratios(delta, n, bits):
+    """W_ell * W_(n-ell) / (delta * W_n) for ell = 0..n, W stepped from delta,
+    with the operations of correction_ratios' sequence form."""
+    with mp.workprec(bits + _GUARD_BITS):
+        terms = _terms(delta, range(n + 1))
+        denominator = delta * terms[n]
+        return [terms[ell] * terms[n - ell] / denominator for ell in range(n + 1)]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_other_square_root_gives_identical_ratios(k):
+    # -sigma negates delta, and with it W_n for every even n; negation is
+    # exact, so the two roots give the same ratios bit for bit.
+    for factor in cached_factorization(k, 256).factors:
+        with mp.workprec(256 + _GUARD_BITS):
+            sigma = mp.sqrt(mp.mpc(factor.inner_root))
+            plus, minus = sigma + 1 / sigma, -sigma + 1 / -sigma
+            assert minus == -plus
+        assert half_index_coefficient(factor, 256) == plus
+        for n in (7, 12, 20):
+            ratios = _sequence_ratios(plus, n, 256)
+            assert ratios == _sequence_ratios(minus, n, 256)
+            assert ratios == list(correction_ratios(factor, n, "sequence", 256))
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -151,31 +152,11 @@ def test_binet_recurrence_agreement(k):
     with mp.workprec(288):
         for factor in cached_factorization(k, 256).factors:
             rho = mp.mpc(factor.inner_root)
-            full = full_index_spec(factor)
             for n in (0, 1, 2, 5, 13, 32, 64):
-                by_rec = term_by_recurrence(full, n, 256)
+                by_rec = term_by_recurrence(factor.root, n, 256)
                 by_binet = term_by_binet(rho, n, 256)
                 assert abs(by_rec - by_binet) <= mp.mpf(2) ** -128 * max(
                     1, abs(by_rec)
-                )
-
-
-@pytest.mark.parametrize("k", range(2, 7))
-def test_branch_invariance(k):
-    with mp.workprec(288):
-        for factor in cached_factorization(k, 256).factors:
-            plus = half_index_spec(factor, 1, 256)
-            minus = half_index_spec(factor, -1, 256)
-            for n, ell in ((7, 3), (12, 5), (20, 11)):
-                w = lambda s, i: term_by_recurrence(s, i, 256)
-                ratio_plus = w(plus, ell) * w(plus, n - ell) / (
-                    plus.coefficient * w(plus, n)
-                )
-                ratio_minus = w(minus, ell) * w(minus, n - ell) / (
-                    minus.coefficient * w(minus, n)
-                )
-                assert abs(ratio_plus - ratio_minus) <= mp.mpf(2) ** -128 * max(
-                    1, abs(ratio_plus)
                 )
 
 

@@ -22,9 +22,9 @@ def test_ratio_tables_are_built_once_per_run(monkeypatch):
     real = verify.correction_ratios
     built = Counter()
 
-    def counted(factor, n, form, bits, branch):
-        built[factor, n, form, bits, branch] += 1
-        return real(factor, n, form, bits, branch)
+    def counted(factor, n, form, bits):
+        built[factor, n, form, bits] += 1
+        return real(factor, n, form, bits)
 
     monkeypatch.setattr(verify, "correction_ratios", counted)
     run_verification(kmax=3, nmax=14, precision_bits=128)
