@@ -20,7 +20,11 @@ bits, so only the `worst` value and its location changed, in the
 discrete-quadratic-identity, resolvent-periodization,
 cycle-eigenvalue-product and hitting-oracle-spectral rows and the 512-bit
 tree-triple-agreement row (residues near 1e-86 at 256 bits and 1e-162 at
-512 bits).  Case counts, thresholds and statuses stayed the same.
+512 bits).  Case counts, thresholds and statuses stayed the same.  It was
+re-recorded a second time when the ratio-branch-invariance row, whose
+statistic was always 0, was deleted and the resolvent-periodization sum was
+folded over the half period: the deleted row's two lines went, and only the
+resolvent-periodization row's `worst` value and its location moved.
 
 `data/trees_golden.json` holds `trees` output in json, csv and text (the
 text without its `# wall_time_s` line) for a few small graphs with and
