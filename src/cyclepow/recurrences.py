@@ -14,12 +14,12 @@ The geometric correction ratio that enters the closed-form hitting time,
 
 equals W_ell * W_{N-ell} / (delta * W_N) for the half-index sequence W, for
 either choice of sigma: -sigma negates delta and every even-index W_n
-exactly, so the principal root is the only one taken.  The analogous full-index ratio V_ell * V_{N-ell} /
-V_N does NOT reproduce it (off by more than a unit already at N=6, k=2), so
-the exponential and half-index forms are the trusted evaluation paths and the
-full-index ratio is kept only for erratum reporting.  The exponential form is
-also the default for large N: |rho| < 1 keeps it uniformly well-conditioned,
-whereas |W_N| grows like |rho|^(-N/2).
+exactly, so only the principal root is taken.  The analogous full-index
+ratio V_ell * V_{N-ell} / V_N does NOT reproduce it (off by more than a unit
+already at N=6, k=2), so the exponential and half-index forms are the trusted
+evaluation paths and the full-index ratio is kept only for erratum reporting.
+The exponential form is also the default for large N: |rho| < 1 keeps it
+uniformly well-conditioned, whereas |W_N| grows like |rho|^(-N/2).
 
 correction_ratio evaluates one ell from W_ell, W_{N-ell} and W_N alone,
 each reached by index doubling in O(log N) operations (_doubled_terms), so a
@@ -224,8 +224,8 @@ def correction_ratios(
     of once per ell.  Exponential-form values are those of the per-ell
     function bit for bit; sequence-form values step where the per-ell
     function doubles, and differ from it in the last few working bits.
-    Holds N + 1 values, so large-N
-    callers that need a few ell should call correction_ratio.
+    Holds N + 1 values, so large-N callers that need a few ell should call
+    correction_ratio.
     """
     if n_vertices < 0:
         raise ParameterError(f"n_vertices must be >= 0, got {n_vertices}")

@@ -379,9 +379,9 @@ def _binet_recurrence(kmax, nmax, bits):
 
 @lru_cache(maxsize=None)
 def _ratio_table(factor, n: int, form: str, bits: int) -> tuple:
-    """correction_ratios(factor, n, form, bits), built once per run
-    for every check that reads it; run_verification clears it after
-    _LAST_RATIO_READER, so the later checks do not allocate on top of it."""
+    """correction_ratios(factor, n, form, bits), built once per run for every
+    check that reads it; run_verification clears it after _LAST_RATIO_READER,
+    so the later checks do not allocate on top of it."""
     return correction_ratios(factor, n, form, bits)
 
 

@@ -10,6 +10,7 @@ from cyclepow.recurrences import (
     term_by_recurrence,
 )
 
+from cyclepow import recurrences
 from cyclepow.recurrences import _doubled_terms, _terms, correction_ratios
 from cyclepow.spectral import _GUARD_BITS, residual_tolerance
 
@@ -122,29 +123,29 @@ def test_ratio_table_validates_its_arguments():
         correction_ratios(k2_factor(), -1)
 
 
-def _sequence_ratios(delta, n, bits):
-    """W_ell * W_(n-ell) / (delta * W_n) for ell = 0..n, W stepped from delta,
-    with the operations of correction_ratios' sequence form."""
-    with mp.workprec(bits + _GUARD_BITS):
-        terms = _terms(delta, range(n + 1))
-        denominator = delta * terms[n]
-        return [terms[ell] * terms[n - ell] / denominator for ell in range(n + 1)]
-
-
 @pytest.mark.parametrize("k", range(2, 7))
-def test_other_square_root_gives_identical_ratios(k):
+def test_other_square_root_gives_identical_ratios(k, monkeypatch):
     # -sigma negates delta, and with it W_n for every even n; negation is
     # exact, so the two roots give the same ratios bit for bit.
+    sizes = (7, 12, 20)
     for factor in cached_factorization(k, 256).factors:
         with mp.workprec(256 + _GUARD_BITS):
             sigma = mp.sqrt(mp.mpc(factor.inner_root))
             plus, minus = sigma + 1 / sigma, -sigma + 1 / -sigma
             assert minus == -plus
         assert half_index_coefficient(factor, 256) == plus
-        for n in (7, 12, 20):
-            ratios = _sequence_ratios(plus, n, 256)
-            assert ratios == _sequence_ratios(minus, n, 256)
-            assert ratios == list(correction_ratios(factor, n, "sequence", 256))
+        principal = [correction_ratios(factor, n, "sequence", 256) for n in sizes]
+        taken = []
+
+        def other_root(*args):
+            taken.append(args)
+            return minus
+
+        with monkeypatch.context() as patched:
+            patched.setattr(recurrences, "half_index_coefficient", other_root)
+            other = [correction_ratios(factor, n, "sequence", 256) for n in sizes]
+        assert len(taken) == len(sizes)
+        assert other == principal
 
 
 @pytest.mark.parametrize("k", range(2, 7))
