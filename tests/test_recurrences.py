@@ -123,18 +123,18 @@ def test_ratio_table_validates_its_arguments():
         correction_ratios(k2_factor(), -1)
 
 
+@pytest.mark.parametrize("n", (7, 12, 20))
 @pytest.mark.parametrize("k", range(2, 7))
-def test_other_square_root_gives_identical_ratios(k, monkeypatch):
+def test_other_square_root_gives_identical_ratios(k, n, monkeypatch):
     # -sigma negates delta, and with it W_n for every even n; negation is
     # exact, so the two roots give the same ratios bit for bit.
-    sizes = (7, 12, 20)
     for factor in cached_factorization(k, 256).factors:
         with mp.workprec(256 + _GUARD_BITS):
             sigma = mp.sqrt(mp.mpc(factor.inner_root))
             plus, minus = sigma + 1 / sigma, -sigma + 1 / -sigma
             assert minus == -plus
         assert half_index_coefficient(factor, 256) == plus
-        principal = [correction_ratios(factor, n, "sequence", 256) for n in sizes]
+        principal = correction_ratios(factor, n, "sequence", 256)
         taken = []
 
         def other_root(*args):
@@ -143,8 +143,8 @@ def test_other_square_root_gives_identical_ratios(k, monkeypatch):
 
         with monkeypatch.context() as patched:
             patched.setattr(recurrences, "half_index_coefficient", other_root)
-            other = [correction_ratios(factor, n, "sequence", 256) for n in sizes]
-        assert len(taken) == len(sizes)
+            other = correction_ratios(factor, n, "sequence", 256)
+        assert taken == [(factor, 256)]
         assert other == principal
 
 
