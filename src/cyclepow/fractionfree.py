@@ -1,21 +1,29 @@
-"""Fraction-free integer elimination on band rows: exact determinants and
-linear solves.
+"""Fraction-free integer elimination of symmetric positive-definite band
+matrices: exact determinants and linear solves.
 
-One-step (Bareiss-style) elimination keeps every intermediate entry an exact
-integer -- each is a minor of the input -- so there is no rational blow-up
-mid-run and no rounding ever.
+Every matrix the package eliminates is a Laplacian with at least one vertex
+deleted, so symmetric positive definite, and no other is accepted.  One-step
+Bareiss elimination (Math. Comp. 22, 1968) keeps every intermediate entry an
+exact integer -- entry (i, j) after col steps is the leading col x col minor
+bordered by row i and column j -- so there is no rational blow-up and no
+rounding ever.
 
 A matrix arrives as band rows: row i holds columns i-b..i+b, zero off the
-matrix, so the half-width b is the row length's.  As in LAPACK's gbtrf,
-partial pivoting among the b rows below the diagonal widens the upper reach
-to 2b, so each working row is its band widened by b for fill.  The rows that
-can still be pivots all start at the current pivot column, so a row swap
-keeps every row's column offset and each step shifts them all by one.  An
-n x n matrix costs O(n * b^2) integer operations and O(n * b) storage.  The
-values computed are those of dense Bareiss elimination with the same pivots,
-so each fraction-free division is still exact and still checked.
+matrix, so the half-width b is the row length's.  The rows are checked once
+to be symmetric; after that only the upper half is read.  Pivot col is the
+leading (col+1) x (col+1) minor, positive for every col exactly when the
+matrix is positive definite (Sylvester's criterion), so the pivots are taken
+in order with no search, swap or sign, and a pivot <= 0 rejects the input.
+Without pivoting nothing fills outside the band, and a bordered minor of a
+symmetric matrix is symmetric in (i, j), so the upper triangle of the active
+block carries everything: the pivot row also serves as the pivot column.  A
+column with only zeros above the active rows is untouched: its bordered
+minors are the original entries times the last pivot, as is every entry of
+a row that enters the block.  An n x n matrix costs about n * b(b+1)/2
+integer updates and O(n * b) storage; each division is exact by Sylvester's
+identity and still checked.
 
-Back-substitution also stays in integers: with D the final pivot (+-det A),
+Back-substitution also stays in integers: with D the final pivot (det A),
 Cramer's rule makes D * x integral, so only the returned Fractions divide.
 """
 
@@ -31,87 +39,79 @@ __all__ = ["determinant", "solve"]
 
 def _forward(
     rows: Sequence[Sequence[int]], rhs: Sequence[int] | None
-) -> tuple[int, list[list[int]]] | None:
-    """Eliminate below the diagonal; return (row-swap sign, upper rows).
+) -> list[list[int]]:
+    """Eliminate below the diagonal; return the upper rows.
 
-    Upper row i holds columns i..i+2b of the triangular factor, then its
+    Upper row i holds columns i..i+b of the triangular factor, then its
     right-hand side.  Without a right-hand side only the last upper row is
-    kept, since a determinant needs no more.  Returns None if some pivot
-    column is entirely zero (singular matrix).  Every division below is
-    exact by construction; a nonzero remainder means the input was not
-    integral.
+    kept, since a determinant needs no more.  Raises ConsistencyError unless
+    the rows are those of a symmetric positive-definite matrix.
     """
     n = len(rows)
     width = len(rows[0])
     if width % 2 == 0 or any(len(row) != width for row in rows):
         raise ConsistencyError("band rows must all have the same odd length")
     b = width // 2
-    window: list[list[int]] = []  # rows col..col+b, from column col on
+    for e in range(1, min(b, n - 1) + 1):
+        if [row[b + e] for row in rows[: n - e]] != [row[b - e] for row in rows[e:]]:
+            raise ConsistencyError("band rows are not symmetric")
+    right = [] if rhs is None else [int(x) for x in rhs]
+    # Active row col+d: columns col+d..col+b, then its right-hand side.
+    window = [
+        [int(x) for x in rows[d][b : 2 * b + 1 - d]] + right[d : d + 1]
+        for d in range(min(n, b + 1))
+    ]
     upper = []
-    sign = 1
     prev = 1
     for col in range(n):
-        # Rows whose band reaches column col enter the window.  Dense
-        # elimination rescales every row below the pivot by pivot/prev at
-        # each step, so an untouched row that enters now must carry the
-        # product of those factors: prev.
-        for r in range(col + len(window), min(n, col + b + 1)):
-            off_matrix = b - (r - col)  # leading entries left of column 0
-            entering = [int(x) * prev for x in rows[r][off_matrix:]]
-            entering += [0] * off_matrix
-            if rhs is not None:
-                entering.append(int(rhs[r]) * prev)
-            window.append(entering)
-        pivot_at = next((i for i, row in enumerate(window) if row[0]), None)
-        if pivot_at is None:
-            return None
-        if pivot_at:
-            window[0], window[pivot_at] = window[pivot_at], window[0]
-            sign = -sign
         base = window.pop(0)
         pivot = base[0]
-        tail = base[1:]
-        for i, row in enumerate(window):
-            lead = row[0]
+        if pivot <= 0:
+            raise ConsistencyError("matrix is not positive definite")
+        for d, row in enumerate(window, 1):
+            lead = base[d]  # entry (col+d, col), mirrored from the pivot row
             updated = []
-            for x, y in zip(row[1:], tail):
+            for x, y in zip(row, base[d:]):
                 quotient, remainder = divmod(pivot * x - lead * y, prev)
                 if remainder:
                     raise ConsistencyError("fraction-free step left a remainder")
                 updated.append(quotient)
-            updated.insert(2 * b, 0)  # column col+2b+1, beyond every pivot row
-            window[i] = updated
+            updated.insert(b + 1 - d, int(rows[col + d][2 * b + 1 - d]) * pivot)
+            window[d - 1] = updated
+        r = col + b + 1
+        if r < n:
+            window.append([int(x) * pivot for x in (rows[r][b], *right[r : r + 1])])
         if rhs is not None or col == n - 1:
             upper.append(base)
         prev = pivot
-    return sign, upper
+    return upper
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer band matrix (1 for the empty one)."""
+    """Exact determinant of a symmetric positive-definite integer band
+    matrix (1 for the empty one).
+
+    Raises ConsistencyError when the matrix is not symmetric positive
+    definite.
+    """
     if not rows:
         return 1
-    forward = _forward(rows, None)
-    if forward is None:
-        return 0
-    sign, upper = forward
-    return sign * upper[-1][0]
+    return _forward(rows, None)[-1][0]
 
 
 def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
-    """Exact solution of a nonsingular integer band system A x = b.
+    """Exact solution of a symmetric positive-definite integer band system
+    A x = b.
 
-    Raises ConsistencyError when the matrix is singular.
+    Raises ConsistencyError when the matrix is not symmetric positive
+    definite.
     """
     n = len(rows)
     if len(rhs) != n:
         raise ConsistencyError("right-hand side length does not match the matrix")
     if n == 0:
         return []
-    forward = _forward(rows, rhs)
-    if forward is None:
-        raise ConsistencyError("system is singular")
-    upper = forward[1]
+    upper = _forward(rows, rhs)
     scale = upper[-1][0]
     scaled = [0] * n  # scale * x, integral by Cramer's rule
     for i in range(n - 1, -1, -1):

@@ -1,106 +1,79 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclepow.errors import ConsistencyError
 from cyclepow.fractionfree import determinant, solve
+from cyclepow.graphs import GraphSpec, build_laplacian
 
 from oracles import gauss_solve, permutation_determinant, to_band
 
 
 @st.composite
-def banded_matrices(draw, max_size=7, max_band=3):
-    """Integer matrices that are zero outside a random band.
+def spd_band_matrices(draw, max_size=7, max_band=3):
+    """(matrix, half-width b) for symmetric integer matrices zero outside
+    the band, made positive definite by strict diagonal dominance.
 
-    Zeros are drawn often inside the band too, so leading entries vanish and
-    force row swaps inside the pivot window, and singular matrices occur.
+    Sizes run both below and above b + 1, and zeros are drawn often inside
+    the band too, so some band entries start at zero and fill in later.
     """
     n = draw(st.integers(1, max_size))
-    lower = draw(st.integers(0, max_band))
-    upper = draw(st.integers(0, max_band))
+    b = draw(st.integers(0, max_band))
     entries = st.one_of(st.just(0), st.integers(-5, 5))
-    return [
-        [draw(entries) if -lower <= j - i <= upper else 0 for j in range(n)]
-        for i in range(n)
-    ]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, min(n, i + b + 1)):
+            rows[i][j] = rows[j][i] = draw(entries)
+    for i in range(n):
+        off_diagonal = sum(abs(x) for j, x in enumerate(rows[i]) if j != i)
+        rows[i][i] = off_diagonal + draw(st.integers(1, 4))
+    return rows, b
 
 
-def square_matrices(max_size=5, lo=-6, hi=6):
-    return st.integers(1, max_size).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(lo, hi), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        )
-    )
+@given(spd_band_matrices())
+@example(([[2, 0], [0, 2]], 0))
+@example(([[3, 1], [1, 3]], 3))  # half-width beyond the matrix
+@example(([[2, 0, 1, 0], [0, 2, 0, 1], [1, 0, 2, 0], [0, 1, 0, 2]], 2))
+@settings(max_examples=300, deadline=None)
+def test_determinant_matches_permutation_formula(matrix):
+    rows, b = matrix
+    assert determinant(to_band(rows, b)) == permutation_determinant(rows)
 
 
-@given(square_matrices())
-@settings(max_examples=150, deadline=None)
-def test_determinant_matches_permanent_formula(rows):
-    assert determinant(to_band(rows)) == permutation_determinant(rows)
+@st.composite
+def spd_band_systems(draw, max_size=12):
+    rows, b = draw(spd_band_matrices(max_size=max_size))
+    rhs = draw(st.lists(st.integers(-9, 9), min_size=len(rows), max_size=len(rows)))
+    return (rows, b), rhs
 
 
-@given(banded_matrices())
-@example([[2, 0], [0, 2]])  # no band below the diagonal: the last row still scales
-@example([[0, 2, 0, 0], [3, 1, 1, 0], [0, 1, 0, 5], [0, 0, 2, 1]])
-@example([[0, 1, 0], [1, 0, 1], [0, 1, 0]])  # singular after a swap
-@settings(max_examples=200, deadline=None)
-def test_banded_determinant_matches_permanent_formula(rows):
-    assert determinant(to_band(rows)) == permutation_determinant(rows)
+@given(spd_band_systems())
+@example((([[2, 1], [1, 2]], 1), [5, 4]))
+@example((([[5]], 2), [3]))
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_plain_gaussian_elimination(system):
+    (rows, b), rhs = system
+    assert solve(to_band(rows, b), rhs) == gauss_solve(rows, rhs)
 
 
-def banded_systems(max_size=12):
-    return banded_matrices(max_size=max_size).flatmap(
-        lambda rows: st.tuples(
-            st.just(rows),
-            st.lists(st.integers(-9, 9), min_size=len(rows), max_size=len(rows)),
-        )
-    )
+@pytest.mark.parametrize(
+    "band",
+    [
+        to_band([[2, 1], [0, 2]]),  # not symmetric
+        to_band([[1, 2], [2, 1]]),  # symmetric, indefinite
+        build_laplacian(GraphSpec(7, 2))[1],  # semidefinite: no vertex removed
+    ],
+    ids=["non-symmetric", "indefinite", "full-laplacian"],
+)
+def test_rejects_all_but_symmetric_positive_definite(band):
+    with pytest.raises(ConsistencyError):
+        determinant(band)
+    with pytest.raises(ConsistencyError):
+        solve(band, [1] * len(band))
 
 
-@given(banded_systems())
-@example(([[0, 3, 0], [2, 0, 0], [0, 0, 0]], [1, 2, 3]))
-@settings(max_examples=200, deadline=None)
-def test_banded_solve_matches_plain_gaussian_elimination(system):
-    rows, rhs = system
-    try:
-        expected = gauss_solve(rows, rhs)
-    except ZeroDivisionError:
-        with pytest.raises(ConsistencyError):
-            solve(to_band(rows), rhs)
-    else:
-        assert solve(to_band(rows), rhs) == expected
-
-
-def test_determinant_empty_and_singular():
+def test_determinant_empty():
     assert determinant(to_band([])) == 1
-    assert determinant(to_band([[0, 0], [0, 0]])) == 0
-    assert determinant(to_band([[1, 2], [2, 4]])) == 0
-
-
-def test_determinant_needs_pivot_swap():
-    assert determinant(to_band([[0, 1], [1, 0]])) == -1
-    assert determinant(to_band([[0, 2, 1], [3, 0, 0], [0, 0, 1]])) == -6
-
-
-@given(square_matrices(max_size=4))
-@settings(max_examples=150, deadline=None)
-def test_solve_matches_plain_gaussian_elimination(rows):
-    n = len(rows)
-    rhs = list(range(1, n + 1))
-    if determinant(to_band(rows)) == 0:
-        with pytest.raises(ConsistencyError):
-            solve(to_band(rows), rhs)
-    else:
-        assert solve(to_band(rows), rhs) == gauss_solve(rows, rhs)
-
-
-def test_solve_simple_system():
-    # 2x + y = 5, x - y = 1  ->  x = 2, y = 1
-    assert solve(to_band([[2, 1], [1, -1]]), [5, 1]) == [Fraction(2), Fraction(1)]
 
 
 def test_solve_rejects_mismatched_rhs():
