@@ -341,11 +341,14 @@ def _parse_range(text: str, label: str) -> range:
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
-            return range(int(lo), int(hi) + 1)
-        value = int(text)
-        return range(value, value + 1)
+            lo, hi = int(lo), int(hi)
+        else:
+            lo = hi = int(text)
     except ValueError:
         raise click.UsageError(f"bad {label} range {text!r}; use LO:HI")
+    if lo > hi:
+        raise click.UsageError(f"reversed {label} range {text!r}; need LO <= HI")
+    return range(lo, hi + 1)
 
 
 @main.command("sweep")
@@ -368,8 +371,8 @@ def _parse_range(text: str, label: str) -> range:
 def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> None:
     """Write one row per (n, k, ell) and method over the given ranges.
 
-    Invalid combinations (n < 2k+1) are skipped; rows are ordered
-    lexicographically in (n, k, ell, method)."""
+    Invalid combinations (n < 2k+1) are skipped; rows are ordered by n, k,
+    ell, then each quantity's fixed method order."""
     _check_precision(precision)
     ns = _parse_range(n_range, "--n-range")
     ks = _parse_range(k_range, "--k-range")

@@ -329,13 +329,26 @@ def test_sweep_forests_json(runner, tmp_path):
 
 
 def test_sweep_empty_range(runner, tmp_path):
+    # every (n, k) here has n < 2k+1, so each is skipped
     out = tmp_path / "empty.csv"
     result = runner.invoke(
-        main, ["sweep", "--n-range", "8:5", "--k-range", "1:1",
+        main, ["sweep", "--n-range", "3:4", "--k-range", "2:2",
                "--quantity", "tau", "--out", str(out)],
     )
     assert result.exit_code == 0
     assert out.read_text() == "n,k,ell,method,value,err_bound\n"
+
+
+@pytest.mark.parametrize("n_range, k_range", [("9:5", "1:1"), ("5:5", "2:1")])
+def test_sweep_reversed_range(runner, tmp_path, n_range, k_range):
+    out = tmp_path / "reversed.csv"
+    result = runner.invoke(
+        main, ["sweep", "--n-range", n_range, "--k-range", k_range,
+               "--quantity", "tau", "--out", str(out)],
+    )
+    assert result.exit_code == 2
+    assert "reversed" in result.output
+    assert not out.exists()
 
 
 def test_sweep_unwritable_path(runner):
