@@ -35,7 +35,9 @@ helpers and written by one writer: `hit` in csv and text with every method
 and `--erratum`, at ell = 0, with `--method spectral` and with
 `--method closed --precision 96`; `trees --format csv` at (40, 5, 11) and
 128 bits; and every `sweep` quantity over n 9..20, k 3..5 at 128 bits in csv
-and json.
+and json.  `hit --method closed --erratum --precision 96` was recorded before
+the closed-form routes looked up their own factorization at the requested
+precision, the one erratum case off 256 bits.
 """
 
 import json
