@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from cyclepow import GraphSpec, cached_factorization, hit_closed_literal, hit_exact
+from cyclepow import GraphSpec, hit_closed_literal, hit_exact
 
 
 def fibonacci(n: int) -> int:
@@ -38,7 +38,6 @@ def main() -> None:
     parser.add_argument("--n-max", type=int, default=16)
     args = parser.parse_args()
 
-    sf = cached_factorization(2, 256)
     print("k = 2;  'verified' is (2/5) l(n-l) + (4/5) n F_l F_(n-l) / F_n")
     print(
         f"{'n':>3} {'ell':>4} {'exact':>8} {'verified':>10} "
@@ -51,7 +50,7 @@ def main() -> None:
                 exact = hit_exact(GraphSpec(n, 2), ell)
                 verified = Fraction(2, 5) * ell * (n - ell) + Fraction(4, 5) * n * \
                     Fraction(fibonacci(ell) * fibonacci(n - ell), fibonacci(n))
-                literal = hit_closed_literal(GraphSpec(n, 2), ell, sf)
+                literal = hit_closed_literal(GraphSpec(n, 2), ell, 256)
                 doubled = Fraction(2, 5) * ell * (n - ell) + Fraction(4, 5) * n * \
                     Fraction(
                         fibonacci(2 * ell) * fibonacci(2 * (n - ell)),

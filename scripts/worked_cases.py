@@ -68,7 +68,7 @@ def main() -> None:
             for ell in range(n // 2 + 1):
                 exact = hit_exact(spec, ell)
                 spectral = hit_spectral(spec, ell, args.precision)
-                closed = hit_closed(spec, ell, sf)
+                closed = hit_closed(spec, ell, args.precision)
                 print(
                     f"  {ell:>4}  {str(exact):>12}  "
                     f"{mp.nstr(spectral, 12):>16}  {mp.nstr(closed, 12):>16}"

@@ -39,8 +39,6 @@ from .polynomials import build_phi, eval_poly
 from .spectral import (
     _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
-    SpectralFactorization,
-    _resolve_factorization,
     cached_factorization,
     conjugate_pairs,
     residual_tolerance,
@@ -96,10 +94,9 @@ def tau_eigen(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
         return product / n
 
 
-def tau_product(
-    spec: GraphSpec, factorization: SpectralFactorization | None = None
-):
-    """Spanning trees via one geometric factor per inner root.
+def tau_product(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
+    """Spanning trees via one geometric factor per inner root of
+    cached_factorization(k, precision_bits).
 
     Each root contributes prod_{j>=1}(x_j - gamma) where x_j = 2 cos(2 pi j/n);
     in terms of the inner root this is
@@ -112,17 +109,17 @@ def tau_product(
     makes the product positive for even n as well.  Grouping the square before
     dividing by rho^(n-1) keeps intermediates tame for large n.
     """
-    factorization = _resolve_factorization(spec.k, factorization)
     n = spec.n
-    bits = factorization.precision_bits
-    with mp.workprec(bits + _GUARD_BITS):
-        reals, pairs = conjugate_pairs(factorization.factors, bits)
+    factors = cached_factorization(spec.k, precision_bits).factors
+    with mp.workprec(precision_bits + _GUARD_BITS):
+        reals, pairs = conjugate_pairs(factors, precision_bits)
         accumulator = mp.mpf(n)
         parity = -1 if n % 2 == 0 else 1
         for factor in reals:
             rho = mp.mpc(factor.inner_root)
             value = ((1 - rho**n) / (1 - rho)) ** 2 / rho ** (n - 1) * parity
-            if abs(mp.im(value)) > residual_tolerance(bits) * max(1, abs(value)):
+            tolerance = residual_tolerance(precision_bits) * max(1, abs(value))
+            if abs(mp.im(value)) > tolerance:
                 raise PrecisionError(
                     "real-root tree factor has a nonreal residue beyond tolerance"
                 )
@@ -172,11 +169,7 @@ def tau_contracted(spec: GraphSpec, ell: int) -> int:
     return fractionfree.determinant(build_laplacian(spec, (0, ell))[1])
 
 
-def nearest_integer(
-    value,
-    max_defect: float = ROUNDING_DEFECT_LIMIT,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> int:
+def nearest_integer(value, precision_bits: int = DEFAULT_PRECISION_BITS) -> int:
     """Round an analytic count to the integer it must equal, or fail loudly.
 
     value comes from a route whose relative error is certified below
@@ -195,7 +188,7 @@ def nearest_integer(
             )
         nearest = mp.nint(value)
         defect = abs(value - nearest) / max(1, abs(nearest))
-        if defect > max_defect:
+        if defect > ROUNDING_DEFECT_LIMIT:
             raise PrecisionError(
                 f"refusing to round {mp.nstr(mp.mpf(value), 12)} to an integer "
                 f"(defect {mp.nstr(mp.mpf(defect), 4)}); increase the working "
@@ -226,23 +219,18 @@ def arboreal_counts(
     spec: GraphSpec,
     ell: int | None = None,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    factorization: SpectralFactorization | None = None,
 ) -> ArborealCounts:
     """Bundle every count for (spec, ell), cross-checking all routes."""
-    if factorization is None:
-        factorization = cached_factorization(spec.k, precision_bits)
     tau = tau_det(spec)
     eigen = tau_eigen(spec, precision_bits)
-    product = tau_product(spec, factorization)
+    product = tau_product(spec, precision_bits)
     with mp.workprec(precision_bits + _GUARD_BITS):
-        if nearest_integer(eigen, precision_bits=precision_bits) != tau:
+        if nearest_integer(eigen, precision_bits) != tau:
             raise ConsistencyError(
                 f"eigenvalue tree product {mp.nstr(eigen, 20)} disagrees with "
                 f"the determinant count {tau}"
             )
-        if nearest_integer(
-            product, precision_bits=factorization.precision_bits
-        ) != tau:
+        if nearest_integer(product, precision_bits) != tau:
             raise ConsistencyError(
                 f"root tree product {mp.nstr(product, 20)} disagrees with "
                 f"the determinant count {tau}"

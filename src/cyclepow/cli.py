@@ -50,7 +50,7 @@ from .hitting import (
     hit_simulate,
     hit_spectral,
 )
-from .spectral import _GUARD_BITS, cached_factorization, residual_tolerance
+from .spectral import _GUARD_BITS, residual_tolerance
 from .verify import run_verification
 
 CSV_HEADER = "n,k,ell,method,value,err_bound"
@@ -109,10 +109,9 @@ class Record:
 def _tau_rows(record: Record, spec: GraphSpec) -> None:
     """The spanning-tree count by all three routes."""
     bits = record.precision_bits
-    sf = cached_factorization(spec.k, bits)
     record.add("tau_det", tau_det(spec))
     record.add("tau_eigen", tau_eigen(spec, bits))
-    record.add("tau_product", tau_product(spec, sf))
+    record.add("tau_product", tau_product(spec, bits))
 
 
 def _forest_rows(record: Record, spec: GraphSpec, ell: int) -> None:
@@ -242,8 +241,7 @@ def cmd_hit(n, k, ell, method, form, precision, walks, seed, erratum, fmt) -> No
         elif tag == "spectral":
             record.add("spectral", hit_spectral(spec, ell, precision))
         elif tag == "closed":
-            sf = cached_factorization(k, precision)
-            record.add("closed", hit_closed(spec, ell, sf, _FORM_NAMES[form]))
+            record.add("closed", hit_closed(spec, ell, precision, _FORM_NAMES[form]))
         else:
             result = hit_simulate(spec, ell, walks, seed)
             record.results.append(("simulate", repr(result.mean), repr(result.stderr)))
@@ -251,7 +249,7 @@ def cmd_hit(n, k, ell, method, form, precision, walks, seed, erratum, fmt) -> No
             record.generator = GENERATOR_ID
         records.append(record)
     if erratum:
-        value = hit_closed_literal(spec, ell, cached_factorization(k, precision))
+        value = hit_closed_literal(spec, ell, precision)
         record = Record("hit", n, k, ell, precision)
         record.results.append(("closed-literal", _format_value(value, precision), None))
         records.append(record)
@@ -388,7 +386,7 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> None:
                 records.append(record)
                 continue
             if quantity != "forests":
-                closed = hit_closed_all(spec, cached_factorization(k, precision))
+                closed = hit_closed_all(spec, precision)
             for ell in range(1 if quantity == "forests" else 0, n):
                 record = Record("sweep", n, k, ell, precision)
                 if quantity == "hit":

@@ -40,7 +40,7 @@ from .spectral import (
     _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
     SpectralFactorization,
-    _resolve_factorization,
+    cached_factorization,
     residual_tolerance,
 )
 
@@ -190,36 +190,39 @@ def _closed_value(spec: GraphSpec, ell: int, sf: SpectralFactorization, ratios):
 def hit_closed(
     spec: GraphSpec,
     ell: int,
-    factorization: SpectralFactorization | None = None,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
     form: str = "exponential",
 ):
     """Closed form: exact quadratic term plus the summed corrections.
 
     The quadratic term (B/2) * ell * (n - ell) is computed in exact rational
-    arithmetic; each factor contributes n * A * correction_ratio.  The
-    correction sum must be real up to the certified residual, otherwise the
-    requested precision was insufficient.
+    arithmetic; each factor of cached_factorization(k, precision_bits)
+    contributes n * A * correction_ratio.  The correction sum must be real up
+    to the certified residual, otherwise the requested precision was
+    insufficient.
     """
     check_ell(spec, ell)
-    sf = _resolve_factorization(spec.k, factorization)
+    if form not in ("exponential", "sequence"):
+        raise ParameterError(f"unknown form {form!r}")
+    sf = cached_factorization(spec.k, precision_bits)
     ratios = (
-        correction_ratio(factor, ell, spec.n, form, sf.precision_bits)
+        correction_ratio(factor, ell, spec.n, form, precision_bits)
         for factor in sf.factors
     )
     return _closed_value(spec, ell, sf, ratios)
 
 
 def hit_closed_all(
-    spec: GraphSpec, factorization: SpectralFactorization | None = None
+    spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> tuple:
-    """hit_closed(spec, ell, factorization) for ell = 0..n-1, bit for bit.
+    """hit_closed(spec, ell, precision_bits) for ell = 0..n-1, bit for bit.
 
     Each factor's exponential-form ratios come from one correction_ratios
     table over every ell instead of three powers of rho per ell.
     """
-    sf = _resolve_factorization(spec.k, factorization)
+    sf = cached_factorization(spec.k, precision_bits)
     tables = [
-        correction_ratios(factor, spec.n, "exponential", sf.precision_bits)
+        correction_ratios(factor, spec.n, "exponential", precision_bits)
         for factor in sf.factors
     ]
     return tuple(
@@ -229,9 +232,7 @@ def hit_closed_all(
 
 
 def hit_closed_literal(
-    spec: GraphSpec,
-    ell: int,
-    factorization: SpectralFactorization | None = None,
+    spec: GraphSpec, ell: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ):
     """The closed form with full-index sequence ratios instead of the
     verified correction ratios, summed as hit_closed sums them (including its
@@ -242,9 +243,9 @@ def hit_closed_literal(
     never be used for real evaluation.
     """
     check_ell(spec, ell)
-    sf = _resolve_factorization(spec.k, factorization)
+    sf = cached_factorization(spec.k, precision_bits)
     ratios = (
-        full_index_ratio(factor, ell, spec.n, sf.precision_bits)
+        full_index_ratio(factor, ell, spec.n, precision_bits)
         for factor in sf.factors
     )
     return _closed_value(spec, ell, sf, ratios)

@@ -246,20 +246,6 @@ def cached_factorization(
     return partial_fractions(k, precision_bits)
 
 
-def _resolve_factorization(
-    k: int, factorization: SpectralFactorization | None
-) -> SpectralFactorization:
-    """`factorization`, checked to be built for k; the cached default-precision
-    one when it is None."""
-    if factorization is None:
-        return cached_factorization(k, DEFAULT_PRECISION_BITS)
-    if factorization.k != k:
-        raise ParameterError(
-            f"factorization was built for k={factorization.k}, spec has k={k}"
-        )
-    return factorization
-
-
 def _assert_conjugate_closure(factors, precision_bits) -> None:
     """Every non-real root must have a conjugate partner among the roots.
 

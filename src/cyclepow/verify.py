@@ -550,9 +550,8 @@ def _resolvent_periodization(kmax, nmax, bits):
 def _tree_triple(kmax, nmax, bits):
     for spec in _specs(kmax, nmax):
         tau = mp.mpf(tau_det(spec))
-        sf = cached_factorization(spec.k, bits)
         deviation = max(
-            _rel(tau_eigen(spec, bits), tau), _rel(tau_product(spec, sf), tau)
+            _rel(tau_eigen(spec, bits), tau), _rel(tau_product(spec, bits), tau)
         )
         yield deviation, f"(n={spec.n}, k={spec.k})"
 
@@ -620,7 +619,7 @@ def _oracle_deviations(kmax, nmax, bits) -> tuple[tuple[float, float, str], ...]
     deviations = []
     for spec in _specs(kmax, nmax):
         exact_all = hit_exact_all(spec)
-        closed_all = hit_closed_all(spec, cached_factorization(spec.k, bits))
+        closed_all = hit_closed_all(spec, bits)
         for ell in range(spec.n):
             exact = mp.mpf(exact_all[ell].numerator) / exact_all[ell].denominator
             deviations.append(
@@ -656,7 +655,7 @@ _DOUBLED_INDEX_VALUE = Fraction(2, 5) * 5 + Fraction(4, 5) * 6 * Fraction(
 @lru_cache(maxsize=1)
 def _full_index_value(bits: int):
     """Cached: the row's statistic and its description both read it."""
-    return hit_closed_literal(GraphSpec(6, 2), 1, cached_factorization(2, bits))
+    return hit_closed_literal(GraphSpec(6, 2), 1, bits)
 
 
 @_check(

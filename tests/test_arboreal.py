@@ -12,9 +12,7 @@ from cyclepow import (
     ParameterError,
     PrecisionError,
     arboreal_counts,
-    cached_factorization,
     forests,
-    hit_closed,
     hit_exact,
     resistance,
     tau_contracted,
@@ -93,23 +91,6 @@ def test_tau_product_examples():
         assert abs(tau_product(GraphSpec(6, 2)) - 384) <= 1e-10 * 384
         expected = tau_det(GraphSpec(8, 3))
         assert abs(tau_product(GraphSpec(8, 3)) - expected) <= 1e-10 * expected
-
-
-def test_tau_product_rejects_mismatched_factorization():
-    sf = cached_factorization(2, 256)
-    with pytest.raises(ParameterError):
-        tau_product(GraphSpec(9, 3), sf)
-
-
-def test_tau_product_and_hit_closed_reject_another_k_alike():
-    sf = cached_factorization(2, 256)
-    spec = GraphSpec(9, 3)
-    with pytest.raises(ParameterError) as trees:
-        tau_product(spec, sf)
-    with pytest.raises(ParameterError) as hits:
-        hit_closed(spec, 1, sf)
-    assert str(trees.value) == str(hits.value)
-    assert str(trees.value) == "factorization was built for k=2, spec has k=3"
 
 
 @given(specs())

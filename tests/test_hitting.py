@@ -11,13 +11,16 @@ from cyclepow import (
     ParameterError,
     PrecisionError,
     SimulationBudgetError,
+    arboreal_counts,
     cached_factorization,
     hit_closed,
     hit_closed_literal,
     hit_exact,
     hit_simulate,
     hit_spectral,
+    tau_det,
     tau_eigen,
+    tau_product,
 )
 from cyclepow.hitting import cosine_table, hit_exact_all, laplacian_eigenvalues
 from cyclepow.recurrences import full_index_ratio
@@ -200,39 +203,33 @@ def test_spectral_examples():
 
 def test_closed_examples():
     with mp.workprec(288):
-        sf1 = cached_factorization(1, 256)
-        assert abs(hit_closed(GraphSpec(7, 1), 3, sf1) - 12) <= mp.mpf(2) ** -100
-        sf2 = cached_factorization(2, 256)
-        assert abs(hit_closed(GraphSpec(6, 2), 2, sf2) - 5) <= mp.mpf(2) ** -100
-        sf3 = cached_factorization(3, 256)
-        assert abs(hit_closed(GraphSpec(7, 3), 1, sf3) - 6) <= mp.mpf(2) ** -100
+        assert abs(hit_closed(GraphSpec(7, 1), 3, 256) - 12) <= mp.mpf(2) ** -100
+        assert abs(hit_closed(GraphSpec(6, 2), 2, 256) - 5) <= mp.mpf(2) ** -100
+        assert abs(hit_closed(GraphSpec(7, 3), 1, 256) - 6) <= mp.mpf(2) ** -100
 
 
 def test_closed_sequence_form_matches():
     with mp.workprec(288):
         for spec in (GraphSpec(9, 2), GraphSpec(11, 3), GraphSpec(13, 4)):
-            sf = cached_factorization(spec.k, 256)
             for ell in range(spec.n):
-                a = hit_closed(spec, ell, sf, "exponential")
-                b = hit_closed(spec, ell, sf, "sequence")
+                a = hit_closed(spec, ell, 256, "exponential")
+                b = hit_closed(spec, ell, 256, "sequence")
                 assert abs(a - b) <= mp.mpf(2) ** -100 * max(1, abs(a))
 
 
-def test_closed_rejects_mismatched_factorization():
-    sf = cached_factorization(2, 256)
-    with pytest.raises(ParameterError):
-        hit_closed(GraphSpec(9, 3), 1, sf)
-    with pytest.raises(ParameterError):
-        hitting.hit_closed_all(GraphSpec(9, 3), sf)
+@pytest.mark.parametrize("k", [1, 2])
+def test_closed_rejects_an_unknown_form_at_every_k(k):
+    # psi_1 has no roots, so at k = 1 no correction ratio is ever evaluated.
+    with pytest.raises(ParameterError, match="^unknown form 'bogus'$"):
+        hit_closed(GraphSpec(7, k), 3, form="bogus")
 
 
 def test_closed_all_is_bit_identical_to_each_ell():
     for spec, bits in (
         (GraphSpec(7, 1), 256), (GraphSpec(13, 4), 256), (GraphSpec(30, 3), 128)
     ):
-        sf = cached_factorization(spec.k, bits)
-        assert hitting.hit_closed_all(spec, sf) == tuple(
-            hit_closed(spec, ell, sf) for ell in range(spec.n)
+        assert hitting.hit_closed_all(spec, bits) == tuple(
+            hit_closed(spec, ell, bits) for ell in range(spec.n)
         )
     spec = GraphSpec(9, 2)
     default = tuple(hit_closed(spec, ell) for ell in range(spec.n))
@@ -247,23 +244,82 @@ def test_closed_literal_reproduces_known_deviation():
         assert abs(literal - 5) > 1
 
 
+def full_index_sum(spec, ell, bits):
+    """The closed-form sum over full-index sequence ratios, spelled out."""
+    sf = cached_factorization(spec.k, bits)
+    quadratic = Fraction(sf.pole_coefficient, 2) * ell * (spec.n - ell)
+    with mp.workprec(bits + 32):
+        corrections = mp.mpc(0)
+        for factor in sf.factors:
+            corrections += factor.coefficient * full_index_ratio(
+                factor, ell, spec.n, bits
+            )
+        corrections *= spec.n
+        return mp.mpf(quadratic.numerator) / quadratic.denominator + mp.re(
+            corrections
+        )
+
+
 def test_closed_literal_is_the_closed_sum_over_full_index_ratios():
     for spec, bits in (
         (GraphSpec(6, 2), 256), (GraphSpec(13, 4), 64), (GraphSpec(30, 3), 256)
     ):
-        sf = cached_factorization(spec.k, bits)
         for ell in range(spec.n):
-            quadratic = Fraction(sf.pole_coefficient, 2) * ell * (spec.n - ell)
-            with mp.workprec(bits + 32):
-                corrections = mp.mpc(0)
-                for factor in sf.factors:
-                    corrections += factor.coefficient * full_index_ratio(
-                        factor, ell, spec.n, bits
-                    )
-                corrections *= spec.n
-                expected = mp.mpf(quadratic.numerator) / quadratic.denominator
-                expected += mp.re(corrections)
-            assert hit_closed_literal(spec, ell, sf) == expected
+            assert hit_closed_literal(spec, ell, bits) == full_index_sum(
+                spec, ell, bits
+            )
+
+
+def _counted_trees(spec, bits):
+    counts = arboreal_counts(spec, 5, precision_bits=bits)
+    assert counts.tree_count == tau_det(spec)
+    return [
+        (counts.tree_count_eigen, counts.tree_count),
+        (counts.tree_count_product, counts.tree_count),
+    ]
+
+
+# Each analytic route with `precision_bits` as a keyword, as (value,
+# reference) pairs over the ells of a graph: the exact solve or determinant,
+# or for the erratum variant its own full-index sum.
+ANALYTIC_ROUTES = {
+    "hit_spectral": lambda spec, bits: [
+        (hit_spectral(spec, ell, precision_bits=bits), hit_exact(spec, ell))
+        for ell in range(spec.n)
+    ],
+    "hit_closed": lambda spec, bits: [
+        (hit_closed(spec, ell, precision_bits=bits), hit_exact(spec, ell))
+        for ell in range(spec.n)
+    ],
+    "hit_closed_all": lambda spec, bits: list(
+        zip(hitting.hit_closed_all(spec, precision_bits=bits), hit_exact_all(spec))
+    ),
+    "hit_closed_literal": lambda spec, bits: [
+        (hit_closed_literal(spec, ell, precision_bits=bits),
+         full_index_sum(spec, ell, bits))
+        for ell in range(spec.n)
+    ],
+    "tau_eigen": lambda spec, bits: [
+        (tau_eigen(spec, precision_bits=bits), tau_det(spec))
+    ],
+    "tau_product": lambda spec, bits: [
+        (tau_product(spec, precision_bits=bits), tau_det(spec))
+    ],
+    "arboreal_counts": _counted_trees,
+}
+
+
+@pytest.mark.parametrize("spec", [GraphSpec(12, 3), GraphSpec(13, 4)], ids=repr)
+@pytest.mark.parametrize("route", ANALYTIC_ROUTES)
+def test_every_analytic_route_takes_precision_bits(route, spec):
+    bits = 128
+    pairs = ANALYTIC_ROUTES[route](spec, bits)
+    with mp.workprec(bits + 32):
+        for value, reference in pairs:
+            if isinstance(reference, (int, Fraction)):
+                reference = mp.mpf(reference.numerator) / reference.denominator
+            scale = max(1, abs(reference))
+            assert abs(value - reference) <= residual_tolerance(bits) * scale
 
 
 def test_closed_literal_rejects_a_nonreal_correction_sum(monkeypatch):
@@ -281,8 +337,7 @@ def test_three_methods_agree(spec, data):
         reference = mp.mpf(exact.numerator) / exact.denominator
         scale = max(1, abs(reference))
         assert abs(hit_spectral(spec, ell, 256) - reference) <= 1e-10 * scale
-        sf = cached_factorization(spec.k, 256)
-        assert abs(hit_closed(spec, ell, sf) - reference) <= 1e-10 * scale
+        assert abs(hit_closed(spec, ell, 256) - reference) <= 1e-10 * scale
 
 
 def test_simulate_trivial_and_validation():

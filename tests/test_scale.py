@@ -10,7 +10,6 @@ from mpmath import mp
 
 from cyclepow import (
     GraphSpec,
-    cached_factorization,
     hit_closed,
     hit_spectral,
     tau_eigen,
@@ -29,10 +28,9 @@ def printed_bound(value):
 @pytest.mark.parametrize("n, k", [(4096, 3), (4099, 6), (8192, 8)])
 def test_spectral_sum_agrees_with_sequence_closed_form(n, k):
     spec = GraphSpec(n, k)
-    sf = cached_factorization(k, BITS)
     for ell in (1, 7, n // 3, n // 2, n - 1):
         spectral = hit_spectral(spec, ell, BITS)
-        closed = hit_closed(spec, ell, sf, form="sequence")
+        closed = hit_closed(spec, ell, BITS, form="sequence")
         with mp.workprec(BITS):
             gap = abs(spectral - closed)
             assert gap <= printed_bound(spectral) + printed_bound(closed), ell
@@ -41,5 +39,5 @@ def test_spectral_sum_agrees_with_sequence_closed_form(n, k):
 def test_eigenvalue_and_root_tree_products_agree():
     spec = GraphSpec(1024, 3)
     eigen = tau_eigen(spec, BITS)
-    product = tau_product(spec, cached_factorization(3, BITS))
+    product = tau_product(spec, BITS)
     assert abs(eigen - product) <= residual_tolerance(BITS) * product
