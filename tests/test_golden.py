@@ -24,7 +24,11 @@ tree-triple-agreement row (residues near 1e-86 at 256 bits and 1e-162 at
 re-recorded a second time when the ratio-branch-invariance row, whose
 statistic was always 0, was deleted and the resolvent-periodization sum was
 folded over the half period: the deleted row's two lines went, and only the
-resolvent-periodization row's `worst` value and its location moved.
+resolvent-periodization row's `worst` value and its location moved.  It was
+re-recorded a third time when five rows that could only pass were deleted
+(symbol-factorization, psi-at-two, phi-slope-at-two, partial-fraction-shape
+and ratio-symmetry): each case lost those rows' two lines each and no other
+byte moved.
 
 `data/trees_golden.json` holds `trees` output in json, csv and text (the
 text without its `# wall_time_s` line) for a few small graphs with and
