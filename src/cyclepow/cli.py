@@ -50,7 +50,7 @@ from .hitting import (
     hit_simulate,
     hit_spectral,
 )
-from .spectral import _GUARD_BITS, residual_tolerance
+from .spectral import _GUARD_BITS, MIN_PRECISION_BITS, residual_tolerance
 from .verify import run_verification
 
 CSV_HEADER = "n,k,ell,method,value,err_bound"
@@ -67,8 +67,8 @@ def _usage_checked(call, *args):
 
 
 def _check_precision(precision: int) -> None:
-    if precision < 64:
-        raise click.UsageError("precision must be at least 64 bits")
+    if precision < MIN_PRECISION_BITS:
+        raise click.UsageError(f"precision must be at least {MIN_PRECISION_BITS} bits")
 
 
 def _format_value(value, precision_bits: int) -> str:

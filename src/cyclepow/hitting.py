@@ -40,6 +40,7 @@ from .spectral import (
     _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
     SpectralFactorization,
+    _check_precision_bits,
     cached_factorization,
     residual_tolerance,
 )
@@ -64,8 +65,11 @@ __all__ = [
 # draws for many walks in lockstep.  Recorded in run metadata.
 GENERATOR_ID = "numpy.random.Philox4x64(key=(seed,walk))"
 
+
+# The three cached functions below take positional arguments only, with no
+# defaults, so each value has exactly one cache key.
 @lru_cache(maxsize=None)
-def cosine_table(n: int, precision_bits: int):
+def cosine_table(n: int, precision_bits: int, /):
     """cos(2*pi*m/n) for m = 0..n-1 at the requested precision.
 
     Only one octant is evaluated when 4 | n: mp.cospi_sinpi at m <= n/8
@@ -73,6 +77,7 @@ def cosine_table(n: int, precision_bits: int):
     mp.cospi at m <= n/4, odd n at m <= (n-1)/2.  The rest is copied exactly:
     c_(n/2-m) = -c_m for even n, then c_(n-m) = c_m.
     """
+    _check_precision_bits(precision_bits)
     half = [None] * (n // 2 + 1)
     with mp.workprec(precision_bits + _GUARD_BITS):
         if n % 4 == 0:
@@ -91,9 +96,7 @@ def cosine_table(n: int, precision_bits: int):
 
 
 @lru_cache(maxsize=None)
-def laplacian_eigenvalues(
-    spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS
-):
+def laplacian_eigenvalues(spec: GraphSpec, precision_bits: int, /):
     """Eigenvalues lambda_j = 2k - 2*sum_r cos(2*pi*j*r/n) for j = 0..n-1.
 
     The k cosines c_(jr mod n) are added by mp.fsum for j <= n/2 only; the
@@ -111,7 +114,7 @@ def laplacian_eigenvalues(
 
 
 @lru_cache(maxsize=512)
-def hit_exact_all(spec: GraphSpec) -> tuple[Fraction, ...]:
+def hit_exact_all(spec: GraphSpec, /) -> tuple[Fraction, ...]:
     """All h(0, ell) for ell = 0..n-1 from one exact solve.
 
     Deleting the target row and column of the Laplacian leaves a positive
@@ -143,6 +146,7 @@ def hit_spectral(
     are added by mp.fsum.
     """
     check_ell(spec, ell)
+    _check_precision_bits(precision_bits)
     if ell == 0:
         return mp.mpf(0)
     n = spec.n

@@ -182,6 +182,15 @@ def _ratio_parts(factor, indices, n_vertices, form, precision_bits, terms):
     raise ParameterError(f"unknown form {form!r}")
 
 
+def _check_indices(n_vertices: int, ell: int = 0) -> None:
+    """N >= 1 and 0 <= ell <= N: at N = 0 the denominators 1 - rho^0, W_0
+    and V_0 all vanish."""
+    if n_vertices < 1:
+        raise ParameterError(f"n_vertices must be >= 1, got {n_vertices}")
+    if not 0 <= ell <= n_vertices:
+        raise ParameterError(f"need 0 <= ell <= {n_vertices}, got {ell}")
+
+
 def _ratio(values, denominator, ell, n_vertices):
     return values[ell] * values[n_vertices - ell] / denominator
 
@@ -202,8 +211,7 @@ def correction_ratio(
     in O(log N) operations.  The two agree to the certified-residual
     tolerance and are symmetric in ell <-> N - ell by construction.
     """
-    if not 0 <= ell <= n_vertices:
-        raise ParameterError(f"need 0 <= ell <= {n_vertices}, got {ell}")
+    _check_indices(n_vertices, ell)
     with mp.workprec(precision_bits + _GUARD_BITS):
         values, denominator = _ratio_parts(
             factor, (ell, n_vertices - ell, n_vertices), n_vertices, form,
@@ -227,8 +235,7 @@ def correction_ratios(
     Holds N + 1 values, so large-N callers that need a few ell should call
     correction_ratio.
     """
-    if n_vertices < 0:
-        raise ParameterError(f"n_vertices must be >= 0, got {n_vertices}")
+    _check_indices(n_vertices)
     with mp.workprec(precision_bits + _GUARD_BITS):
         values, denominator = _ratio_parts(
             factor, range(n_vertices + 1), n_vertices, form, precision_bits, _terms,
@@ -252,8 +259,7 @@ def full_index_ratio(
     gives -55/144 where the true ratio is -5/8).  The three V terms come by
     index doubling, as in correction_ratio.
     """
-    if not 0 <= ell <= n_vertices:
-        raise ParameterError(f"need 0 <= ell <= {n_vertices}, got {ell}")
+    _check_indices(n_vertices, ell)
     with mp.workprec(precision_bits + _GUARD_BITS):
         terms = _doubled_terms(
             mp.mpc(factor.root), (ell, n_vertices - ell, n_vertices)

@@ -35,6 +35,7 @@ from .polynomials import IntPolynomial, build_phi, build_psi, derivative, eval_p
 __all__ = [
     "DEFAULT_PRECISION_BITS",
     "FactorData",
+    "MIN_PRECISION_BITS",
     "SpectralFactorization",
     "cached_factorization",
     "check_decomposition",
@@ -48,10 +49,18 @@ __all__ = [
 
 DEFAULT_PRECISION_BITS = 256
 
+# The least precision any analytic route accepts.
+MIN_PRECISION_BITS = 64
+
 # Extra working bits so results are accurate at the *requested* precision.
 _GUARD_BITS = 32
 
 _NEWTON_BUDGET = 100
+
+
+def _check_precision_bits(precision_bits: int) -> None:
+    if precision_bits < MIN_PRECISION_BITS:
+        raise ParameterError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
 
 
 def residual_tolerance(precision_bits: int):
@@ -130,8 +139,7 @@ def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS)
     drops below 2^(-precision_bits/2).  The refined roots must be pairwise
     separated by more than 2^(-precision_bits/4).
     """
-    if precision_bits < 64:
-        raise ParameterError("precision_bits must be >= 64")
+    _check_precision_bits(precision_bits)
     degree = psi.degree
     if degree <= 0:
         return []
@@ -214,8 +222,6 @@ def partial_fractions(
     if 6 * psi_at_2 != k * (k + 1) * (2 * k + 1):
         raise ConsistencyError("psi_k(2) does not match k(k+1)(2k+1)/6")
     pole_coefficient = Fraction(2 * k, psi_at_2)
-    if pole_coefficient != Fraction(12, (k + 1) * (2 * k + 1)):
-        raise ConsistencyError("pole coefficient mismatch")
 
     roots = find_roots(psi, precision_bits)
     dpsi = derivative(psi)
@@ -239,10 +245,11 @@ def partial_fractions(
 
 
 @lru_cache(maxsize=64)
-def cached_factorization(
-    k: int, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> SpectralFactorization:
-    """Memoised partial_fractions; safe because the result is immutable."""
+def cached_factorization(k: int, precision_bits: int, /) -> SpectralFactorization:
+    """Memoised partial_fractions; safe because the result is immutable.
+
+    Positional-only with no default, so each (k, precision_bits) has exactly
+    one cache key."""
     return partial_fractions(k, precision_bits)
 
 

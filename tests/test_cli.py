@@ -181,6 +181,21 @@ def test_trees_rejects_zero_ell(runner):
         ("trees --n 6 --k 1 --ell 0", "ell must be nonzero for forest counts"),
         ("verify --kmax 9 --nmax 40", "kmax must be in 1..8, got 9"),
         ("verify --kmax 3 --nmax 5", "nmax must be >= 2*kmax+1, got 5"),
+        ("hit --n 6 --k 2 --ell 1 --walks 0", "walks must be >= 1"),
+        ("hit --n 6 --k 2 --ell 1 --seed -1", "seed must fit in 64 bits"),
+        (
+            "hit --n 6 --k 2 --ell 1 --seed 18446744073709551616",
+            "seed must fit in 64 bits",
+        ),
+        *(
+            (f"{command} --precision 63", "precision must be at least 64 bits")
+            for command in (
+                "hit --n 6 --k 2 --ell 1",
+                "trees --n 6 --k 2",
+                "verify --kmax 1 --nmax 3",
+                "sweep --n-range 5:8 --k-range 1:2 --quantity tau --out /dev/null",
+            )
+        ),
     ],
 )
 def test_usage_error_messages(runner, args, message):

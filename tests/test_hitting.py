@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -320,6 +321,38 @@ def test_every_analytic_route_takes_precision_bits(route, spec):
                 reference = mp.mpf(reference.numerator) / reference.denominator
             scale = max(1, abs(reference))
             assert abs(value - reference) <= residual_tolerance(bits) * scale
+
+
+@pytest.mark.parametrize("route", ANALYTIC_ROUTES)
+def test_every_analytic_route_rejects_precision_below_the_floor(route):
+    # hit_spectral's first call is at ell = 0, which builds no table
+    with pytest.raises(ParameterError, match="precision_bits must be >= 64"):
+        ANALYTIC_ROUTES[route](GraphSpec(12, 3), 63)
+
+
+CACHED = {
+    "cached_factorization": (cached_factorization, (3, 96)),
+    "cosine_table": (cosine_table, (12, 96)),
+    "laplacian_eigenvalues": (laplacian_eigenvalues, (GraphSpec(12, 3), 96)),
+    "hit_exact_all": (hit_exact_all, (GraphSpec(12, 3),)),
+}
+
+
+@pytest.mark.parametrize("name", CACHED)
+def test_cached_function_has_one_key_per_value(name):
+    cached, args = CACHED[name]
+    cached(*args)
+    before = cached.cache_info()
+    cached(*args)
+    after = cached.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    *head, last = args
+    keyword = list(inspect.signature(cached).parameters)[-1]
+    with pytest.raises(TypeError):
+        cached(*head, **{keyword: last})
+    if head:
+        with pytest.raises(TypeError):
+            cached(*head)
 
 
 def test_closed_literal_rejects_a_nonreal_correction_sum(monkeypatch):

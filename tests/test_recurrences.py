@@ -98,6 +98,12 @@ def test_correction_ratio_bounds_checked():
         correction_ratio(k2_factor(), -1, 6)
     with pytest.raises(ParameterError):
         correction_ratio(k2_factor(), 1, 6, form="nope")
+    # N = 0 would divide by 1 - rho^0 = W_0 = V_0 = 0
+    for form in ("exponential", "sequence"):
+        with pytest.raises(ParameterError):
+            correction_ratio(k2_factor(), 0, 0, form)
+    with pytest.raises(ParameterError):
+        full_index_ratio(k2_factor(), 0, 0)
 
 
 @pytest.mark.parametrize("form", ["exponential", "sequence"])
@@ -121,6 +127,8 @@ def test_ratio_table_validates_its_arguments():
         correction_ratios(k2_factor(), 6, form="nope")
     with pytest.raises(ParameterError):
         correction_ratios(k2_factor(), -1)
+    with pytest.raises(ParameterError):
+        correction_ratios(k2_factor(), 0)
 
 
 @pytest.mark.parametrize("n", (7, 12, 20))
@@ -205,6 +213,15 @@ def test_ratio_symmetry():
                         assert correction_ratio(factor, ell, n) == correction_ratio(
                             factor, n - ell, n
                         )
+    # The tables verify reads: values[ell] * values[n - ell] / denominator.
+    # Swapping the factors of an mpc product swaps terms of correctly rounded
+    # sums, so ell and n - ell give the same bits.
+    for k in range(2, 9):
+        for factor in cached_factorization(k, 256).factors:
+            for n in range(2 * k + 1, 33):
+                ratios = correction_ratios(factor, n, "exponential", 256)
+                for ell in range(n + 1):
+                    assert ratios[ell] == ratios[n - ell]
 
 
 def test_ratio_conjugation():
