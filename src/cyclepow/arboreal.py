@@ -5,7 +5,8 @@ Everything here comes in (at least) two independent flavours:
   * tau_det        -- exact spanning-tree count: determinant of the
                       Laplacian with vertex 0 deleted, fraction-free on
                       band rows;
-  * tau_eigen      -- the eigenvalue product prod_j phi_k(2 cos(2 pi j/n)) / n;
+  * tau_eigen      -- the eigenvalue product prod_{j>=1} lambda_j / n over the
+                      Laplacian eigenvalue table;
   * tau_product    -- the same product collapsed onto the inner roots, one
                       geometric factor per root of psi_k;
   * resistance     -- h(0, ell) / (n*k), exact, via the commute-time identity
@@ -34,8 +35,7 @@ from mpmath import mp
 from . import fractionfree
 from .errors import ConsistencyError, PrecisionError
 from .graphs import GraphSpec, build_laplacian, check_ell
-from .hitting import cosine_table, hit_exact
-from .polynomials import build_phi, eval_poly
+from .hitting import hit_exact, laplacian_eigenvalues
 from .spectral import (
     _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
@@ -75,23 +75,13 @@ def _graph_tau(spec: GraphSpec) -> int:
 def tau_eigen(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
     """Spanning trees as the eigenvalue product, in high precision.
 
-    The nonzero Laplacian eigenvalues are the values of the symbol phi_k at
-    2*cos(2*pi*j/n); their product over j = 1..n-1, divided by n, counts
-    spanning trees.  Mode j and mode n - j share a value, so phi_k is
-    evaluated only at j <= n/2: the product is (prod_{1<=j<n/2} v_j)^2 *
-    v_(n/2), the middle factor present for even n only.
+    The product of the nonzero Laplacian eigenvalues lambda_1..lambda_(n-1),
+    divided by n, counts spanning trees; they are read from the table
+    hit_spectral reads, laplacian_eigenvalues(spec, precision_bits).
     """
-    n = spec.n
-    phi = build_phi(spec.k)
-    cosines = cosine_table(n, precision_bits)
+    eigenvalues = laplacian_eigenvalues(spec, precision_bits)
     with mp.workprec(precision_bits + _GUARD_BITS):
-        product = mp.mpf(1)
-        for j in range(1, (n + 1) // 2):
-            product *= eval_poly(phi, 2 * cosines[j])
-        product *= product
-        if n % 2 == 0:
-            product *= eval_poly(phi, 2 * cosines[n // 2])
-        return product / n
+        return mp.fprod(eigenvalues[1:]) / spec.n
 
 
 def tau_product(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):

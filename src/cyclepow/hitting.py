@@ -67,8 +67,10 @@ GENERATOR_ID = "numpy.random.Philox4x64(key=(seed,walk))"
 
 
 # The three cached functions below take positional arguments only, with no
-# defaults, so each value has exactly one cache key.
-@lru_cache(maxsize=None)
+# defaults, so each value has exactly one cache key.  The two tables are kept
+# for the 64 most recent (n, bits) and (graph, bits): a default verify run
+# reads 22 cosine and 60 eigenvalue tables, a sweep one of each per graph.
+@lru_cache(maxsize=64)
 def cosine_table(n: int, precision_bits: int, /):
     """cos(2*pi*m/n) for m = 0..n-1 at the requested precision.
 
@@ -77,6 +79,8 @@ def cosine_table(n: int, precision_bits: int, /):
     mp.cospi at m <= n/4, odd n at m <= (n-1)/2.  The rest is copied exactly:
     c_(n/2-m) = -c_m for even n, then c_(n-m) = c_m.
     """
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
     _check_precision_bits(precision_bits)
     half = [None] * (n // 2 + 1)
     with mp.workprec(precision_bits + _GUARD_BITS):
@@ -95,7 +99,7 @@ def cosine_table(n: int, precision_bits: int, /):
     return tuple(half + [half[n - m] for m in range(n // 2 + 1, n)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def laplacian_eigenvalues(spec: GraphSpec, precision_bits: int, /):
     """Eigenvalues lambda_j = 2k - 2*sum_r cos(2*pi*j*r/n) for j = 0..n-1.
 

@@ -1,4 +1,4 @@
-"""Exact integer polynomial algebra for the Laplacian symbol of cycle powers.
+"""Exact integer polynomials for the Laplacian symbol of cycle powers.
 
 Under the substitution x = z + 1/z, each two-sided power z^r + z^-r becomes an
 integer polynomial P_r(x) (a rescaled Chebyshev polynomial, P_r(x) =
@@ -9,9 +9,11 @@ of the distance-k Laplacian is then
 
 whose values at x = 2*cos(2*pi*j/N) are exactly the Laplacian eigenvalues.
 phi_k vanishes at x = 2, and dividing that root out gives the degree-(k-1)
-cofactor psi_k with phi_k(x) = (2 - x) * psi_k(x).  The division is exact by
-construction, so any remainder is treated as a bug rather than an error the
-caller could cause.
+cofactor psi_k with phi_k(x) = (2 - x) * psi_k(x).  Both are built on
+coefficient lists: the P_r by their recurrence, psi_k by reading the
+coefficients of phi_k from the top.  The division is exact by construction,
+so a remainder is treated as a bug rather than an error the caller could
+cause.
 
 Coefficients are arbitrary-precision integers throughout; they stay small at
 desk scale, but exactness removes all overflow reasoning.
@@ -29,7 +31,6 @@ __all__ = [
     "build_phi",
     "build_psi",
     "derivative",
-    "divide_exact",
     "eval_poly",
 ]
 
@@ -54,106 +55,54 @@ class IntPolynomial:
 
     @property
     def degree(self) -> int:
-        if self.is_zero:
+        if self.coeffs == (0,):
             return -1
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,)
-
-    @property
-    def leading_coefficient(self) -> int:
-        return self.coeffs[-1]
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] += c
-        return IntPolynomial(tuple(summed))
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial(tuple(other * c for c in self.coeffs))
-        product = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                product[i + j] += a * b
-        return IntPolynomial(tuple(product))
-
-    __rmul__ = __mul__
-
-
-# x as a polynomial; used by the recurrence below.
-_X = IntPolynomial((0, 1))
 
 
 def basis_term(r: int) -> IntPolynomial:
     """P_r, the polynomial expressing z^r + z^-r in x = z + 1/z."""
     if r < 0:
         raise ParameterError(f"r must be >= 0, got {r}")
-    prev = IntPolynomial((2,))
+    prev, cur = [2], [0, 1]
     if r == 0:
-        return prev
-    cur = _X
+        return IntPolynomial(tuple(prev))
     for _ in range(r - 1):
-        prev, cur = cur, _X * cur - prev
-    return cur
+        step = [0] + cur  # x * P_r
+        for i, c in enumerate(prev):
+            step[i] -= c
+        prev, cur = cur, step
+    return IntPolynomial(tuple(cur))
 
 
 def build_phi(k: int) -> IntPolynomial:
     """The degree-k Laplacian symbol phi_k(x) = 2k - sum_{r=1..k} P_r(x)."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    acc = IntPolynomial((2 * k,))
+    acc = [2 * k] + [0] * k
     for r in range(1, k + 1):
-        acc = acc - basis_term(r)
-    return acc
+        for i, c in enumerate(basis_term(r).coeffs):
+            acc[i] -= c
+    return IntPolynomial(tuple(acc))
 
 
 def build_psi(k: int) -> IntPolynomial:
-    """The degree-(k-1) cofactor psi_k with phi_k(x) = (2 - x) * psi_k(x)."""
-    return divide_exact(build_phi(k), IntPolynomial((2, -1)))
+    """The degree-(k-1) cofactor psi_k with phi_k(x) = (2 - x) * psi_k(x).
 
-
-def divide_exact(dividend: IntPolynomial, divisor: IntPolynomial) -> IntPolynomial:
-    """Exact polynomial division over the integers.
-
-    Raises ConsistencyError when the division leaves a remainder or a
-    non-integer quotient coefficient; for the phi/psi pair that signals a
-    broken construction upstream.
+    Matching coefficients gives phi_d = -psi_(d-1) at the top degree d,
+    phi_i = 2*psi_i - psi_(i-1) for 0 < i < d and phi_0 = 2*psi_0, so psi_k
+    is read off from the top; ConsistencyError is raised unless the last
+    equation, the remainder of the division, holds.
     """
-    if divisor.is_zero:
-        raise ParameterError("division by the zero polynomial")
-    if dividend.is_zero:
-        return IntPolynomial((0,))
-    quotient_degree = dividend.degree - divisor.degree
-    if quotient_degree < 0:
-        raise ConsistencyError("division left a nonzero remainder")
-    remainder = list(dividend.coeffs)
-    lead = divisor.leading_coefficient
-    quotient = [0] * (quotient_degree + 1)
-    for i in range(quotient_degree, -1, -1):
-        coeff, extra = divmod(remainder[i + divisor.degree], lead)
-        if extra:
-            raise ConsistencyError("division produced a non-integer coefficient")
-        quotient[i] = coeff
-        for j, d in enumerate(divisor.coeffs):
-            remainder[i + j] -= coeff * d
-    if any(remainder):
-        raise ConsistencyError("division left a nonzero remainder")
-    return IntPolynomial(tuple(quotient))
+    phi = build_phi(k).coeffs
+    degree = len(phi) - 1
+    psi = [0] * degree
+    psi[-1] = -phi[degree]
+    for i in range(degree - 1, 0, -1):
+        psi[i - 1] = 2 * psi[i] - phi[i]
+    if 2 * psi[0] != phi[0]:
+        raise ConsistencyError(f"2 - x does not divide phi_{k}")
+    return IntPolynomial(tuple(psi))
 
 
 def eval_poly(p: IntPolynomial, point):

@@ -235,7 +235,7 @@ def partial_fractions(
             coefficient = -2 * k / ((2 - gamma) * eval_poly(dpsi, gamma))
             residual = abs(eval_poly(psi, gamma))
             factors.append(FactorData(gamma, rho, coefficient, residual))
-        _assert_conjugate_closure(factors, precision_bits)
+    conjugate_pairs(factors, precision_bits)  # raises on an unpaired root
     return SpectralFactorization(
         k=k,
         precision_bits=precision_bits,
@@ -253,26 +253,14 @@ def cached_factorization(k: int, precision_bits: int, /) -> SpectralFactorizatio
     return partial_fractions(k, precision_bits)
 
 
-def _assert_conjugate_closure(factors, precision_bits) -> None:
-    """Every non-real root must have a conjugate partner among the roots.
-
-    Pairing is detected by nearest-conjugate matching, never assumed from
-    position.
-    """
-    tol = residual_tolerance(precision_bits)
-    for factor in factors:
-        target = mp.conj(factor.root)
-        mismatch = min(abs(target - other.root) for other in factors)
-        if mismatch > tol * max(1, abs(factor.root)):
-            raise ConsistencyError("roots are not closed under conjugation")
-
-
 def conjugate_pairs(factors, precision_bits: int):
     """Split factors into (real_factors, conjugate_pairs).
 
     A factor counts as real when the imaginary part of its root is below the
     certified-residual scale.  Each returned pair is (upper, lower) with the
-    positive-imaginary member first.
+    positive-imaginary member first; partners are matched by nearest
+    conjugate, never by position, and ConsistencyError is raised when a
+    non-real root has none within that scale.
     """
     with mp.workprec(precision_bits + _GUARD_BITS):
         tol = residual_tolerance(precision_bits)

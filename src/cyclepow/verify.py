@@ -10,7 +10,10 @@ must stay above its floor.
 A row must be able to fail on some input.  The integer algebra of phi_k and
 psi_k is checked where it is built and pinned by tests, not reported as rows:
 build_psi raises unless (2 - x) * psi_k = phi_k exactly, and
-partial_fractions raises unless psi_k(2) = k(k+1)(2k+1)/6.  The correction
+partial_fractions raises unless psi_k(2) = k(k+1)(2k+1)/6.  The inner roots
+are checked where they are made: find_roots raises unless each root's
+residual |psi_k(gamma)| is within 2^(-bits/2), and partial_fractions raises
+unless rho + 1/rho reproduces gamma to the same bound.  The correction
 ratio's symmetry under ell <-> N - ell holds bit for bit by construction and
 is pinned by tests alone.
 
@@ -282,23 +285,6 @@ def _conjugate_closure(kmax, nmax, bits):
                     float(abs(mp.conj(factor.coefficient) - other.coefficient)),
                 )
                 for other in factors
-            )
-            yield deviation, f"(k={k})"
-
-
-@_check(
-    "inner-root-identity",
-    "rho * (1/rho) = 1, rho + 1/rho = root, certified residuals",
-    residual_tolerance,
-)
-def _inner_root_identity(kmax, nmax, bits):
-    for k in range(2, kmax + 1):
-        for factor in cached_factorization(k, bits).factors:
-            rho = mp.mpc(factor.inner_root)
-            deviation = max(
-                float(abs(rho * (1 / rho) - 1)),
-                float(abs(rho + 1 / rho - factor.root) / max(1, abs(factor.root))),
-                float(factor.residual),
             )
             yield deviation, f"(k={k})"
 

@@ -195,6 +195,35 @@ def test_spectral_sum_reads_eigenvalues_through_the_public_table(monkeypatch):
     assert calls == [(spec, 128)]
 
 
+def test_tau_eigen_is_the_product_of_the_table_hit_spectral_reads():
+    spec = GraphSpec(14, 3)
+    hitting.laplacian_eigenvalues.cache_clear()
+    value = tau_eigen(spec, 128)
+    with mp.workprec(160):
+        expected = mp.fprod(laplacian_eigenvalues(spec, 128)[1:]) / spec.n
+    assert value == expected
+    before = hitting.laplacian_eigenvalues.cache_info()
+    hit_spectral(spec, 3, 128)
+    after = hitting.laplacian_eigenvalues.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_spectral_tables_keep_the_64_most_recent_graphs():
+    hitting.cosine_table.cache_clear()
+    hitting.laplacian_eigenvalues.cache_clear()
+    for n in range(7, 7 + 65):
+        hit_spectral(GraphSpec(n, 3), 1, 64)
+    for cached in (hitting.cosine_table, hitting.laplacian_eigenvalues):
+        info = cached.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (64, 64, 65)
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_cosine_table_rejects_fewer_than_one_vertex(n):
+    with pytest.raises(ParameterError, match="n must be >= 1"):
+        cosine_table(n, 64)
+
+
 def test_spectral_examples():
     with mp.workprec(288):
         assert abs(hit_spectral(GraphSpec(6, 2), 1) - 5) <= mp.mpf(2) ** -100

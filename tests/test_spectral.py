@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from cyclepow import DegeneracyError, ParameterError, PrecisionError, build_psi
+from cyclepow import (
+    ConsistencyError,
+    DegeneracyError,
+    ParameterError,
+    PrecisionError,
+    build_psi,
+)
+from cyclepow import spectral
 from cyclepow.spectral import (
     check_decomposition,
     conjugate_pairs,
@@ -161,6 +168,31 @@ def test_conjugate_pairs_partition():
     sf4 = partial_fractions(4)
     reals, pairs = conjugate_pairs(sf4.factors, 256)
     assert len(reals) == 1 and len(pairs) == 1
+
+
+def test_partial_fractions_rejects_a_root_without_conjugate_partner(monkeypatch):
+    original = spectral.find_roots
+
+    def unpaired(psi, precision_bits):
+        lower, upper = original(psi, precision_bits)
+        with mp.workprec(precision_bits + 32):
+            return [lower, upper + mp.mpf(2) ** -20]
+
+    monkeypatch.setattr(spectral, "find_roots", unpaired)
+    with pytest.raises(ConsistencyError, match="conjugat"):
+        partial_fractions(3, 256)
+
+
+def test_partial_fractions_rejects_an_inner_root_off_its_root(monkeypatch):
+    original = spectral.inner_root
+
+    def perturbed(gamma, precision_bits):
+        with mp.workprec(precision_bits + 32):
+            return original(gamma, precision_bits) * (1 + mp.mpf(2) ** -40)
+
+    monkeypatch.setattr(spectral, "inner_root", perturbed)
+    with pytest.raises(PrecisionError, match="inner root does not reproduce its root"):
+        partial_fractions(3, 256)
 
 
 def test_check_decomposition_fixed_points():
