@@ -69,7 +69,8 @@ GENERATOR_ID = "numpy.random.Philox4x64(key=(seed,walk))"
 # The three cached functions below take positional arguments only, with no
 # defaults, so each value has exactly one cache key.  The two tables are kept
 # for the 64 most recent (n, bits) and (graph, bits): a default verify run
-# reads 22 cosine and 60 eigenvalue tables, a sweep one of each per graph.
+# reads 22 cosine and 60 eigenvalue tables, and sweep --quantity tau reads
+# each graph's tables once.
 @lru_cache(maxsize=64)
 def cosine_table(n: int, precision_bits: int, /):
     """cos(2*pi*m/n) for m = 0..n-1 at the requested precision.
