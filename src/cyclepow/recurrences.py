@@ -19,7 +19,10 @@ ratio V_ell * V_{N-ell} / V_N does NOT reproduce it (off by more than a unit
 already at N=6, k=2), so the exponential and half-index forms are the trusted
 evaluation paths and the full-index ratio is kept only for erratum reporting.
 The exponential form is also the default for large N: |rho| < 1 keeps it
-uniformly well-conditioned, whereas |W_N| grows like |rho|^(-N/2).
+uniformly well-conditioned, whereas |W_N| grows like |rho|^(-N/2).  The
+factors of a conjugate pair are exact conjugates (see spectral), and mpmath
+rounds complex operations symmetrically, so in either form their ratios are
+exact conjugates too.
 
 correction_ratio evaluates one ell from W_ell, W_{N-ell} and W_N alone,
 each reached by index doubling in O(log N) operations (_doubled_terms), so a
@@ -36,21 +39,14 @@ from __future__ import annotations
 
 from mpmath import mp
 
-from .errors import DegeneracyError, ParameterError
-from .spectral import (
-    _GUARD_BITS,
-    DEFAULT_PRECISION_BITS,
-    FactorData,
-    separation_tolerance,
-)
+from .errors import ParameterError
+from .spectral import _GUARD_BITS, DEFAULT_PRECISION_BITS, FactorData
 
 __all__ = [
     "correction_ratio",
     "correction_ratios",
     "full_index_ratio",
     "half_index_coefficient",
-    "term_by_binet",
-    "term_by_recurrence",
 ]
 
 
@@ -128,38 +124,6 @@ def _doubled_terms(coefficient, indices):
                     low, high = even, odd
             values[m] = low
     return {m: +value for m, value in values.items()}
-
-
-def term_by_recurrence(coefficient, n: int, precision_bits: int | None = None):
-    """s_n of s_{n+1} = coefficient*s_n - s_{n-1}, seeds 0 and 1, by the
-    recurrence in O(n) steps.
-
-    Arithmetic happens at `precision_bits` when given, otherwise in the
-    ambient mpmath context (exact for int/Fraction coefficients either way).
-    """
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
-    if precision_bits is None:
-        return _terms(coefficient, (n,))[n]
-    with mp.workprec(precision_bits + _GUARD_BITS):
-        return _terms(coefficient, (n,))[n]
-
-
-def term_by_binet(base, n: int, precision_bits: int = DEFAULT_PRECISION_BITS):
-    """(base^n - base^-n) / (base - 1/base).
-
-    Rejects bases within 2^(-precision_bits/4) of +-1, where the denominator
-    degenerates.
-    """
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
-    with mp.workprec(precision_bits + _GUARD_BITS):
-        b = mp.mpc(base)
-        if min(abs(b - 1), abs(b + 1)) <= separation_tolerance(precision_bits):
-            raise DegeneracyError("Binet base too close to +-1")
-        if n == 0:
-            return mp.mpc(0)
-        return (b**n - b**-n) / (b - 1 / b)
 
 
 def _ratio_parts(factor, indices, n_vertices, form, precision_bits, terms):

@@ -12,8 +12,13 @@ inner root drives all the geometric corrections downstream.
 
 Roots are located all at once by mpmath's Durand-Kerner iteration at the
 working precision, then polished by Newton iteration, with residuals certified
-against the 2^(-precision_bits/2) convention used package-wide.  Distinctness
-is verified numerically per k rather than assumed.
+against the 2^(-precision_bits/2) convention used package-wide.  psi_k has
+integer coefficients, so only the real roots and those in the upper half
+plane are polished; each lower root is the exact conjugate of its upper
+partner.  mpmath rounds complex operations symmetrically, so the inner roots
+and coefficients of a conjugate pair come out exact conjugates as well, and
+so do the correction ratios built from them.  Distinctness is verified
+numerically per k rather than assumed.
 """
 
 from __future__ import annotations
@@ -131,13 +136,47 @@ def _root_estimates(psi: IntPolynomial, precision_bits: int):
         ) from None
 
 
+def _polish(psi: IntPolynomial, dpsi: IntPolynomial, z, tol, target):
+    """Newton iteration from z, kept to the iterate with the least |psi|.
+
+    Stops once |psi| <= target, or once it bounces on the rounding floor
+    below tol; PrecisionError unless the least |psi| is within tol.
+    """
+    best = z
+    best_residual = mp.inf
+    for _ in range(_NEWTON_BUDGET):
+        value = eval_poly(psi, z)
+        residual = abs(value)
+        if residual < best_residual:
+            best, best_residual = z, residual
+        elif best_residual <= tol:
+            break  # bouncing on the rounding floor; keep the best
+        if residual <= target:
+            break
+        slope = eval_poly(dpsi, z)
+        if slope == 0:
+            break
+        z = z - value / slope
+    if best_residual > tol:
+        raise PrecisionError(
+            "root refinement did not converge; retry with higher precision_bits"
+        )
+    return best
+
+
 def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS):
-    """All deg(psi) roots, Newton-refined until |psi(root)| is certified.
+    """All deg(psi) roots, Newton-refined until |psi(root)| is certified,
+    and closed under complex conjugation by construction.
 
     Initial estimates come from mpmath's Durand-Kerner solver at the working
-    precision; each is then polished by Newton iteration until the residual
-    drops below 2^(-precision_bits/2).  The refined roots must be pairwise
-    separated by more than 2^(-precision_bits/4).
+    precision.  psi has integer coefficients, so its non-real roots come in
+    conjugate pairs: an estimate is real when |Im| <= 2^(-precision_bits/2)
+    * max(1, |z|) (the test conjugate_pairs applies), upper or lower
+    otherwise.  The real and upper estimates are polished by Newton iteration
+    until the residual drops below 2^(-precision_bits/2); each lower root is
+    the exact conjugate of a polished upper root.  ConsistencyError is raised
+    unless the reals and twice the uppers make deg(psi), and unless the
+    roots are pairwise separated by more than 2^(-precision_bits/4).
     """
     _check_precision_bits(precision_bits)
     degree = psi.degree
@@ -153,32 +192,21 @@ def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS)
             c0, c1 = psi.coeffs
             roots = [mp.mpc(mp.mpf(-c0) / c1)]
         else:
-            estimates = _root_estimates(psi, precision_bits)
+            reals, uppers = [], []
+            for estimate in map(mp.mpc, _root_estimates(psi, precision_bits)):
+                if abs(estimate.imag) <= tol * max(1, abs(estimate)):
+                    reals.append(estimate)
+                elif estimate.imag > 0:
+                    uppers.append(estimate)
+            if len(reals) + 2 * len(uppers) != degree:
+                raise ConsistencyError(
+                    "root estimates are not closed under conjugation"
+                )
             dpsi = derivative(psi)
-            roots = []
-            for estimate in estimates:
-                z = mp.mpc(estimate)
-                best = z
-                best_residual = mp.inf
-                for _ in range(_NEWTON_BUDGET):
-                    value = eval_poly(psi, z)
-                    residual = abs(value)
-                    if residual < best_residual:
-                        best, best_residual = z, residual
-                    elif best_residual <= tol:
-                        break  # bouncing on the rounding floor; keep the best
-                    if residual <= target:
-                        break
-                    slope = eval_poly(dpsi, z)
-                    if slope == 0:
-                        break
-                    z = z - value / slope
-                if best_residual > tol:
-                    raise PrecisionError(
-                        "root refinement did not converge; retry with higher "
-                        "precision_bits"
-                    )
-                roots.append(best)
+            roots = [_polish(psi, dpsi, z, tol, target) for z in reals]
+            for z in uppers:
+                upper = _polish(psi, dpsi, z, tol, target)
+                roots += [upper, mp.conj(upper)]
         roots.sort(key=lambda z: (z.real, z.imag))
         min_separation = separation_tolerance(precision_bits)
         for i in range(len(roots)):

@@ -7,15 +7,28 @@ zero); numeric checks report the largest relative deviation against the
 stated tolerance; margin checks report the smallest observed margin, which
 must stay above its floor.
 
-A row must be able to fail on some input.  The integer algebra of phi_k and
-psi_k is checked where it is built and pinned by tests, not reported as rows:
-build_psi raises unless (2 - x) * psi_k = phi_k exactly, and
-partial_fractions raises unless psi_k(2) = k(k+1)(2k+1)/6.  The inner roots
-are checked where they are made: find_roots raises unless each root's
-residual |psi_k(gamma)| is within 2^(-bits/2), and partial_fractions raises
-unless rho + 1/rho reproduces gamma to the same bound.  The correction
-ratio's symmetry under ell <-> N - ell holds bit for bit by construction and
-is pinned by tests alone.
+A row must be able to fail on some input, and no row repeats another.
+The integer algebra of phi_k and psi_k is checked where it is built and
+pinned by tests, not reported as rows: build_psi raises unless (2 - x) *
+psi_k = phi_k exactly, and partial_fractions raises unless psi_k(2) =
+k(k+1)(2k+1)/6.  The roots are checked where they are made: find_roots
+raises unless each root's residual |psi_k(gamma)| is within 2^(-bits/2),
+and partial_fractions raises unless rho + 1/rho reproduces gamma to the same
+bound.  inner_root raises DegeneracyError when rho lands within
+2^(-bits/4) of the unit circle, so a root on the spectrum arc [-2, 2]
+cannot pass.  Conjugate symmetry holds by construction: find_roots takes
+each lower root as the exact conjugate of a polished upper root, and mpmath
+rounds complex operations symmetrically, so the inner roots, coefficients
+and correction ratios of a conjugate pair are exact conjugates as well
+(tests pin all of these).  The correction ratio's symmetry under ell <->
+N - ell also holds bit for bit by construction and is pinned by tests alone.
+The three-term recurrence is graded through ratio-form-agreement,
+fibonacci-anchor and the closed-form oracle, and against its Binet
+expression by a test.  The plain-cycle sums (the discrete quadratic
+identity and the eigenvalue product n^2) are the k = 1 cases of
+hitting-oracle-spectral and tree-triple-agreement, over the same n; a
+defect in a cosine table entry, its mirror included, fails the spectral
+oracle row.
 
 The checks form one ordered table.  Each row is a case generator
 `(kmax, nmax, bits) -> (statistic, case)` registered with `@_check(id,
@@ -59,24 +72,17 @@ from .hitting import (
     hit_spectral,
 )
 from .polynomials import build_phi, eval_poly
-from .recurrences import (
-    correction_ratios,
-    half_index_coefficient,
-    term_by_binet,
-    term_by_recurrence,
-)
+from .recurrences import correction_ratios
 from .spectral import (
     _GUARD_BITS,
     cached_factorization,
     check_decomposition,
-    conjugate_pairs,
     residual_tolerance,
 )
 
 __all__ = ["CheckResult", "run_verification"]
 
 ORACLE_RTOL = 1e-10
-EIGENPRODUCT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -249,46 +255,6 @@ def _spectrum_positivity(kmax, nmax, bits):
             yield float(value), f"(n={spec.n}, k={spec.k}, j={j})"
 
 
-def _segment_distance(z) -> float:
-    """Distance from z to the real interval [-2, 2]."""
-    re, im = mp.re(z), mp.im(z)
-    if -2 <= re <= 2:
-        return float(abs(im))
-    return float(min(abs(z - 2), abs(z + 2)))
-
-
-@_check(
-    "root-spectrum-separation",
-    "roots of psi_k stay clear of the spectrum arc [-2, 2]",
-    2.0**-32,
-    ">=",
-)
-def _root_spectrum_separation(kmax, nmax, bits):
-    for k in range(2, kmax + 1):
-        for factor in cached_factorization(k, bits).factors:
-            yield _segment_distance(factor.root), f"(k={k})"
-
-
-@_check(
-    "conjugate-closure",
-    "roots, inner roots, and coefficients closed under conjugation",
-    residual_tolerance,
-)
-def _conjugate_closure(kmax, nmax, bits):
-    for k in range(2, kmax + 1):
-        factors = cached_factorization(k, bits).factors
-        for factor in factors:
-            deviation = min(
-                max(
-                    float(abs(mp.conj(factor.root) - other.root)),
-                    float(abs(mp.conj(factor.inner_root) - other.inner_root)),
-                    float(abs(mp.conj(factor.coefficient) - other.coefficient)),
-                )
-                for other in factors
-            )
-            yield deviation, f"(k={k})"
-
-
 @_check(
     "partial-fraction-residual",
     "decomposition of 2k/phi_k holds at 16 random points per k",
@@ -309,30 +275,6 @@ def _decomposition_residual(kmax, nmax, bits):
                 float(check_decomposition(sf, point)),
                 f"(k={k}, x={mp.nstr(point, 5)})",
             )
-
-
-@_check(
-    "binet-recurrence-agreement",
-    "three-term recurrence matches the Binet expression up to n=64",
-    residual_tolerance,
-)
-def _binet_recurrence(kmax, nmax, bits):
-    for k in range(2, kmax + 1):
-        for factor in cached_factorization(k, bits).factors:
-            rho = mp.mpc(factor.inner_root)
-            # Full-index sequence on base rho, half-index on base sqrt(rho).
-            terms = (
-                (factor.root, rho),
-                (half_index_coefficient(factor, bits), mp.sqrt(rho)),
-            )
-            for coefficient, base in terms:
-                for n in range(0, 65, 7):
-                    by_recurrence = term_by_recurrence(coefficient, n, bits)
-                    by_binet = term_by_binet(base, n, bits)
-                    deviation = float(
-                        abs(by_recurrence - by_binet) / max(1, abs(by_recurrence))
-                    )
-                    yield deviation, f"(k={k}, n={n})"
 
 
 @lru_cache(maxsize=None)
@@ -361,27 +303,6 @@ def _ratio_form_agreement(kmax, nmax, bits):
                 for ell, (exp_form, seq_form) in enumerate(zip(exp_forms, seq_forms)):
                     yield (
                         float(abs(exp_form - seq_form) / max(1, abs(exp_form))),
-                        f"(n={n}, k={k}, ell={ell})",
-                    )
-
-
-@_check(
-    "ratio-conjugation",
-    "conjugate factors produce conjugate correction ratios",
-    residual_tolerance,
-)
-def _ratio_conjugation(kmax, nmax, bits):
-    for k in range(2, kmax + 1):
-        sf = cached_factorization(k, bits)
-        _, pairs = conjugate_pairs(sf.factors, bits)
-        for n in range(2 * k + 1, min(nmax, 24) + 1):
-            for upper, lower in pairs:
-                uppers = _ratio_table(upper, n, "exponential", bits)
-                lowers = _ratio_table(lower, n, "exponential", bits)
-                for ell in range(0, n + 1, max(1, n // 6)):
-                    a, b = uppers[ell], lowers[ell]
-                    yield (
-                        float(abs(mp.conj(a) - b) / max(1, abs(a))),
                         f"(n={n}, k={k}, ell={ell})",
                     )
 
@@ -446,22 +367,6 @@ def _complete_graph(kmax, nmax, bits):
 
 
 @_check(
-    "discrete-quadratic-identity",
-    "sum_j (1 - cos(j ell theta))/(2 - 2 cos(j theta)) = ell(n-ell)/2",
-    ORACLE_RTOL,
-)
-def _discrete_quadratic_identity(kmax, nmax, bits):
-    for n in range(3, nmax + 1):
-        cosines = cosine_table(n, bits)
-        for ell in range(n):
-            total = mp.mpf(0)
-            for j in range(1, n):
-                total += (1 - cosines[(j * ell) % n]) / (2 - 2 * cosines[j])
-            expected = mp.mpf(ell * (n - ell)) / 2
-            yield _rel(total, expected), f"(n={n}, ell={ell})"
-
-
-@_check(
     "resolvent-periodization",
     "direct resolvent sum equals n * correction ratio",
     ORACLE_RTOL,
@@ -486,57 +391,67 @@ def _resolvent_periodization(kmax, nmax, bits):
                     yield _rel(direct, n * ratios[ell]), f"(n={n}, k={k}, ell={ell})"
 
 
+@lru_cache(maxsize=1)
+def _oracle_deviations(kmax, nmax, bits) -> tuple[tuple, tuple]:
+    """(trees, hits), both relative deviations from the exact oracles.
+
+    trees holds (tau, case) per graph: the larger deviation of the eigenvalue
+    and root products from the determinant count.  hits holds (spectral,
+    closed, case) per (graph, ell): the deviations of the spectral sum and
+    the closed form from the exact solve.  The tree row and both hitting
+    rows read this one pass over the graphs, so each graph's eigenvalue
+    table is built once and read by tau_eigen and hit_spectral alike, and
+    its exact solve is looked up once.
+    """
+    trees, hits = [], []
+    for spec in _specs(kmax, nmax):
+        exact_all = hit_exact_all(spec)
+        closed_all = hit_closed_all(spec, bits)
+        for ell in range(spec.n):
+            exact = mp.mpf(exact_all[ell].numerator) / exact_all[ell].denominator
+            hits.append(
+                (
+                    _rel(hit_spectral(spec, ell, bits), exact),
+                    _rel(closed_all[ell], exact),
+                    f"(n={spec.n}, k={spec.k}, ell={ell})",
+                )
+            )
+        tau = mp.mpf(tau_det(spec))
+        deviation = max(
+            _rel(tau_eigen(spec, bits), tau), _rel(tau_product(spec, bits), tau)
+        )
+        trees.append((deviation, f"(n={spec.n}, k={spec.k})"))
+    return tuple(trees), tuple(hits)
+
+
 @_check(
     "tree-triple-agreement",
     "determinant, eigenvalue product, and root product all give tau",
     ORACLE_RTOL,
 )
 def _tree_triple(kmax, nmax, bits):
-    for spec in _specs(kmax, nmax):
-        tau = mp.mpf(tau_det(spec))
-        deviation = max(
-            _rel(tau_eigen(spec, bits), tau), _rel(tau_product(spec, bits), tau)
-        )
-        yield deviation, f"(n={spec.n}, k={spec.k})"
+    trees, _ = _oracle_deviations(kmax, nmax, bits)
+    yield from trees
 
 
 @_check(
     "forest-contraction-duality",
-    "two-component forest count equals contracted tree count "
-    "(capped at k<=4, n<=24)",
+    "forest count tau * h(0, ell) / (n*k) is an integer and equals the "
+    "contracted tree count (compared at k<=4, n<=24)",
 )
 def _forest_duality(kmax, nmax, bits):
-    for spec in _specs(min(kmax, 4), min(nmax, 24)):
-        for ell in range(1, spec.n):
-            deviation = abs(forests(spec, ell) - tau_contracted(spec, ell))
-            yield float(deviation), f"(n={spec.n}, k={spec.k}, ell={ell})"
-
-
-@_check("forest-integrality", "tau * h(0, ell) is divisible by n*k")
-def _integrality(kmax, nmax, bits):
     for spec in _specs(kmax, nmax):
         tau = tau_det(spec)
         exact_all = hit_exact_all(spec)
+        compared = spec.k <= 4 and spec.n <= 24
         for ell in range(1, spec.n):
-            value = tau * exact_all[ell] / spec.num_edges
-            yield (
-                0.0 if value.denominator == 1 else 1.0,
-                f"(n={spec.n}, k={spec.k}, ell={ell})",
-            )
-
-
-@_check(
-    "cycle-eigenvalue-product",
-    "prod_j (2 - 2 cos(2 pi j/n)) = n^2",
-    EIGENPRODUCT_RTOL,
-)
-def _cycle_eigenvalue_product(kmax, nmax, bits):
-    for n in range(3, nmax + 1):
-        cosines = cosine_table(n, bits)
-        product = mp.mpf(1)
-        for j in range(1, n):
-            product *= 2 - 2 * cosines[j]
-        yield _rel(product, mp.mpf(n * n)), f"(n={n})"
+            if (tau * exact_all[ell] / spec.num_edges).denominator != 1:
+                deviation = 1
+            elif compared:
+                deviation = abs(forests(spec, ell) - tau_contracted(spec, ell))
+            else:
+                deviation = 0
+            yield float(deviation), f"(n={spec.n}, k={spec.k}, ell={ell})"
 
 
 @_check(
@@ -555,36 +470,15 @@ def _resistance_metric(kmax, nmax, bits):
         yield (1.0 if wrong else 0.0), f"(n={n}, k={spec.k})"
 
 
-@lru_cache(maxsize=1)
-def _oracle_deviations(kmax, nmax, bits) -> tuple[tuple[float, float, str], ...]:
-    """(spectral, closed, case): relative deviations of the spectral sum and
-    the closed form from the exact solve.  Both oracle rows read this one
-    pass over the graphs, so each graph's exact solve is looked up once."""
-    deviations = []
-    for spec in _specs(kmax, nmax):
-        exact_all = hit_exact_all(spec)
-        closed_all = hit_closed_all(spec, bits)
-        for ell in range(spec.n):
-            exact = mp.mpf(exact_all[ell].numerator) / exact_all[ell].denominator
-            deviations.append(
-                (
-                    _rel(hit_spectral(spec, ell, bits), exact),
-                    _rel(closed_all[ell], exact),
-                    f"(n={spec.n}, k={spec.k}, ell={ell})",
-                )
-            )
-    return tuple(deviations)
-
-
 @_check("hitting-oracle-spectral", "spectral sum matches the exact solve", ORACLE_RTOL)
 def _oracle_spectral(kmax, nmax, bits):
-    for spectral, _, case in _oracle_deviations(kmax, nmax, bits):
+    for spectral, _, case in _oracle_deviations(kmax, nmax, bits)[1]:
         yield spectral, case
 
 
 @_check("hitting-oracle-closed", "closed form matches the exact solve", ORACLE_RTOL)
 def _oracle_closed(kmax, nmax, bits):
-    for _, closed, case in _oracle_deviations(kmax, nmax, bits):
+    for _, closed, case in _oracle_deviations(kmax, nmax, bits)[1]:
         yield closed, case
 
 

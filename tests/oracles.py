@@ -5,9 +5,10 @@ forests are counted by brute-force subset enumeration, linear systems are
 solved by plain Gaussian elimination over Fractions, Laplacians are dense
 matrices that are deleted, contracted and folded entry by entry and only
 then cut to band rows, Fibonacci numbers come from the integer recurrence,
-simulated walks run one at a time, each from its own numpy Philox
-generator, and spectral sums and products run over every Fourier mode with
-one mp.cospi call per cosine.
+the terms of s_{n+1} = c*s_n - s_{n-1} come from stepping it or from the
+Binet expression, simulated walks run one at a time, each from its own
+numpy Philox generator, and spectral sums and products run over every
+Fourier mode with one mp.cospi call per cosine.
 """
 
 from __future__ import annotations
@@ -25,6 +26,31 @@ def fibonacci(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+def term_by_recurrence(coefficient, n: int, precision_bits: int | None = None):
+    """s_n of s_{n+1} = coefficient*s_n - s_{n-1}, seeds 0 and 1, stepped
+    n times, at precision_bits + 32 when given, else in the ambient context
+    (exact for int/Fraction coefficients either way)."""
+    with mp.workprec(mp.prec if precision_bits is None else precision_bits + 32):
+        previous, current = coefficient * 0, coefficient * 0 + 1
+        for _ in range(n):
+            previous, current = current, coefficient * current - previous
+        return previous
+
+
+def term_by_binet(base, n: int, precision_bits: int = 256):
+    """(base^n - base^-n) / (base - 1/base) at precision_bits + 32."""
+    with mp.workprec(precision_bits + 32):
+        b = mp.mpc(base)
+        return (b**n - b**-n) / (b - 1 / b)
+
+
+def exact_conjugates(a, b) -> bool:
+    """b is the complex conjugate of a bit for bit.  mp.conj and unary minus
+    round to the ambient precision, so the imaginary part is negated with
+    mp.fneg(exact=True) instead."""
+    return a.real == b.real and a.imag == mp.fneg(b.imag, exact=True)
 
 
 def gauss_solve(rows, rhs) -> list[Fraction]:

@@ -1,20 +1,20 @@
+from itertools import product
+
 import pytest
 from mpmath import mp
 
-from cyclepow import DegeneracyError, ParameterError, cached_factorization
+from cyclepow import ParameterError, cached_factorization
 from cyclepow.recurrences import (
     correction_ratio,
     full_index_ratio,
     half_index_coefficient,
-    term_by_binet,
-    term_by_recurrence,
 )
 
 from cyclepow import recurrences
 from cyclepow.recurrences import _doubled_terms, _terms, correction_ratios
-from cyclepow.spectral import _GUARD_BITS, residual_tolerance
+from cyclepow.spectral import _GUARD_BITS, conjugate_pairs, residual_tolerance
 
-from oracles import fibonacci
+from oracles import exact_conjugates, fibonacci, term_by_binet, term_by_recurrence
 
 
 def k2_factor():
@@ -40,11 +40,6 @@ def test_doubled_terms_equal_stepped_terms_when_exact(coefficient):
         assert _doubled_terms(coefficient, indices) == _terms(coefficient, indices)
 
 
-def test_recurrence_rejects_negative_index():
-    with pytest.raises(ParameterError):
-        term_by_recurrence(1, -1)
-
-
 def test_binet_examples():
     with mp.workprec(256):
         base = (-3 + mp.sqrt(5)) / 2
@@ -55,13 +50,6 @@ def test_binet_examples():
         # same sequence through the recurrence with coefficient 1/2 + 2
         assert abs(term_by_recurrence(mp.mpf("2.5"), 3, 256) - value) \
             < mp.mpf(2) ** -100
-
-
-def test_binet_degenerate_base():
-    with pytest.raises(DegeneracyError):
-        term_by_binet(1, 3)
-    with pytest.raises(DegeneracyError):
-        term_by_binet(-1, 3)
 
 
 def test_half_index_coefficient_squares_to_root_plus_two():
@@ -225,14 +213,22 @@ def test_ratio_symmetry():
 
 
 def test_ratio_conjugation():
-    sf = cached_factorization(3, 256)
-    with mp.workprec(256):
-        upper = next(f for f in sf.factors if mp.im(f.root) > 0)
-        lower = next(f for f in sf.factors if mp.im(f.root) < 0)
-        for ell in range(8):
-            a = correction_ratio(upper, ell, 7)
-            b = correction_ratio(lower, ell, 7)
-            assert abs(mp.conj(a) - b) < mp.mpf(2) ** -120
+    # Conjugate factors give exactly conjugate ratios: tables and single ell,
+    # in both forms, up to N = 10^5 + 3.
+    for k in range(3, 9):
+        for bits in (64, 256, 512):
+            _, pairs = conjugate_pairs(cached_factorization(k, bits).factors, bits)
+            for (upper, lower), form in product(pairs, ("exponential", "sequence")):
+                for n in (2 * k + 1, 24, 97):
+                    uppers = correction_ratios(upper, n, form, bits)
+                    lowers = correction_ratios(lower, n, form, bits)
+                    assert all(map(exact_conjugates, uppers, lowers))
+                n = 10**5 + 3
+                for ell in (1, 2, n // 3, n // 2, n - 1):
+                    assert exact_conjugates(
+                        correction_ratio(upper, ell, n, form, bits),
+                        correction_ratio(lower, ell, n, form, bits),
+                    )
 
 
 def test_fibonacci_anchor_k2():

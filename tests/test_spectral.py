@@ -13,6 +13,7 @@ from cyclepow import (
 )
 from cyclepow import spectral
 from cyclepow.spectral import (
+    cached_factorization,
     check_decomposition,
     conjugate_pairs,
     find_roots,
@@ -21,6 +22,25 @@ from cyclepow.spectral import (
     residual_tolerance,
     separation_tolerance,
 )
+
+from oracles import exact_conjugates
+
+# Every k through 16, and two larger ones; k = 48 has its own test.
+WIDE_K = [*range(2, 17), 24, 32]
+
+
+def assert_closed_under_conjugation(factors):
+    """Each factor's exact conjugate (root, inner root and coefficient) is
+    a factor too."""
+    fields = ("root", "inner_root", "coefficient")
+    for factor in factors:
+        assert any(
+            all(
+                exact_conjugates(getattr(factor, name), getattr(other, name))
+                for name in fields
+            )
+            for other in factors
+        )
 
 
 def test_find_roots_degenerate_and_linear():
@@ -69,6 +89,20 @@ def test_partial_fractions_certifies_large_k():
     assert separation > separation_tolerance(256)
     reals, pairs = conjugate_pairs(sf.factors, 256)
     assert len(reals) + 2 * len(pairs) == 47
+    assert_closed_under_conjugation(sf.factors)
+
+
+def test_find_roots_rejects_estimates_not_closed_under_conjugation(monkeypatch):
+    original = spectral._root_estimates
+
+    def unbalanced(psi, precision_bits):
+        estimates = list(original(psi, precision_bits))
+        estimates.remove(max(estimates, key=mp.im))  # one upper estimate
+        return estimates
+
+    monkeypatch.setattr(spectral, "_root_estimates", unbalanced)
+    with pytest.raises(ConsistencyError, match="not closed under conjugation"):
+        find_roots(build_psi(5), 128)
 
 
 def test_unconverged_seeding_is_a_precision_error(monkeypatch):
@@ -132,10 +166,10 @@ def test_pole_coefficient_formula(k):
     assert sf.pole_coefficient == Fraction(12, (k + 1) * (2 * k + 1))
 
 
-@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("k", WIDE_K)
 def test_roots_avoid_spectrum_arc(k):
     with mp.workprec(256):
-        for factor in partial_fractions(k).factors:
+        for factor in cached_factorization(k, 256).factors:
             re, im = mp.re(factor.root), mp.im(factor.root)
             if -2 <= re <= 2:
                 distance = abs(im)
@@ -145,18 +179,10 @@ def test_roots_avoid_spectrum_arc(k):
             assert abs(factor.inner_root) < 1
 
 
-@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("k", WIDE_K)
 def test_conjugate_closure(k):
-    sf = partial_fractions(k)
-    with mp.workprec(256):
-        tol = mp.mpf(2) ** -120
-        for factor in sf.factors:
-            assert any(
-                abs(mp.conj(factor.root) - other.root) < tol
-                and abs(mp.conj(factor.inner_root) - other.inner_root) < tol
-                and abs(mp.conj(factor.coefficient) - other.coefficient) < tol
-                for other in sf.factors
-            )
+    for bits in (64, 256, 512):
+        assert_closed_under_conjugation(cached_factorization(k, bits).factors)
 
 
 def test_conjugate_pairs_partition():

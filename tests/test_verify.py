@@ -5,8 +5,9 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
-from cyclepow import ParameterError, run_verification, verify
+from cyclepow import ParameterError, hitting, run_verification, verify
 
 
 def test_run_verification_small_bounds_all_pass():
@@ -76,14 +77,6 @@ def test_bounds_validation():
         run_verification(kmax=9, nmax=40)
     with pytest.raises(ParameterError):
         run_verification(kmax=3, nmax=6)
-
-
-def test_k3_bounds_exercise_conjugate_checks():
-    results = run_verification(kmax=3, nmax=12)
-    by_id = {r.check_id: r for r in results}
-    assert by_id["ratio-conjugation"].cases > 0
-    assert by_id["ratio-conjugation"].passed
-    assert all(r.passed for r in results)
 
 
 def fold(cases, comparison="<=", threshold=0.0, informational=False):
@@ -164,16 +157,57 @@ def test_table_order_matches_recorded_report():
 
 def test_oracle_rows_share_one_pass(monkeypatch):
     calls = []
-    spectral = verify.hit_spectral
+    trees = []
+    spectral, eigen = verify.hit_spectral, verify.tau_eigen
 
     def counted(spec, ell, bits):
         calls.append((spec, ell))
         return spectral(spec, ell, bits)
 
+    def counted_trees(spec, bits):
+        trees.append(spec)
+        return eigen(spec, bits)
+
     monkeypatch.setattr(verify, "hit_spectral", counted)
+    monkeypatch.setattr(verify, "tau_eigen", counted_trees)
     results = {r.check_id: r for r in run_verification(kmax=1, nmax=6)}
-    # n = 3..6 on k = 1, every ell once.
+    # n = 3..6 on k = 1, every ell once and every graph once.
     assert len(calls) == len(set(calls)) == 3 + 4 + 5 + 6
+    assert len(trees) == len(set(trees)) == 4
     assert results["hitting-oracle-spectral"].cases == len(calls)
     assert results["hitting-oracle-closed"].cases == len(calls)
+    assert results["tree-triple-agreement"].cases == len(trees)
     assert verify._oracle_deviations.cache_info().currsize == 0
+
+
+def test_each_graph_builds_its_eigenvalue_table_once():
+    # 74 graphs, more than the 64 tables the cache keeps: a second walk over
+    # the graphs would build every table again.
+    hitting.laplacian_eigenvalues.cache_clear()
+    run_verification(kmax=2, nmax=40, precision_bits=512)
+    graphs = len(list(verify._specs(2, 40)))
+    assert graphs == 74
+    assert hitting.laplacian_eigenvalues.cache_info().misses == graphs
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["octant", "mirror"])
+def test_a_cosine_defect_fails_the_spectral_oracle(mirror, monkeypatch):
+    # A 1e-8 defect in c_1, or in its mirror c_(n-1), of every cosine table
+    # moves the k = 1 spectral sums past the oracle tolerance.
+    exact = hitting.cosine_table
+
+    def defective(n, bits):
+        table = list(exact(n, bits))
+        j = n - 1 if mirror else 1
+        with mp.workprec(bits + 32):
+            table[j] *= 1 + mp.mpf(10) ** -8
+        return tuple(table)
+
+    monkeypatch.setattr(hitting, "cosine_table", defective)
+    monkeypatch.setattr(verify, "cosine_table", defective)
+    hitting.laplacian_eigenvalues.cache_clear()
+    try:
+        results = {r.check_id: r for r in run_verification(kmax=1, nmax=12)}
+    finally:
+        hitting.laplacian_eigenvalues.cache_clear()
+    assert not results["hitting-oracle-spectral"].passed
