@@ -33,7 +33,16 @@ row, which could only pass, was deleted and tau_eigen came to multiply the
 eigenvalue table that the spectral sum reads: both cases lost that row's two
 lines, and in the 512-bit case the tree-triple-agreement row's `worst`
 moved from 2.057e-162 at (n=37, k=2) to 1.139e-162 at (n=40, k=1).  No other
-byte moved.
+byte moved.  It was re-recorded a fifth time when six rows that could not
+fail or repeated another row were deleted (root-spectrum-separation,
+conjugate-closure, binet-recurrence-agreement, ratio-conjugation,
+discrete-quadratic-identity and cycle-eigenvalue-product) and
+forest-integrality was merged into forest-contraction-duality: both cases
+lost those seven rows' two lines each, every other line but the notes moved
+one column left (the widest id went), and forest-contraction-duality took
+its new description and, in the 512-bit case, 1553 cases instead of 545 (806
+stay 806 at the default bounds).  No case count, worst value, requirement,
+status or worst-case location of another row moved.
 
 `data/trees_golden.json` holds `trees` output in json, csv and text (the
 text without its `# wall_time_s` line) for a few small graphs with and
