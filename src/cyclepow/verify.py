@@ -472,13 +472,15 @@ def _resistance_metric(kmax, nmax, bits):
 
 @_check("hitting-oracle-spectral", "spectral sum matches the exact solve", ORACLE_RTOL)
 def _oracle_spectral(kmax, nmax, bits):
-    for spectral, _, case in _oracle_deviations(kmax, nmax, bits)[1]:
+    _, hits = _oracle_deviations(kmax, nmax, bits)
+    for spectral, _, case in hits:
         yield spectral, case
 
 
 @_check("hitting-oracle-closed", "closed form matches the exact solve", ORACLE_RTOL)
 def _oracle_closed(kmax, nmax, bits):
-    for _, closed, case in _oracle_deviations(kmax, nmax, bits)[1]:
+    _, hits = _oracle_deviations(kmax, nmax, bits)
+    for _, closed, case in hits:
         yield closed, case
 
 
