@@ -102,7 +102,7 @@ def tau_product(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
     n = spec.n
     factors = cached_factorization(spec.k, precision_bits).factors
     with mp.workprec(precision_bits + _GUARD_BITS):
-        reals, pairs = conjugate_pairs(factors, precision_bits)
+        reals, pairs = conjugate_pairs(factors)
         accumulator = mp.mpf(n)
         parity = -1 if n % 2 == 0 else 1
         for factor in reals:

@@ -311,7 +311,7 @@ def cmd_verify(kmax, nmax, precision, report) -> None:
         status = "info" if result.informational else (
             "pass" if result.passed else "FAIL"
         )
-        if not result.passed and not result.informational:
+        if not result.passed:
             failures.append(result)
         requirement = f"{result.comparison} {result.threshold:.3g}"
         click.echo(

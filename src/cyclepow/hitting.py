@@ -33,7 +33,12 @@ from typing import NamedTuple
 from mpmath import mp
 
 from . import fractionfree
-from .errors import ConsistencyError, ParameterError, PrecisionError
+from .errors import (
+    ConsistencyError,
+    ParameterError,
+    PrecisionError,
+    SimulationBudgetError,
+)
 from .graphs import GraphSpec, build_laplacian, check_ell
 from .recurrences import correction_ratio, correction_ratios, full_index_ratio
 from .spectral import (
@@ -282,7 +287,8 @@ def hit_simulate(
     reject (about 1e-9 per draw at k = 3) finishes on its own Generator
     instead, so every walk time equals the one-walk-at-a-time computation.
     SimulationBudgetError is raised once the finished walk times plus the
-    steps taken by unfinished walks exceed `step_cap`.
+    steps taken by unfinished walks exceed `step_cap`, and before any walk
+    when walks > step_cap: every walk to ell != 0 takes at least one step.
     """
     check_ell(spec, ell)
     if walks < 1:
@@ -291,6 +297,11 @@ def hit_simulate(
         raise ParameterError("seed must fit in 64 bits")
     if ell == 0:
         return SimulationResult(0.0, 0.0)
+    if walks > step_cap:
+        raise SimulationBudgetError(
+            f"step cap {step_cap} is below {walks} walks of at least one step "
+            f"each (n={spec.n}, k={spec.k}, ell={ell})"
+        )
     from . import _philox  # loads numpy, which only simulation needs
 
     times = _philox.walk_times(spec, ell, walks, seed, step_cap)

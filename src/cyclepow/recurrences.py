@@ -24,15 +24,14 @@ factors of a conjugate pair are exact conjugates (see spectral), and mpmath
 rounds complex operations symmetrically, so in either form their ratios are
 exact conjugates too.
 
-correction_ratio evaluates one ell from W_ell, W_{N-ell} and W_N alone,
-each reached by index doubling in O(log N) operations (_doubled_terms), so a
-factor costs O(log N) even at N in the millions; full_index_ratio takes its
-V terms the same way.  correction_ratios returns the ratio for every
-ell = 0..N of one (factor, N) from one pass over 0..N (or one table of
-rho^m), for callers that loop over ell.  In exponential form it builds each
-value with the same operations as correction_ratio, so the two agree bit for
-bit; in sequence form the table steps and the single ell doubles, so they
-agree to within a few units in the last place of the working precision.
+Every W_m and V_m comes from one index-doubling ladder (_doubled_terms):
+correction_ratio evaluates one ell from W_ell, W_{N-ell} and W_N alone, in
+O(log N) operations, so a factor costs O(log N) even at N in the millions;
+full_index_ratio takes its V terms the same way.  correction_ratios returns
+the ratio for every ell = 0..N of one (factor, N) from one ladder over
+0..N (or one table of rho^m), for callers that loop over ell.  Each value is
+built with the same operations as correction_ratio's, at the same
+precision, so in either form the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -65,27 +64,8 @@ def half_index_coefficient(
         return sigma + 1 / sigma
 
 
-def _terms(coefficient, indices):
-    """One pass of the recurrence, collecting the requested indices."""
-    wanted = set(indices)
-    top = max(wanted)
-    values = {}
-    previous = coefficient * 0
-    current = previous + 1
-    if 0 in wanted:
-        values[0] = previous
-    if top >= 1 and 1 in wanted:
-        values[1] = current
-    for i in range(2, top + 1):
-        previous, current = current, coefficient * current - previous
-        if i in wanted:
-            values[i] = current
-    return values
-
-
 def _doubled_terms(coefficient, indices):
-    """The {m: W_m} of _terms, reached by index doubling in O(log m)
-    operations per index instead of one pass over 0..max(indices).
+    """{m: W_m} for the requested indices m, by index doubling.
 
     From W_j and W_{j+1}, with c the coefficient (c = s + 1/s, |s| >= 1,
     and W_j = (s^j - s^-j)/(s - 1/s)),
@@ -94,9 +74,12 @@ def _doubled_terms(coefficient, indices):
         W_{2j+1} = W_{j+1}^2 - W_j^2
         W_{2j+2} = c W_{2j+1} - W_{2j},
 
-    so reading the bits of m from the top, starting at (W_0, W_1) = (0, 1),
-    reaches (W_m, W_{m+1}) after L = m.bit_length() levels.  Exact for
-    int/Fraction coefficients.
+    so the pair of j, (W_j, W_{j+1}), is one level above the pair of
+    j >> 1, and (W_m, W_{m+1}) is L = m.bit_length() levels above
+    (W_0, W_1) = (0, 1).  Pairs are kept by index, so indices that share a
+    binary prefix share its levels: one index takes L levels, and a table
+    of 0..N takes N.  Each W_m comes out of the same operations whichever
+    other indices are asked for.  Exact for int/Fraction coefficients.
 
     Error: a rounding error in the pair (W_j, W_{j+1}) is a multiple of that
     pair plus a multiple of the pair of the other solution, which grows like
@@ -106,34 +89,33 @@ def _doubled_terms(coefficient, indices):
     where the two differences lose more.  (At N = 10^6 + 3, k = 8 and 256
     bits the ratio is off by 2^-268 without extra bits, 2^-286 with them.)
     So the levels run 2L bits above the caller's working precision, L taken
-    from the largest index, and the terms are rounded back to it.  Stepping
-    loses about log2(m) bits as well, with no extra bits to absorb them.
+    from the largest index, and the terms are rounded back to it.
     """
     wanted = set(indices)
     extra_bits = 2 * max(wanted).bit_length()
     with mp.workprec(mp.prec + extra_bits):
-        values = {}
-        for m in wanted:
-            low, high = coefficient * 0, coefficient * 0 + 1
-            for bit in bin(m)[2:]:
+        pairs = {0: (coefficient * 0, coefficient * 0 + 1)}
+
+        def pair(j):
+            if j not in pairs:
+                low, high = pair(j >> 1)
                 even = low * (2 * high - coefficient * low)
                 odd = high * high - low * low
-                if bit == "1":
-                    low, high = odd, coefficient * odd - even
-                else:
-                    low, high = even, odd
-            values[m] = low
+                pairs[j] = (odd, coefficient * odd - even) if j & 1 else (even, odd)
+            return pairs[j]
+
+        values = {m: pair(m)[0] for m in wanted}
     return {m: +value for m, value in values.items()}
 
 
-def _ratio_parts(factor, indices, n_vertices, form, precision_bits, terms):
+def _ratio_parts(factor, indices, n_vertices, form, precision_bits):
     """(values, denominator) with ratio(ell) = values[ell] * values[N - ell]
     / denominator, `values` holding the indices asked for.
 
     Exponential form: values[m] = 1 - rho^m and denominator
-    (1/rho - rho)(1 - rho^N).  Sequence form: values[m] = W_m, taken by
-    `terms` (_terms or _doubled_terms), and denominator delta * W_N.  Runs in
-    the caller's working precision.
+    (1/rho - rho)(1 - rho^N).  Sequence form: values[m] = W_m from
+    _doubled_terms, and denominator delta * W_N.  Runs in the caller's
+    working precision.
     """
     if form == "exponential":
         rho = mp.mpc(factor.inner_root)
@@ -141,7 +123,7 @@ def _ratio_parts(factor, indices, n_vertices, form, precision_bits, terms):
         return values, (1 / rho - rho) * values[n_vertices]
     if form == "sequence":
         delta = half_index_coefficient(factor, precision_bits)
-        values = terms(delta, indices)
+        values = _doubled_terms(delta, indices)
         return values, delta * values[n_vertices]
     raise ParameterError(f"unknown form {form!r}")
 
@@ -179,7 +161,7 @@ def correction_ratio(
     with mp.workprec(precision_bits + _GUARD_BITS):
         values, denominator = _ratio_parts(
             factor, (ell, n_vertices - ell, n_vertices), n_vertices, form,
-            precision_bits, _doubled_terms,
+            precision_bits,
         )
         return _ratio(values, denominator, ell, n_vertices)
 
@@ -192,17 +174,15 @@ def correction_ratios(
 ) -> tuple:
     """correction_ratio(factor, ell, n_vertices, ...) for ell = 0..n_vertices.
 
-    The recurrence runs once over 0..N (or each rho^m is taken once) instead
-    of once per ell.  Exponential-form values are those of the per-ell
-    function bit for bit; sequence-form values step where the per-ell
-    function doubles, and differ from it in the last few working bits.
-    Holds N + 1 values, so large-N callers that need a few ell should call
-    correction_ratio.
+    One ladder reaches every W_m for m = 0..N (or each rho^m is taken
+    once) instead of three terms per ell.  The values are those of the
+    per-ell function bit for bit, in either form.  Holds N + 1 values, so
+    large-N callers that need a few ell should call correction_ratio.
     """
     _check_indices(n_vertices)
     with mp.workprec(precision_bits + _GUARD_BITS):
         values, denominator = _ratio_parts(
-            factor, range(n_vertices + 1), n_vertices, form, precision_bits, _terms,
+            factor, range(n_vertices + 1), n_vertices, form, precision_bits
         )
         return tuple(
             _ratio(values, denominator, ell, n_vertices)

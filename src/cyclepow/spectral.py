@@ -14,11 +14,13 @@ Roots are located all at once by mpmath's Durand-Kerner iteration at the
 working precision, then polished by Newton iteration, with residuals certified
 against the 2^(-precision_bits/2) convention used package-wide.  psi_k has
 integer coefficients, so only the real roots and those in the upper half
-plane are polished; each lower root is the exact conjugate of its upper
+plane are polished: a real root is polished from a real start and stays
+exactly real, and each lower root is the exact conjugate of its upper
 partner.  mpmath rounds complex operations symmetrically, so the inner roots
 and coefficients of a conjugate pair come out exact conjugates as well, and
-so do the correction ratios built from them.  Distinctness is verified
-numerically per k rather than assumed.
+so do the correction ratios built from them.  conjugate_pairs therefore
+pairs roots by exact comparison, with no tolerance.  Distinctness is
+verified numerically per k rather than assumed.
 """
 
 from __future__ import annotations
@@ -171,10 +173,11 @@ def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS)
     Initial estimates come from mpmath's Durand-Kerner solver at the working
     precision.  psi has integer coefficients, so its non-real roots come in
     conjugate pairs: an estimate is real when |Im| <= 2^(-precision_bits/2)
-    * max(1, |z|) (the test conjugate_pairs applies), upper or lower
-    otherwise.  The real and upper estimates are polished by Newton iteration
-    until the residual drops below 2^(-precision_bits/2); each lower root is
-    the exact conjugate of a polished upper root.  ConsistencyError is raised
+    * max(1, |z|), upper or lower otherwise.  The real parts of the real
+    estimates and the upper estimates are polished by Newton iteration
+    until the residual drops below 2^(-precision_bits/2), so every real root
+    has imaginary part exactly 0; each lower root is the exact conjugate of
+    a polished upper root.  ConsistencyError is raised
     unless the reals and twice the uppers make deg(psi), and unless the
     roots are pairwise separated by more than 2^(-precision_bits/4).
     """
@@ -203,7 +206,7 @@ def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS)
                     "root estimates are not closed under conjugation"
                 )
             dpsi = derivative(psi)
-            roots = [_polish(psi, dpsi, z, tol, target) for z in reals]
+            roots = [_polish(psi, dpsi, mp.mpc(z.real), tol, target) for z in reals]
             for z in uppers:
                 upper = _polish(psi, dpsi, z, tol, target)
                 roots += [upper, mp.conj(upper)]
@@ -263,7 +266,7 @@ def partial_fractions(
             coefficient = -2 * k / ((2 - gamma) * eval_poly(dpsi, gamma))
             residual = abs(eval_poly(psi, gamma))
             factors.append(FactorData(gamma, rho, coefficient, residual))
-    conjugate_pairs(factors, precision_bits)  # raises on an unpaired root
+    conjugate_pairs(factors)  # raises on an unpaired root
     return SpectralFactorization(
         k=k,
         precision_bits=precision_bits,
@@ -281,39 +284,32 @@ def cached_factorization(k: int, precision_bits: int, /) -> SpectralFactorizatio
     return partial_fractions(k, precision_bits)
 
 
-def conjugate_pairs(factors, precision_bits: int):
-    """Split factors into (real_factors, conjugate_pairs).
+def conjugate_pairs(factors):
+    """Split factors into (real_factors, conjugate_pairs) by exact comparison.
 
-    A factor counts as real when the imaginary part of its root is below the
-    certified-residual scale.  Each returned pair is (upper, lower) with the
-    positive-imaginary member first; partners are matched by nearest
-    conjugate, never by position, and ConsistencyError is raised when a
-    non-real root has none within that scale.
+    find_roots makes each real root exactly real and each lower root the
+    exact conjugate of an upper one.  A factor is real when the imaginary
+    part of its root is 0; each pair is (upper, lower), upper.root having
+    positive imaginary part and lower.root being its exact conjugate.
+    ConsistencyError is raised on any root without such a partner.
     """
-    with mp.workprec(precision_bits + _GUARD_BITS):
-        tol = residual_tolerance(precision_bits)
-        reals = []
-        upper = []
-        lower = []
-        for factor in factors:
-            if abs(mp.im(factor.root)) <= tol * max(1, abs(factor.root)):
-                reals.append(factor)
-            elif mp.im(factor.root) > 0:
-                upper.append(factor)
-            else:
-                lower.append(factor)
-        if len(upper) != len(lower):
-            raise ConsistencyError("conjugate pairing is unbalanced")
-        pairs = []
-        remaining = list(lower)
-        for factor in upper:
-            target = mp.conj(factor.root)
-            partner = min(remaining, key=lambda other: abs(other.root - target))
-            if abs(partner.root - target) > tol * max(1, abs(factor.root)):
-                raise ConsistencyError("no conjugate partner within tolerance")
-            remaining.remove(partner)
-            pairs.append((factor, partner))
-        return reals, pairs
+    reals = [factor for factor in factors if factor.root.imag == 0]
+    # mp.conj and unary minus round to the ambient precision
+    lowers = {
+        (factor.root.real, mp.fneg(factor.root.imag, exact=True)): factor
+        for factor in factors
+        if factor.root.imag < 0
+    }
+    pairs = [
+        (upper, lowers.pop((upper.root.real, upper.root.imag), None))
+        for upper in factors
+        if upper.root.imag > 0
+    ]
+    if len(reals) + 2 * len(pairs) != len(factors) or any(
+        lower is None for _, lower in pairs
+    ):
+        raise ConsistencyError("a non-real root has no exact conjugate partner")
+    return reals, pairs
 
 
 def check_decomposition(sf: SpectralFactorization, x):

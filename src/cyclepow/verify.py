@@ -16,15 +16,17 @@ raises unless each root's residual |psi_k(gamma)| is within 2^(-bits/2),
 and partial_fractions raises unless rho + 1/rho reproduces gamma to the same
 bound.  inner_root raises DegeneracyError when rho lands within
 2^(-bits/4) of the unit circle, so a root on the spectrum arc [-2, 2]
-cannot pass.  Conjugate symmetry holds by construction: find_roots takes
-each lower root as the exact conjugate of a polished upper root, and mpmath
-rounds complex operations symmetrically, so the inner roots, coefficients
-and correction ratios of a conjugate pair are exact conjugates as well
-(tests pin all of these).  The correction ratio's symmetry under ell <->
-N - ell also holds bit for bit by construction and is pinned by tests alone.
-The three-term recurrence is graded through ratio-form-agreement,
-fibonacci-anchor and the closed-form oracle, and against its Binet
-expression by a test.  The plain-cycle sums (the discrete quadratic
+cannot pass.  Conjugate symmetry holds by construction: find_roots keeps
+each real root exactly real and takes each lower root as the exact
+conjugate of a polished upper root, and mpmath rounds complex operations
+symmetrically, so the inner roots, coefficients and correction ratios of a
+conjugate pair are exact conjugates as well (tests pin all of these).  The
+correction ratio's symmetry under ell <-> N - ell also holds bit for bit by
+construction and is pinned by tests alone.  The three-term recurrence is
+graded through ratio-form-agreement, fibonacci-anchor and the closed-form
+oracle, and against its Binet expression by a test; one doubling ladder
+builds both the tables these rows read and the single ell of `hit --form
+seq`, so the two agree bit for bit.  The plain-cycle sums (the discrete quadratic
 identity and the eigenvalue product n^2) are the k = 1 cases of
 hitting-oracle-spectral and tree-triple-agreement, over the same n; a
 defect in a cosine table entry, its mirror included, fails the spectral

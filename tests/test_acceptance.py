@@ -202,7 +202,7 @@ def test_criterion_08_k3_fixtures_and_conjugate_pair_form():
             roots = sorted((f.root for f in sf.factors), key=lambda z: z.imag)
             assert abs(roots[0] - mp.mpc(mp.mpf(-3) / 2, -half_root7)) <= tol
             assert abs(roots[1] - mp.mpc(mp.mpf(-3) / 2, half_root7)) <= tol
-            (_, pairs) = conjugate_pairs(sf.factors, PRECISION)
+            (_, pairs) = conjugate_pairs(sf.factors)
             upper = pairs[0][0]
             expected_coeff = mp.mpf(-3) / 14 * (1 - mp.mpc(0, 1) * mp.sqrt(7))
             assert abs(upper.coefficient - expected_coeff) <= tol

@@ -231,6 +231,22 @@ def test_package_error_is_reported_for_every_command(
     assert not out.exists()
 
 
+def test_simulate_over_the_step_cap_fails_before_walking(runner, monkeypatch):
+    from cyclepow import _philox
+
+    def walk(*args):
+        raise AssertionError("walked a run that cannot finish")
+
+    monkeypatch.setattr(_philox, "walk_times", walk)
+    result = runner.invoke(
+        main, ["hit", "--n", "12", "--k", "2", "--ell", "5", "--method",
+               "simulate", "--walks", "2000000000"],
+    )
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: step cap 1000000000 is below ")
+    assert result.stdout == ""
+
+
 def test_csv_format(runner):
     result = runner.invoke(
         main, ["hit", "--n", "6", "--k", "2", "--ell", "3", "--method", "exact",

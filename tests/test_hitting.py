@@ -428,6 +428,17 @@ def test_simulate_step_cap():
         hit_simulate(GraphSpec(24, 1), 23, 1000, 7, step_cap=500)
 
 
+def test_simulate_rejects_more_walks_than_steps_before_walking(monkeypatch):
+    # every walk to ell != 0 takes a step, so 6 walks overrun a cap of 5
+    def walk(*args):
+        raise AssertionError("walked a run that cannot finish")
+
+    monkeypatch.setattr(_philox, "walk_times", walk)
+    with pytest.raises(SimulationBudgetError, match="below 6 walks"):
+        hit_simulate(GraphSpec(9, 2), 1, 6, 0, step_cap=5)
+    assert hit_simulate(GraphSpec(9, 2), 0, 6, 0, step_cap=5) == (0.0, 0.0)
+
+
 # 2k = 3 * 2**13: numpy rejects a uint32 with probability 2**-18, often
 # enough that some lockstep windows of these long walks hold a rejection.
 REJECTING = GraphSpec(3 * 2**13 + 1, 3 * 2**12)

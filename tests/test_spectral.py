@@ -87,7 +87,7 @@ def test_partial_fractions_certifies_large_k():
             abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]
         )
     assert separation > separation_tolerance(256)
-    reals, pairs = conjugate_pairs(sf.factors, 256)
+    reals, pairs = conjugate_pairs(sf.factors)
     assert len(reals) + 2 * len(pairs) == 47
     assert_closed_under_conjugation(sf.factors)
 
@@ -185,14 +185,30 @@ def test_conjugate_closure(k):
         assert_closed_under_conjugation(cached_factorization(k, bits).factors)
 
 
+@pytest.mark.parametrize("k", WIDE_K)
+def test_real_roots_are_exactly_real(k):
+    # conjugate_pairs tells real from non-real roots by Im == 0, so no root
+    # may be real up to rounding only; a real root's inner root and
+    # coefficient are exactly real as well.
+    for bits in (64, 256, 512):
+        factors = cached_factorization(k, bits).factors
+        reals, pairs = conjugate_pairs(factors)
+        assert len(reals) + 2 * len(pairs) == k - 1
+        tol = residual_tolerance(bits)
+        for factor in factors:
+            assert factor.root.imag == 0 or abs(factor.root.imag) > tol
+        for factor in reals:
+            assert factor.inner_root.imag == 0 and factor.coefficient.imag == 0
+
+
 def test_conjugate_pairs_partition():
     sf3 = partial_fractions(3)
-    reals, pairs = conjugate_pairs(sf3.factors, 256)
+    reals, pairs = conjugate_pairs(sf3.factors)
     assert reals == [] and len(pairs) == 1
     with mp.workprec(256):
         assert mp.im(pairs[0][0].root) > 0 > mp.im(pairs[0][1].root)
     sf4 = partial_fractions(4)
-    reals, pairs = conjugate_pairs(sf4.factors, 256)
+    reals, pairs = conjugate_pairs(sf4.factors)
     assert len(reals) == 1 and len(pairs) == 1
 
 
@@ -205,6 +221,25 @@ def test_partial_fractions_rejects_a_root_without_conjugate_partner(monkeypatch)
             return [lower, upper + mp.mpf(2) ** -20]
 
     monkeypatch.setattr(spectral, "find_roots", unpaired)
+    with pytest.raises(ConsistencyError, match="conjugat"):
+        partial_fractions(3, 256)
+
+
+def test_partial_fractions_rejects_an_upper_root_one_ulp_off(monkeypatch):
+    # One ulp sits far inside the 2^(-bits/2) tolerance that pairing by
+    # nearest partner allowed, and inside every other check the root passes.
+    original = spectral.find_roots
+
+    def nudged(psi, precision_bits):
+        lower, upper = original(psi, precision_bits)
+        with mp.workprec(precision_bits + 32):
+            ulp = mp.ldexp(1, mp.mag(upper.imag) - mp.prec)
+            moved = mp.mpc(upper.real, upper.imag + ulp)
+            assert moved.imag - upper.imag == ulp
+            assert abs(moved - upper) < residual_tolerance(precision_bits)
+        return [lower, moved]
+
+    monkeypatch.setattr(spectral, "find_roots", nudged)
     with pytest.raises(ConsistencyError, match="conjugat"):
         partial_fractions(3, 256)
 
