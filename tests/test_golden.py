@@ -42,7 +42,14 @@ lost those seven rows' two lines each, every other line but the notes moved
 one column left (the widest id went), and forest-contraction-duality took
 its new description and, in the 512-bit case, 1553 cases instead of 545 (806
 stay 806 at the default bounds).  No case count, worst value, requirement,
-status or worst-case location of another row moved.
+status or worst-case location of another row moved.  It was re-recorded
+a sixth time when the sequence-form ratio tables came to be built by the
+same index-doubling ladder as a single ell instead of by stepping through
+every index: the default case kept every byte, and in the 512-bit case only
+two `worst` values and their locations moved, ratio-form-agreement from
+3.473e-164 at (n=6, k=2, ell=1) to 5.210e-164 at (n=11, k=2, ell=1) and
+fibonacci-anchor from 4.341e-164 at (n=12, ell=5) to 3.473e-164 at (n=9,
+ell=1).
 
 `data/trees_golden.json` holds `trees` output in json, csv and text (the
 text without its `# wall_time_s` line) for a few small graphs with and
