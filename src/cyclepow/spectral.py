@@ -177,9 +177,9 @@ def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS)
     estimates and the upper estimates are polished by Newton iteration
     until the residual drops below 2^(-precision_bits/2), so every real root
     has imaginary part exactly 0; each lower root is the exact conjugate of
-    a polished upper root.  ConsistencyError is raised
-    unless the reals and twice the uppers make deg(psi), and unless the
-    roots are pairwise separated by more than 2^(-precision_bits/4).
+    a polished upper root.  ConsistencyError is raised unless the reals and
+    twice the uppers make deg(psi), and unless the roots are pairwise
+    separated by more than 2^(-precision_bits/4).
     """
     _check_precision_bits(precision_bits)
     degree = psi.degree

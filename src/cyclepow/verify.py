@@ -26,8 +26,8 @@ construction and is pinned by tests alone.  The three-term recurrence is
 graded through ratio-form-agreement, fibonacci-anchor and the closed-form
 oracle, and against its Binet expression by a test; one doubling ladder
 builds both the tables these rows read and the single ell of `hit --form
-seq`, so the two agree bit for bit.  The plain-cycle sums (the discrete quadratic
-identity and the eigenvalue product n^2) are the k = 1 cases of
+seq`, so the two agree bit for bit.  The plain-cycle sums (the discrete
+quadratic identity and the eigenvalue product n^2) are the k = 1 cases of
 hitting-oracle-spectral and tree-triple-agreement, over the same n; a
 defect in a cosine table entry, its mirror included, fails the spectral
 oracle row.
