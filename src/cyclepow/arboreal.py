@@ -18,10 +18,9 @@ Everything here comes in (at least) two independent flavours:
                       det L with both 0 and ell deleted, again exact on band
                       rows; equals forests.
 
-Analytic tree counts are never rounded silently.  A value is rounded only
-when its certified error, |value| * residual_tolerance(precision_bits), is
-below 1/2 and it lies within 1e-6 (absolute-or-relative) of an integer;
-anything else fails loudly, since quiet rounding would mask precision bugs.
+Analytic tree counts are never rounded.  arboreal_counts checks tau_eigen
+and tau_product against the exact tau_det within certified_bound, the error
+bound they are printed with, and raises ConsistencyError beyond it.
 """
 
 from __future__ import annotations
@@ -40,24 +39,20 @@ from .spectral import (
     _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
     cached_factorization,
+    certified_bound,
     conjugate_pairs,
-    residual_tolerance,
 )
 
 __all__ = [
     "ArborealCounts",
     "arboreal_counts",
     "forests",
-    "nearest_integer",
     "resistance",
     "tau_contracted",
     "tau_det",
     "tau_eigen",
     "tau_product",
 ]
-
-# Rounding contract for analytic tree counts.
-ROUNDING_DEFECT_LIMIT = 1e-6
 
 
 def tau_det(spec: GraphSpec) -> int:
@@ -108,8 +103,7 @@ def tau_product(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
         for factor in reals:
             rho = mp.mpc(factor.inner_root)
             value = ((1 - rho**n) / (1 - rho)) ** 2 / rho ** (n - 1) * parity
-            tolerance = residual_tolerance(precision_bits) * max(1, abs(value))
-            if abs(mp.im(value)) > tolerance:
+            if abs(mp.im(value)) > certified_bound(value, precision_bits):
                 raise PrecisionError(
                     "real-root tree factor has a nonreal residue beyond tolerance"
                 )
@@ -159,34 +153,6 @@ def tau_contracted(spec: GraphSpec, ell: int) -> int:
     return fractionfree.determinant(build_laplacian(spec, (0, ell))[1])
 
 
-def nearest_integer(value, precision_bits: int = DEFAULT_PRECISION_BITS) -> int:
-    """Round an analytic count to the integer it must equal, or fail loudly.
-
-    value comes from a route whose relative error is certified below
-    residual_tolerance(precision_bits).  Rounding is refused unless the
-    absolute error that allows is below 1/2, so the nearest integer is the
-    only candidate; the PrecisionError names a precision that suffices.
-    """
-    with mp.workprec(mp.prec + _GUARD_BITS):
-        if abs(value) * residual_tolerance(precision_bits) >= 0.5:
-            # |value| <= 2^mag, so 2^(mag+2) * 2^(-bits/2) <= 1/4 at this bits.
-            enough = 2 * (int(mp.mag(value)) + 2)
-            raise PrecisionError(
-                f"cannot round {mp.nstr(mp.mpf(value), 12)} to an integer: at "
-                f"precision_bits={precision_bits} its certified error exceeds "
-                f"1/2; use precision_bits >= {enough}"
-            )
-        nearest = mp.nint(value)
-        defect = abs(value - nearest) / max(1, abs(nearest))
-        if defect > ROUNDING_DEFECT_LIMIT:
-            raise PrecisionError(
-                f"refusing to round {mp.nstr(mp.mpf(value), 12)} to an integer "
-                f"(defect {mp.nstr(mp.mpf(defect), 4)}); increase the working "
-                "precision"
-            )
-        return int(nearest)
-
-
 @dataclass(frozen=True)
 class ArborealCounts:
     """Exact counts with their analytic cross-checks for one (spec, ell).
@@ -210,21 +176,23 @@ def arboreal_counts(
     ell: int | None = None,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> ArborealCounts:
-    """Bundle every count for (spec, ell), cross-checking all routes."""
+    """Bundle every count for (spec, ell), cross-checking all routes.
+
+    The eigenvalue and root products must lie within certified_bound of the
+    determinant count; ConsistencyError otherwise.
+    """
     tau = tau_det(spec)
     eigen = tau_eigen(spec, precision_bits)
     product = tau_product(spec, precision_bits)
     with mp.workprec(precision_bits + _GUARD_BITS):
-        if nearest_integer(eigen, precision_bits) != tau:
-            raise ConsistencyError(
-                f"eigenvalue tree product {mp.nstr(eigen, 20)} disagrees with "
-                f"the determinant count {tau}"
-            )
-        if nearest_integer(product, precision_bits) != tau:
-            raise ConsistencyError(
-                f"root tree product {mp.nstr(product, 20)} disagrees with "
-                f"the determinant count {tau}"
-            )
+        for route, value in (("eigenvalue", eigen), ("root", product)):
+            bound = certified_bound(value, precision_bits)
+            if abs(value - tau) > bound:
+                raise ConsistencyError(
+                    f"{route} tree product {mp.nstr(value, 20)} disagrees with "
+                    f"the determinant count {tau} by more than "
+                    f"{mp.nstr(bound, 3)}"
+                )
     if ell is None:
         return ArborealCounts(spec, None, tau, eigen, product, None, None, None)
     res = resistance(spec, ell)

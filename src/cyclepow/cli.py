@@ -3,8 +3,10 @@
 Subcommands:
 
   hit     -- h(0, ell) by any or all methods for one (n, k, ell)
-  trees   -- spanning-tree counts by all three routes, plus resistance,
-             forest count, and contracted tree count when --ell is given
+  trees   -- spanning-tree counts by all three routes, the analytic two
+             checked against the determinant within their printed bound,
+             plus resistance, forest count, and contracted tree count when
+             --ell is given
   verify  -- run the full cross-method check suite and report per-check
              worst deviations (erratum fixtures are informational)
   sweep   -- write exact and analytic values over (n, k, ell) ranges to a file
@@ -31,14 +33,7 @@ import click
 from mpmath import mp
 from mpmath.libmp import prec_to_dps
 
-from .arboreal import (
-    forests,
-    resistance,
-    tau_contracted,
-    tau_det,
-    tau_eigen,
-    tau_product,
-)
+from .arboreal import arboreal_counts, forests, resistance, tau_contracted
 from .errors import CyclepowError, ParameterError
 from .graphs import GraphSpec, check_ell
 from .hitting import (
@@ -50,7 +45,7 @@ from .hitting import (
     hit_simulate,
     hit_spectral,
 )
-from .spectral import _GUARD_BITS, MIN_PRECISION_BITS, residual_tolerance
+from .spectral import _GUARD_BITS, MIN_PRECISION_BITS, certified_bound
 from .verify import run_verification
 
 CSV_HEADER = "n,k,ell,method,value,err_bound"
@@ -77,8 +72,7 @@ def _format_value(value, precision_bits: int) -> str:
 
 def _bound_string(value, precision_bits: int) -> str:
     with mp.workprec(precision_bits):
-        bound = residual_tolerance(precision_bits) * max(1, abs(mp.mpf(value)))
-        return mp.nstr(bound, 3)
+        return mp.nstr(certified_bound(mp.mpf(value), precision_bits), 3)
 
 
 @dataclass
@@ -106,18 +100,18 @@ class Record:
             )
 
 
-def _tau_rows(record: Record, spec: GraphSpec) -> None:
-    """The spanning-tree count by all three routes."""
-    bits = record.precision_bits
-    record.add("tau_det", tau_det(spec))
-    record.add("tau_eigen", tau_eigen(spec, bits))
-    record.add("tau_product", tau_product(spec, bits))
-
-
-def _forest_rows(record: Record, spec: GraphSpec, ell: int) -> None:
-    """The forests separating 0 and ell, and the contracted tree count."""
-    record.add("forests", forests(spec, ell))
-    record.add("tau_contracted", tau_contracted(spec, ell))
+def _count_rows(record: Record, spec: GraphSpec) -> None:
+    """The cross-checked arboreal_counts of the record's (spec, ell): the
+    three tree counts, then with ell the resistance, forest count and
+    contracted tree count."""
+    counts = arboreal_counts(spec, record.ell, record.precision_bits)
+    record.add("tau_det", counts.tree_count)
+    record.add("tau_eigen", counts.tree_count_eigen)
+    record.add("tau_product", counts.tree_count_product)
+    if record.ell is not None:
+        record.add("resistance", counts.resistance)
+        record.add("forests", counts.forest_count)
+        record.add("tau_contracted", counts.contracted_tree_count)
 
 
 def _lines(records: list[Record], fmt: str) -> list[str]:
@@ -279,10 +273,7 @@ def cmd_trees(n, k, ell, precision, fmt) -> None:
             raise click.UsageError("ell must be nonzero for forest counts")
     started = time.perf_counter()
     record = Record("trees", n, k, ell, precision)
-    _tau_rows(record, spec)
-    if ell is not None:
-        record.add("resistance", resistance(spec, ell))
-        _forest_rows(record, spec, ell)
+    _count_rows(record, spec)
     _emit([record], fmt, started)
 
 
@@ -382,7 +373,7 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> None:
             spec = GraphSpec(n, k)
             if quantity == "tau":
                 record = Record("sweep", n, k, None, precision)
-                _tau_rows(record, spec)
+                _count_rows(record, spec)
                 records.append(record)
                 continue
             if quantity != "forests":
@@ -398,7 +389,8 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> None:
                         value = closed[ell] / spec.num_edges
                     record.add("closed", value)
                 else:
-                    _forest_rows(record, spec, ell)
+                    record.add("forests", forests(spec, ell))
+                    record.add("tau_contracted", tau_contracted(spec, ell))
                 records.append(record)
     text = "".join(line + "\n" for line in _lines(records, fmt))
     try:

@@ -47,7 +47,7 @@ from .spectral import (
     SpectralFactorization,
     _check_precision_bits,
     cached_factorization,
-    residual_tolerance,
+    certified_bound,
 )
 
 __all__ = [
@@ -190,9 +190,7 @@ def _closed_value(spec: GraphSpec, ell: int, sf: SpectralFactorization, ratios):
         for factor, ratio in zip(sf.factors, ratios):
             corrections += factor.coefficient * ratio
         corrections *= spec.n
-        if abs(mp.im(corrections)) > residual_tolerance(bits) * max(
-            1, abs(corrections)
-        ):
+        if abs(mp.im(corrections)) > certified_bound(corrections, bits):
             raise PrecisionError(
                 "correction sum has a nonreal residue beyond tolerance"
             )

@@ -75,6 +75,13 @@ def residual_tolerance(precision_bits: int):
     return mp.mpf(2) ** (mp.mpf(-precision_bits) / 2)
 
 
+def certified_bound(value, precision_bits: int):
+    """residual_tolerance(precision_bits) * max(1, |value|), the error bound
+    every analytic value is certified to and printed with, in the caller's
+    working precision."""
+    return residual_tolerance(precision_bits) * max(1, abs(value))
+
+
 def separation_tolerance(precision_bits: int):
     """2^(-precision_bits/4), used for root separation and degeneracy guards."""
     return mp.mpf(2) ** (mp.mpf(-precision_bits) / 4)
@@ -172,8 +179,8 @@ def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS)
 
     Initial estimates come from mpmath's Durand-Kerner solver at the working
     precision.  psi has integer coefficients, so its non-real roots come in
-    conjugate pairs: an estimate is real when |Im| <= 2^(-precision_bits/2)
-    * max(1, |z|), upper or lower otherwise.  The real parts of the real
+    conjugate pairs: an estimate z is real when |Im z| <= certified_bound(z,
+    precision_bits), upper or lower otherwise.  The real parts of the real
     estimates and the upper estimates are polished by Newton iteration
     until the residual drops below 2^(-precision_bits/2), so every real root
     has imaginary part exactly 0; each lower root is the exact conjugate of
@@ -197,7 +204,7 @@ def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS)
         else:
             reals, uppers = [], []
             for estimate in map(mp.mpc, _root_estimates(psi, precision_bits)):
-                if abs(estimate.imag) <= tol * max(1, abs(estimate)):
+                if abs(estimate.imag) <= certified_bound(estimate, precision_bits):
                     reals.append(estimate)
                 elif estimate.imag > 0:
                     uppers.append(estimate)
@@ -258,10 +265,9 @@ def partial_fractions(
     dpsi = derivative(psi)
     factors = []
     with mp.workprec(precision_bits + _GUARD_BITS):
-        tol = residual_tolerance(precision_bits)
         for gamma in roots:
             rho = inner_root(gamma, precision_bits)
-            if abs(rho + 1 / rho - gamma) > tol * max(1, abs(gamma)):
+            if abs(rho + 1 / rho - gamma) > certified_bound(gamma, precision_bits):
                 raise PrecisionError("inner root does not reproduce its root")
             coefficient = -2 * k / ((2 - gamma) * eval_poly(dpsi, gamma))
             residual = abs(eval_poly(psi, gamma))

@@ -3,9 +3,11 @@
 Runs every identity and cross-check the package promises, over all valid
 (n, k) with k <= kmax and n <= nmax, and reports the worst observed statistic
 per check.  Exact checks report the largest integer deviation (which must be
-zero); numeric checks report the largest relative deviation against the
-stated tolerance; margin checks report the smallest observed margin, which
-must stay above its floor.
+zero); numeric checks report the largest relative deviation, _rel(a, b) =
+|a - b| / max(1, |a|, |b|), against residual_tolerance(bits) = 2^(-bits/2),
+the relative bound that spectral.certified_bound prints with every analytic
+value; margin checks report the smallest observed margin, which must stay
+above its floor.
 
 A row must be able to fail on some input, and no row repeats another.
 The integer algebra of phi_k and psi_k is checked where it is built and
@@ -83,8 +85,6 @@ from .spectral import (
 )
 
 __all__ = ["CheckResult", "run_verification"]
-
-ORACLE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,7 @@ def _specs(kmax: int, nmax: int) -> Iterator[GraphSpec]:
 
 
 def _rel(a, b) -> float:
+    """The relative deviation every numeric row reports."""
     return float(abs(a - b) / max(1, abs(a), abs(b)))
 
 
@@ -303,10 +304,7 @@ def _ratio_form_agreement(kmax, nmax, bits):
                 exp_forms = _ratio_table(factor, n, "exponential", bits)
                 seq_forms = _ratio_table(factor, n, "sequence", bits)
                 for ell, (exp_form, seq_form) in enumerate(zip(exp_forms, seq_forms)):
-                    yield (
-                        float(abs(exp_form - seq_form) / max(1, abs(exp_form))),
-                        f"(n={n}, k={k}, ell={ell})",
-                    )
+                    yield _rel(exp_form, seq_form), f"(n={n}, k={k}, ell={ell})"
 
 
 def _fibonacci(n: int) -> int:
@@ -330,10 +328,7 @@ def _fibonacci_anchor(kmax, nmax, bits):
         ratios = _ratio_table(factor, n, "sequence", bits)
         for ell, ratio in enumerate(ratios):
             expected = mp.mpf(-_fibonacci(ell) * _fibonacci(n - ell)) / f_n
-            yield (
-                float(abs(ratio - expected) / max(1, abs(expected))),
-                f"(n={n}, ell={ell})",
-            )
+            yield _rel(ratio, expected), f"(n={n}, ell={ell})"
 
 
 @_check("hitting-symmetry", "h(0, ell) = h(0, n - ell) as exact rationals")
@@ -371,7 +366,7 @@ def _complete_graph(kmax, nmax, bits):
 @_check(
     "resolvent-periodization",
     "direct resolvent sum equals n * correction ratio",
-    ORACLE_RTOL,
+    residual_tolerance,
 )
 def _resolvent_periodization(kmax, nmax, bits):
     # Term j equals term n - j (the cosine table mirrors exactly), so the sum
@@ -429,7 +424,7 @@ def _oracle_deviations(kmax, nmax, bits) -> tuple[tuple, tuple]:
 @_check(
     "tree-triple-agreement",
     "determinant, eigenvalue product, and root product all give tau",
-    ORACLE_RTOL,
+    residual_tolerance,
 )
 def _tree_triple(kmax, nmax, bits):
     trees, _ = _oracle_deviations(kmax, nmax, bits)
@@ -472,14 +467,20 @@ def _resistance_metric(kmax, nmax, bits):
         yield (1.0 if wrong else 0.0), f"(n={n}, k={spec.k})"
 
 
-@_check("hitting-oracle-spectral", "spectral sum matches the exact solve", ORACLE_RTOL)
+@_check(
+    "hitting-oracle-spectral",
+    "spectral sum matches the exact solve",
+    residual_tolerance,
+)
 def _oracle_spectral(kmax, nmax, bits):
     _, hits = _oracle_deviations(kmax, nmax, bits)
     for spectral, _, case in hits:
         yield spectral, case
 
 
-@_check("hitting-oracle-closed", "closed form matches the exact solve", ORACLE_RTOL)
+@_check(
+    "hitting-oracle-closed", "closed form matches the exact solve", residual_tolerance
+)
 def _oracle_closed(kmax, nmax, bits):
     _, hits = _oracle_deviations(kmax, nmax, bits)
     for _, closed, case in hits:
@@ -535,9 +536,14 @@ def run_verification(
     if nmax < 2 * kmax + 1:
         raise ParameterError(f"nmax must be >= 2*kmax+1, got {nmax}")
     results = []
-    for check in _CHECKS:
-        results.append(_fold(check, kmax, nmax, precision_bits))
-        if check.check_id == _LAST_RATIO_READER:
-            _ratio_table.cache_clear()
-    _oracle_deviations.cache_clear()
+    try:
+        for check in _CHECKS:
+            results.append(_fold(check, kmax, nmax, precision_bits))
+            if check.check_id == _LAST_RATIO_READER:
+                _ratio_table.cache_clear()
+    finally:
+        # Run-scoped: a run that raised must not leave its values to the next.
+        _ratio_table.cache_clear()
+        _oracle_deviations.cache_clear()
+        _full_index_value.cache_clear()
     return [result for result in results if result is not None]

@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +9,6 @@ from mpmath import mp
 from cyclepow import (
     GraphSpec,
     ParameterError,
-    PrecisionError,
     arboreal_counts,
     forests,
     hit_exact,
@@ -20,8 +18,8 @@ from cyclepow import (
     tau_eigen,
     tau_product,
 )
-from cyclepow.arboreal import nearest_integer
 from cyclepow.hitting import hit_exact_all
+from cyclepow.spectral import certified_bound
 
 from cyclepow import arboreal
 
@@ -192,23 +190,17 @@ def test_resistance_is_a_metric_along_the_cycle(spec):
             assert res[(a + b) % spec.n] <= res[a] + res[b]
 
 
-def test_nearest_integer_contract():
-    with mp.workprec(128):
-        assert nearest_integer(mp.mpf(125) + mp.mpf(1e-9)) == 125
-        with pytest.raises(PrecisionError):
-            nearest_integer(mp.mpf(125) + mp.mpf("1e-3"))
-        with pytest.raises(PrecisionError):
-            nearest_integer(mp.mpf("0.4"))
-
-
-def test_arboreal_counts_refuses_to_round_beyond_its_precision():
-    # tau(200, 3) has 433 bits: at 256 bits the certified relative error
-    # 2^-128 leaves many integers within reach, so rounding must be refused.
-    spec = GraphSpec(200, 3)
-    with pytest.raises(PrecisionError, match=r"precision_bits >= \d+") as caught:
-        arboreal_counts(spec)
-    enough = int(re.search(r"precision_bits >= (\d+)", str(caught.value)).group(1))
-    assert arboreal_counts(spec, precision_bits=enough).tree_count == tau_det(spec)
+@pytest.mark.parametrize("n, k", [(200, 3), (97, 48)])
+def test_arboreal_counts_grades_large_counts_by_their_relative_bound(n, k):
+    # tau has 433 and 627 bits here, more than the 256 of the analytic
+    # products: they are checked within certified_bound, never rounded.
+    spec = GraphSpec(n, k)
+    counts = arboreal_counts(spec, precision_bits=256)
+    tau = tau_det(spec)
+    assert counts.tree_count == tau
+    with mp.workprec(288):
+        for value in (counts.tree_count_eigen, counts.tree_count_product):
+            assert abs(value - tau) <= certified_bound(value, 256)
 
 
 def test_arboreal_counts_bundle():

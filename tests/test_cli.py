@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from mpmath import mp
 
 import cyclepow.cli as cli_module
 from cyclepow import GraphSpec, PrecisionError, hit_exact, tau_det
@@ -209,9 +210,9 @@ def test_usage_error_messages(runner, args, message):
     [
         ("hit --n 12 --k 2 --ell 5 --method spectral", "hit_spectral"),
         ("hit --n 12 --k 2 --ell 5 --method closed --erratum", "hit_closed_literal"),
-        ("trees --n 12 --k 2 --ell 5", "tau_contracted"),
+        ("trees --n 12 --k 2 --ell 5", "arboreal_counts"),
         ("verify --kmax 1 --nmax 3", "run_verification"),
-        ("sweep --n-range 5:8 --k-range 1:2 --quantity tau", "tau_eigen"),
+        ("sweep --n-range 5:8 --k-range 1:2 --quantity tau", "arboreal_counts"),
         ("sweep --n-range 5:8 --k-range 1:2 --quantity resist", "hit_closed_all"),
     ],
 )
@@ -229,6 +230,23 @@ def test_package_error_is_reported_for_every_command(
     assert result.stderr == "error: root refinement did not converge\n"
     assert result.stdout == ""
     assert not out.exists()
+
+
+def test_trees_refuses_a_tree_product_beyond_its_bound(runner, monkeypatch):
+    from cyclepow import arboreal
+
+    exact = arboreal.tau_eigen
+
+    def off(spec, bits):
+        with mp.workprec(bits + 32):
+            return exact(spec, bits) * (1 + mp.mpf(2) ** -100)
+
+    monkeypatch.setattr(arboreal, "tau_eigen", off)
+    result = runner.invoke(main, ["trees", "--n", "12", "--k", "2", "--ell", "5"])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: eigenvalue tree product ")
+    assert " disagrees with the determinant count " in result.stderr
+    assert result.stdout == ""
 
 
 def test_simulate_over_the_step_cap_fails_before_walking(runner, monkeypatch):

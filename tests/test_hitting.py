@@ -25,7 +25,7 @@ from cyclepow import (
 )
 from cyclepow.hitting import cosine_table, hit_exact_all, laplacian_eigenvalues
 from cyclepow.recurrences import full_index_ratio
-from cyclepow.spectral import residual_tolerance
+from cyclepow.spectral import certified_bound, residual_tolerance
 
 from cyclepow import _philox, hitting
 from oracles import (
@@ -348,8 +348,30 @@ def test_every_analytic_route_takes_precision_bits(route, spec):
         for value, reference in pairs:
             if isinstance(reference, (int, Fraction)):
                 reference = mp.mpf(reference.numerator) / reference.denominator
-            scale = max(1, abs(reference))
-            assert abs(value - reference) <= residual_tolerance(bits) * scale
+            assert abs(value - reference) <= certified_bound(reference, bits)
+
+
+@given(
+    st.integers(1, 8)
+    .flatmap(lambda k: st.builds(GraphSpec, st.integers(2 * k + 1, 80), st.just(k)))
+    .flatmap(lambda spec: st.tuples(st.just(spec), st.integers(0, spec.n - 1))),
+    st.sampled_from([64, 96, 256]),
+)
+@settings(max_examples=60, deadline=None)
+def test_analytic_values_lie_within_their_certified_bound(case, bits):
+    spec, ell = case
+    exact, tau = hit_exact(spec, ell), tau_det(spec)
+    pairs = [
+        (hit_spectral(spec, ell, bits), exact),
+        (hit_closed(spec, ell, bits, "exponential"), exact),
+        (hit_closed(spec, ell, bits, "sequence"), exact),
+        (tau_eigen(spec, bits), tau),
+        (tau_product(spec, bits), tau),
+    ]
+    with mp.workprec(bits + 32):
+        for value, reference in pairs:
+            reference = mp.mpf(reference.numerator) / reference.denominator
+            assert abs(value - reference) <= certified_bound(value, bits)
 
 
 @pytest.mark.parametrize("route", ANALYTIC_ROUTES)

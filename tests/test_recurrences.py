@@ -12,7 +12,7 @@ from cyclepow.recurrences import (
 
 from cyclepow import recurrences
 from cyclepow.recurrences import _doubled_terms, correction_ratios
-from cyclepow.spectral import _GUARD_BITS, conjugate_pairs, residual_tolerance
+from cyclepow.spectral import _GUARD_BITS, certified_bound, conjugate_pairs
 
 from oracles import exact_conjugates, fibonacci, term_by_binet, term_by_recurrence
 
@@ -182,9 +182,7 @@ def test_sequence_form_by_doubling_at_large_n(k):
                 exp_form = correction_ratio(factor, ell, n, "exponential", bits)
                 exact = correction_ratio(reference, ell, n, "exponential", 2 * bits)
                 with mp.workprec(4 * bits):
-                    assert abs(seq_form - exp_form) <= residual_tolerance(bits) * max(
-                        1, abs(exp_form)
-                    )
+                    assert abs(seq_form - exp_form) <= certified_bound(exp_form, bits)
                     assert abs(seq_form - exact) <= mp.mpf(2) ** -(bits + 24) * abs(
                         exact
                     )

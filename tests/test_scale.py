@@ -15,14 +15,9 @@ from cyclepow import (
     tau_eigen,
     tau_product,
 )
-from cyclepow.spectral import residual_tolerance
+from cyclepow.spectral import certified_bound
 
 BITS = 256
-
-
-def printed_bound(value):
-    """The error bound the CLI prints beside an analytic value."""
-    return residual_tolerance(BITS) * max(1, abs(value))
 
 
 @pytest.mark.parametrize("n, k", [(4096, 3), (4099, 6), (8192, 8)])
@@ -33,11 +28,12 @@ def test_spectral_sum_agrees_with_sequence_closed_form(n, k):
         closed = hit_closed(spec, ell, BITS, form="sequence")
         with mp.workprec(BITS):
             gap = abs(spectral - closed)
-            assert gap <= printed_bound(spectral) + printed_bound(closed), ell
+            bound = certified_bound(spectral, BITS) + certified_bound(closed, BITS)
+            assert gap <= bound, ell
 
 
 def test_eigenvalue_and_root_tree_products_agree():
     spec = GraphSpec(1024, 3)
     eigen = tau_eigen(spec, BITS)
     product = tau_product(spec, BITS)
-    assert abs(eigen - product) <= residual_tolerance(BITS) * product
+    assert abs(eigen - product) <= certified_bound(product, BITS)

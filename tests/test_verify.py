@@ -180,6 +180,29 @@ def test_oracle_rows_share_one_pass(monkeypatch):
     assert verify._oracle_deviations.cache_info().currsize == 0
 
 
+def test_a_run_that_raised_leaves_no_cached_values(monkeypatch):
+    def fail(spec, ell):
+        raise RuntimeError("contraction failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "tau_contracted", fail)
+        with pytest.raises(RuntimeError, match="contraction failed"):
+            run_verification(2, 8, 64)
+    for cached in (verify._ratio_table, verify._oracle_deviations,
+                   verify._full_index_value):
+        assert cached.cache_info().currsize == 0
+    spectral = verify.hit_spectral
+
+    def doubled(spec, ell, bits):
+        return 2 * spectral(spec, ell, bits)
+
+    monkeypatch.setattr(verify, "hit_spectral", doubled)
+    results = {r.check_id: r for r in run_verification(2, 8, 64)}
+    oracle = results["hitting-oracle-spectral"]
+    assert not oracle.passed
+    assert oracle.statistic == 0.5
+
+
 def test_each_graph_builds_its_eigenvalue_table_once():
     # 74 graphs, more than the 64 tables the cache keeps: a second walk over
     # the graphs would build every table again.
