@@ -32,15 +32,15 @@ from functools import lru_cache
 from mpmath import mp
 
 from . import fractionfree
-from .errors import ConsistencyError, PrecisionError
+from .errors import ConsistencyError
 from .graphs import GraphSpec, build_laplacian, check_ell
 from .hitting import hit_exact, laplacian_eigenvalues
 from .spectral import (
-    _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
     cached_factorization,
     certified_bound,
     conjugate_pairs,
+    working_precision,
 )
 
 __all__ = [
@@ -75,7 +75,7 @@ def tau_eigen(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
     hit_spectral reads, laplacian_eigenvalues(spec, precision_bits).
     """
     eigenvalues = laplacian_eigenvalues(spec, precision_bits)
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with working_precision(precision_bits):
         return mp.fprod(eigenvalues[1:]) / spec.n
 
 
@@ -89,25 +89,21 @@ def tau_product(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
         (-1)^(n-1) * ((1 - rho^n)/(1 - rho))^2 / rho^(n-1).
 
     Conjugate factors are merged pairwise into |.|^2 (their alternating signs
-    cancel), which halves the complex work and forces a real result; leftover
-    real roots are multiplied directly, each carrying the (-1)^(n-1) sign that
+    cancel), which halves the complex work and forces a real result.  A real
+    root has an exactly real inner root, so its factor is computed in real
+    arithmetic and multiplied in directly, carrying the (-1)^(n-1) sign that
     makes the product positive for even n as well.  Grouping the square before
     dividing by rho^(n-1) keeps intermediates tame for large n.
     """
     n = spec.n
     factors = cached_factorization(spec.k, precision_bits).factors
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with working_precision(precision_bits):
         reals, pairs = conjugate_pairs(factors)
         accumulator = mp.mpf(n)
         parity = -1 if n % 2 == 0 else 1
         for factor in reals:
-            rho = mp.mpc(factor.inner_root)
-            value = ((1 - rho**n) / (1 - rho)) ** 2 / rho ** (n - 1) * parity
-            if abs(mp.im(value)) > certified_bound(value, precision_bits):
-                raise PrecisionError(
-                    "real-root tree factor has a nonreal residue beyond tolerance"
-                )
-            accumulator *= mp.re(value)
+            rho = mp.re(factor.inner_root)
+            accumulator *= ((1 - rho**n) / (1 - rho)) ** 2 / rho ** (n - 1) * parity
         for upper, _lower in pairs:
             rho = mp.mpc(upper.inner_root)
             value = ((1 - rho**n) / (1 - rho)) ** 2 / rho ** (n - 1)
@@ -184,7 +180,7 @@ def arboreal_counts(
     tau = tau_det(spec)
     eigen = tau_eigen(spec, precision_bits)
     product = tau_product(spec, precision_bits)
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with working_precision(precision_bits):
         for route, value in (("eigenvalue", eigen), ("root", product)):
             bound = certified_bound(value, precision_bits)
             if abs(value - tau) > bound:

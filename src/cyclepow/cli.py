@@ -45,12 +45,21 @@ from .hitting import (
     hit_simulate,
     hit_spectral,
 )
-from .spectral import _GUARD_BITS, MIN_PRECISION_BITS, certified_bound
+from .spectral import (
+    DEFAULT_PRECISION_BITS,
+    MIN_PRECISION_BITS,
+    certified_bound,
+    working_precision,
+)
 from .verify import run_verification
 
 CSV_HEADER = "n,k,ell,method,value,err_bound"
 
 _FORM_NAMES = {"exp": "exponential", "seq": "sequence"}
+
+_precision_option = click.option(
+    "--precision", type=int, default=DEFAULT_PRECISION_BITS, show_default=True
+)
 
 
 def _usage_checked(call, *args):
@@ -198,7 +207,7 @@ def main() -> None:
     show_default=True,
     help="Correction-ratio evaluation path for the closed form.",
 )
-@click.option("--precision", type=int, default=256, show_default=True)
+@_precision_option
 @click.option("--walks", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option(
@@ -254,7 +263,7 @@ def cmd_hit(n, k, ell, method, form, precision, walks, seed, erratum, fmt) -> No
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, required=True)
 @click.option("--ell", type=int, default=None)
-@click.option("--precision", type=int, default=256, show_default=True)
+@_precision_option
 @click.option(
     "--format",
     "fmt",
@@ -280,7 +289,7 @@ def cmd_trees(n, k, ell, precision, fmt) -> None:
 @main.command("verify")
 @click.option("--kmax", type=int, default=3, show_default=True)
 @click.option("--nmax", type=int, default=24, show_default=True)
-@click.option("--precision", type=int, default=256, show_default=True)
+@_precision_option
 @click.option(
     "--report",
     type=click.Choice(["summary", "full"]),
@@ -349,7 +358,7 @@ def _parse_range(text: str, label: str) -> range:
     required=True,
 )
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--precision", type=int, default=256, show_default=True)
+@_precision_option
 @click.option(
     "--format",
     "fmt",
@@ -368,7 +377,7 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> None:
     records: list[Record] = []
     for n in ns:
         for k in ks:
-            if k < 1 or n < max(3, 2 * k + 1):
+            if k < 1 or n < 2 * k + 1:
                 continue
             spec = GraphSpec(n, k)
             if quantity == "tau":
@@ -385,7 +394,7 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> None:
                     record.add("closed", closed[ell])
                 elif quantity == "resist":
                     record.add("exact", resistance(spec, ell))
-                    with mp.workprec(precision + _GUARD_BITS):
+                    with working_precision(precision):
                         value = closed[ell] / spec.num_edges
                     record.add("closed", value)
                 else:

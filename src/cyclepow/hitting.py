@@ -12,7 +12,8 @@ Methods, graded against one another:
   * hit_spectral  -- the eigenvalue sum over the Fourier modes of the
                      circulant Laplacian, in high-precision arithmetic;
   * hit_closed    -- exact quadratic term plus finitely many geometric
-                     corrections from the partial-fraction data;
+                     corrections from the partial-fraction data, real by
+                     construction;
   * hit_simulate  -- Monte Carlo over independent walks, walk w drawing from
                      numpy's Philox4x64 stream keyed by (seed, w); the
                      streams are computed for many walks at once (Philox
@@ -20,7 +21,8 @@ Methods, graded against one another:
                      so runs are reproducible regardless of batching.
 
 Vertex transitivity makes h between arbitrary pairs equivalent to some
-h(0, ell), so only that form is exposed.
+h(0, ell), so only that form is exposed.  The analytic methods compute in
+spectral.working_precision, which checks the floor at ell = 0 as well.
 """
 
 from __future__ import annotations
@@ -33,21 +35,14 @@ from typing import NamedTuple
 from mpmath import mp
 
 from . import fractionfree
-from .errors import (
-    ConsistencyError,
-    ParameterError,
-    PrecisionError,
-    SimulationBudgetError,
-)
+from .errors import ConsistencyError, ParameterError, SimulationBudgetError
 from .graphs import GraphSpec, build_laplacian, check_ell
 from .recurrences import correction_ratio, correction_ratios, full_index_ratio
 from .spectral import (
-    _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
     SpectralFactorization,
-    _check_precision_bits,
     cached_factorization,
-    certified_bound,
+    working_precision,
 )
 
 __all__ = [
@@ -87,9 +82,8 @@ def cosine_table(n: int, precision_bits: int, /):
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    _check_precision_bits(precision_bits)
     half = [None] * (n // 2 + 1)
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with working_precision(precision_bits):
         if n % 4 == 0:
             quarter = n // 4
             for m in range(n // 8 + 1):
@@ -115,7 +109,7 @@ def laplacian_eigenvalues(spec: GraphSpec, precision_bits: int, /):
     """
     n, k = spec.n, spec.k
     cosines = cosine_table(n, precision_bits)
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with working_precision(precision_bits):
         half = [
             2 * k - 2 * mp.fsum(cosines[(j * r) % n] for r in range(1, k + 1))
             for j in range(n // 2 + 1)
@@ -156,13 +150,12 @@ def hit_spectral(
     are added by mp.fsum.
     """
     check_ell(spec, ell)
-    _check_precision_bits(precision_bits)
-    if ell == 0:
-        return mp.mpf(0)
-    n = spec.n
-    cosines = cosine_table(n, precision_bits)
-    eigenvalues = laplacian_eigenvalues(spec, precision_bits)
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with working_precision(precision_bits):
+        if ell == 0:
+            return mp.mpf(0)
+        n = spec.n
+        cosines = cosine_table(n, precision_bits)
+        eigenvalues = laplacian_eigenvalues(spec, precision_bits)
         terms = []
         for j in range(1, n // 2 + 1):
             lam = eigenvalues[j]
@@ -182,21 +175,15 @@ def _quadratic_term(sf: SpectralFactorization, spec: GraphSpec, ell: int) -> Fra
 
 def _closed_value(spec: GraphSpec, ell: int, sf: SpectralFactorization, ratios):
     """hit_closed's value at ell from `ratios`, the correction ratio of each
-    factor of `sf` in order."""
-    bits = sf.precision_bits
+    factor of `sf` in order.  Real parts alone are added, in real arithmetic:
+    the corrections of a conjugate pair are exact conjugates."""
     quadratic = _quadratic_term(sf, spec, ell)
-    with mp.workprec(bits + _GUARD_BITS):
-        corrections = mp.mpc(0)
+    with working_precision(sf.precision_bits):
+        corrections = mp.mpf(0)
         for factor, ratio in zip(sf.factors, ratios):
-            corrections += factor.coefficient * ratio
-        corrections *= spec.n
-        if abs(mp.im(corrections)) > certified_bound(corrections, bits):
-            raise PrecisionError(
-                "correction sum has a nonreal residue beyond tolerance"
-            )
-        return mp.mpf(quadratic.numerator) / quadratic.denominator + mp.re(
-            corrections
-        )
+            corrections += mp.re(factor.coefficient * ratio)
+        base = mp.mpf(quadratic.numerator) / quadratic.denominator
+        return base + spec.n * corrections
 
 
 def hit_closed(
@@ -209,9 +196,9 @@ def hit_closed(
 
     The quadratic term (B/2) * ell * (n - ell) is computed in exact rational
     arithmetic; each factor of cached_factorization(k, precision_bits)
-    contributes n * A * correction_ratio.  The correction sum must be real up
-    to the certified residual, otherwise the requested precision was
-    insufficient.
+    contributes n * A * correction_ratio.  The factors of a conjugate pair
+    give exactly conjugate corrections, so the correction sum is real by
+    construction and is added up from real parts alone.
     """
     check_ell(spec, ell)
     if form not in ("exponential", "sequence"):
@@ -247,8 +234,8 @@ def hit_closed_literal(
     spec: GraphSpec, ell: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ):
     """The closed form with full-index sequence ratios instead of the
-    verified correction ratios, summed as hit_closed sums them (including its
-    nonreal-residue check).
+    verified correction ratios, summed as hit_closed sums them: full-index
+    ratios of a conjugate pair are exact conjugates too.
 
     This is the uncorrected variant kept for erratum reporting; it disagrees
     with hit_exact (e.g. n=6, k=2, ell=1 gives 23/6 instead of 5) and must

@@ -39,7 +39,7 @@ from __future__ import annotations
 from mpmath import mp
 
 from .errors import ParameterError
-from .spectral import _GUARD_BITS, DEFAULT_PRECISION_BITS, FactorData
+from .spectral import DEFAULT_PRECISION_BITS, FactorData, working_precision
 
 __all__ = [
     "correction_ratio",
@@ -59,7 +59,7 @@ def half_index_coefficient(
     for every even n, exactly, so both give the same correction ratios bit
     for bit.
     """
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with working_precision(precision_bits):
         sigma = mp.sqrt(mp.mpc(factor.inner_root))
         return sigma + 1 / sigma
 
@@ -158,7 +158,7 @@ def correction_ratio(
     tolerance and are symmetric in ell <-> N - ell by construction.
     """
     _check_indices(n_vertices, ell)
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with working_precision(precision_bits):
         values, denominator = _ratio_parts(
             factor, (ell, n_vertices - ell, n_vertices), n_vertices, form,
             precision_bits,
@@ -180,7 +180,7 @@ def correction_ratios(
     large-N callers that need a few ell should call correction_ratio.
     """
     _check_indices(n_vertices)
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with working_precision(precision_bits):
         values, denominator = _ratio_parts(
             factor, range(n_vertices + 1), n_vertices, form, precision_bits
         )
@@ -204,7 +204,7 @@ def full_index_ratio(
     index doubling, as in correction_ratio.
     """
     _check_indices(n_vertices, ell)
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with working_precision(precision_bits):
         terms = _doubled_terms(
             mp.mpc(factor.root), (ell, n_vertices - ell, n_vertices)
         )

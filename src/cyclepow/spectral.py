@@ -18,9 +18,11 @@ plane are polished: a real root is polished from a real start and stays
 exactly real, and each lower root is the exact conjugate of its upper
 partner.  mpmath rounds complex operations symmetrically, so the inner roots
 and coefficients of a conjugate pair come out exact conjugates as well, and
-so do the correction ratios built from them.  conjugate_pairs therefore
-pairs roots by exact comparison, with no tolerance.  Distinctness is
-verified numerically per k rather than assumed.
+so do the correction ratios built from them, so sums over conjugate pairs
+are taken from real parts.  conjugate_pairs pairs roots by exact comparison,
+with no tolerance.  Distinctness is verified numerically per k rather than
+assumed.  working_precision is the one working precision of every analytic
+value; no other module names the guard bits.
 """
 
 from __future__ import annotations
@@ -65,9 +67,13 @@ _GUARD_BITS = 32
 _NEWTON_BUDGET = 100
 
 
-def _check_precision_bits(precision_bits: int) -> None:
+def working_precision(precision_bits: int):
+    """mp.workprec(precision_bits + _GUARD_BITS), the working precision of
+    every analytic value requested at precision_bits; ParameterError below
+    MIN_PRECISION_BITS, raised on the call, before the context is entered."""
     if precision_bits < MIN_PRECISION_BITS:
         raise ParameterError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
+    return mp.workprec(precision_bits + _GUARD_BITS)
 
 
 def residual_tolerance(precision_bits: int):
@@ -188,35 +194,28 @@ def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS)
     twice the uppers make deg(psi), and unless the roots are pairwise
     separated by more than 2^(-precision_bits/4).
     """
-    _check_precision_bits(precision_bits)
-    degree = psi.degree
-    if degree <= 0:
-        return []
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with working_precision(precision_bits):
+        degree = psi.degree
+        if degree <= 0:
+            return []
         tol = residual_tolerance(precision_bits)
         # Polish well past the certified bound so downstream products stay
         # clean at the full working precision; the rounding floor ends the
         # iteration early when this is unreachable.
         target = mp.mpf(2) ** -(precision_bits + _GUARD_BITS // 2)
-        if degree == 1:
-            c0, c1 = psi.coeffs
-            roots = [mp.mpc(mp.mpf(-c0) / c1)]
-        else:
-            reals, uppers = [], []
-            for estimate in map(mp.mpc, _root_estimates(psi, precision_bits)):
-                if abs(estimate.imag) <= certified_bound(estimate, precision_bits):
-                    reals.append(estimate)
-                elif estimate.imag > 0:
-                    uppers.append(estimate)
-            if len(reals) + 2 * len(uppers) != degree:
-                raise ConsistencyError(
-                    "root estimates are not closed under conjugation"
-                )
-            dpsi = derivative(psi)
-            roots = [_polish(psi, dpsi, mp.mpc(z.real), tol, target) for z in reals]
-            for z in uppers:
-                upper = _polish(psi, dpsi, z, tol, target)
-                roots += [upper, mp.conj(upper)]
+        reals, uppers = [], []
+        for estimate in map(mp.mpc, _root_estimates(psi, precision_bits)):
+            if abs(estimate.imag) <= certified_bound(estimate, precision_bits):
+                reals.append(estimate)
+            elif estimate.imag > 0:
+                uppers.append(estimate)
+        if len(reals) + 2 * len(uppers) != degree:
+            raise ConsistencyError("root estimates are not closed under conjugation")
+        dpsi = derivative(psi)
+        roots = [_polish(psi, dpsi, mp.mpc(z.real), tol, target) for z in reals]
+        for z in uppers:
+            upper = _polish(psi, dpsi, z, tol, target)
+            roots += [upper, mp.conj(upper)]
         roots.sort(key=lambda z: (z.real, z.imag))
         min_separation = separation_tolerance(precision_bits)
         for i in range(len(roots)):
@@ -235,7 +234,7 @@ def inner_root(gamma, precision_bits: int = DEFAULT_PRECISION_BITS):
     unless gamma sits on the real interval [-2, 2]; landing within
     2^(-precision_bits/4) of the circle signals corrupted input.
     """
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with working_precision(precision_bits):
         g = mp.mpc(gamma)
         offset = mp.sqrt(g * g - 4)
         candidates = ((g + offset) / 2, (g - offset) / 2)
@@ -264,7 +263,7 @@ def partial_fractions(
     roots = find_roots(psi, precision_bits)
     dpsi = derivative(psi)
     factors = []
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with working_precision(precision_bits):
         for gamma in roots:
             rho = inner_root(gamma, precision_bits)
             if abs(rho + 1 / rho - gamma) > certified_bound(gamma, precision_bits):
@@ -325,7 +324,7 @@ def check_decomposition(sf: SpectralFactorization, x):
     polynomial phi_k, the right through the stored decomposition.  The point
     must keep distance > 2^-8 from every pole.
     """
-    with mp.workprec(sf.precision_bits + _GUARD_BITS):
+    with working_precision(sf.precision_bits):
         point = mp.mpc(x)
         clearance = mp.mpf(2) ** -8
         if abs(point - 2) <= clearance:

@@ -36,8 +36,8 @@ oracle row.
 
 The checks form one ordered table.  Each row is a case generator
 `(kmax, nmax, bits) -> (statistic, case)` registered with `@_check(id,
-description, threshold, comparison)`; rows run in definition order, at
-`bits + _GUARD_BITS` working precision, and one runner (`_fold`) keeps the
+description, threshold, comparison)`; rows run in definition order, in
+`working_precision(bits)`, and one runner (`_fold`) keeps the
 worst statistic and names its case.  Adding a check means writing one such
 generator under its decorator.
 
@@ -78,10 +78,11 @@ from .hitting import (
 from .polynomials import build_phi, eval_poly
 from .recurrences import correction_ratios
 from .spectral import (
-    _GUARD_BITS,
+    DEFAULT_PRECISION_BITS,
     cached_factorization,
     check_decomposition,
     residual_tolerance,
+    working_precision,
 )
 
 __all__ = ["CheckResult", "run_verification"]
@@ -162,7 +163,7 @@ def _fold(check: _Check, kmax: int, nmax: int, bits: int) -> CheckResult | None:
     maximum = check.comparison == "<="
     worse = operator.gt if maximum else operator.lt
     worst, worst_case, count = (0.0 if maximum else math.inf), "", 0
-    with mp.workprec(bits + _GUARD_BITS):
+    with working_precision(bits):
         for value, case in check.cases(kmax, nmax, bits):
             count += 1
             if worse(value, worst) or (math.isnan(value) and not math.isnan(worst)):
@@ -528,7 +529,7 @@ def _erratum_doubled_index(kmax, nmax, bits):
 
 
 def run_verification(
-    kmax: int, nmax: int, precision_bits: int = 256
+    kmax: int, nmax: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> list[CheckResult]:
     """Run every check bounded by kmax and nmax; erratum fixtures included."""
     if not 1 <= kmax <= 8:

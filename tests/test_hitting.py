@@ -10,9 +10,9 @@ from mpmath import mp
 from cyclepow import (
     GraphSpec,
     ParameterError,
-    PrecisionError,
     SimulationBudgetError,
     arboreal_counts,
+    build_psi,
     cached_factorization,
     hit_closed,
     hit_closed_literal,
@@ -25,7 +25,7 @@ from cyclepow import (
 )
 from cyclepow.hitting import cosine_table, hit_exact_all, laplacian_eigenvalues
 from cyclepow.recurrences import full_index_ratio
-from cyclepow.spectral import certified_bound, residual_tolerance
+from cyclepow.spectral import certified_bound, find_roots, residual_tolerance
 
 from cyclepow import _philox, hitting
 from oracles import (
@@ -376,9 +376,19 @@ def test_analytic_values_lie_within_their_certified_bound(case, bits):
 
 @pytest.mark.parametrize("route", ANALYTIC_ROUTES)
 def test_every_analytic_route_rejects_precision_below_the_floor(route):
-    # hit_spectral's first call is at ell = 0, which builds no table
     with pytest.raises(ParameterError, match="precision_bits must be >= 64"):
         ANALYTIC_ROUTES[route](GraphSpec(12, 3), 63)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [(hit_spectral, (GraphSpec(12, 3), 0, 63)), (find_roots, (build_psi(1), 63))],
+    ids=["hit_spectral-at-ell-0", "find_roots-at-degree-0"],
+)
+def test_the_floor_holds_where_a_route_returns_early(call, args):
+    # ell = 0 builds no table and psi_1 has no roots; both still check
+    with pytest.raises(ParameterError, match="precision_bits must be >= 64"):
+        call(*args)
 
 
 CACHED = {
@@ -404,12 +414,6 @@ def test_cached_function_has_one_key_per_value(name):
     if head:
         with pytest.raises(TypeError):
             cached(*head)
-
-
-def test_closed_literal_rejects_a_nonreal_correction_sum(monkeypatch):
-    monkeypatch.setattr(hitting, "full_index_ratio", lambda *args: mp.mpc(0, 1))
-    with pytest.raises(PrecisionError, match="nonreal residue"):
-        hit_closed_literal(GraphSpec(9, 2), 1)
 
 
 @given(specs(max_k=4, max_n=20), st.data())

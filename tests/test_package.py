@@ -4,7 +4,8 @@
 plus the exception types; every other helper is imported from its module.
 The two scripts and the README's library snippet run here in fresh
 processes, so a name they need cannot leave the API unnoticed.  Fresh
-processes also show that numpy is loaded only to simulate walks.
+processes also show that numpy is loaded only to simulate walks.  Guard
+bits are named in spectral alone: the other modules enter working_precision.
 """
 
 import os
@@ -52,6 +53,15 @@ def test_package_api_is_pinned_and_importable():
     namespace = {}
     exec("from cyclepow import *", namespace)
     assert API <= namespace.keys()
+
+
+def test_guard_bits_are_named_only_in_spectral():
+    # Every other module takes its working precision from working_precision,
+    # which stays out of spectral.__all__ (the benchmark tracer wraps those).
+    package = ROOT / "src" / "cyclepow"
+    naming = [p.name for p in package.glob("*.py") if "_GUARD_BITS" in p.read_text()]
+    assert naming == ["spectral.py"]
+    assert "working_precision" not in cyclepow.spectral.__all__
 
 
 def run_python(*args):

@@ -12,7 +12,7 @@ from cyclepow.recurrences import (
 
 from cyclepow import recurrences
 from cyclepow.recurrences import _doubled_terms, correction_ratios
-from cyclepow.spectral import _GUARD_BITS, certified_bound, conjugate_pairs
+from cyclepow.spectral import certified_bound, conjugate_pairs, working_precision
 
 from oracles import exact_conjugates, fibonacci, term_by_binet, term_by_recurrence
 
@@ -123,7 +123,7 @@ def test_other_square_root_gives_identical_ratios(k, n, monkeypatch):
     # -sigma negates delta, and with it W_n for every even n; negation is
     # exact, so the two roots give the same ratios bit for bit.
     for factor in cached_factorization(k, 256).factors:
-        with mp.workprec(256 + _GUARD_BITS):
+        with working_precision(256):
             sigma = mp.sqrt(mp.mpc(factor.inner_root))
             plus, minus = sigma + 1 / sigma, -sigma + 1 / -sigma
             assert minus == -plus
@@ -210,7 +210,8 @@ def test_ratio_symmetry():
 
 def test_ratio_conjugation():
     # Conjugate factors give exactly conjugate ratios: tables and single ell,
-    # in both forms, up to N = 10^5 + 3.
+    # in both forms, up to N = 10^5 + 3; so does the full-index ratio that
+    # hit_closed_literal sums.  The closed forms add real parts alone.
     for k in range(3, 9):
         for bits in (64, 256, 512):
             _, pairs = conjugate_pairs(cached_factorization(k, bits).factors)
@@ -224,6 +225,12 @@ def test_ratio_conjugation():
                     assert exact_conjugates(
                         correction_ratio(upper, ell, n, form, bits),
                         correction_ratio(lower, ell, n, form, bits),
+                    )
+            for (upper, lower), n in product(pairs, (2 * k + 1, 24, 97, 10**5 + 3)):
+                for ell in (1, 2, n // 3, n // 2, n - 1):
+                    assert exact_conjugates(
+                        full_index_ratio(upper, ell, n, bits),
+                        full_index_ratio(lower, ell, n, bits),
                     )
 
 
