@@ -20,7 +20,8 @@ Everything here comes in (at least) two independent flavours:
 
 Analytic tree counts are never rounded.  arboreal_counts checks tau_eigen
 and tau_product against the exact tau_det within certified_bound, the error
-bound they are printed with, and raises ConsistencyError beyond it.
+bound they are printed with, and raises ConsistencyError beyond it.  It adds
+resistance, forests and tau_contracted only when given an ell in 1..n-1.
 """
 
 from __future__ import annotations
@@ -153,12 +154,11 @@ def tau_contracted(spec: GraphSpec, ell: int) -> int:
 class ArborealCounts:
     """Exact counts with their analytic cross-checks for one (spec, ell).
 
-    forest_count and contracted_tree_count are populated only when ell is
-    given; they are equal by construction (a mismatch raises instead).
+    resistance, forest_count and contracted_tree_count are set only when ell
+    is given; the last two are equal by construction (a mismatch raises
+    instead).
     """
 
-    spec: GraphSpec
-    ell: int | None
     tree_count: int
     tree_count_eigen: object
     tree_count_product: object
@@ -174,9 +174,12 @@ def arboreal_counts(
 ) -> ArborealCounts:
     """Bundle every count for (spec, ell), cross-checking all routes.
 
-    The eigenvalue and root products must lie within certified_bound of the
+    ell is None or in 1..n-1, checked before any count is computed.  The
+    eigenvalue and root products must lie within certified_bound of the
     determinant count; ConsistencyError otherwise.
     """
+    if ell is not None:
+        check_ell(spec, ell, lowest=1)
     tau = tau_det(spec)
     eigen = tau_eigen(spec, precision_bits)
     product = tau_product(spec, precision_bits)
@@ -190,14 +193,12 @@ def arboreal_counts(
                     f"{mp.nstr(bound, 3)}"
                 )
     if ell is None:
-        return ArborealCounts(spec, None, tau, eigen, product, None, None, None)
+        return ArborealCounts(tau, eigen, product, None, None, None)
     res = resistance(spec, ell)
-    forest_count = forests(spec, ell) if ell != 0 else None
-    contracted = tau_contracted(spec, ell) if ell != 0 else None
-    if forest_count is not None and forest_count != contracted:
+    forest_count = forests(spec, ell)
+    contracted = tau_contracted(spec, ell)
+    if forest_count != contracted:
         raise ConsistencyError(
             f"forest count {forest_count} != contracted tree count {contracted}"
         )
-    return ArborealCounts(
-        spec, ell, tau, eigen, product, res, forest_count, contracted
-    )
+    return ArborealCounts(tau, eigen, product, res, forest_count, contracted)

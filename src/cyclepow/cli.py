@@ -60,6 +60,13 @@ _FORM_NAMES = {"exp": "exponential", "seq": "sequence"}
 _precision_option = click.option(
     "--precision", type=int, default=DEFAULT_PRECISION_BITS, show_default=True
 )
+_format_option = click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(["json", "csv", "text"]),
+    default="text",
+    show_default=True,
+)
 
 
 def _usage_checked(call, *args):
@@ -216,13 +223,7 @@ def main() -> None:
     help="Also report the uncorrected full-index closed form (known to "
     "deviate from the oracle; for comparison only).",
 )
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv", "text"]),
-    default="text",
-    show_default=True,
-)
+@_format_option
 def cmd_hit(n, k, ell, method, form, precision, walks, seed, erratum, fmt) -> None:
     """Average hitting time h(0, ell) on the (n, k) cycle power graph."""
     spec = _usage_checked(GraphSpec, n, k)
@@ -264,22 +265,14 @@ def cmd_hit(n, k, ell, method, form, precision, walks, seed, erratum, fmt) -> No
 @click.option("--k", type=int, required=True)
 @click.option("--ell", type=int, default=None)
 @_precision_option
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv", "text"]),
-    default="text",
-    show_default=True,
-)
+@_format_option
 def cmd_trees(n, k, ell, precision, fmt) -> None:
     """Spanning-tree counts; with --ell also resistance, forests, and the
     contracted-graph tree count."""
     spec = _usage_checked(GraphSpec, n, k)
     _check_precision(precision)
     if ell is not None:
-        _usage_checked(check_ell, spec, ell)
-        if ell == 0:
-            raise click.UsageError("ell must be nonzero for forest counts")
+        _usage_checked(check_ell, spec, ell, 1)
     started = time.perf_counter()
     record = Record("trees", n, k, ell, precision)
     _count_rows(record, spec)

@@ -38,8 +38,6 @@ class GraphSpec:
             raise ParameterError("n and k must be integers")
         if self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
-        if self.n < 3:
-            raise ParameterError(f"n must be >= 3, got {self.n}")
         if self.n < 2 * self.k + 1:
             raise ParameterError(
                 "need n >= 2k+1 so the graph is simple and 2k-regular "

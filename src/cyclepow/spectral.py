@@ -251,8 +251,6 @@ def partial_fractions(
     k: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> SpectralFactorization:
     """Assemble the full decomposition data for 2k / phi_k."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
     psi = build_psi(k)
     # psi_k(2) = k(k+1)(2k+1)/6 pins B exactly; both expressions must agree.
     psi_at_2 = eval_poly(psi, 2)

@@ -21,7 +21,7 @@ from cyclepow import (
 from cyclepow.hitting import hit_exact_all
 from cyclepow.spectral import certified_bound
 
-from cyclepow import arboreal
+from cyclepow import arboreal, fractionfree
 
 from oracles import (
     count_separating_forests,
@@ -218,6 +218,20 @@ def test_arboreal_counts_k5_fixture():
     assert counts.tree_count == 125
     assert counts.resistance == Fraction(2, 5)
     assert counts.forest_count == 50
+
+
+def test_arboreal_counts_checks_ell_before_any_elimination(monkeypatch):
+    def fail(*args):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(fractionfree, "determinant", fail)
+    monkeypatch.setattr(fractionfree, "solve", fail)
+    for spec, ell in ((GraphSpec(1000, 3), 1005), (GraphSpec(1000, 3), 0),
+                      (GraphSpec(1000, 3), -1), (GraphSpec(6, 1), 0)):
+        with pytest.raises(
+            ParameterError, match=rf"^need 1 <= ell < {spec.n}, got {ell}$"
+        ):
+            arboreal_counts(spec, ell)
 
 
 @pytest.mark.parametrize("count", [forests, tau_contracted])

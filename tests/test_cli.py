@@ -6,7 +6,14 @@ from click.testing import CliRunner
 from mpmath import mp
 
 import cyclepow.cli as cli_module
-from cyclepow import GraphSpec, PrecisionError, hit_exact, tau_det
+from cyclepow import (
+    GraphSpec,
+    ParameterError,
+    PrecisionError,
+    arboreal_counts,
+    hit_exact,
+    tau_det,
+)
 from cyclepow.cli import main
 
 
@@ -168,9 +175,13 @@ def test_trees_cycle(runner):
     assert record["results"][0]["value"] == "6"
 
 
-def test_trees_rejects_zero_ell(runner):
-    result = runner.invoke(main, ["trees", "--n", "6", "--k", "1", "--ell", "0"])
+@pytest.mark.parametrize("ell", [-1, 0, 6])
+def test_trees_gives_the_ell_advice_of_arboreal_counts(runner, ell):
+    with pytest.raises(ParameterError) as raised:
+        arboreal_counts(GraphSpec(6, 1), ell)
+    result = runner.invoke(main, ["trees", "--n", "6", "--k", "1", "--ell", str(ell)])
     assert result.exit_code == 2
+    assert result.output.endswith(f"Error: {raised.value}\n")
 
 
 @pytest.mark.parametrize(
@@ -178,8 +189,8 @@ def test_trees_rejects_zero_ell(runner):
     [
         ("hit --n 6 --k 2 --ell 9", "need 0 <= ell < 6, got 9"),
         ("hit --n 6 --k 2 --ell -1", "need 0 <= ell < 6, got -1"),
-        ("trees --n 6 --k 1 --ell 6", "need 0 <= ell < 6, got 6"),
-        ("trees --n 6 --k 1 --ell 0", "ell must be nonzero for forest counts"),
+        ("trees --n 6 --k 1 --ell 6", "need 1 <= ell < 6, got 6"),
+        ("trees --n 6 --k 1 --ell 0", "need 1 <= ell < 6, got 0"),
         ("verify --kmax 9 --nmax 40", "kmax must be in 1..8, got 9"),
         ("verify --kmax 3 --nmax 5", "nmax must be >= 2*kmax+1, got 5"),
         ("hit --n 6 --k 2 --ell 1 --walks 0", "walks must be >= 1"),

@@ -188,8 +188,7 @@ def test_a_run_that_raised_leaves_no_cached_values(monkeypatch):
         patch.setattr(verify, "tau_contracted", fail)
         with pytest.raises(RuntimeError, match="contraction failed"):
             run_verification(2, 8, 64)
-    for cached in (verify._ratio_table, verify._oracle_deviations,
-                   verify._full_index_value):
+    for cached in (verify._ratio_table, verify._oracle_deviations):
         assert cached.cache_info().currsize == 0
     spectral = verify.hit_spectral
 
