@@ -17,6 +17,9 @@ Everything here comes in (at least) two independent flavours:
   * tau_contracted -- spanning trees of the graph with 0 and ell identified:
                       det L with both 0 and ell deleted, again exact on band
                       rows; equals forests.
+  * contracted_counts -- tau_contracted for every ell: the diagonal of the
+                      adjugate of L with 0 deleted, one elimination and one
+                      back-sweep of exact divisions (see fractionfree).
 
 Analytic tree counts are never rounded.  arboreal_counts checks tau_eigen
 and tau_product against the exact tau_det within certified_bound, the error
@@ -47,6 +50,7 @@ from .spectral import (
 __all__ = [
     "ArborealCounts",
     "arboreal_counts",
+    "contracted_counts",
     "forests",
     "resistance",
     "tau_contracted",
@@ -148,6 +152,16 @@ def tau_contracted(spec: GraphSpec, ell: int) -> int:
     """
     check_ell(spec, ell, lowest=1)
     return fractionfree.determinant(build_laplacian(spec, (0, ell))[1])
+
+
+def contracted_counts(spec: GraphSpec) -> tuple[int, ...]:
+    """tau_contracted(spec, ell) for every ell, indexed by ell (0 at ell = 0),
+    from one fractionfree.adjugate_diagonal put back in vertex order."""
+    order, rows = build_laplacian(spec, (0,))
+    counts = [0] * spec.n
+    for vertex, count in zip(order, fractionfree.adjugate_diagonal(rows)):
+        counts[vertex] = count
+    return tuple(counts)
 
 
 @dataclass(frozen=True)

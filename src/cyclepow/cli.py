@@ -33,7 +33,7 @@ import click
 from mpmath import mp
 from mpmath.libmp import prec_to_dps
 
-from .arboreal import arboreal_counts, forests, resistance, tau_contracted
+from .arboreal import arboreal_counts, contracted_counts, forests, resistance
 from .errors import CyclepowError, ParameterError
 from .graphs import GraphSpec, check_ell
 from .hitting import (
@@ -378,7 +378,9 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> None:
                 _count_rows(record, spec)
                 records.append(record)
                 continue
-            if quantity != "forests":
+            if quantity == "forests":
+                contracted = contracted_counts(spec)
+            else:
                 closed = hit_closed_all(spec, precision)
             for ell in range(1 if quantity == "forests" else 0, n):
                 record = Record("sweep", n, k, ell, precision)
@@ -392,7 +394,7 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> None:
                     record.add("closed", value)
                 else:
                     record.add("forests", forests(spec, ell))
-                    record.add("tau_contracted", tau_contracted(spec, ell))
+                    record.add("tau_contracted", contracted[ell])
                 records.append(record)
     text = "".join(line + "\n" for line in _lines(records, fmt))
     try:

@@ -1,5 +1,5 @@
 """Fraction-free integer elimination of symmetric positive-definite band
-matrices: exact determinants and linear solves.
+matrices: exact determinants, linear solves and principal minors.
 
 Every matrix the package eliminates is a Laplacian with at least one vertex
 deleted, so symmetric positive definite, and no other is accepted.  One-step
@@ -25,27 +25,39 @@ identity and still checked.
 
 Back-substitution also stays in integers: with D the final pivot (det A),
 Cramer's rule makes D * x integral, so only the returned Fractions divide.
+
+The adjugate W = adj(A) = det A * A^-1 holds every minor with one row and
+column deleted on its diagonal.  Selected inversion (Erisman & Tinney, CACM
+18, 1975) sweeps W's band back from the kept upper rows U, with pivots P_i =
+U(i, i), P_-1 = 1 and A = U^T diag(1 / (P_(i-1) P_i)) U: for j = i+b down to i,
+
+    W(i, j) = ([j == i] * det A * P_(i-1) - sum_t U(i, t) W(t, j)) / P_i,
+
+summed over t = i+1..i+b, inside the band, reading W(t, j) as W(j, t) for
+t > j.  Each numerator is P_i times an integer cofactor, so each division is
+exact and still checked.  This costs about two determinants, O(n * b) space.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import ConsistencyError
 
-__all__ = ["determinant", "solve"]
+__all__ = ["adjugate_diagonal", "determinant", "solve"]
 
 
 def _forward(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int] | None
+    rows: Sequence[Sequence[int]], rhs: Sequence[int] | None, keep_all: bool
 ) -> list[list[int]]:
     """Eliminate below the diagonal; return the upper rows.
 
-    Upper row i holds columns i..i+b of the triangular factor, then its
-    right-hand side.  Without a right-hand side only the last upper row is
-    kept, since a determinant needs no more.  Raises ConsistencyError unless
-    the rows are those of a symmetric positive-definite matrix.
+    Upper row i holds columns i..i+b of the triangular factor, then any
+    right-hand side.  Unless keep_all only the last upper row is kept, as a
+    determinant needs no more.  Raises ConsistencyError unless the rows are
+    those of a symmetric positive-definite matrix.
     """
     n = len(rows)
     width = len(rows[0])
@@ -81,7 +93,7 @@ def _forward(
         r = col + b + 1
         if r < n:
             window.append([int(x) * pivot for x in (rows[r][b], *right[r : r + 1])])
-        if rhs is not None or col == n - 1:
+        if keep_all or col == n - 1:
             upper.append(base)
         prev = pivot
     return upper
@@ -96,7 +108,7 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     """
     if not rows:
         return 1
-    return _forward(rows, None)[-1][0]
+    return _forward(rows, None, False)[-1][0]
 
 
 def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
@@ -111,7 +123,7 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
         raise ConsistencyError("right-hand side length does not match the matrix")
     if n == 0:
         return []
-    upper = _forward(rows, rhs)
+    upper = _forward(rows, rhs, True)
     scale = upper[-1][0]
     scaled = [0] * n  # scale * x, integral by Cramer's rule
     for i in range(n - 1, -1, -1):
@@ -123,3 +135,28 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
         if remainder:
             raise ConsistencyError("back-substitution left a remainder")
     return [Fraction(value, scale) for value in scaled]
+
+
+def adjugate_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
+    """For every p, the exact determinant of a symmetric positive-definite
+    integer band matrix with row and column p deleted ([] for the empty one).
+    Raises ConsistencyError when the matrix is not symmetric positive definite."""
+    n = len(rows)
+    if n == 0:
+        return []
+    upper = _forward(rows, None, True)
+    det, b = upper[-1][0], len(upper[0]) - 1
+    band = [[]] * n + [[0] * (b + 1)] * b  # band[i] is W(i, i..i+b), zero past n
+    for i in range(n - 1, -1, -1):
+        u = upper[i]
+        band[i] = row = [0] * (b + 1)
+        for e in range(b, -1, -1):
+            column = [
+                band[i + s][e - s] if s <= e else band[i + e][s - e]
+                for s in range(1, b + 1)
+            ]
+            first = 0 if e else det * (upper[i - 1][0] if i else 1)
+            row[e], remainder = divmod(first - sum(map(mul, u[1:], column)), u[0])
+            if remainder:
+                raise ConsistencyError("adjugate sweep left a remainder")
+    return [row[0] for row in band[:n]]

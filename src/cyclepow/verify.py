@@ -59,13 +59,7 @@ from typing import Callable, Iterator
 
 from mpmath import mp
 
-from .arboreal import (
-    forests,
-    tau_contracted,
-    tau_det,
-    tau_eigen,
-    tau_product,
-)
+from .arboreal import contracted_counts, forests, tau_det, tau_eigen, tau_product
 from .errors import ParameterError
 from .graphs import GraphSpec, build_laplacian
 from .hitting import (
@@ -441,12 +435,12 @@ def _forest_duality(kmax, nmax, bits):
     for spec in _specs(kmax, nmax):
         tau = tau_det(spec)
         exact_all = hit_exact_all(spec)
-        compared = spec.k <= 4 and spec.n <= 24
+        contracted = contracted_counts(spec) if spec.k <= 4 and spec.n <= 24 else None
         for ell in range(1, spec.n):
             if (tau * exact_all[ell] / spec.num_edges).denominator != 1:
                 deviation = 1
-            elif compared:
-                deviation = abs(forests(spec, ell) - tau_contracted(spec, ell))
+            elif contracted is not None:
+                deviation = abs(forests(spec, ell) - contracted[ell])
             else:
                 deviation = 0
             yield float(deviation), f"(n={spec.n}, k={spec.k}, ell={ell})"
@@ -458,10 +452,12 @@ def _forest_duality(kmax, nmax, bits):
 )
 def _resistance_metric(kmax, nmax, bits):
     for spec in _specs(kmax, min(nmax, 24)):
-        n, m = spec.n, spec.num_edges
-        res = [value / m for value in hit_exact_all(spec)]
-        wrong = any(res[ell] != res[n - ell] for ell in range(1, n)) or any(
-            res[(a + b) % n] > res[a] + res[b]
+        # h * lcm(denominators) orders exactly as R = h / (n*k) does.
+        n, hits = spec.n, hit_exact_all(spec)
+        scale = math.lcm(*(value.denominator for value in hits))
+        scaled = [value.numerator * (scale // value.denominator) for value in hits]
+        wrong = any(scaled[ell] != scaled[n - ell] for ell in range(1, n)) or any(
+            scaled[(a + b) % n] > scaled[a] + scaled[b]
             for a in range(1, n)
             for b in range(1, n)
         )

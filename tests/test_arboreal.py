@@ -22,6 +22,7 @@ from cyclepow.hitting import hit_exact_all
 from cyclepow.spectral import certified_bound
 
 from cyclepow import arboreal, fractionfree
+from cyclepow.arboreal import contracted_counts
 
 from oracles import (
     count_separating_forests,
@@ -60,7 +61,9 @@ def test_tau_det_against_brute_force(spec):
     assert tau_det(spec) == count_spanning_trees(spec.n, edges)
 
 
-@pytest.mark.parametrize("route", [tau_det, hit_exact_all], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "route", [tau_det, hit_exact_all, contracted_counts], ids=lambda f: f.__name__
+)
 def test_exact_routes_use_band_memory(route):
     # Band rows take O(N * k) integers where an N x N matrix took ~26 MB here.
     hit_exact_all.cache_clear()
@@ -161,6 +164,19 @@ def test_tau_contracted_examples():
 def test_forest_contraction_duality(spec, data):
     ell = data.draw(st.integers(1, spec.n - 1))
     assert forests(spec, ell) == tau_contracted(spec, ell)
+
+
+def test_contracted_counts_match_tau_contracted_on_a_grid():
+    cases = 0
+    for k in range(1, 7):
+        for n in range(2 * k + 1, 41):
+            spec = GraphSpec(n, k)
+            counts = contracted_counts(spec)
+            assert len(counts) == n and counts[0] == 0
+            for ell in range(1, n):
+                assert counts[ell] == tau_contracted(spec, ell), (n, k, ell)
+            cases += n - 1
+    assert cases == 4519
 
 
 @given(specs())

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclepow.errors import ConsistencyError
-from cyclepow.fractionfree import determinant, solve
+from cyclepow.fractionfree import adjugate_diagonal, determinant, solve
 from cyclepow.graphs import GraphSpec, build_laplacian
 
 from oracles import gauss_solve, permutation_determinant, to_band
@@ -40,6 +40,21 @@ def test_determinant_matches_permutation_formula(matrix):
     assert determinant(to_band(rows, b)) == permutation_determinant(rows)
 
 
+@given(spd_band_matrices())
+@example(([[7]], 0))
+@example(([[3, 1], [1, 3]], 3))  # half-width beyond the matrix
+@settings(max_examples=300, deadline=None)
+def test_adjugate_diagonal_matches_deleted_determinants(matrix):
+    rows, b = matrix
+    minors = []
+    for p in range(len(rows)):
+        kept = [
+            [x for j, x in enumerate(row) if j != p] for row in rows[:p] + rows[p + 1 :]
+        ]
+        minors.append(determinant(to_band(kept, b)))
+    assert adjugate_diagonal(to_band(rows, b)) == minors
+
+
 @st.composite
 def spd_band_systems(draw, max_size=12):
     rows, b = draw(spd_band_matrices(max_size=max_size))
@@ -70,10 +85,13 @@ def test_rejects_all_but_symmetric_positive_definite(band):
         determinant(band)
     with pytest.raises(ConsistencyError):
         solve(band, [1] * len(band))
+    with pytest.raises(ConsistencyError):
+        adjugate_diagonal(band)
 
 
 def test_determinant_empty():
     assert determinant(to_band([])) == 1
+    assert adjugate_diagonal(to_band([])) == []
 
 
 def test_solve_rejects_mismatched_rhs():
@@ -93,3 +111,5 @@ def test_band_rows_must_share_one_odd_length():
             determinant(rows)
         with pytest.raises(ConsistencyError):
             solve(rows, [1, 1])
+        with pytest.raises(ConsistencyError):
+            adjugate_diagonal(rows)

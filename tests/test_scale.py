@@ -1,8 +1,11 @@
-"""Agreement of the analytic routes at N in the thousands.
+"""Agreement of the routes at large N.
 
 A first step towards a sparse grid at large N: the spectral sum against the
 closed form's sequence route, and the eigenvalue tree product against the
-inner-root product, at sizes where every exact route would take minutes.
+inner-root product, at N in the thousands, where every exact route would
+take minutes; and, at N = 1000, the forest count of every ell against the
+contracted tree counts of one adjugate sweep, where one determinant per ell
+would take minutes.
 """
 
 import pytest
@@ -10,11 +13,14 @@ from mpmath import mp
 
 from cyclepow import (
     GraphSpec,
+    forests,
     hit_closed,
     hit_spectral,
     tau_eigen,
+    tau_contracted,
     tau_product,
 )
+from cyclepow.arboreal import contracted_counts
 from cyclepow.spectral import certified_bound
 
 BITS = 256
@@ -37,3 +43,11 @@ def test_eigenvalue_and_root_tree_products_agree():
     eigen = tau_eigen(spec, BITS)
     product = tau_product(spec, BITS)
     assert abs(eigen - product) <= certified_bound(product, BITS)
+
+
+def test_every_forest_count_matches_one_adjugate_sweep():
+    spec = GraphSpec(1000, 3)
+    counts = contracted_counts(spec)
+    assert all(forests(spec, ell) == counts[ell] for ell in range(1, spec.n))
+    for ell in (1, 333, 500):
+        assert counts[ell] == tau_contracted(spec, ell)

@@ -181,11 +181,11 @@ def test_oracle_rows_share_one_pass(monkeypatch):
 
 
 def test_a_run_that_raised_leaves_no_cached_values(monkeypatch):
-    def fail(spec, ell):
+    def fail(spec):
         raise RuntimeError("contraction failed")
 
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "tau_contracted", fail)
+        patch.setattr(verify, "contracted_counts", fail)
         with pytest.raises(RuntimeError, match="contraction failed"):
             run_verification(2, 8, 64)
     for cached in (verify._ratio_table, verify._oracle_deviations):
