@@ -16,8 +16,8 @@ from cyclepow import (
     forests,
     hit_closed,
     hit_spectral,
-    tau_eigen,
     tau_contracted,
+    tau_eigen,
     tau_product,
 )
 from cyclepow.arboreal import contracted_counts
