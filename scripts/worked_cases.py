@@ -2,7 +2,9 @@
 """Print the spectral data and a method-comparison table for small jump radii.
 
 For each k up to --kmax this shows the symbol polynomial, its cofactor, the
-cofactor roots with their inner roots and partial-fraction coefficients, and
+cofactor roots with their inner roots and partial-fraction coefficients (one
+per real root, and one per conjugate pair, labelled as its upper root "and
+its conjugate"), and
 then a table of h(0, ell) for one chosen n comparing the exact solve,
 the spectral sum, and the closed form.
 
@@ -53,7 +55,8 @@ def main() -> None:
         sf = cached_factorization(k, args.precision)
         print(f"  pole coefficient B = {sf.pole_coefficient}")
         for i, factor in enumerate(sf.factors):
-            print(f"  root {i}:  gamma = {mp.nstr(factor.root, 12)}")
+            pair = " (and its conjugate)" if factor.root.imag else ""
+            print(f"  root {i}:  gamma = {mp.nstr(factor.root, 12)}{pair}")
             print(f"           rho   = {mp.nstr(factor.inner_root, 12)}")
             print(f"           A     = {mp.nstr(factor.coefficient, 12)}")
 

@@ -8,7 +8,8 @@ Everything here comes in (at least) two independent flavours:
   * tau_eigen      -- the eigenvalue product prod_{j>=1} lambda_j / n over the
                       Laplacian eigenvalue table;
   * tau_product    -- the same product collapsed onto the inner roots, one
-                      geometric factor per root of psi_k;
+                      geometric factor per real root of psi_k and one
+                      squared modulus per conjugate pair;
   * resistance     -- h(0, ell) / (n*k), exact, via the commute-time identity
                       on a vertex-transitive graph;
   * forests        -- two-component spanning forests separating 0 and ell:
@@ -43,7 +44,6 @@ from .spectral import (
     DEFAULT_PRECISION_BITS,
     cached_factorization,
     certified_bound,
-    conjugate_pairs,
     working_precision,
 )
 
@@ -93,26 +93,24 @@ def tau_product(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
 
         (-1)^(n-1) * ((1 - rho^n)/(1 - rho))^2 / rho^(n-1).
 
-    Conjugate factors are merged pairwise into |.|^2 (their alternating signs
-    cancel), which halves the complex work and forces a real result.  A real
-    root has an exactly real inner root, so its factor is computed in real
-    arithmetic and multiplied in directly, carrying the (-1)^(n-1) sign that
-    makes the product positive for even n as well.  Grouping the square before
-    dividing by rho^(n-1) keeps intermediates tame for large n.
+    A conjugate pair, kept as its upper root, contributes |.|^2 of that
+    root's factor (the pair's alternating signs cancel), which forces a real
+    result.  A real root has an exactly real inner root, so its factor is
+    computed in real arithmetic and multiplied in directly, carrying the
+    (-1)^(n-1) sign that makes the product positive for even n as well.  The
+    real roots are multiplied in first, then the pairs.  Grouping the square
+    before dividing by rho^(n-1) keeps intermediates tame for large n.
     """
     n = spec.n
     factors = cached_factorization(spec.k, precision_bits).factors
     with working_precision(precision_bits):
-        reals, pairs = conjugate_pairs(factors)
         accumulator = mp.mpf(n)
         parity = -1 if n % 2 == 0 else 1
-        for factor in reals:
-            rho = mp.re(factor.inner_root)
-            accumulator *= ((1 - rho**n) / (1 - rho)) ** 2 / rho ** (n - 1) * parity
-        for upper, _lower in pairs:
-            rho = mp.mpc(upper.inner_root)
+        for factor in sorted(factors, key=lambda factor: factor.root.imag != 0):
+            real = factor.root.imag == 0
+            rho = mp.re(factor.inner_root) if real else mp.mpc(factor.inner_root)
             value = ((1 - rho**n) / (1 - rho)) ** 2 / rho ** (n - 1)
-            accumulator *= abs(value) ** 2
+            accumulator *= value * parity if real else abs(value) ** 2
         return accumulator
 
 

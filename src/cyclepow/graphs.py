@@ -54,7 +54,9 @@ class GraphSpec:
 
 
 def check_ell(spec: GraphSpec, ell: int, lowest: int = 0) -> None:
-    """Reject a target vertex ell outside lowest..n-1."""
+    """Reject a target vertex ell that is not an integer in lowest..n-1."""
+    if not isinstance(ell, int):
+        raise ParameterError(f"ell must be an integer, got {ell!r}")
     if not lowest <= ell < spec.n:
         raise ParameterError(f"need {lowest} <= ell < {spec.n}, got {ell}")
 

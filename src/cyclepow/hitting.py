@@ -11,8 +11,8 @@ Methods, graded against one another:
                      solved exactly by banded fraction-free elimination;
   * hit_spectral  -- the eigenvalue sum over the Fourier modes of the
                      circulant Laplacian, in high-precision arithmetic;
-  * hit_closed    -- exact quadratic term plus finitely many geometric
-                     corrections from the partial-fraction data, real by
+  * hit_closed    -- exact quadratic term plus one geometric correction per
+                     real root of psi_k and per conjugate pair, real by
                      construction;
   * hit_simulate  -- Monte Carlo over independent walks, walk w drawing from
                      numpy's Philox4x64 stream keyed by (seed, w); the
@@ -176,12 +176,16 @@ def _quadratic_term(sf: SpectralFactorization, spec: GraphSpec, ell: int) -> Fra
 def _closed_value(spec: GraphSpec, ell: int, sf: SpectralFactorization, ratios):
     """hit_closed's value at ell from `ratios`, the correction ratio of each
     factor of `sf` in order.  Real parts alone are added, in real arithmetic:
-    the corrections of a conjugate pair are exact conjugates."""
+    the corrections of a conjugate pair are exact conjugates, so a non-real
+    factor's real part is added twice, once for its conjugate."""
     quadratic = _quadratic_term(sf, spec, ell)
     with working_precision(sf.precision_bits):
         corrections = mp.mpf(0)
         for factor, ratio in zip(sf.factors, ratios):
-            corrections += mp.re(factor.coefficient * ratio)
+            term = mp.re(factor.coefficient * ratio)
+            corrections += term
+            if factor.root.imag:
+                corrections += term
         base = mp.mpf(quadratic.numerator) / quadratic.denominator
         return base + spec.n * corrections
 
@@ -195,10 +199,10 @@ def hit_closed(
     """Closed form: exact quadratic term plus the summed corrections.
 
     The quadratic term (B/2) * ell * (n - ell) is computed in exact rational
-    arithmetic; each factor of cached_factorization(k, precision_bits)
-    contributes n * A * correction_ratio.  The factors of a conjugate pair
-    give exactly conjugate corrections, so the correction sum is real by
-    construction and is added up from real parts alone.
+    arithmetic; each real root of psi_k contributes n * A * correction_ratio,
+    and each conjugate pair twice the real part of its upper root's term:
+    the two corrections of a pair are exact conjugates, so the correction
+    sum is real by construction and is added up from real parts alone.
     """
     check_ell(spec, ell)
     if form not in ("exponential", "sequence"):
@@ -235,7 +239,8 @@ def hit_closed_literal(
 ):
     """The closed form with full-index sequence ratios instead of the
     verified correction ratios, summed as hit_closed sums them: full-index
-    ratios of a conjugate pair are exact conjugates too.
+    ratios of a conjugate pair are exact conjugates too, so each pair is
+    again twice the real part of its upper root's term.
 
     This is the uncorrected variant kept for erratum reporting; it disagrees
     with hit_exact (e.g. n=6, k=2, ell=1 gives 23/6 instead of 5) and must

@@ -19,10 +19,11 @@ ratio V_ell * V_{N-ell} / V_N does NOT reproduce it (off by more than a unit
 already at N=6, k=2), so the exponential and half-index forms are the trusted
 evaluation paths and the full-index ratio is kept only for erratum reporting.
 The exponential form is also the default for large N: |rho| < 1 keeps it
-uniformly well-conditioned, whereas |W_N| grows like |rho|^(-N/2).  The
-factors of a conjugate pair are exact conjugates (see spectral), and mpmath
-rounds complex operations symmetrically, so in either form their ratios are
-exact conjugates too.
+uniformly well-conditioned, whereas |W_N| grows like |rho|^(-N/2).  A
+factorization keeps one factor per conjugate pair, its upper root (see
+spectral): mpmath rounds complex operations symmetrically, so in either form
+the ratios of the conjugate factor are exact conjugates of that factor's,
+and callers take them as such instead of computing them.
 
 Every W_m and V_m comes from one index-doubling ladder (_doubled_terms):
 correction_ratio evaluates one ell from W_ell, W_{N-ell} and W_N alone, in

@@ -16,13 +16,15 @@ against the 2^(-precision_bits/2) convention used package-wide.  psi_k has
 integer coefficients, so only the real roots and those in the upper half
 plane are polished: a real root is polished from a real start and stays
 exactly real, and each lower root is the exact conjugate of its upper
-partner.  mpmath rounds complex operations symmetrically, so the inner roots
-and coefficients of a conjugate pair come out exact conjugates as well, and
-so do the correction ratios built from them, so sums over conjugate pairs
-are taken from real parts.  conjugate_pairs pairs roots by exact comparison,
-with no tolerance.  Distinctness is verified numerically per k rather than
-assumed.  working_precision is the one working precision of every analytic
-value; no other module names the guard bits.
+partner.  mpmath rounds complex operations symmetrically, so the inner root
+and coefficient of a lower root would come out exact conjugates of its
+partner's as well, and so would the correction ratios built from them.  So
+partial_fractions keeps one factor per real root and one per conjugate pair,
+the upper root standing for both: a pair contributes twice the real part of
+the upper factor's term to a real sum, and its conjugate term where a
+complex one is needed.  Distinctness is verified numerically per k rather
+than assumed.  working_precision is the one working precision of every
+analytic value; no other module names the guard bits.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "SpectralFactorization",
     "cached_factorization",
     "check_decomposition",
-    "conjugate_pairs",
     "find_roots",
     "inner_root",
     "partial_fractions",
@@ -115,7 +116,9 @@ class SpectralFactorization:
 
     pole_coefficient is B = 12/((k+1)(2k+1)), kept as an exact rational so the
     quadratic term of the closed-form hitting time stays exact.  factors holds
-    the k-1 roots, closed under complex conjugation.
+    one factor per real root of psi_k and one per conjugate pair, in the
+    order (Re, Im) of find_roots: a non-real factor has Im(root) > 0 and
+    stands for its conjugate too.
     """
 
     k: int
@@ -250,7 +253,8 @@ def inner_root(gamma, precision_bits: int = DEFAULT_PRECISION_BITS):
 def partial_fractions(
     k: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> SpectralFactorization:
-    """Assemble the full decomposition data for 2k / phi_k."""
+    """Assemble the decomposition data for 2k / phi_k: one factor per real
+    root and one per conjugate pair, kept as its upper root."""
     psi = build_psi(k)
     # psi_k(2) = k(k+1)(2k+1)/6 pins B exactly; both expressions must agree.
     psi_at_2 = eval_poly(psi, 2)
@@ -262,14 +266,13 @@ def partial_fractions(
     dpsi = derivative(psi)
     factors = []
     with working_precision(precision_bits):
-        for gamma in roots:
+        for gamma in (root for root in roots if root.imag >= 0):
             rho = inner_root(gamma, precision_bits)
             if abs(rho + 1 / rho - gamma) > certified_bound(gamma, precision_bits):
                 raise PrecisionError("inner root does not reproduce its root")
             coefficient = -2 * k / ((2 - gamma) * eval_poly(dpsi, gamma))
             residual = abs(eval_poly(psi, gamma))
             factors.append(FactorData(gamma, rho, coefficient, residual))
-    conjugate_pairs(factors)  # raises on an unpaired root
     return SpectralFactorization(
         k=k,
         precision_bits=precision_bits,
@@ -287,52 +290,30 @@ def cached_factorization(k: int, precision_bits: int, /) -> SpectralFactorizatio
     return partial_fractions(k, precision_bits)
 
 
-def conjugate_pairs(factors):
-    """Split factors into (real_factors, conjugate_pairs) by exact comparison.
-
-    find_roots makes each real root exactly real and each lower root the
-    exact conjugate of an upper one.  A factor is real when the imaginary
-    part of its root is 0; each pair is (upper, lower), upper.root having
-    positive imaginary part and lower.root being its exact conjugate.
-    ConsistencyError is raised on any root without such a partner.
-    """
-    reals = [factor for factor in factors if factor.root.imag == 0]
-    # mp.conj and unary minus round to the ambient precision
-    lowers = {
-        (factor.root.real, mp.fneg(factor.root.imag, exact=True)): factor
-        for factor in factors
-        if factor.root.imag < 0
-    }
-    pairs = [
-        (upper, lowers.pop((upper.root.real, upper.root.imag), None))
-        for upper in factors
-        if upper.root.imag > 0
-    ]
-    if len(reals) + 2 * len(pairs) != len(factors) or any(
-        lower is None for _, lower in pairs
-    ):
-        raise ConsistencyError("a non-real root has no exact conjugate partner")
-    return reals, pairs
-
-
 def check_decomposition(sf: SpectralFactorization, x):
     """|2k/phi_k(x) - B/(2-x) - sum A_a/(gamma_a - x)| at the stated precision.
 
     Both sides are evaluated independently: the left through the integer
-    polynomial phi_k, the right through the stored decomposition.  The point
-    must keep distance > 2^-8 from every pole.
+    polynomial phi_k, the right through the stored decomposition, each
+    non-real factor adding its conjugate pole's term before its own.  The
+    point must keep distance > 2^-8 from every pole.
     """
     with working_precision(sf.precision_bits):
         point = mp.mpc(x)
         clearance = mp.mpf(2) ** -8
         if abs(point - 2) <= clearance:
             raise ParameterError("evaluation point too close to the pole at 2")
+        # mp.conj is exact at the precision the factors were made in.
+        poles = []
         for factor in sf.factors:
-            if abs(point - factor.root) <= clearance:
-                raise ParameterError("evaluation point too close to a root pole")
+            if factor.root.imag:
+                poles.append((mp.conj(factor.root), mp.conj(factor.coefficient)))
+            poles.append((factor.root, factor.coefficient))
+        if any(abs(point - root) <= clearance for root, _ in poles):
+            raise ParameterError("evaluation point too close to a root pole")
         lhs = 2 * sf.k / eval_poly(build_phi(sf.k), point)
         b = sf.pole_coefficient
         rhs = mp.mpf(b.numerator) / b.denominator / (2 - point)
-        for factor in sf.factors:
-            rhs += factor.coefficient / (factor.root - point)
+        for root, coefficient in poles:
+            rhs += coefficient / (root - point)
         return abs(lhs - rhs)

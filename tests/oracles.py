@@ -13,6 +13,7 @@ Fourier mode with one mp.cospi call per cosine.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -51,6 +52,31 @@ def exact_conjugates(a, b) -> bool:
     round to the ambient precision, so the imaginary part is negated with
     mp.fneg(exact=True) instead."""
     return a.real == b.real and a.imag == mp.fneg(b.imag, exact=True)
+
+
+def exact_conjugate(z):
+    """The complex conjugate of z bit for bit, at any ambient precision."""
+    return mp.make_mpc((z.real._mpf_, mp.fneg(z.imag, exact=True)._mpf_))
+
+
+def conjugate_factor(factor):
+    """The factor of the conjugate root: root, inner root and coefficient
+    conjugated bit for bit."""
+    return dataclasses.replace(
+        factor,
+        root=exact_conjugate(factor.root),
+        inner_root=exact_conjugate(factor.inner_root),
+        coefficient=exact_conjugate(factor.coefficient),
+    )
+
+
+def with_conjugates(factors):
+    """Every root's factor: each factor of a factorization, a non-real one
+    preceded by its conjugate factor, as find_roots orders a pair."""
+    for factor in factors:
+        if factor.root.imag:
+            yield conjugate_factor(factor)
+        yield factor
 
 
 def gauss_solve(rows, rhs) -> list[Fraction]:

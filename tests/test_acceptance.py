@@ -25,7 +25,6 @@ from cyclepow import (
 )
 from cyclepow.hitting import hit_exact_all
 from cyclepow.recurrences import correction_ratio
-from cyclepow.spectral import conjugate_pairs
 from cyclepow.cli import main as cli_main
 from cyclepow.hitting import cosine_table
 
@@ -199,11 +198,8 @@ def test_criterion_08_k3_fixtures_and_conjugate_pair_form():
         with mp.workprec(PRECISION + 32):
             tol = mp.mpf(2) ** -100
             half_root7 = mp.sqrt(7) / 2
-            roots = sorted((f.root for f in sf.factors), key=lambda z: z.imag)
-            assert abs(roots[0] - mp.mpc(mp.mpf(-3) / 2, -half_root7)) <= tol
-            assert abs(roots[1] - mp.mpc(mp.mpf(-3) / 2, half_root7)) <= tol
-            (_, pairs) = conjugate_pairs(sf.factors)
-            upper = pairs[0][0]
+            (upper,) = sf.factors  # the pair, kept as its upper root
+            assert abs(upper.root - mp.mpc(mp.mpf(-3) / 2, half_root7)) <= tol
             expected_coeff = mp.mpf(-3) / 14 * (1 - mp.mpc(0, 1) * mp.sqrt(7))
             assert abs(upper.coefficient - expected_coeff) <= tol
             for n in range(7, 25):

@@ -1,9 +1,24 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclepow import ConsistencyError, GraphSpec, ParameterError, graphs
-from cyclepow.arboreal import tau_contracted
+from cyclepow import (
+    ConsistencyError,
+    GraphSpec,
+    ParameterError,
+    arboreal_counts,
+    forests,
+    graphs,
+    hit_closed,
+    hit_closed_literal,
+    hit_exact,
+    hit_simulate,
+    hit_spectral,
+    resistance,
+    tau_contracted,
+)
 from cyclepow.graphs import build_laplacian, check_ell, fold_order
 
 import oracles
@@ -146,3 +161,25 @@ def test_check_ell_bounds_and_message():
         with pytest.raises(ParameterError) as info:
             check_ell(spec, ell, lowest)
         assert str(info.value) == f"need {lowest} <= ell < 6, got {ell}"
+
+
+# Every public route that takes ell, called as route(spec, ell).
+ELL_ROUTES = {
+    "hit_exact": hit_exact,
+    "hit_spectral": hit_spectral,
+    "hit_closed": hit_closed,
+    "hit_closed_literal": hit_closed_literal,
+    "hit_simulate": lambda spec, ell: hit_simulate(spec, ell, 10, 0),
+    "resistance": resistance,
+    "forests": forests,
+    "tau_contracted": tau_contracted,
+    "arboreal_counts": arboreal_counts,
+}
+
+
+@pytest.mark.parametrize("ell", [2.5, 2.0, Fraction(2), "2"])
+@pytest.mark.parametrize("route", ELL_ROUTES.values(), ids=ELL_ROUTES)
+def test_every_ell_route_rejects_a_non_integer_ell(route, ell):
+    with pytest.raises(ParameterError) as info:
+        route(GraphSpec(10, 2), ell)
+    assert str(info.value) == f"ell must be an integer, got {ell!r}"

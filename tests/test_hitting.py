@@ -37,6 +37,7 @@ from oracles import (
     simulate_reference,
     spectral_sum_reference,
     unfolded_eigenvalues,
+    with_conjugates,
 )
 
 
@@ -275,12 +276,13 @@ def test_closed_literal_reproduces_known_deviation():
 
 
 def full_index_sum(spec, ell, bits):
-    """The closed-form sum over full-index sequence ratios, spelled out."""
+    """The closed-form sum over full-index sequence ratios, spelled out over
+    every root, both members of each conjugate pair included."""
     sf = cached_factorization(spec.k, bits)
     quadratic = Fraction(sf.pole_coefficient, 2) * ell * (spec.n - ell)
     with mp.workprec(bits + 32):
         corrections = mp.mpc(0)
-        for factor in sf.factors:
+        for factor in with_conjugates(sf.factors):
             corrections += factor.coefficient * full_index_ratio(
                 factor, ell, spec.n, bits
             )

@@ -74,15 +74,20 @@ def run_python(*args):
 
 
 @pytest.mark.parametrize(
-    "argv, last_line",
+    "argv, line, last_line",
     [
-        (["scripts/worked_cases.py", "--kmax", "2", "--n", "9"], "4        190/17"),
-        (["scripts/erratum_report.py"], "verified form is exact everywhere"),
+        (
+            ["scripts/worked_cases.py", "--kmax", "3", "--n", "9"],
+            "root 0:  gamma = (-1.5 + 1.32287565553j) (and its conjugate)",
+            "4       987/107",
+        ),
+        (["scripts/erratum_report.py"], "", "verified form is exact everywhere"),
     ],
 )
-def test_script_runs(argv, last_line):
+def test_script_runs(argv, line, last_line):
     result = run_python(*argv)
     assert result.returncode == 0, result.stderr
+    assert line in result.stdout
     assert last_line in result.stdout.strip().splitlines()[-1]
 
 

@@ -12,9 +12,15 @@ from cyclepow.recurrences import (
 
 from cyclepow import recurrences
 from cyclepow.recurrences import _doubled_terms, correction_ratios
-from cyclepow.spectral import certified_bound, conjugate_pairs, working_precision
+from cyclepow.spectral import certified_bound, working_precision
 
-from oracles import exact_conjugates, fibonacci, term_by_binet, term_by_recurrence
+from oracles import (
+    conjugate_factor,
+    exact_conjugates,
+    fibonacci,
+    term_by_binet,
+    term_by_recurrence,
+)
 
 
 def k2_factor():
@@ -211,10 +217,15 @@ def test_ratio_symmetry():
 def test_ratio_conjugation():
     # Conjugate factors give exactly conjugate ratios: tables and single ell,
     # in both forms, up to N = 10^5 + 3; so does the full-index ratio that
-    # hit_closed_literal sums.  The closed forms add real parts alone.
+    # hit_closed_literal sums.  So the closed forms take a pair's term as
+    # twice the real part of its upper root's.
     for k in range(3, 9):
         for bits in (64, 256, 512):
-            _, pairs = conjugate_pairs(cached_factorization(k, bits).factors)
+            pairs = [
+                (upper, conjugate_factor(upper))
+                for upper in cached_factorization(k, bits).factors
+                if upper.root.imag
+            ]
             for (upper, lower), form in product(pairs, ("exponential", "sequence")):
                 for n in (2 * k + 1, 24, 97):
                     uppers = correction_ratios(upper, n, form, bits)

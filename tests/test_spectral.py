@@ -12,35 +12,66 @@ from cyclepow import (
     build_psi,
 )
 from cyclepow import spectral
+from cyclepow.polynomials import derivative, eval_poly
 from cyclepow.spectral import (
     cached_factorization,
     check_decomposition,
-    conjugate_pairs,
     find_roots,
     inner_root,
     partial_fractions,
     residual_tolerance,
     separation_tolerance,
+    working_precision,
 )
 
-from oracles import exact_conjugates
+from oracles import exact_conjugate, exact_conjugates
 
 # Every k through 16, and two larger ones; k = 48 has its own test.
 WIDE_K = [*range(2, 17), 24, 32]
 
 
-def assert_closed_under_conjugation(factors):
-    """Each factor's exact conjugate (root, inner root and coefficient) is
-    a factor too."""
-    fields = ("root", "inner_root", "coefficient")
-    for factor in factors:
-        assert any(
-            all(
-                exact_conjugates(getattr(factor, name), getattr(other, name))
-                for name in fields
+def assert_layout(k, bits):
+    """The factors are find_roots' real and upper roots in its order, one per
+    real root and one per conjugate pair."""
+    roots = find_roots(build_psi(k), bits)
+    reals = sum(1 for root in roots if root.imag == 0)
+    pairs = sum(1 for root in roots if root.imag > 0)
+    factors = cached_factorization(k, bits).factors
+    assert reals + 2 * pairs == k - 1
+    assert len(factors) == reals + pairs
+    assert all(factor.root.imag > 0 for factor in factors if factor.root.imag)
+    assert [factor.root for factor in factors] == [
+        root for root in roots if root.imag >= 0
+    ]
+
+
+def assert_lower_roots_give_conjugate_factors(k, bits):
+    """Each lower root of find_roots, taken through partial_fractions' own
+    steps, gives the exact conjugate of a kept factor (root, inner root and
+    coefficient): what a non-real factor stands for is what the lower root's
+    factor would be, bit for bit."""
+    psi = build_psi(k)
+    dpsi = derivative(psi)
+    uppers = [f for f in cached_factorization(k, bits).factors if f.root.imag]
+    lowers = [root for root in find_roots(psi, bits) if root.imag < 0]
+    assert len(lowers) == len(uppers)
+    with working_precision(bits):
+        for gamma in lowers:
+            lower = (
+                gamma,
+                inner_root(gamma, bits),
+                -2 * k / ((2 - gamma) * eval_poly(dpsi, gamma)),
             )
-            for other in factors
-        )
+            assert any(
+                all(
+                    map(
+                        exact_conjugates,
+                        (upper.root, upper.inner_root, upper.coefficient),
+                        lower,
+                    )
+                )
+                for upper in uppers
+            )
 
 
 def test_find_roots_degenerate_and_linear():
@@ -79,17 +110,16 @@ def test_find_roots_requires_64_bits():
 
 def test_partial_fractions_certifies_large_k():
     sf = partial_fractions(48, 256)
-    assert len(sf.factors) == 47
     assert all(factor.residual <= residual_tolerance(256) for factor in sf.factors)
-    roots = [factor.root for factor in sf.factors]
+    roots = find_roots(build_psi(48), 256)
+    assert len(roots) == 47
     with mp.workprec(288):
         separation = min(
             abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]
         )
     assert separation > separation_tolerance(256)
-    reals, pairs = conjugate_pairs(sf.factors)
-    assert len(reals) + 2 * len(pairs) == 47
-    assert_closed_under_conjugation(sf.factors)
+    assert_layout(48, 256)
+    assert_lower_roots_give_conjugate_factors(48, 256)
 
 
 def test_find_roots_rejects_estimates_not_closed_under_conjugation(monkeypatch):
@@ -182,66 +212,33 @@ def test_roots_avoid_spectrum_arc(k):
 @pytest.mark.parametrize("k", WIDE_K)
 def test_conjugate_closure(k):
     for bits in (64, 256, 512):
-        assert_closed_under_conjugation(cached_factorization(k, bits).factors)
+        assert_lower_roots_give_conjugate_factors(k, bits)
 
 
 @pytest.mark.parametrize("k", WIDE_K)
 def test_real_roots_are_exactly_real(k):
-    # conjugate_pairs tells real from non-real roots by Im == 0, so no root
-    # may be real up to rounding only; a real root's inner root and
-    # coefficient are exactly real as well.
+    # A factor is real when Im(root) == 0, so no root may be real up to
+    # rounding only; a real root's inner root and coefficient are exactly
+    # real as well.
     for bits in (64, 256, 512):
-        factors = cached_factorization(k, bits).factors
-        reals, pairs = conjugate_pairs(factors)
-        assert len(reals) + 2 * len(pairs) == k - 1
         tol = residual_tolerance(bits)
-        for factor in factors:
-            assert factor.root.imag == 0 or abs(factor.root.imag) > tol
-        for factor in reals:
-            assert factor.inner_root.imag == 0 and factor.coefficient.imag == 0
+        for factor in cached_factorization(k, bits).factors:
+            assert factor.root.imag == 0 or factor.root.imag > tol
+            if factor.root.imag == 0:
+                assert factor.inner_root.imag == 0 and factor.coefficient.imag == 0
 
 
-def test_conjugate_pairs_partition():
-    sf3 = partial_fractions(3)
-    reals, pairs = conjugate_pairs(sf3.factors)
-    assert reals == [] and len(pairs) == 1
-    with mp.workprec(256):
-        assert mp.im(pairs[0][0].root) > 0 > mp.im(pairs[0][1].root)
-    sf4 = partial_fractions(4)
-    reals, pairs = conjugate_pairs(sf4.factors)
-    assert len(reals) == 1 and len(pairs) == 1
+@pytest.mark.parametrize("k", WIDE_K)
+def test_one_factor_per_real_root_and_per_conjugate_pair(k):
+    for bits in (64, 256, 512):
+        assert_layout(k, bits)
 
 
-def test_partial_fractions_rejects_a_root_without_conjugate_partner(monkeypatch):
-    original = spectral.find_roots
-
-    def unpaired(psi, precision_bits):
-        lower, upper = original(psi, precision_bits)
-        with mp.workprec(precision_bits + 32):
-            return [lower, upper + mp.mpf(2) ** -20]
-
-    monkeypatch.setattr(spectral, "find_roots", unpaired)
-    with pytest.raises(ConsistencyError, match="conjugat"):
-        partial_fractions(3, 256)
-
-
-def test_partial_fractions_rejects_an_upper_root_one_ulp_off(monkeypatch):
-    # One ulp sits far inside the 2^(-bits/2) tolerance that pairing by
-    # nearest partner allowed, and inside every other check the root passes.
-    original = spectral.find_roots
-
-    def nudged(psi, precision_bits):
-        lower, upper = original(psi, precision_bits)
-        with mp.workprec(precision_bits + 32):
-            ulp = mp.ldexp(1, mp.mag(upper.imag) - mp.prec)
-            moved = mp.mpc(upper.real, upper.imag + ulp)
-            assert moved.imag - upper.imag == ulp
-            assert abs(moved - upper) < residual_tolerance(precision_bits)
-        return [lower, moved]
-
-    monkeypatch.setattr(spectral, "find_roots", nudged)
-    with pytest.raises(ConsistencyError, match="conjugat"):
-        partial_fractions(3, 256)
+def test_factor_layout_small_k():
+    (upper,) = partial_fractions(3).factors
+    assert upper.root.imag > 0
+    real, upper = partial_fractions(4).factors
+    assert real.root.imag == 0 and upper.root.imag > 0
 
 
 def test_partial_fractions_rejects_an_inner_root_off_its_root(monkeypatch):
@@ -269,6 +266,11 @@ def test_check_decomposition_rejects_near_pole():
         check_decomposition(sf, 2.001)
     with pytest.raises(ParameterError):
         check_decomposition(sf, -3.0000001)
+    # k = 3 keeps only the upper root; its conjugate is a pole too.
+    (upper,) = partial_fractions(3).factors
+    for pole in (upper.root, exact_conjugate(upper.root)):
+        with pytest.raises(ParameterError, match="root pole"):
+            check_decomposition(partial_fractions(3), pole + 0.001)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -276,7 +278,8 @@ def test_check_decomposition_random_points(k):
     rng = random.Random(1234 + k)
     sf = partial_fractions(k)
     with mp.workprec(288):
-        poles = [mp.mpc(2)] + [f.root for f in sf.factors]
+        roots = [f.root for f in sf.factors]
+        poles = [mp.mpc(2)] + roots + [exact_conjugate(root) for root in roots]
         done = 0
         while done < 16:
             point = mp.mpc(rng.uniform(-6, 6), rng.uniform(-3, 3))

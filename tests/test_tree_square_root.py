@@ -18,7 +18,7 @@ from cyclepow.polynomials import build_psi, eval_poly
 from cyclepow.recurrences import half_index_coefficient
 from cyclepow.spectral import certified_bound, working_precision
 
-from oracles import fibonacci, term_by_recurrence
+from oracles import fibonacci, term_by_recurrence, with_conjugates
 
 BITS = 256
 
@@ -29,10 +29,11 @@ def graphs(kmin, kmax, nmax):
 
 
 def half_index_product(spec):
-    """N * |prod_a W_N(delta_a)|^2 over every root of psi_k, at BITS."""
+    """N * |prod_a W_N(delta_a)|^2 over every root of psi_k, both members
+    of each conjugate pair included, at BITS."""
     with working_precision(BITS):
         product = mp.mpc(1)
-        for factor in cached_factorization(spec.k, BITS).factors:
+        for factor in with_conjugates(cached_factorization(spec.k, BITS).factors):
             delta = half_index_coefficient(factor, BITS)
             product *= term_by_recurrence(delta, spec.n, BITS)
         return spec.n * abs(product) ** 2
@@ -68,7 +69,7 @@ def test_half_index_product_is_the_tree_count_within_its_bound():
 
 
 def test_k3_odd_tree_count_is_n_times_a_fourth_power():
-    (factor, _conjugate) = cached_factorization(3, BITS).factors
+    (factor,) = cached_factorization(3, BITS).factors  # one conjugate pair
     for n in range(7, 61, 2):
         with working_precision(BITS):
             w = term_by_recurrence(half_index_coefficient(factor, BITS), n, BITS)
