@@ -55,7 +55,14 @@ against residual_tolerance(bits), the relative bound printed with every
 analytic value, instead of a fixed 1e-10: in both cases only those four
 rows' requirement cells moved, to `<= 2.94e-39` at 256 bits and
 `<= 8.64e-78` at 512 bits.  No case count, worst value, status or
-worst-case location moved.
+worst-case location moved.  It was re-recorded an eighth time when a
+factorization came to keep one factor per conjugate pair and the
+resistance-metric row dropped the symmetry that hitting-symmetry already
+checks: in the default case the case counts of ratio-form-agreement (904 to
+607) and resolvent-periodization (848 to 569) moved, since those rows see a
+pair once, and in both cases the resistance-metric description became
+"R subadditive along the cycle (capped at n<=24)".  No worst value, status,
+requirement or worst-case location moved.
 
 `data/trees_golden.json` holds `trees` output in json, csv and text (the
 text without its `# wall_time_s` line) for a few small graphs with and
