@@ -130,8 +130,11 @@ def _ratio_parts(factor, indices, n_vertices, form, precision_bits):
 
 
 def _check_indices(n_vertices: int, ell: int = 0) -> None:
-    """N >= 1 and 0 <= ell <= N: at N = 0 the denominators 1 - rho^0, W_0
-    and V_0 all vanish."""
+    """Integers N >= 1 and 0 <= ell <= N: at N = 0 the denominators
+    1 - rho^0, W_0 and V_0 all vanish."""
+    for name, value in (("n_vertices", n_vertices), ("ell", ell)):
+        if not isinstance(value, int):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
     if n_vertices < 1:
         raise ParameterError(f"n_vertices must be >= 1, got {n_vertices}")
     if not 0 <= ell <= n_vertices:

@@ -6,48 +6,52 @@ per check.  Exact checks report the largest integer deviation (which must be
 zero); numeric checks report the largest relative deviation, _rel(a, b) =
 |a - b| / max(1, |a|, |b|), against residual_tolerance(bits) = 2^(-bits/2),
 the relative bound that spectral.certified_bound prints with every analytic
-value; margin checks report the smallest observed margin, which must stay
-above its floor.
+value.
 
-A row must be able to fail on some input, and no row repeats another.
-The integer algebra of phi_k and psi_k is checked where it is built and
-pinned by tests, not reported as rows: build_psi raises unless (2 - x) *
-psi_k = phi_k exactly, and partial_fractions raises unless psi_k(2) =
-k(k+1)(2k+1)/6.  The roots are checked where they are made: find_roots
-raises unless each root's residual |psi_k(gamma)| is within 2^(-bits/2),
-and partial_fractions raises unless rho + 1/rho reproduces gamma to the same
-bound.  inner_root raises DegeneracyError when rho lands within
-2^(-bits/4) of the unit circle, so a root on the spectrum arc [-2, 2]
-cannot pass.  Conjugate symmetry holds by construction: find_roots keeps
-each real root exactly real and takes each lower root as the exact
+A row must be able to fail on some input, and no row repeats another.  What
+holds by construction is checked where it is built and pinned by tests.
+build_psi raises unless (2 - x) * psi_k = phi_k, partial_fractions unless
+psi_k(2) = k(k+1)(2k+1)/6 and rho + 1/rho reproduces gamma within
+2^(-bits/2), find_roots unless each residual |psi_k(gamma)| is within that
+bound, and inner_root when rho lands within 2^(-bits/4) of the unit circle.
+find_roots keeps each real root exactly real and each lower root the exact
 conjugate of a polished upper root, and mpmath rounds complex operations
-symmetrically, so the inner roots, coefficients and correction ratios of a
-conjugate pair would be exact conjugates as well (tests pin all of these).
-So a factorization keeps one factor per real root and one per pair, and the
-rows that loop over factors see each pair once, through its upper root;
-partial-fraction-residual keeps its points clear of both poles.  The
-correction ratio's symmetry under ell <-> N - ell also holds bit for bit by
-construction and is pinned by tests alone.  The three-term recurrence is
-graded through ratio-form-agreement, fibonacci-anchor and the closed-form
-oracle, and against its Binet expression by a test; one doubling ladder
-builds both the tables these rows read and the single ell of `hit --form
-seq`, so the two agree bit for bit.  The plain-cycle sums (the discrete
-quadratic identity and the eigenvalue product n^2) are the k = 1 cases of
-hitting-oracle-spectral and tree-triple-agreement, over the same n; a
-defect in a cosine table entry, its mirror included, fails the spectral
-oracle row.
+symmetrically, so a pair's inner roots, coefficients and correction ratios
+are exact conjugates: a factorization keeps one factor per real root and
+one per pair, its upper root, and partial-fraction-residual keeps its points
+clear of both poles.  The ratio's symmetry ell <-> N - ell holds bit for
+bit; the recurrence is graded by ratio-form-agreement, fibonacci-anchor, the
+closed-form oracle and a Binet test, and one doubling ladder builds both the
+tables these rows read and the single ell of `hit --form seq`.  The
+plain-cycle sums are the k = 1 cases of the oracle rows, and a defect in a
+cosine table entry, its mirror included, fails the spectral oracle row.
+Three more facts are pinned by tests alone, since no input can fail them:
 
-The checks form one ordered table.  Each row is a case generator
-`(kmax, nmax, bits) -> (statistic, case)` registered with `@_check(id,
-description, threshold, comparison)`; rows run in definition order, in
-`working_precision(bits)`, and one runner (`_fold`) keeps the
-worst statistic and names its case.  Adding a check means writing one such
-generator under its decorator.
+- The Laplacian's structure (test_laplacian_invariants and
+  test_band_rows_equal_the_dense_construction): build_laplacian writes 2k on
+  the diagonal and -1 for each of the 2k distinct neighbours, symmetrically,
+  so row sums, symmetry, diagonal and trace hold by construction;
+  fractionfree._forward raises on an asymmetric matrix, and a wrong
+  neighbour rule would move every exact h, which the oracle rows grade.
+- The contracted Laplacians' structure (the same band test with (0, ell)
+  removed, and test_contracted_tree_counts_against_brute_force): a kept row
+  sums to its number of deleted neighbours by construction, and
+  arboreal_counts raises unless the (0, ell) determinant is the forest count.
+- The spectrum's positivity (test_spectrum_arc_positivity and
+  test_eigenvalues_positive_away_from_constant_mode): phi_k(2 cos theta) =
+  2 sum_r (1 - cos r theta) > 0 at every nonzero mode, and stays positive at
+  the 96-bit minimum working precision for every n below about 2^44;
+  hit_spectral raises ConsistencyError on lambda <= 0, and a defect in
+  build_phi moves psi_k, which hitting-oracle-closed grades.
 
-Two rows are informational erratum fixtures: the full-index sequence ratio
-and the doubled-index Fibonacci variant of the k=2 closed form reproduce a
-published-but-wrong value, and the report shows how far they sit from the
-exact oracle without ever failing the run.
+The checks form one ordered table of case generators `(kmax, nmax, bits)
+-> (statistic, case)`, each registered with `@_check(id, description,
+threshold, comparison)` and run in definition order, in
+`working_precision(bits)`, by one runner (`_fold`) that keeps the worst
+statistic and names its case.  Two rows are informational erratum fixtures:
+the full-index sequence ratio and the doubled-index Fibonacci variant of the
+k=2 closed form reproduce a published-but-wrong value, and the report shows
+how far they sit from the exact oracle without ever failing the run.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from mpmath import mp
 
 from .arboreal import contracted_counts, tau_det, tau_eigen, tau_product
 from .errors import ParameterError
-from .graphs import GraphSpec, build_laplacian
+from .graphs import GraphSpec
 from .hitting import (
     cosine_table,
     hit_closed_all,
@@ -72,7 +76,6 @@ from .hitting import (
     hit_exact_all,
     hit_spectral,
 )
-from .polynomials import build_phi, eval_poly
 from .recurrences import correction_ratios
 from .spectral import (
     DEFAULT_PRECISION_BITS,
@@ -198,64 +201,6 @@ def _rel(a, b) -> float:
     return float(abs(a - b) / max(1, abs(a), abs(b)))
 
 
-def _adjacent(spec: GraphSpec, u: int, v: int) -> int:
-    """1 if u and v are joined (cyclic distance 1..k), else 0."""
-    distance = (u - v) % spec.n
-    return int(1 <= min(distance, spec.n - distance) <= spec.k)
-
-
-@_check("laplacian-structure", "row sums 0, symmetric, diagonal 2k, trace 2nk")
-def _laplacian_structure(kmax, nmax, bits):
-    for spec in _specs(kmax, nmax):
-        _, rows = build_laplacian(spec)
-        n, b = len(rows), len(rows[0]) // 2
-        # Entry (i, i+d) sits at rows[i][b+d]; off the matrix it must be 0.
-        symmetric = all(
-            row[b + d] == (rows[i + d][b - d] if 0 <= i + d < n else 0)
-            for i, row in enumerate(rows)
-            for d in range(-b, b + 1)
-        )
-        deviation = max(
-            max(abs(sum(row)) for row in rows),
-            0 if symmetric else 1,
-            max(abs(row[b] - spec.degree) for row in rows),
-            abs(sum(row[b] for row in rows) - 2 * spec.num_edges),
-        )
-        yield float(deviation), f"(n={spec.n}, k={spec.k})"
-
-
-@_check(
-    "contraction-structure", "contracted Laplacians keep zero row sums and zero total"
-)
-def _contraction_structure(kmax, nmax, bits):
-    for spec in _specs(kmax, nmax):
-        for ell in range(1, spec.n):
-            # The contracted Laplacian is the Laplacian with 0 and ell
-            # deleted, bordered by the merged vertex: each other vertex has
-            # its edges into {0, ell} there, from cyclic distances.
-            order, rows = build_laplacian(spec, (0, ell))
-            border = [_adjacent(spec, v, 0) + _adjacent(spec, v, ell) for v in order]
-            merged_diagonal = 2 * spec.degree - 2 * _adjacent(spec, 0, ell)
-            row_sums = [merged_diagonal - sum(border)]
-            row_sums += [sum(row) - edges for row, edges in zip(rows, border)]
-            deviation = max(max(map(abs, row_sums)), abs(sum(row_sums)))
-            yield float(deviation), f"(n={spec.n}, k={spec.k}, ell={ell})"
-
-
-@_check(
-    "spectrum-positivity",
-    "phi_k(2 cos(2 pi j/n)) > 0 for every nonzero mode",
-    comparison=">=",
-)
-def _spectrum_positivity(kmax, nmax, bits):
-    for spec in _specs(kmax, nmax):
-        phi = build_phi(spec.k)
-        cosines = cosine_table(spec.n, bits)
-        for j in range(1, spec.n):
-            value = eval_poly(phi, 2 * cosines[j])
-            yield float(value), f"(n={spec.n}, k={spec.k}, j={j})"
-
-
 @_check(
     "partial-fraction-residual",
     "decomposition of 2k/phi_k holds at 16 random points per k",
@@ -279,17 +224,6 @@ def _decomposition_residual(kmax, nmax, bits):
             )
 
 
-@lru_cache(maxsize=None)
-def _ratio_table(factor, n: int, form: str, bits: int) -> tuple:
-    """correction_ratios(factor, n, form, bits), built once per run for every
-    check that reads it; run_verification clears it after _LAST_RATIO_READER,
-    so the later checks do not allocate on top of it."""
-    return correction_ratios(factor, n, form, bits)
-
-
-_LAST_RATIO_READER = "resolvent-periodization"
-
-
 @_check(
     "ratio-form-agreement",
     "exponential and sequence correction ratios agree",
@@ -300,8 +234,8 @@ def _ratio_form_agreement(kmax, nmax, bits):
         sf = cached_factorization(k, bits)
         for n in range(2 * k + 1, min(nmax, 48) + 1):
             for factor in sf.factors:
-                exp_forms = _ratio_table(factor, n, "exponential", bits)
-                seq_forms = _ratio_table(factor, n, "sequence", bits)
+                exp_forms = correction_ratios(factor, n, "exponential", bits)
+                seq_forms = correction_ratios(factor, n, "sequence", bits)
                 for ell, (exp_form, seq_form) in enumerate(zip(exp_forms, seq_forms)):
                     yield _rel(exp_form, seq_form), f"(n={n}, k={k}, ell={ell})"
 
@@ -324,7 +258,7 @@ def _fibonacci_anchor(kmax, nmax, bits):
     factor = cached_factorization(2, bits).factors[0]
     for n in range(5, min(nmax, 48) + 1):
         f_n = _fibonacci(n)
-        ratios = _ratio_table(factor, n, "sequence", bits)
+        ratios = correction_ratios(factor, n, "sequence", bits)
         for ell, ratio in enumerate(ratios):
             expected = mp.mpf(-_fibonacci(ell) * _fibonacci(n - ell)) / f_n
             yield _rel(ratio, expected), f"(n={n}, ell={ell})"
@@ -376,7 +310,7 @@ def _resolvent_periodization(kmax, nmax, bits):
             cosines = cosine_table(n, bits)
             for factor in sf.factors:
                 gamma = mp.mpc(factor.root)
-                ratios = _ratio_table(factor, n, "exponential", bits)
+                ratios = correction_ratios(factor, n, "exponential", bits)
                 for ell in range(n):
                     terms = [
                         (1 - cosines[(j * ell) % n]) / (gamma - 2 * cosines[j])
@@ -433,21 +367,19 @@ def _tree_triple(kmax, nmax, bits):
 @_check(
     "forest-contraction-duality",
     "forest count tau * h(0, ell) / (n*k) is an integer and equals the "
-    "contracted tree count (compared at k<=4, n<=24)",
+    "contracted tree count",
 )
 def _forest_duality(kmax, nmax, bits):
     for spec in _specs(kmax, nmax):
         tau = tau_det(spec)
         exact_all = hit_exact_all(spec)
-        contracted = contracted_counts(spec) if spec.k <= 4 and spec.n <= 24 else None
+        contracted = contracted_counts(spec)
         for ell in range(1, spec.n):
             forest = tau * exact_all[ell] / spec.num_edges
             if forest.denominator != 1:
                 deviation = 1
-            elif contracted is not None:
-                deviation = abs(forest.numerator - contracted[ell])
             else:
-                deviation = 0
+                deviation = abs(forest.numerator - contracted[ell])
             yield float(deviation), f"(n={spec.n}, k={spec.k}, ell={ell})"
 
 
@@ -542,10 +474,7 @@ def run_verification(
     try:
         for check in _CHECKS:
             results.append(_fold(check, kmax, nmax, precision_bits))
-            if check.check_id == _LAST_RATIO_READER:
-                _ratio_table.cache_clear()
     finally:
         # Run-scoped: a run that raised must not leave its values to the next.
-        _ratio_table.cache_clear()
         _oracle_deviations.cache_clear()
     return [result for result in results if result is not None]

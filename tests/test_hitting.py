@@ -25,7 +25,12 @@ from cyclepow import (
 )
 from cyclepow.hitting import cosine_table, hit_exact_all, laplacian_eigenvalues
 from cyclepow.recurrences import full_index_ratio
-from cyclepow.spectral import certified_bound, find_roots, residual_tolerance
+from cyclepow.spectral import (
+    certified_bound,
+    find_roots,
+    residual_tolerance,
+    working_precision,
+)
 
 from cyclepow import _philox, hitting
 from oracles import (
@@ -300,6 +305,43 @@ def test_closed_literal_is_the_closed_sum_over_full_index_ratios():
             assert hit_closed_literal(spec, ell, bits) == full_index_sum(
                 spec, ell, bits
             )
+
+
+def total_by_eigenvalues(spec, bits):
+    """2kN * sum of 1/lambda_j over the nonzero modes: summing the spectral
+    sum over ell sums each 1 - cos(2 pi j ell/N) to N."""
+    eigenvalues = laplacian_eigenvalues(spec, bits)
+    return spec.degree * spec.n * mp.fsum(1 / lam for lam in eigenvalues[1:])
+
+
+def total_by_factors(spec, bits):
+    """N [B (N^2 - 1)/12 + sum_a A_a (N (1 + rho^N) / ((1/rho - rho)(1 - rho^N))
+    - 1/(gamma - 2))]: the closed form summed over ell, each pair's factor
+    counting as twice its real part."""
+    sf = cached_factorization(spec.k, bits)
+    n = spec.n
+    quadratic = sf.pole_coefficient * (n * n - 1) / 12
+    total = mp.mpf(quadratic.numerator) / quadratic.denominator
+    for factor in sf.factors:
+        rho, gamma = factor.inner_root, factor.root
+        term = factor.coefficient * (
+            n * (1 + rho**n) / ((1 / rho - rho) * (1 - rho**n)) - 1 / (gamma - 2)
+        )
+        total += (2 if gamma.imag else 1) * mp.re(term)
+    return n * total
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_sum_of_all_hitting_times(k):
+    bits = 256
+    for n in range(2 * k + 1, 61):
+        spec = GraphSpec(n, k)
+        exact = sum(hit_exact_all(spec))
+        with working_precision(bits):
+            exact = mp.mpf(exact.numerator) / exact.denominator
+            bound = certified_bound(exact, bits)
+            for total in (total_by_eigenvalues(spec, bits), total_by_factors(spec, bits)):
+                assert abs(total - exact) <= bound, (n, total, exact)
 
 
 def _counted_trees(spec, bits):

@@ -123,6 +123,30 @@ def test_ratio_table_validates_its_arguments():
         correction_ratios(k2_factor(), 0)
 
 
+# Every route that takes ell or N, called as route(factor, ell, n).
+INDEX_ROUTES = {
+    "correction_ratio-exponential": correction_ratio,
+    "correction_ratio-sequence": lambda factor, ell, n: correction_ratio(
+        factor, ell, n, "sequence"
+    ),
+    "correction_ratios": lambda factor, ell, n: correction_ratios(factor, n),
+    "full_index_ratio": full_index_ratio,
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 10.0, mp.mpf(2), "2"])
+@pytest.mark.parametrize("route", INDEX_ROUTES.values(), ids=INDEX_ROUTES)
+def test_every_index_route_rejects_a_non_integer(route, value):
+    # A float ell once gave a complex ratio for a real root.
+    if route is not INDEX_ROUTES["correction_ratios"]:
+        with pytest.raises(ParameterError) as info:
+            route(k2_factor(), value, 10)
+        assert str(info.value) == f"ell must be an integer, got {value!r}"
+    with pytest.raises(ParameterError) as info:
+        route(k2_factor(), 2, value)
+    assert str(info.value) == f"n_vertices must be an integer, got {value!r}"
+
+
 @pytest.mark.parametrize("n", (7, 12, 20))
 @pytest.mark.parametrize("k", range(2, 7))
 def test_other_square_root_gives_identical_ratios(k, n, monkeypatch):

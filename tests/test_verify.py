@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
-from collections import Counter
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from mpmath import mp
 
 from cyclepow import ParameterError, hitting, run_verification, verify
+from cyclepow.cli import main
 
 
 def test_run_verification_small_bounds_all_pass():
@@ -17,39 +18,6 @@ def test_run_verification_small_bounds_all_pass():
     assert all(r.passed for r in results)
     assert any(r.check_id == "hitting-oracle-spectral" for r in results)
     assert any(r.check_id == "hitting-oracle-closed" for r in results)
-
-
-def test_ratio_tables_are_built_once_per_run(monkeypatch):
-    real = verify.correction_ratios
-    built = Counter()
-
-    def counted(factor, n, form, bits):
-        built[factor, n, form, bits] += 1
-        return real(factor, n, form, bits)
-
-    monkeypatch.setattr(verify, "correction_ratios", counted)
-    run_verification(kmax=3, nmax=14, precision_bits=128)
-    assert len(built) > 0
-    assert set(built.values()) == {1}
-    assert verify._ratio_table.cache_info().currsize == 0
-
-
-def test_ratio_memo_is_released_after_its_last_reader(monkeypatch):
-    sizes = {}
-
-    def spied(check):
-        def cases(kmax, nmax, bits):
-            sizes[check.check_id] = verify._ratio_table.cache_info().currsize
-            yield from check.cases(kmax, nmax, bits)
-
-        return dataclasses.replace(check, cases=cases)
-
-    monkeypatch.setattr(verify, "_CHECKS", [spied(c) for c in verify._CHECKS])
-    run_verification(kmax=3, nmax=14, precision_bits=128)
-    order = list(sizes)
-    last = order.index("resolvent-periodization")
-    assert sizes["resolvent-periodization"] > 0
-    assert order[last + 1:] and all(sizes[i] == 0 for i in order[last + 1:])
 
 
 def test_erratum_fixtures_are_informational():
@@ -188,8 +156,7 @@ def test_a_run_that_raised_leaves_no_cached_values(monkeypatch):
         patch.setattr(verify, "contracted_counts", fail)
         with pytest.raises(RuntimeError, match="contraction failed"):
             run_verification(2, 8, 64)
-    for cached in (verify._ratio_table, verify._oracle_deviations):
-        assert cached.cache_info().currsize == 0
+    assert verify._oracle_deviations.cache_info().currsize == 0
     spectral = verify.hit_spectral
 
     def doubled(spec, ell, bits):
@@ -233,3 +200,76 @@ def test_a_cosine_defect_fails_the_spectral_oracle(mirror, monkeypatch):
     finally:
         hitting.laplacian_eigenvalues.cache_clear()
     assert not results["hitting-oracle-spectral"].passed
+
+
+def _moved(route, move):
+    """route with move(result, *args) applied to each result."""
+    return lambda *args: move(route(*args), *args)
+
+
+def _replaced(index, value):
+    """Move a tuple-returning route's entry `index` to value(entry)."""
+
+    def move(values, *args):
+        values = list(values)
+        values[index] = value(values[index])
+        return tuple(values)
+
+    return move
+
+
+def _ratio_defect(form):
+    """Move the ell = 1 entry of every ratio table of one form by 1e-8."""
+
+    def move(ratios, factor, n, table_form, bits):
+        if table_form != form:
+            return ratios
+        return _replaced(1, lambda ratio: ratio + mp.mpf(10) ** -8)(ratios)
+
+    return move
+
+
+def _coefficient_defect(sf, k, bits):
+    """Double the first factor's partial-fraction coefficient (k >= 2)."""
+    if not sf.factors:
+        return sf
+    first = sf.factors[0]
+    first = dataclasses.replace(first, coefficient=2 * first.coefficient)
+    return dataclasses.replace(sf, factors=(first, *sf.factors[1:]))
+
+
+def _hit_defect(hits, spec):
+    # h(0, 2) = 2 h(0, 1) + 1 breaks subadditivity, symmetry, the k = 1
+    # quadratic and the complete graph's constant 2k at once.
+    return _replaced(2, lambda _: 2 * hits[1] + 1)(hits)
+
+
+# (row, route the row reads, defect applied to the route's result).
+DEFECTS = [
+    ("partial-fraction-residual", "cached_factorization", _coefficient_defect),
+    ("ratio-form-agreement", "correction_ratios", _ratio_defect("sequence")),
+    ("fibonacci-anchor", "correction_ratios", _ratio_defect("sequence")),
+    ("hitting-symmetry", "hit_exact_all", _hit_defect),
+    ("k1-quadratic", "hit_exact_all", _hit_defect),
+    ("complete-graph-degeneracy", "hit_exact_all", _hit_defect),
+    ("resolvent-periodization", "correction_ratios", _ratio_defect("exponential")),
+    ("tree-triple-agreement", "tau_product", lambda tau, spec, bits: tau + 1),
+    ("forest-contraction-duality", "contracted_counts", _replaced(1, lambda c: c + 1)),
+    ("resistance-metric", "hit_exact_all", _hit_defect),
+    ("hitting-oracle-spectral", "hit_spectral", lambda h, spec, ell, bits: 2 * h),
+    ("hitting-oracle-closed", "hit_closed_all", _replaced(1, lambda h: h * (1 + 1e-8))),
+]
+
+
+def test_defects_cover_every_row_that_can_fail():
+    rows = [row for row, _, _ in DEFECTS]
+    assert rows == [c.check_id for c in verify._CHECKS if not c.informational]
+
+
+@pytest.mark.parametrize("row, route, move", DEFECTS, ids=[d[0] for d in DEFECTS])
+def test_each_row_fails_on_a_defect_in_what_it_reads(row, route, move, monkeypatch):
+    monkeypatch.setattr(verify, route, _moved(getattr(verify, route), move))
+    result = CliRunner().invoke(main, "verify --kmax 2 --nmax 8".split())
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    statuses = {line.split()[0]: line.split()[-1] for line in result.output.splitlines()}
+    assert statuses[row] == "FAIL"
