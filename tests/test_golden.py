@@ -62,7 +62,14 @@ checks: in the default case the case counts of ratio-form-agreement (904 to
 607) and resolvent-periodization (848 to 569) moved, since those rows see a
 pair once, and in both cases the resistance-metric description became
 "R subadditive along the cycle (capped at n<=24)".  No worst value, status,
-requirement or worst-case location moved.
+requirement or worst-case location moved.  It was re-recorded a ninth time
+when three rows that could only pass were deleted (laplacian-structure,
+contraction-structure and spectrum-positivity) and forest-contraction-duality
+came to compare every graph instead of k <= 4, n <= 24: both cases lost those
+three rows' two lines each, and forest-contraction-duality's description lost
+"(compared at k<=4, n<=24)".  No case count, worst value, requirement,
+status or worst-case location of a kept row moved, and the column widths
+stayed.
 
 `data/trees_golden.json` holds `trees` output in json, csv and text (the
 text without its `# wall_time_s` line) for a few small graphs with and
