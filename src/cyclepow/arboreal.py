@@ -76,8 +76,9 @@ def tau_eigen(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
     """Spanning trees as the eigenvalue product, in high precision.
 
     The product of the nonzero Laplacian eigenvalues lambda_1..lambda_(n-1),
-    divided by n, counts spanning trees; they are read from the table
-    hit_spectral reads, laplacian_eigenvalues(spec, precision_bits).
+    divided by n, counts spanning trees; they are read from
+    laplacian_eigenvalues(spec, precision_bits), each entry one rounding of
+    the fixed-point table that hit_spectral reads.
     """
     eigenvalues = laplacian_eigenvalues(spec, precision_bits)
     with working_precision(precision_bits):

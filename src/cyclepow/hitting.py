@@ -10,7 +10,9 @@ Methods, graded against one another:
                      (L h)(i) = 2k for i != 0, a nonsingular integer system
                      solved exactly by banded fraction-free elimination;
   * hit_spectral  -- the eigenvalue sum over the Fourier modes of the
-                     circulant Laplacian, in high-precision arithmetic;
+                     circulant Laplacian, in fixed-point integers built
+                     from one transcendental call per cosine table and
+                     rounded to the working precision once;
   * hit_closed    -- exact quadratic term plus one geometric correction per
                      real root of psi_k and per conjugate pair, real by
                      construction;
@@ -66,55 +68,106 @@ __all__ = [
 GENERATOR_ID = "numpy.random.Philox4x64(key=(seed,walk))"
 
 
-# The three cached functions below take positional arguments only, with no
-# defaults, so each value has exactly one cache key.  The two tables are kept
-# for the 64 most recent (n, bits) and (graph, bits): a default verify run
+# The cached functions below take positional arguments only, with no
+# defaults, so each value has exactly one cache key.  The spectral tables are
+# kept for the 64 most recent (n, bits) or (graph, bits): a default verify run
 # reads 22 cosine and 60 eigenvalue tables, and sweep --quantity tau reads
 # each graph's tables once.
-@lru_cache(maxsize=64)
-def cosine_table(n: int, precision_bits: int, /):
-    """cos(2*pi*m/n) for m = 0..n-1 at the requested precision.
+def _fraction_bits(n: int, precision_bits: int) -> int:
+    """F, the fraction bits of the fixed-point tables of an n-vertex graph:
+    the working precision p = precision_bits + guard bits, plus 4 * bitlen(n).
 
-    Only one octant is evaluated when 4 | n: mp.cospi_sinpi at m <= n/8
-    gives c_m and, as sin(2*pi*m/n), c_(n/4-m).  Other even n evaluate
-    mp.cospi at m <= n/4, odd n at m <= (n-1)/2.  The rest is copied exactly:
-    c_(n/2-m) = -c_m for even n, then c_(n-m) = c_m.
+    Error bound.  One mp.cospi_sinpi(2/n) at F + 8 bits, rounded to integers,
+    gives u = a + ib within 0.74 units of 2^F * e^(2 pi i/n) (a unit is
+    2^-F).  Each rotation z -> round(z * u / 2^F) adds that 0.74 and at most
+    0.71 of rounding to the error it carries, so the m-th point is within
+    1.5 m units of 2^F * e^(2 pi i m/n): every C_m with m <= n/2 is within n
+    units of 2^F cos(2 pi m/n), and the mirrors are exact copies.  Lambda_j
+    sums 2k of them, so it is within 2kn units, while lambda_j >=
+    4 sin^2(pi/n) >= 16/n^2 for 1 <= j < n.  Its relative error is at most
+    k n^3 / 8 * 2^-F, below 2^(bitlen(k) + 3 bitlen(n) - 3 - F), and since
+    2k < n, bitlen(k) < bitlen(n): F = p + 4 bitlen(n) keeps every lambda_j
+    within 2^-(p+4) relatively.  So is each numerator 2^F - C_m with m != 0,
+    as 1 - cos(2 pi m/n) >= 8/n^2, and the floors of the spectral sum cost
+    at most n units against h >= 1: the fixed-point sum is within about
+    2^-(p+2) of h before its one rounding to p bits.
+    """
+    with working_precision(precision_bits):
+        return mp.prec + 4 * n.bit_length()
+
+
+@lru_cache(maxsize=64)
+def _fixed_cosines(n: int, precision_bits: int, /) -> tuple[int, ...]:
+    """C_m, cos(2*pi*m/n) * 2^F to within n units (see _fraction_bits), for
+    m = 0..n-1, with C_0 = 2^F exactly.
+
+    (1, 0) is rotated by the one transcendental value of the table,
+    mp.cospi_sinpi(2/n), through one octant when 4 | n (C_m, and sin as
+    C_(n/4-m)), m <= n/4 at other even n and m <= (n-1)/2 at odd n.  The rest
+    is copied exactly: C_(n/2-m) = -C_m for even n, then C_(n-m) = C_m.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    half = [None] * (n // 2 + 1)
-    with working_precision(precision_bits):
-        if n % 4 == 0:
-            quarter = n // 4
-            for m in range(n // 8 + 1):
-                cos, sin = mp.cospi_sinpi(mp.mpf(2 * m) / n)
-                half[quarter - m] = sin
-                half[m] = cos
-        else:
-            for m in range((n // 2 if n % 2 else n // 4) + 1):
-                half[m] = mp.cospi(mp.mpf(2 * m) / n)
-        if n % 2 == 0:
-            for m in range(n // 4 + 1, n // 2 + 1):
-                half[m] = -half[n // 2 - m]
+    bits = _fraction_bits(n, precision_bits)
+    with mp.workprec(bits + 8):
+        turn = mp.cospi_sinpi(mp.mpf(2) / n)
+        a, b = (int(mp.nint(mp.ldexp(value, bits))) for value in turn)
+    octant = n % 4 == 0
+    last = n // 8 if octant else n // 2 if n % 2 else n // 4
+    half = [0] * (n // 2 + 1)
+    cos, sin, rounding = 1 << bits, 0, 1 << (bits - 1)
+    for m in range(last + 1):
+        if octant:
+            half[n // 4 - m] = sin
+        half[m] = cos
+        cos, sin = (
+            (cos * a - sin * b + rounding) >> bits,
+            (cos * b + sin * a + rounding) >> bits,
+        )
+    if n % 2 == 0:
+        for m in range(n // 4 + 1, n // 2 + 1):
+            half[m] = -half[n // 2 - m]
     return tuple(half + [half[n - m] for m in range(n // 2 + 1, n)])
+
+
+@lru_cache(maxsize=64)
+def _fixed_eigenvalues(spec: GraphSpec, precision_bits: int, /) -> tuple[int, ...]:
+    """Lambda_j = 2k * 2^F - 2 * sum_r C_(jr mod n) for j = 0..n-1, each an
+    exact integer sum of the fixed-point cosines, for j <= n/2; the cosines'
+    exact mirror makes Lambda_(n-j) the same sum, so it is copied."""
+    n, k = spec.n, spec.k
+    cosines = _fixed_cosines(n, precision_bits)
+    top = spec.degree * cosines[0]
+    half = [
+        top - 2 * sum(cosines[(j * r) % n] for r in range(1, k + 1))
+        for j in range(n // 2 + 1)
+    ]
+    return tuple(half + [half[n - m] for m in range(n // 2 + 1, n)])
+
+
+def _rounded(table: tuple[int, ...], precision_bits: int) -> tuple:
+    """Each entry of an n-entry fixed-point table rounded once to an mpf at
+    the working precision of precision_bits."""
+    bits = _fraction_bits(len(table), precision_bits)
+    with working_precision(precision_bits):
+        return tuple(mp.mpf((value, -bits)) for value in table)
+
+
+@lru_cache(maxsize=64)
+def cosine_table(n: int, precision_bits: int, /):
+    """cos(2*pi*m/n) for m = 0..n-1 at the requested precision: each entry
+    is one rounding of the fixed-point C_m that the spectral sum reads, so
+    the table mirrors exactly, c_(n-m) = c_m and, for even n, c_(n/2-m) =
+    -c_m, and costs one transcendental call."""
+    return _rounded(_fixed_cosines(n, precision_bits), precision_bits)
 
 
 @lru_cache(maxsize=64)
 def laplacian_eigenvalues(spec: GraphSpec, precision_bits: int, /):
-    """Eigenvalues lambda_j = 2k - 2*sum_r cos(2*pi*j*r/n) for j = 0..n-1.
-
-    The k cosines c_(jr mod n) are added by mp.fsum for j <= n/2 only; the
-    cosine table's exact mirror makes lambda_(n-j) the same sum, so it is
-    copied.
-    """
-    n, k = spec.n, spec.k
-    cosines = cosine_table(n, precision_bits)
-    with working_precision(precision_bits):
-        half = [
-            2 * k - 2 * mp.fsum(cosines[(j * r) % n] for r in range(1, k + 1))
-            for j in range(n // 2 + 1)
-        ]
-    return tuple(half + [half[n - m] for m in range(n // 2 + 1, n)])
+    """Eigenvalues lambda_j = 2k - 2*sum_r cos(2*pi*j*r/n) for j = 0..n-1,
+    each one rounding of the fixed-point Lambda_j that the spectral sum
+    reads; lambda_0 = 0 and lambda_(n-j) = lambda_j exactly."""
+    return _rounded(_fixed_eigenvalues(spec, precision_bits), precision_bits)
 
 
 @lru_cache(maxsize=512)
@@ -146,27 +199,30 @@ def hit_spectral(
     """The eigenvalue sum 2k * sum_j (1 - cos(2 pi j ell / n)) / lambda_j.
 
     Term j equals term n - j, so the sum is 2k * (2 * sum_{1<=j<n/2} t_j +
-    t_(n/2)), the middle term present for even n only; the t_j with j < n/2
-    are added by mp.fsum.
+    t_(n/2)), the middle term present for even n only.  Each t_j is the
+    integer floor((2^F - C_(j ell)) * 2^F / Lambda_j) of the fixed-point
+    tables, and the integer sum is rounded to an mpf once, within the bound
+    derived at _fraction_bits.
     """
     check_ell(spec, ell)
     with working_precision(precision_bits):
         if ell == 0:
             return mp.mpf(0)
         n = spec.n
-        cosines = cosine_table(n, precision_bits)
-        eigenvalues = laplacian_eigenvalues(spec, precision_bits)
-        terms = []
-        for j in range(1, n // 2 + 1):
-            lam = eigenvalues[j]
-            if lam <= 0:
-                raise ConsistencyError(
-                    "nonpositive Laplacian eigenvalue; the spectrum must be "
-                    "positive away from the constant mode"
-                )
-            terms.append((1 - cosines[(j * ell) % n]) / lam)
+        cosines = _fixed_cosines(n, precision_bits)
+        eigenvalues = _fixed_eigenvalues(spec, precision_bits)
+        if min(eigenvalues[1 : n // 2 + 1]) <= 0:
+            raise ConsistencyError(
+                "nonpositive Laplacian eigenvalue; the spectrum must be "
+                "positive away from the constant mode"
+            )
+        one, bits = cosines[0], _fraction_bits(n, precision_bits)
+        terms = [
+            ((one - cosines[(j * ell) % n]) << bits) // eigenvalues[j]
+            for j in range(1, n // 2 + 1)
+        ]
         middle = terms.pop() if n % 2 == 0 else 0
-        return spec.degree * (2 * mp.fsum(terms) + middle)
+        return mp.mpf((spec.degree * (2 * sum(terms) + middle), -bits))
 
 
 def _quadratic_term(sf: SpectralFactorization, spec: GraphSpec, ell: int) -> Fraction:

@@ -24,7 +24,7 @@ bit; the recurrence is graded by ratio-form-agreement, fibonacci-anchor, the
 closed-form oracle and a Binet test, and one doubling ladder builds both the
 tables these rows read and the single ell of `hit --form seq`.  The
 plain-cycle sums are the k = 1 cases of the oracle rows, and a defect in a
-cosine table entry, its mirror included, fails the spectral oracle row.
+fixed-point cosine entry, its mirror included, fails the spectral oracle row.
 Three more facts are pinned by tests alone, since no input can fail them:
 
 - The Laplacian's structure (test_laplacian_invariants and
@@ -303,18 +303,21 @@ def _complete_graph(kmax, nmax, bits):
 )
 def _resolvent_periodization(kmax, nmax, bits):
     # Term j equals term n - j (the cosine table mirrors exactly), so the sum
-    # over 1 <= j < n is folded as hit_spectral folds it.
+    # over 1 <= j < n is folded as hit_spectral folds it.  The numerators
+    # 1 - c_m are formed once per n, the denominators once per factor.
     for k in range(2, min(kmax, 3) + 1):
         sf = cached_factorization(k, bits)
         for n in range(2 * k + 1, min(nmax, 32) + 1):
             cosines = cosine_table(n, bits)
+            numerators = [1 - cosine for cosine in cosines]
             for factor in sf.factors:
                 gamma = mp.mpc(factor.root)
+                denominators = [gamma - 2 * cosines[j] for j in range(1, n // 2 + 1)]
                 ratios = correction_ratios(factor, n, "exponential", bits)
                 for ell in range(n):
                     terms = [
-                        (1 - cosines[(j * ell) % n]) / (gamma - 2 * cosines[j])
-                        for j in range(1, n // 2 + 1)
+                        numerators[(j * ell) % n] / denominator
+                        for j, denominator in enumerate(denominators, 1)
                     ]
                     middle = terms.pop() if n % 2 == 0 else 0
                     direct = 2 * mp.fsum(terms) + middle

@@ -162,6 +162,56 @@ def test_folded_spectral_sum_and_product_match_unfolded_references(bits):
             assert abs(value - expected) <= tolerance * expected, (n, k)
 
 
+# Every residue of n mod 8 with k up to 8, and the three layouts near 4096,
+# the odd one (the longest rotation) at k = 8.
+FIXED_POINT_GRAPHS = [
+    *((n, k) for n in range(3, 27) for k in range(1, min(8, (n - 1) // 2) + 1)),
+    (4094, 1),
+    (4095, 8),
+    (4096, 1),
+]
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_fixed_point_eigenvalues_are_within_the_derived_bound(bits):
+    # _fraction_bits derives F so that every Lambda_j * 2^-F is within
+    # 2^-(bits+32) of lambda_j relatively; at bits + 96 the reference and
+    # the conversion of Lambda_j are exact far below that.
+    for n, k in FIXED_POINT_GRAPHS:
+        fixed = hitting._fixed_eigenvalues(GraphSpec(n, k), bits)
+        fraction_bits = hitting._fraction_bits(n, bits)
+        with mp.workprec(bits + 96):
+            expected = unfolded_eigenvalues(n, k)
+            tolerance = mp.mpf(2) ** -(bits + 32)
+            assert fixed[0] == 0
+            for j in range(1, n):
+                error = abs(mp.mpf((fixed[j], -fraction_bits)) - expected[j])
+                assert error <= tolerance * expected[j], (n, k, j)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_spectral_sum_is_within_the_derived_bound(bits):
+    # Far inside certified_bound, 2^(-bits/2) * h: the reference sums every
+    # term at bits + 96.
+    cases = [
+        *(
+            (n, k, ell)
+            for n in range(17, 25)
+            for k in (1, 2, 5, 8)
+            if 2 * k < n
+            for ell in (1, n // 3, n // 2, n - 1)
+        ),
+        (1001, 8, 500),
+        (1004, 3, 1),
+    ]
+    for n, k, ell in cases:
+        value = hit_spectral(GraphSpec(n, k), ell, bits)
+        expected = spectral_sum_reference(n, k, ell, bits + 64)
+        with mp.workprec(bits + 96):
+            tolerance = mp.mpf(2) ** -(bits + 8) * expected
+            assert abs(value - expected) <= tolerance, (n, k, ell)
+
+
 def test_tables_evaluate_only_the_unmirrored_cosines(monkeypatch):
     calls = []
     for name in ("cospi", "cospi_sinpi"):
@@ -172,30 +222,37 @@ def test_tables_evaluate_only_the_unmirrored_cosines(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(mp, name, counted)
-    # One octant, one quarter and one half period of mp calls.
-    limits = {4096: 4096 // 8 + 1, 4098: 4098 // 4 + 1, 4097: 4097 // 2 + 1}
-    for n, limit in limits.items():
-        hitting.cosine_table.cache_clear()
-        hitting.laplacian_eigenvalues.cache_clear()
-        calls.clear()
-        hitting.cosine_table(n, 64)
-        assert 0 < len(calls) <= limit, n
-        calls.clear()
-        hit_spectral(GraphSpec(n, 3), n // 3, 64)
-        assert calls == [], n
+    # One transcendental call per (n, bits) table, for the octant, quarter
+    # and half layouts alike; the public tables and the sum read it.
+    for n in (4096, 4098, 4097):
+        for bits in (64, 256):
+            for cached in (
+                hitting._fixed_cosines,
+                hitting._fixed_eigenvalues,
+                hitting.cosine_table,
+                hitting.laplacian_eigenvalues,
+            ):
+                cached.cache_clear()
+            calls.clear()
+            hitting.cosine_table(n, bits)
+            assert len(calls) == 1, (n, bits)
+            calls.clear()
+            hitting.laplacian_eigenvalues(GraphSpec(n, 3), bits)
+            hit_spectral(GraphSpec(n, 3), n // 3, bits)
+            assert calls == [], (n, bits)
 
 
-def test_spectral_sum_reads_eigenvalues_through_the_public_table(monkeypatch):
-    # A profiler that wraps the public functions attributes the eigenvalue
-    # table to laplacian_eigenvalues only if hit_spectral calls it by name.
+def test_spectral_sum_reads_eigenvalues_through_the_cached_table(monkeypatch):
+    # hit_spectral looks its fixed-point eigenvalue table up by name, once per
+    # call, so the table it reads is the one the cache shares.
     calls = []
-    original = hitting.laplacian_eigenvalues
+    original = hitting._fixed_eigenvalues
 
     def counted(spec, precision_bits):
         calls.append((spec, precision_bits))
         return original(spec, precision_bits)
 
-    monkeypatch.setattr(hitting, "laplacian_eigenvalues", counted)
+    monkeypatch.setattr(hitting, "_fixed_eigenvalues", counted)
     spec = GraphSpec(13, 3)
     hit_spectral(spec, 4, 128)
     assert calls == [(spec, 128)]
@@ -203,23 +260,36 @@ def test_spectral_sum_reads_eigenvalues_through_the_public_table(monkeypatch):
 
 def test_tau_eigen_is_the_product_of_the_table_hit_spectral_reads():
     spec = GraphSpec(14, 3)
+    hitting._fixed_eigenvalues.cache_clear()
     hitting.laplacian_eigenvalues.cache_clear()
     value = tau_eigen(spec, 128)
-    with mp.workprec(160):
-        expected = mp.fprod(laplacian_eigenvalues(spec, 128)[1:]) / spec.n
+    fixed = hitting._fixed_eigenvalues(spec, 128)
+    fraction_bits = hitting._fraction_bits(spec.n, 128)
+    with working_precision(128):
+        rounded = tuple(mp.mpf((lam, -fraction_bits)) for lam in fixed)
+        expected = mp.fprod(rounded[1:]) / spec.n
+    assert laplacian_eigenvalues(spec, 128) == rounded
     assert value == expected
-    before = hitting.laplacian_eigenvalues.cache_info()
+    before = hitting._fixed_eigenvalues.cache_info()
     hit_spectral(spec, 3, 128)
-    after = hitting.laplacian_eigenvalues.cache_info()
+    after = hitting._fixed_eigenvalues.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_spectral_tables_keep_the_64_most_recent_graphs():
-    hitting.cosine_table.cache_clear()
-    hitting.laplacian_eigenvalues.cache_clear()
+    tables = (
+        hitting._fixed_cosines,
+        hitting._fixed_eigenvalues,
+        hitting.cosine_table,
+        hitting.laplacian_eigenvalues,
+    )
+    for cached in tables:
+        cached.cache_clear()
     for n in range(7, 7 + 65):
         hit_spectral(GraphSpec(n, 3), 1, 64)
-    for cached in (hitting.cosine_table, hitting.laplacian_eigenvalues):
+        tau_eigen(GraphSpec(n, 3), 64)
+        cosine_table(n, 64)
+    for cached in tables:
         info = cached.cache_info()
         assert (info.maxsize, info.currsize, info.misses) == (64, 64, 65)
 
@@ -437,6 +507,8 @@ def test_the_floor_holds_where_a_route_returns_early(call, args):
 
 CACHED = {
     "cached_factorization": (cached_factorization, (3, 96)),
+    "_fixed_cosines": (hitting._fixed_cosines, (12, 96)),
+    "_fixed_eigenvalues": (hitting._fixed_eigenvalues, (GraphSpec(12, 3), 96)),
     "cosine_table": (cosine_table, (12, 96)),
     "laplacian_eigenvalues": (laplacian_eigenvalues, (GraphSpec(12, 3), 96)),
     "hit_exact_all": (hit_exact_all, (GraphSpec(12, 3),)),

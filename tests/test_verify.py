@@ -169,36 +169,48 @@ def test_a_run_that_raised_leaves_no_cached_values(monkeypatch):
     assert oracle.statistic == 0.5
 
 
+SPECTRAL_TABLES = (
+    hitting._fixed_cosines,
+    hitting._fixed_eigenvalues,
+    hitting.cosine_table,
+    hitting.laplacian_eigenvalues,
+)
+
+
 def test_each_graph_builds_its_eigenvalue_table_once():
-    # 74 graphs, more than the 64 tables the cache keeps: a second walk over
-    # the graphs would build every table again.
-    hitting.laplacian_eigenvalues.cache_clear()
+    # 74 graphs, more than the 64 tables each cache keeps: a second walk over
+    # the graphs would build every table again.  hit_spectral reads the
+    # fixed-point table, tau_eigen its rounding.
+    for cached in SPECTRAL_TABLES:
+        cached.cache_clear()
     run_verification(kmax=2, nmax=40, precision_bits=512)
     graphs = len(list(verify._specs(2, 40)))
     assert graphs == 74
-    assert hitting.laplacian_eigenvalues.cache_info().misses == graphs
+    for cached in (hitting._fixed_eigenvalues, hitting.laplacian_eigenvalues):
+        assert cached.cache_info().misses == graphs
 
 
 @pytest.mark.parametrize("mirror", [False, True], ids=["octant", "mirror"])
 def test_a_cosine_defect_fails_the_spectral_oracle(mirror, monkeypatch):
-    # A 1e-8 defect in c_1, or in its mirror c_(n-1), of every cosine table
-    # moves the k = 1 spectral sums past the oracle tolerance.
-    exact = hitting.cosine_table
+    # A 1e-8 defect in C_1, or in its mirror C_(n-1), of every fixed-point
+    # cosine table, the one the spectral sum and its eigenvalues read, moves
+    # the k = 1 spectral sums past the oracle tolerance.
+    exact = hitting._fixed_cosines
 
     def defective(n, bits):
         table = list(exact(n, bits))
         j = n - 1 if mirror else 1
-        with mp.workprec(bits + 32):
-            table[j] *= 1 + mp.mpf(10) ** -8
+        table[j] += table[j] // 10**8
         return tuple(table)
 
-    monkeypatch.setattr(hitting, "cosine_table", defective)
-    monkeypatch.setattr(verify, "cosine_table", defective)
-    hitting.laplacian_eigenvalues.cache_clear()
+    monkeypatch.setattr(hitting, "_fixed_cosines", defective)
+    for cached in SPECTRAL_TABLES:
+        cached.cache_clear()
     try:
         results = {r.check_id: r for r in run_verification(kmax=1, nmax=12)}
     finally:
-        hitting.laplacian_eigenvalues.cache_clear()
+        for cached in SPECTRAL_TABLES:
+            cached.cache_clear()
     assert not results["hitting-oracle-spectral"].passed
 
 
