@@ -69,7 +69,18 @@ came to compare every graph instead of k <= 4, n <= 24: both cases lost those
 three rows' two lines each, and forest-contraction-duality's description lost
 "(compared at k<=4, n<=24)".  No case count, worst value, requirement,
 status or worst-case location of a kept row moved, and the column widths
-stayed.
+stayed.  It was re-recorded a tenth time when the cosine and eigenvalue
+tables and the spectral sum came to be computed in fixed-point integers from
+one transcendental call per cosine table, the public tables each entry's one
+rounding of them: only `worst` values and their locations moved.
+resolvent-periodization went from 1.373e-86 at (n=13, k=2, ell=5) to
+1.201e-86 at (n=13, k=2, ell=1) in the default case and from 9.997e-164 at
+(n=9, k=2, ell=1) to 1.022e-163 at (n=11, k=2, ell=1) in the 512-bit case;
+hitting-oracle-spectral went from 2.376e-86 at (n=23, k=1, ell=10) and
+4.266e-163 at (n=40, k=1, ell=18) to 0 in both cases, so its description
+names no worst case; and the 512-bit tree-triple-agreement went from
+1.139e-162 at (n=40, k=1) to 1.051e-162 at (n=40, k=2).  No case count,
+requirement or status moved.
 
 `data/trees_golden.json` holds `trees` output in json, csv and text (the
 text without its `# wall_time_s` line) for a few small graphs with and
