@@ -303,8 +303,7 @@ def _complete_graph(kmax, nmax, bits):
 )
 def _resolvent_periodization(kmax, nmax, bits):
     # Term j equals term n - j (the cosine table mirrors exactly), so the sum
-    # over 1 <= j < n is folded as hit_spectral folds it.  The numerators
-    # 1 - c_m are formed once per n, the denominators once per factor.
+    # over 1 <= j < n is folded as hit_spectral folds it.
     for k in range(2, min(kmax, 3) + 1):
         sf = cached_factorization(k, bits)
         for n in range(2 * k + 1, min(nmax, 32) + 1):
