@@ -15,7 +15,8 @@ Methods, graded against one another:
                      rounded to the working precision once;
   * hit_closed    -- exact quadratic term plus one geometric correction per
                      real root of psi_k and per conjugate pair, real by
-                     construction;
+                     construction, added up in fixed-point integers and
+                     rounded to the working precision once;
   * hit_simulate  -- Monte Carlo over independent walks, walk w drawing from
                      numpy's Philox4x64 stream keyed by (seed, w); the
                      streams are computed for many walks at once (Philox
@@ -39,7 +40,14 @@ from mpmath import mp
 from . import fractionfree
 from .errors import ConsistencyError, ParameterError, SimulationBudgetError
 from .graphs import GraphSpec, build_laplacian, check_ell
-from .recurrences import correction_ratio, correction_ratios, full_index_ratio
+from .recurrences import (
+    _divide,
+    _fixed,
+    _fixed_ratios,
+    _ratio_bits,
+    correction_ratio,
+    full_index_ratio,
+)
 from .spectral import (
     DEFAULT_PRECISION_BITS,
     SpectralFactorization,
@@ -225,25 +233,64 @@ def hit_spectral(
         return mp.mpf((spec.degree * (2 * sum(terms) + middle), -bits))
 
 
-def _quadratic_term(sf: SpectralFactorization, spec: GraphSpec, ell: int) -> Fraction:
-    return Fraction(sf.pole_coefficient, 2) * ell * (spec.n - ell)
+def _closed_bits(sf: SpectralFactorization, n: int) -> int:
+    """F, the fraction bits of the closed-form sum on n vertices: the most
+    that recurrences._ratio_bits asks for any factor's ratios (at least the
+    working precision p), plus bitlen(k).
 
-
-def _closed_value(spec: GraphSpec, ell: int, sf: SpectralFactorization, ratios):
-    """hit_closed's value at ell from `ratios`, the correction ratio of each
-    factor of `sf` in order.  Real parts alone are added, in real arithmetic:
-    the corrections of a conjugate pair are exact conjugates, so a non-real
-    factor's real part is added twice, once for its conjugate."""
-    quadratic = _quadratic_term(sf, spec, ell)
+    Error bound.  Each factor's term N * A * ratio is within 2^-(p+8) of its
+    value for the factor's rho and A, and rounding A to 2^-F adds at most
+    N |ratio| 0.71 * 2^-F, below a tenth of that.  The extra bitlen(k) bits
+    divide both by at least k, so the real parts of the k - 1 roots' terms,
+    a pair counted twice, add up to within 2^-(p+7) of their sum.  The
+    products are exact at 2F fraction bits, the quadratic term is rounded
+    there, and h(0, ell) >= 1 for ell != 0, so the closed value is within
+    2^-(p+7) relatively before its one rounding to p bits.
+    """
     with working_precision(sf.precision_bits):
-        corrections = mp.mpf(0)
-        for factor, ratio in zip(sf.factors, ratios):
-            term = mp.re(factor.coefficient * ratio)
-            corrections += term
-            if factor.root.imag:
-                corrections += term
-        base = mp.mpf(quadratic.numerator) / quadratic.denominator
-        return base + spec.n * corrections
+        least = mp.prec
+    ratio_bits = [_ratio_bits(factor, n, sf.precision_bits) for factor in sf.factors]
+    return max([least, *ratio_bits]) + sf.k.bit_length()
+
+
+def _closed_values(spec: GraphSpec, ells, precision_bits: int, fixed_ratios) -> list:
+    """The closed value of each ell asked for, fixed_ratios(factor, bits)
+    giving a factor's ratio at each of them on Gaussian integers at F =
+    _closed_bits fraction bits.
+
+    A * 2^F is rounded to a Gaussian integer once per factor and doubled
+    for a non-real factor, whose conjugate adds the same real part; the
+    real parts of the products, times n, and the quadratic term (B/2) ell
+    (n - ell) are added up as integers at 2F fraction bits and rounded to an
+    mpf once, within the bound derived at _closed_bits.
+    """
+    sf = cached_factorization(spec.k, precision_bits)
+    bits = _closed_bits(sf, spec.n)
+    weighted, tables = [], []
+    for factor in sf.factors:
+        real, imag = _fixed(factor.coefficient, bits)
+        weight = 2 if factor.root.imag else 1
+        weighted.append((weight * real, weight * imag))
+        tables.append(fixed_ratios(factor, bits))
+    values = []
+    with working_precision(precision_bits):
+        for index, ell in enumerate(ells):
+            quadratic = Fraction(sf.pole_coefficient, 2) * ell * (spec.n - ell)
+            total = _divide(quadratic.numerator << 2 * bits, quadratic.denominator)
+            for (a, b), table in zip(weighted, tables):
+                x, y = table[index]
+                total += spec.n * (a * x - b * y)
+            values.append(mp.mpf((total, -2 * bits)))
+    return values
+
+
+def _closed_exponential(spec: GraphSpec, ells, precision_bits: int) -> list:
+    """The exponential-form closed value of each ell asked for, from one
+    fixed-point ratio table per factor over those ell."""
+    return _closed_values(
+        spec, ells, precision_bits,
+        lambda factor, bits: _fixed_ratios(factor, ells, spec.n, bits),
+    )
 
 
 def hit_closed(
@@ -254,21 +301,26 @@ def hit_closed(
 ):
     """Closed form: exact quadratic term plus the summed corrections.
 
-    The quadratic term (B/2) * ell * (n - ell) is computed in exact rational
-    arithmetic; each real root of psi_k contributes n * A * correction_ratio,
-    and each conjugate pair twice the real part of its upper root's term:
-    the two corrections of a pair are exact conjugates, so the correction
-    sum is real by construction and is added up from real parts alone.
+    The quadratic term (B/2) * ell * (n - ell) is an exact rational; each
+    real root of psi_k contributes n * A * correction_ratio, and each
+    conjugate pair twice the real part of its upper root's term: the two
+    corrections of a pair are exact conjugates, so the correction sum is
+    real by construction and is added up from real parts alone.  The sum
+    is taken on fixed-point integers and rounded once (_closed_values); the
+    exponential form's ratios are fixed-point integers already
+    (recurrences._fixed_ratios), the sequence form's are converted.
     """
     check_ell(spec, ell)
-    if form not in ("exponential", "sequence"):
+    if form == "exponential":
+        return _closed_exponential(spec, (ell,), precision_bits)[0]
+    if form != "sequence":
         raise ParameterError(f"unknown form {form!r}")
-    sf = cached_factorization(spec.k, precision_bits)
-    ratios = (
-        correction_ratio(factor, ell, spec.n, form, precision_bits)
-        for factor in sf.factors
-    )
-    return _closed_value(spec, ell, sf, ratios)
+    return _closed_values(
+        spec, (ell,), precision_bits,
+        lambda factor, bits: [
+            _fixed(correction_ratio(factor, ell, spec.n, form, precision_bits), bits)
+        ],
+    )[0]
 
 
 def hit_closed_all(
@@ -276,18 +328,12 @@ def hit_closed_all(
 ) -> tuple:
     """hit_closed(spec, ell, precision_bits) for ell = 0..n-1, bit for bit.
 
-    Each factor's exponential-form ratios come from one correction_ratios
-    table over every ell instead of three powers of rho per ell.
+    Each factor's exponential-form ratios come from one fixed-point table
+    over ell <= n/2, and h(0, n - ell) is h(0, ell): the ratios of ell and
+    n - ell are the same integers.
     """
-    sf = cached_factorization(spec.k, precision_bits)
-    tables = [
-        correction_ratios(factor, spec.n, "exponential", precision_bits)
-        for factor in sf.factors
-    ]
-    return tuple(
-        _closed_value(spec, ell, sf, (table[ell] for table in tables))
-        for ell in range(spec.n)
-    )
+    half = _closed_exponential(spec, range(spec.n // 2 + 1), precision_bits)
+    return tuple(half + half[1 : (spec.n + 1) // 2][::-1])
 
 
 def hit_closed_literal(
@@ -303,12 +349,12 @@ def hit_closed_literal(
     never be used for real evaluation.
     """
     check_ell(spec, ell)
-    sf = cached_factorization(spec.k, precision_bits)
-    ratios = (
-        full_index_ratio(factor, ell, spec.n, precision_bits)
-        for factor in sf.factors
-    )
-    return _closed_value(spec, ell, sf, ratios)
+    return _closed_values(
+        spec, (ell,), precision_bits,
+        lambda factor, bits: [
+            _fixed(full_index_ratio(factor, ell, spec.n, precision_bits), bits)
+        ],
+    )[0]
 
 
 class SimulationResult(NamedTuple):

@@ -21,18 +21,26 @@ evaluation paths and the full-index ratio is kept only for erratum reporting.
 The exponential form is also the default for large N: |rho| < 1 keeps it
 uniformly well-conditioned, whereas |W_N| grows like |rho|^(-N/2).  A
 factorization keeps one factor per conjugate pair, its upper root (see
-spectral): mpmath rounds complex operations symmetrically, so in either form
-the ratios of the conjugate factor are exact conjugates of that factor's,
-and callers take them as such instead of computing them.
+spectral): the fixed-point integers below and mpmath's complex operations
+both round symmetrically, so in either form the ratios of the conjugate
+factor are exact conjugates of that factor's, and callers take them as such
+instead of computing them.
 
-Every W_m and V_m comes from one index-doubling ladder (_doubled_terms):
+The exponential form runs on fixed-point Gaussian integers (_fixed_ratios):
+rho is converted once per factor, every rho^m comes from one power chain,
+and the denominator is inverted once, with F fraction bits derived from N,
+A and the factor's distance from the unit circle (_ratio_bits) so that
+every ratio is within 2^-(p+8) / (N max(1, |A|)) of the ratio of the
+factor's rho.  The closed form in hitting adds these integers as they are.
+The sequence form stays in mpmath, the independent recurrence route: every
+W_m and V_m comes from one index-doubling ladder (_doubled_terms), so
 correction_ratio evaluates one ell from W_ell, W_{N-ell} and W_N alone, in
-O(log N) operations, so a factor costs O(log N) even at N in the millions;
-full_index_ratio takes its V terms the same way.  correction_ratios returns
-the ratio for every ell = 0..N of one (factor, N) from one ladder over
-0..N (or one table of rho^m), for callers that loop over ell.  Each value is
-built with the same operations as correction_ratio's, at the same
-precision, so in either form the two agree bit for bit.
+O(log N) operations, even at N in the millions; full_index_ratio takes its V
+terms the same way.  correction_ratios returns the ratio for every ell =
+0..N of one (factor, N) from one ladder over 0..N, or one power chain, for
+callers that loop over ell.  A power or a W_m is the same whichever other
+indices are asked for, so in either form a table entry equals
+correction_ratio's value bit for bit.
 """
 
 from __future__ import annotations
@@ -109,23 +117,125 @@ def _doubled_terms(coefficient, indices):
     return {m: +value for m, value in values.items()}
 
 
-def _ratio_parts(factor, indices, n_vertices, form, precision_bits):
-    """(values, denominator) with ratio(ell) = values[ell] * values[N - ell]
-    / denominator, `values` holding the indices asked for.
+def _round_shift(value: int, shift: int) -> int:
+    """value / 2^shift to the nearest integer, ties away from zero, so that
+    rounding commutes with negation (and Gaussian rounding with
+    conjugation)."""
+    if shift <= 0:
+        return value << -shift
+    half = 1 << (shift - 1)
+    return (value + half) >> shift if value >= 0 else -((half - value) >> shift)
 
-    Exponential form: values[m] = 1 - rho^m and denominator
-    (1/rho - rho)(1 - rho^N).  Sequence form: values[m] = W_m from
-    _doubled_terms, and denominator delta * W_N.  Runs in the caller's
-    working precision.
+
+def _divide(value: int, divisor: int) -> int:
+    """value / divisor to the nearest integer for divisor > 0, ties away from
+    zero, as _round_shift rounds."""
+    quotient = (2 * abs(value) + divisor) // (2 * divisor)
+    return quotient if value >= 0 else -quotient
+
+
+def _fixed(value, bits: int):
+    """value * 2^bits rounded as _round_shift rounds: an int for an mpf, a
+    pair (real, imaginary) of ints, a Gaussian integer, for an mpc."""
+    if isinstance(value, mp.mpc):
+        return _fixed(value.real, bits), _fixed(value.imag, bits)
+    sign, man, exp, _ = value._mpf_
+    return _round_shift(-man if sign else man, -(exp + bits))
+
+
+def _product(a, b, shift: int):
+    """The Gaussian product a * b / 2^shift, each part rounded by
+    _round_shift."""
+    (w, x), (y, z) = a, b
+    return _round_shift(w * y - x * z, shift), _round_shift(w * z + x * y, shift)
+
+
+def _ratio_bits(factor, n_vertices: int, precision_bits: int) -> int:
+    """F, the fraction bits of the fixed-point exponential-form ratios of one
+    factor on n_vertices: the working precision p plus 8 plus bitlen(40 N^2
+    max(1, |A|) / d^3), d = 1 - |rho| the factor's distance from the unit
+    circle (with N, |A| and 1/d, this grows with k).
+
+    Error bound, in units of 2^-F.  rho is rounded to R within 0.71.  Each
+    power P_m = round(P_(m//2) P_(m-m//2)) with m >= 2 adds at most the
+    errors of its two factors (both of size <= 1) and 0.71, so P_m is within
+    1.5 m of rho^m, and so is V_m = 1 - P_m, where |1 - rho^m| >= d.  The
+    inverse round(R / (V_2 V_N)) of the denominator (1/rho - rho)(1 - rho^N)
+    = (1 - rho^2)(1 - rho^N) / rho is at most |rho| / d^2 in size and within
+    a relative (1.5 N + 3) / d + 3.6 / |rho| of its value, and each ratio
+    round(V_ell V_(N-ell) inverse) is then within (9 N + 27) / d^3 < 40 N /
+    d^3 of the ratio of rho.  So every ratio is within 2^-(p+8) / (N max(1,
+    |A|)) of the exact ratio of the factor's rho: N A times it, the term
+    the closed form adds, within 2^-(p+8).
+    """
+    with working_precision(precision_bits):
+        bits = mp.prec
+    distance = 1 - abs(complex(factor.inner_root))
+    scale = max(1.0, abs(complex(factor.coefficient)))
+    return bits + 8 + int(40 * n_vertices**2 * scale / distance**3).bit_length()
+
+
+def _fixed_ratios(factor, ells, n_vertices: int, bits: int) -> list:
+    """ratio(ell) * 2^bits on Gaussian integers for each ell asked for, all
+    from one conversion of rho.
+
+    Every rho^m comes from one chain, P_0 = 2^bits, P_1 = round(rho 2^bits)
+    and P_m = round(P_(m//2) P_(m-m//2) / 2^bits), so a power is the same
+    integer whichever other indices are asked for: a table over every ell
+    takes N - 1 products and a single ell about 2 log2(N).  The denominator
+    is taken once, as the rounded inverse rho / ((1 - rho^2)(1 - rho^N)),
+    and each ratio is round((1 - P_ell)(1 - P_(N-ell)) inverse): the first
+    product is exact, so ell and N - ell give the same integers, and every
+    rounding commutes with conjugation, so a conjugate factor's ratios are
+    the exact conjugates.  Within the bound derived at _ratio_bits when bits
+    is at least that F.
+    """
+    one = 1 << bits
+    powers = {0: (one, 0), 1: _fixed(factor.inner_root, bits)}
+
+    def power(m):
+        if m not in powers:
+            powers[m] = _product(power(m >> 1), power(m - (m >> 1)), bits)
+        return powers[m]
+
+    def value(m):
+        x, y = power(m)
+        return one - x, -y
+
+    (a, b), (c, d) = value(2), value(n_vertices)
+    real, imag = a * c - b * d, a * d + b * c  # (1 - rho^2)(1 - rho^N)
+    x, y = powers[1]
+    norm = real * real + imag * imag
+    inverse = (
+        _divide((x * real + y * imag) << 2 * bits, norm),
+        _divide((y * real - x * imag) << 2 * bits, norm),
+    )
+    ratios = []
+    for ell in ells:
+        (a, b), (c, d) = value(ell), value(n_vertices - ell)
+        ratios.append(_product((a * c - b * d, a * d + b * c), inverse, 2 * bits))
+    return ratios
+
+
+def _ratio_parts(factor, ells, n_vertices, form, precision_bits) -> list:
+    """The ratio of each ell asked for, in the caller's working precision.
+
+    Exponential form: _fixed_ratios at _ratio_bits, each rounded once to an
+    mpc.  Sequence form: W_ell * W_(N-ell) / (delta * W_N), the W_m from one
+    _doubled_terms ladder over every index the ells need.
     """
     if form == "exponential":
-        rho = mp.mpc(factor.inner_root)
-        values = {m: 1 - rho**m for m in indices}
-        return values, (1 / rho - rho) * values[n_vertices]
+        bits = _ratio_bits(factor, n_vertices, precision_bits)
+        return [
+            mp.mpc(mp.mpf((x, -bits)), mp.mpf((y, -bits)))
+            for x, y in _fixed_ratios(factor, ells, n_vertices, bits)
+        ]
     if form == "sequence":
         delta = half_index_coefficient(factor, precision_bits)
+        indices = {n_vertices, *ells, *(n_vertices - ell for ell in ells)}
         values = _doubled_terms(delta, indices)
-        return values, delta * values[n_vertices]
+        denominator = delta * values[n_vertices]
+        return [values[ell] * values[n_vertices - ell] / denominator for ell in ells]
     raise ParameterError(f"unknown form {form!r}")
 
 
@@ -139,10 +249,6 @@ def _check_indices(n_vertices: int, ell: int = 0) -> None:
         raise ParameterError(f"n_vertices must be >= 1, got {n_vertices}")
     if not 0 <= ell <= n_vertices:
         raise ParameterError(f"need 0 <= ell <= {n_vertices}, got {ell}")
-
-
-def _ratio(values, denominator, ell, n_vertices):
-    return values[ell] * values[n_vertices - ell] / denominator
 
 
 def correction_ratio(
@@ -163,11 +269,7 @@ def correction_ratio(
     """
     _check_indices(n_vertices, ell)
     with working_precision(precision_bits):
-        values, denominator = _ratio_parts(
-            factor, (ell, n_vertices - ell, n_vertices), n_vertices, form,
-            precision_bits,
-        )
-        return _ratio(values, denominator, ell, n_vertices)
+        return _ratio_parts(factor, (ell,), n_vertices, form, precision_bits)[0]
 
 
 def correction_ratios(
@@ -178,20 +280,18 @@ def correction_ratios(
 ) -> tuple:
     """correction_ratio(factor, ell, n_vertices, ...) for ell = 0..n_vertices.
 
-    One ladder reaches every W_m for m = 0..N (or each rho^m is taken
-    once) instead of three terms per ell.  The values are those of the
-    per-ell function bit for bit, in either form.  Holds N + 1 values, so
-    large-N callers that need a few ell should call correction_ratio.
+    One ladder reaches every W_m for m = 0..N (or one chain every rho^m)
+    instead of three terms per ell, and the ratios of ell <= N/2 are
+    mirrored: ell and N - ell give the same bits.  The values are those of
+    the per-ell function bit for bit, in either form.  Holds N + 1 values,
+    so large-N callers that need a few ell should call correction_ratio.
     """
     _check_indices(n_vertices)
     with working_precision(precision_bits):
-        values, denominator = _ratio_parts(
-            factor, range(n_vertices + 1), n_vertices, form, precision_bits
+        half = _ratio_parts(
+            factor, range(n_vertices // 2 + 1), n_vertices, form, precision_bits
         )
-        return tuple(
-            _ratio(values, denominator, ell, n_vertices)
-            for ell in range(n_vertices + 1)
-        )
+    return tuple(half + half[: (n_vertices + 1) // 2][::-1])
 
 
 def full_index_ratio(

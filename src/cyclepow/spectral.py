@@ -10,15 +10,16 @@ Each gamma lies off the real interval [-2, 2] (the spectrum arc), so the
 quadratic rho^2 - gamma*rho + 1 = 0 has exactly one root with |rho| < 1; that
 inner root drives all the geometric corrections downstream.
 
-Roots are located all at once by mpmath's Durand-Kerner iteration at the
-working precision, then polished by Newton iteration, with residuals certified
-against the 2^(-precision_bits/2) convention used package-wide.  psi_k has
-integer coefficients, so only the real roots and those in the upper half
-plane are polished: a real root is polished from a real start and stays
-exactly real, and each lower root is the exact conjugate of its upper
-partner.  mpmath rounds complex operations symmetrically, so the inner root
-and coefficient of a lower root would come out exact conjugates of its
-partner's as well, and so would the correction ratios built from them.  So
+Roots are located all at once by mpmath's Durand-Kerner iteration at a low
+fixed precision, then polished by Newton iteration at the working precision,
+with residuals certified against the 2^(-precision_bits/2) convention used
+package-wide.  psi_k has integer coefficients, so only the real roots and
+those in the upper half plane are polished: a real root is polished from a
+real start and stays exactly real, and each lower root is the exact
+conjugate of its upper partner.  mpmath rounds complex operations
+symmetrically, so the inner root and coefficient of a lower root would come
+out exact conjugates of its partner's as well, and so would the correction
+ratios built from them, in mpmath or in fixed point (see recurrences).  So
 partial_fractions keeps one factor per real root and one per conjugate pair,
 the upper root standing for both: a pair contributes twice the real part of
 the upper factor's term to a real sum, and its conjugate term where a
@@ -66,6 +67,9 @@ MIN_PRECISION_BITS = 64
 _GUARD_BITS = 32
 
 _NEWTON_BUDGET = 100
+
+# The precision of the Durand-Kerner root estimates that Newton polishes.
+_SEED_BITS = 64
 
 
 def working_precision(precision_bits: int):
@@ -127,25 +131,27 @@ class SpectralFactorization:
     factors: tuple[FactorData, ...]
 
 
-def _root_estimates(psi: IntPolynomial, precision_bits: int):
+def _root_estimates(psi: IntPolynomial):
     """All deg(psi) roots from mpmath's Durand-Kerner iteration (polyroots),
-    run inside the caller's working precision.
+    run at _SEED_BITS whatever the working precision: Newton's quadratic
+    convergence in _polish takes them the rest of the way.
 
     The roots of psi_k lie within 2.5 of the origin (checked for k <= 64),
     where log2(sum |c_i| 2.5^i) < 2 deg(psi) + 1 for 3 <= k <= 128, so
     evaluating psi near a root cancels about 2 bits per degree at most; that
     many extra bits, plus the guard bits, keep the iteration's error test
-    reachable.  The iteration needs about deg(psi) + log2(precision_bits)
-    steps (measured for k <= 64 up to 1056 bits), and twice that bounds it.
+    reachable.  The iteration needs about deg(psi) + log2(_SEED_BITS) steps
+    (measured for k <= 64), and twice that bounds it.
     """
     degree = psi.degree
-    maxsteps = 2 * (degree + precision_bits.bit_length())
+    maxsteps = 2 * (degree + _SEED_BITS.bit_length())
     try:
-        return mp.polyroots(
-            list(reversed(psi.coeffs)),
-            maxsteps=maxsteps,
-            extraprec=2 * degree + _GUARD_BITS,
-        )
+        with mp.workprec(_SEED_BITS):
+            return mp.polyroots(
+                list(reversed(psi.coeffs)),
+                maxsteps=maxsteps,
+                extraprec=2 * degree + _GUARD_BITS,
+            )
     except mp.NoConvergence:
         raise PrecisionError(
             f"root estimates for a degree-{degree} psi did not converge in "
@@ -186,10 +192,10 @@ def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS)
     """All deg(psi) roots, Newton-refined until |psi(root)| is certified,
     and closed under complex conjugation by construction.
 
-    Initial estimates come from mpmath's Durand-Kerner solver at the working
-    precision.  psi has integer coefficients, so its non-real roots come in
-    conjugate pairs: an estimate z is real when |Im z| <= certified_bound(z,
-    precision_bits), upper or lower otherwise.  The real parts of the real
+    Initial estimates come from mpmath's Durand-Kerner solver at _SEED_BITS.
+    psi has integer coefficients, so its non-real roots come in conjugate
+    pairs: an estimate z is real when |Im z| <= certified_bound(z,
+    _SEED_BITS), upper or lower otherwise.  The real parts of the real
     estimates and the upper estimates are polished by Newton iteration
     until the residual drops below 2^(-precision_bits/2), so every real root
     has imaginary part exactly 0; each lower root is the exact conjugate of
@@ -207,8 +213,8 @@ def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS)
         # iteration early when this is unreachable.
         target = mp.mpf(2) ** -(precision_bits + _GUARD_BITS // 2)
         reals, uppers = [], []
-        for estimate in map(mp.mpc, _root_estimates(psi, precision_bits)):
-            if abs(estimate.imag) <= certified_bound(estimate, precision_bits):
+        for estimate in map(mp.mpc, _root_estimates(psi)):
+            if abs(estimate.imag) <= certified_bound(estimate, _SEED_BITS):
                 reals.append(estimate)
             elif estimate.imag > 0:
                 uppers.append(estimate)

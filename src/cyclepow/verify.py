@@ -15,16 +15,17 @@ psi_k(2) = k(k+1)(2k+1)/6 and rho + 1/rho reproduces gamma within
 2^(-bits/2), find_roots unless each residual |psi_k(gamma)| is within that
 bound, and inner_root when rho lands within 2^(-bits/4) of the unit circle.
 find_roots keeps each real root exactly real and each lower root the exact
-conjugate of a polished upper root, and mpmath rounds complex operations
-symmetrically, so a pair's inner roots, coefficients and correction ratios
-are exact conjugates: a factorization keeps one factor per real root and
-one per pair, its upper root, and partial-fraction-residual keeps its points
-clear of both poles.  The ratio's symmetry ell <-> N - ell holds bit for
-bit; the recurrence is graded by ratio-form-agreement, fibonacci-anchor, the
-closed-form oracle and a Binet test, and one doubling ladder builds both the
-tables these rows read and the single ell of `hit --form seq`.  The
-plain-cycle sums are the k = 1 cases of the oracle rows, and a defect in a
-fixed-point cosine entry, its mirror included, fails the spectral oracle row.
+conjugate of a polished upper root, and mpmath's complex operations and
+the fixed-point exponential ratios round symmetrically, so a pair's inner
+roots, coefficients and correction ratios are exact conjugates: a
+factorization keeps one factor per real root and one per pair, its upper
+root, and partial-fraction-residual keeps its points clear of both poles.
+The ratio's symmetry ell <-> N - ell holds bit for bit; the recurrence is
+graded by ratio-form-agreement, fibonacci-anchor, the closed-form oracle and
+a Binet test, and one doubling ladder builds both the tables these rows read
+and the single ell of `hit --form seq`.  The plain-cycle sums are the k = 1
+cases of the oracle rows, and a defect in a fixed-point cosine entry, its
+mirror included, fails the spectral oracle row.
 Three more facts are pinned by tests alone, since no input can fail them:
 
 - The Laplacian's structure (test_laplacian_invariants and
@@ -303,7 +304,8 @@ def _complete_graph(kmax, nmax, bits):
 )
 def _resolvent_periodization(kmax, nmax, bits):
     # Term j equals term n - j (the cosine table mirrors exactly), so the sum
-    # over 1 <= j < n is folded as hit_spectral folds it.
+    # over 1 <= j < n is folded as hit_spectral folds it.  The sum stays in
+    # mpmath, an arithmetic apart from the fixed-point ratios it grades.
     for k in range(2, min(kmax, 3) + 1):
         sf = cached_factorization(k, bits)
         for n in range(2 * k + 1, min(nmax, 32) + 1):
@@ -311,12 +313,14 @@ def _resolvent_periodization(kmax, nmax, bits):
             numerators = [1 - cosine for cosine in cosines]
             for factor in sf.factors:
                 gamma = mp.mpc(factor.root)
-                denominators = [gamma - 2 * cosines[j] for j in range(1, n // 2 + 1)]
+                reciprocals = [
+                    1 / (gamma - 2 * cosines[j]) for j in range(1, n // 2 + 1)
+                ]
                 ratios = correction_ratios(factor, n, "exponential", bits)
                 for ell in range(n):
                     terms = [
-                        numerators[(j * ell) % n] / denominator
-                        for j, denominator in enumerate(denominators, 1)
+                        numerators[(j * ell) % n] * reciprocal
+                        for j, reciprocal in enumerate(reciprocals, 1)
                     ]
                     middle = terms.pop() if n % 2 == 0 else 0
                     direct = 2 * mp.fsum(terms) + middle

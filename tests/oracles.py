@@ -6,9 +6,11 @@ solved by plain Gaussian elimination over Fractions, Laplacians are dense
 matrices that are deleted, contracted and folded entry by entry and only
 then cut to band rows, Fibonacci numbers come from the integer recurrence,
 the terms of s_{n+1} = c*s_n - s_{n-1} come from stepping it or from the
-Binet expression, simulated walks run one at a time, each from its own
-numpy Philox generator, and spectral sums and products run over every
-Fourier mode with one mp.cospi call per cosine.
+Binet expression, the exponential-form correction ratios and the closed
+form are mpmath complex arithmetic at twice the working precision over
+every root, simulated walks run one at a time, each from its own numpy
+Philox generator, and spectral sums and products run over every Fourier
+mode with one mp.cospi call per cosine.
 """
 
 from __future__ import annotations
@@ -45,6 +47,41 @@ def term_by_binet(base, n: int, precision_bits: int = 256):
     with mp.workprec(precision_bits + 32):
         b = mp.mpc(base)
         return (b**n - b**-n) / (b - 1 / b)
+
+
+def exponential_ratios(factor, n: int, precision_bits: int) -> list:
+    """(1 - rho^ell)(1 - rho^(n-ell)) / ((1/rho - rho)(1 - rho^n)) for ell =
+    0..n from the factor's rho as given, in mpmath complex arithmetic at
+    twice the working precision, 2 (precision_bits + 32); rho^m by repeated
+    products, m roundings far below the fixed-point bound."""
+    with mp.workprec(2 * (precision_bits + 32)):
+        rho = mp.mpc(factor.inner_root)
+        values, power = [], mp.mpc(1)
+        for _ in range(n + 1):
+            values.append(1 - power)
+            power *= rho
+        denominator = (1 / rho - rho) * values[n]
+        return [values[ell] * values[n - ell] / denominator for ell in range(n + 1)]
+
+
+def closed_reference(sf, n: int, tables) -> list:
+    """h(0, ell) for ell = 0..n-1 as the quadratic term plus n times the sum
+    of A * ratio over every root, tables[i] holding the ratios for ell =
+    0..n of sf.factors[i] and their conjugates those of its conjugate root,
+    in mpmath complex arithmetic at twice the working precision."""
+    with mp.workprec(2 * (sf.precision_bits + 32)):
+        terms = []
+        for factor, ratios in zip(sf.factors, tables):
+            terms.append((factor.coefficient, ratios))
+            if factor.root.imag:
+                terms.append((mp.conj(factor.coefficient), list(map(mp.conj, ratios))))
+        values = []
+        for ell in range(n):
+            corrections = mp.fsum(a * ratios[ell] for a, ratios in terms)
+            quadratic = sf.pole_coefficient * ell * (n - ell) / 2
+            base = mp.mpf(quadratic.numerator) / quadratic.denominator
+            values.append(base + n * mp.re(corrections))
+        return values
 
 
 def exact_conjugates(a, b) -> bool:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import ctx_mp_python, mp
 
 from cyclepow import (
     GraphSpec,
@@ -24,7 +24,13 @@ from cyclepow import (
     tau_product,
 )
 from cyclepow.hitting import cosine_table, hit_exact_all, laplacian_eigenvalues
-from cyclepow.recurrences import full_index_ratio
+from cyclepow.recurrences import (
+    _fixed_ratios,
+    _ratio_bits,
+    correction_ratio,
+    correction_ratios,
+    full_index_ratio,
+)
 from cyclepow.spectral import (
     certified_bound,
     find_roots,
@@ -32,10 +38,12 @@ from cyclepow.spectral import (
     working_precision,
 )
 
-from cyclepow import _philox, hitting
+from cyclepow import _philox, hitting, recurrences
 from oracles import (
+    closed_reference,
     dense_laplacian,
     eigen_product_reference,
+    exponential_ratios,
     fibonacci,
     gauss_solve,
     reference_walk_times,
@@ -352,10 +360,11 @@ def test_closed_literal_reproduces_known_deviation():
 
 def full_index_sum(spec, ell, bits):
     """The closed-form sum over full-index sequence ratios, spelled out over
-    every root, both members of each conjugate pair included."""
+    every root, both members of each conjugate pair included, and added up
+    at twice the working precision."""
     sf = cached_factorization(spec.k, bits)
     quadratic = Fraction(sf.pole_coefficient, 2) * ell * (spec.n - ell)
-    with mp.workprec(bits + 32):
+    with mp.workprec(2 * (bits + 32)):
         corrections = mp.mpc(0)
         for factor in with_conjugates(sf.factors):
             corrections += factor.coefficient * full_index_ratio(
@@ -367,14 +376,106 @@ def full_index_sum(spec, ell, bits):
         )
 
 
+def closed_tolerance(value, bits):
+    """The derived bound of a closed value against its reference: 2^-(p+7)
+    relatively before the one rounding to the working precision p, and
+    2^-p for that rounding."""
+    with working_precision(bits):
+        p = mp.prec
+    return (mp.mpf(2) ** -p + mp.mpf(2) ** -(p + 7)) * max(1, abs(value))
+
+
 def test_closed_literal_is_the_closed_sum_over_full_index_ratios():
+    # hit_closed_literal adds the same ratios on fixed-point integers and
+    # rounds once to the working precision.
     for spec, bits in (
         (GraphSpec(6, 2), 256), (GraphSpec(13, 4), 64), (GraphSpec(30, 3), 256)
     ):
         for ell in range(spec.n):
-            assert hit_closed_literal(spec, ell, bits) == full_index_sum(
-                spec, ell, bits
-            )
+            value = hit_closed_literal(spec, ell, bits)
+            expected = full_index_sum(spec, ell, bits)
+            with mp.workprec(2 * (bits + 32)):
+                tolerance = closed_tolerance(expected, bits)
+                assert abs(value - expected) <= tolerance, (spec, ell)
+
+
+CLOSED_SIZES = [*range(3, 61), 97, 128, 200]
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_fixed_point_closed_form_is_within_the_derived_bound(bits):
+    # Every exponential-form ratio, as fixed-point integers at the F of
+    # recurrences._ratio_bits, lies within 2^-(p+8) / (N max(1, |A|)) of the
+    # ratio of the factor's rho, and every closed value within
+    # closed_tolerance of the sum over every root, both against mpmath at
+    # twice the precision; the sequence form's closed values at the least
+    # and largest N <= 60.
+    with working_precision(bits):
+        p = mp.prec
+    for k in range(2, 9):
+        sf = cached_factorization(k, bits)
+        for n in (n for n in CLOSED_SIZES if n > 2 * k):
+            spec = GraphSpec(n, k)
+            tables = [exponential_ratios(factor, n, bits) for factor in sf.factors]
+            for factor, expected in zip(sf.factors, tables):
+                fraction_bits = _ratio_bits(factor, n, bits)
+                fixed = _fixed_ratios(factor, range(n + 1), n, fraction_bits)
+                with mp.workprec(2 * (bits + 32)):
+                    scale = n * max(1, abs(factor.coefficient))
+                    bound = mp.mpf(2) ** -(p + 8) / scale
+                    for ell, ((x, y), ratio) in enumerate(zip(fixed, expected)):
+                        value = mp.mpc(
+                            mp.mpf((x, -fraction_bits)), mp.mpf((y, -fraction_bits))
+                        )
+                        assert abs(value - ratio) <= bound, (k, n, ell)
+            cases = [(hitting.hit_closed_all(spec, bits), tables)]
+            if n in (2 * k + 1, 60):
+                cases.append((
+                    [hit_closed(spec, ell, bits, "sequence") for ell in range(n)],
+                    [correction_ratios(f, n, "sequence", bits) for f in sf.factors],
+                ))
+            for values, ratios in cases:
+                reference = closed_reference(sf, n, ratios)
+                with mp.workprec(2 * (bits + 32)):
+                    for ell, (value, expected) in enumerate(zip(values, reference)):
+                        tolerance = closed_tolerance(expected, bits)
+                        assert abs(value - expected) <= tolerance, (k, n, ell)
+
+
+def test_exponential_ratios_and_closed_form_run_on_integers(monkeypatch):
+    # No mpmath complex power or division runs in the exponential-form
+    # ratio tables or in hit_closed_all, and each converts every factor's
+    # rho once.
+    complex_ops = []
+    for name in ("mpc_div", "mpc_div_mpf", "mpc_pow", "mpc_pow_int", "mpc_pow_mpf"):
+        original = getattr(ctx_mp_python, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            complex_ops.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ctx_mp_python, name, counted)
+    conversions = []
+    fixed = recurrences._fixed
+
+    def converted(value, bits):
+        conversions.append(value)
+        return fixed(value, bits)
+
+    monkeypatch.setattr(recurrences, "_fixed", converted)
+    for spec in (GraphSpec(20, 3), GraphSpec(41, 8)):
+        factors = cached_factorization(spec.k, 256).factors
+        rhos = [factor.inner_root for factor in factors]
+        complex_ops.clear()
+        conversions.clear()
+        for factor in factors:
+            correction_ratios(factor, spec.n, "exponential", 256)
+        hitting.hit_closed_all(spec, 256)
+        assert complex_ops == [], spec
+        assert [rho for rho in conversions if any(rho is r for r in rhos)] == 2 * rhos
+        # The spies see the sequence form's complex divisions.
+        correction_ratio(factors[0], 1, spec.n, "sequence", 256)
+        assert "mpc_div" in complex_ops
 
 
 def total_by_eigenvalues(spec, bits):
@@ -467,7 +568,7 @@ def test_every_analytic_route_takes_precision_bits(route, spec):
 
 @given(
     st.integers(1, 8)
-    .flatmap(lambda k: st.builds(GraphSpec, st.integers(2 * k + 1, 80), st.just(k)))
+    .flatmap(lambda k: st.builds(GraphSpec, st.integers(2 * k + 1, 300), st.just(k)))
     .flatmap(lambda spec: st.tuples(st.just(spec), st.integers(0, spec.n - 1))),
     st.sampled_from([64, 96, 256]),
 )

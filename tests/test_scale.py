@@ -1,11 +1,11 @@
 """Agreement of the routes at large N.
 
 A first step towards a sparse grid at large N: the spectral sum against the
-closed form's sequence route, and the eigenvalue tree product against the
-inner-root product, at N in the thousands, where every exact route would
-take minutes; and, at N = 1000, the forest count of every ell against the
-contracted tree counts of one adjugate sweep, where one determinant per ell
-would take minutes.
+closed form's sequence route and its fixed-point exponential table, and the
+eigenvalue tree product against the inner-root product, at N in the
+thousands, where every exact route would take minutes; and, at N = 1000,
+the forest count of every ell against the contracted tree counts of one
+adjugate sweep, where one determinant per ell would take minutes.
 """
 
 import pytest
@@ -21,6 +21,7 @@ from cyclepow import (
     tau_product,
 )
 from cyclepow.arboreal import contracted_counts
+from cyclepow.hitting import hit_closed_all
 from cyclepow.spectral import certified_bound
 
 BITS = 256
@@ -35,6 +36,19 @@ def test_spectral_sum_agrees_with_sequence_closed_form(n, k):
         with mp.workprec(BITS):
             gap = abs(spectral - closed)
             bound = certified_bound(spectral, BITS) + certified_bound(closed, BITS)
+            assert gap <= bound, ell
+
+
+@pytest.mark.parametrize("n, k", [(4096, 3), (4099, 6)])
+def test_spectral_sum_agrees_with_the_closed_table(n, k):
+    spec = GraphSpec(n, k)
+    table = hit_closed_all(spec, BITS)
+    for ell in (1, 7, n // 3, n // 2, n - 1):
+        spectral = hit_spectral(spec, ell, BITS)
+        assert table[ell] == hit_closed(spec, ell, BITS), ell
+        with mp.workprec(BITS):
+            gap = abs(spectral - table[ell])
+            bound = certified_bound(spectral, BITS) + certified_bound(table[ell], BITS)
             assert gap <= bound, ell
 
 

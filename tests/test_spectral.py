@@ -125,8 +125,8 @@ def test_partial_fractions_certifies_large_k():
 def test_find_roots_rejects_estimates_not_closed_under_conjugation(monkeypatch):
     original = spectral._root_estimates
 
-    def unbalanced(psi, precision_bits):
-        estimates = list(original(psi, precision_bits))
+    def unbalanced(psi):
+        estimates = list(original(psi))
         estimates.remove(max(estimates, key=mp.im))  # one upper estimate
         return estimates
 
