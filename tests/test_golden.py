@@ -80,6 +80,19 @@ hitting-oracle-spectral went from 2.376e-86 at (n=23, k=1, ell=10) and
 4.266e-163 at (n=40, k=1, ell=18) to 0 in both cases, so its description
 names no worst case; and the 512-bit tree-triple-agreement went from
 1.139e-162 at (n=40, k=1) to 1.051e-162 at (n=40, k=2).  No case count,
+requirement or status moved.  It was re-recorded an eleventh time when the
+exponential-form correction ratios and the closed-form sum came to be
+computed on fixed-point integers and rounded once: only the `worst` values
+and locations of the three rows that read them moved.  In the default
+case ratio-form-agreement went from 6.032e-87 at (n=13, k=2, ell=1) to
+4.295e-87 at (n=11, k=3, ell=1), resolvent-periodization from 1.201e-86 at
+(n=13, k=2, ell=1) to 8.518e-87 at (n=24, k=2, ell=3) and
+hitting-oracle-closed from 6.898e-87 at (n=21, k=3, ell=1) to 4.207e-87 at
+(n=9, k=2, ell=1); in the 512-bit case ratio-form-agreement went from
+5.210e-164 at (n=11, k=2, ell=1) to 1.737e-164 at (n=6, k=2, ell=1),
+resolvent-periodization from 1.022e-163 at (n=11, k=2, ell=1) to
+7.493e-164 at (n=18, k=2, ell=1) and hitting-oracle-closed from 5.557e-164
+at (n=6, k=2, ell=1) to 4.680e-164 at (n=27, k=2, ell=1).  No case count,
 requirement or status moved.
 
 `data/trees_golden.json` holds `trees` output in json, csv and text (the
