@@ -6,7 +6,7 @@ Everything here comes in (at least) two independent flavours:
                       Laplacian with vertex 0 deleted, fraction-free on
                       band rows;
   * tau_eigen      -- the eigenvalue product prod_{j>=1} lambda_j / n over the
-                      Laplacian eigenvalue table;
+                      fixed-point eigenvalue table that hit_spectral reads;
   * tau_product    -- the same product collapsed onto the inner roots, one
                       geometric factor per real root of psi_k and one
                       squared modulus per conjugate pair;
@@ -39,11 +39,13 @@ from mpmath import mp
 from . import fractionfree
 from .errors import ConsistencyError
 from .graphs import GraphSpec, build_laplacian, check_ell
-from .hitting import hit_exact, laplacian_eigenvalues
+from .hitting import fixed_eigenvalues, fraction_bits, hit_exact
 from .spectral import (
     DEFAULT_PRECISION_BITS,
     cached_factorization,
     certified_bound,
+    round_divide,
+    round_shift,
     working_precision,
 )
 
@@ -75,14 +77,29 @@ def _graph_tau(spec: GraphSpec) -> int:
 def tau_eigen(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
     """Spanning trees as the eigenvalue product, in high precision.
 
-    The product of the nonzero Laplacian eigenvalues lambda_1..lambda_(n-1),
-    divided by n, counts spanning trees; they are read from
-    laplacian_eigenvalues(spec, precision_bits), each entry one rounding of
-    the fixed-point table that hit_spectral reads.
+    The nonzero Laplacian eigenvalues multiply to n times the tree count.
+    They are read as the integers Lambda_j = lambda_j 2^F that hit_spectral
+    reads (fixed_eigenvalues), where Lambda_(n-j) = Lambda_j: the product
+    over 1 <= j < n/2 is squared, times Lambda_(n/2) for even n.  It is kept
+    as an (F + 64)-bit mantissa, rounded after each factor, and an exponent,
+    and its quotient by n is rounded to an mpf once.
+
+    Error bound, relative, p the working precision: each Lambda_j is within
+    2^-(p+4) (see hitting.fraction_bits) and the roundings add less than
+    n 2^-(F+64), so for n^2 < 2^p the product is within n 2^-(p+4) before
+    its one rounding to p bits, and the value within 2^-p + n 2^-(p+4) of tau.
     """
-    eigenvalues = laplacian_eigenvalues(spec, precision_bits)
+    n = spec.n
+    eigenvalues = fixed_eigenvalues(spec, precision_bits)
+    bits = fraction_bits(n, precision_bits)
+    mantissa, exponent = 1, 0
+    for value in eigenvalues[1 : (n + 1) // 2]:
+        mantissa *= value
+        shift = mantissa.bit_length() - bits - 64
+        mantissa, exponent = round_shift(mantissa, shift), exponent + shift - bits
+    middle = eigenvalues[n // 2] if n % 2 == 0 else 1 << bits
     with working_precision(precision_bits):
-        return mp.fprod(eigenvalues[1:]) / spec.n
+        return mp.mpf((round_divide(mantissa**2 * middle, n), 2 * exponent - bits))
 
 
 def tau_product(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):

@@ -195,6 +195,8 @@ class _Group(click.Group):
 @click.version_option(package_name="cyclepow")
 def main() -> None:
     """Hitting times, resistances, and tree counts on cycle power graphs."""
+    # Exact values are printed in full, past CPython's int-to-str digit limit.
+    getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
 
 
 @main.command("hit")

@@ -25,7 +25,9 @@ Methods, graded against one another:
 
 Vertex transitivity makes h between arbitrary pairs equivalent to some
 h(0, ell), so only that form is exposed.  The analytic methods compute in
-spectral.working_precision, which checks the floor at ell = 0 as well.
+spectral.working_precision, which checks the floor at ell = 0 as well, and
+their integers follow spectral's fixed-point format.  arboreal.tau_eigen
+multiplies the same eigenvalue table (fixed_eigenvalues, fraction_bits).
 """
 
 from __future__ import annotations
@@ -40,18 +42,15 @@ from mpmath import mp
 from . import fractionfree
 from .errors import ConsistencyError, ParameterError, SimulationBudgetError
 from .graphs import GraphSpec, build_laplacian, check_ell
-from .recurrences import (
-    _divide,
-    _fixed,
-    _fixed_ratios,
-    _ratio_bits,
-    correction_ratio,
-    full_index_ratio,
-)
+from .recurrences import correction_ratio, fixed_ratios, full_index_ratio, ratio_bits
 from .spectral import (
     DEFAULT_PRECISION_BITS,
     SpectralFactorization,
     cached_factorization,
+    gaussian_product,
+    round_divide,
+    to_fixed,
+    working_bits,
     working_precision,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "hit_exact_all",
     "hit_simulate",
     "hit_spectral",
-    "laplacian_eigenvalues",
 ]
 
 # Pinned simulation stream: walk w takes its steps from
@@ -81,57 +79,53 @@ GENERATOR_ID = "numpy.random.Philox4x64(key=(seed,walk))"
 # kept for the 64 most recent (n, bits) or (graph, bits): a default verify run
 # reads 22 cosine and 60 eigenvalue tables, and sweep --quantity tau reads
 # each graph's tables once.
-def _fraction_bits(n: int, precision_bits: int) -> int:
+def fraction_bits(n: int, precision_bits: int) -> int:
     """F, the fraction bits of the fixed-point tables of an n-vertex graph:
     the working precision p = precision_bits + guard bits, plus 4 * bitlen(n).
 
-    Error bound.  One mp.cospi_sinpi(2/n) at F + 8 bits, rounded to integers,
-    gives u = a + ib within 0.74 units of 2^F * e^(2 pi i/n) (a unit is
-    2^-F).  Each rotation z -> round(z * u / 2^F) adds that 0.74 and at most
-    0.71 of rounding to the error it carries, so the m-th point is within
-    1.5 m units of 2^F * e^(2 pi i m/n): every C_m with m <= n/2 is within n
-    units of 2^F cos(2 pi m/n), and the mirrors are exact copies.  Lambda_j
-    sums 2k of them, so it is within 2kn units, while lambda_j >=
-    4 sin^2(pi/n) >= 16/n^2 for 1 <= j < n.  Its relative error is at most
-    k n^3 / 8 * 2^-F, below 2^(bitlen(k) + 3 bitlen(n) - 3 - F), and since
-    2k < n, bitlen(k) < bitlen(n): F = p + 4 bitlen(n) keeps every lambda_j
-    within 2^-(p+4) relatively.  So is each numerator 2^F - C_m with m != 0,
-    as 1 - cos(2 pi m/n) >= 8/n^2, and the floors of the spectral sum cost
-    at most n units against h >= 1: the fixed-point sum is within about
-    2^-(p+2) of h before its one rounding to p bits.
+    Error bound.  One mp.cospi_sinpi(2/n) at F + 8 bits, rounded to a
+    Gaussian integer, gives u = a + ib within 0.74 units of 2^F * e^(2 pi
+    i/n) (a unit is 2^-F).  Each rotation z -> round(z * u / 2^F) adds that
+    0.74 and at most 0.71 of rounding to the error it carries, so the m-th
+    point is within 1.5 m units of 2^F * e^(2 pi i m/n): every C_m with m <=
+    n/2 is within n units of 2^F cos(2 pi m/n), and the mirrors are exact
+    copies.  Lambda_j sums 2k of them, so it is within 2kn units, while
+    lambda_j >= 4 sin^2(pi/n) >= 16/n^2 for 1 <= j < n.  Its relative error
+    is at most k n^3 / 8 * 2^-F, below 2^(bitlen(k) + 3 bitlen(n) - 3 - F),
+    and since 2k < n, bitlen(k) < bitlen(n): F = p + 4 bitlen(n) keeps every
+    lambda_j within 2^-(p+4) relatively.  So is each numerator 2^F - C_m
+    with m != 0, as 1 - cos(2 pi m/n) >= 8/n^2, and the floors of the
+    spectral sum cost at most n units against h >= 1: the fixed-point sum is
+    within about 2^-(p+2) of h before its one rounding to p bits.
     """
-    with working_precision(precision_bits):
-        return mp.prec + 4 * n.bit_length()
+    return working_bits(precision_bits) + 4 * n.bit_length()
 
 
 @lru_cache(maxsize=64)
 def _fixed_cosines(n: int, precision_bits: int, /) -> tuple[int, ...]:
-    """C_m, cos(2*pi*m/n) * 2^F to within n units (see _fraction_bits), for
+    """C_m, cos(2*pi*m/n) * 2^F to within n units (see fraction_bits), for
     m = 0..n-1, with C_0 = 2^F exactly.
 
     (1, 0) is rotated by the one transcendental value of the table,
-    mp.cospi_sinpi(2/n), through one octant when 4 | n (C_m, and sin as
-    C_(n/4-m)), m <= n/4 at other even n and m <= (n-1)/2 at odd n.  The rest
-    is copied exactly: C_(n/2-m) = -C_m for even n, then C_(n-m) = C_m.
+    mp.cospi_sinpi(2/n), with spectral's rounded Gaussian product, through
+    one octant when 4 | n (C_m, and sin as C_(n/4-m)), m <= n/4 at other
+    even n and m <= (n-1)/2 at odd n.  The rest is copied exactly:
+    C_(n/2-m) = -C_m for even n, then C_(n-m) = C_m.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    bits = _fraction_bits(n, precision_bits)
+    bits = fraction_bits(n, precision_bits)
     with mp.workprec(bits + 8):
-        turn = mp.cospi_sinpi(mp.mpf(2) / n)
-        a, b = (int(mp.nint(mp.ldexp(value, bits))) for value in turn)
+        turn = to_fixed(mp.mpc(*mp.cospi_sinpi(mp.mpf(2) / n)), bits)
     octant = n % 4 == 0
     last = n // 8 if octant else n // 2 if n % 2 else n // 4
     half = [0] * (n // 2 + 1)
-    cos, sin, rounding = 1 << bits, 0, 1 << (bits - 1)
+    point = (1 << bits, 0)
     for m in range(last + 1):
         if octant:
-            half[n // 4 - m] = sin
-        half[m] = cos
-        cos, sin = (
-            (cos * a - sin * b + rounding) >> bits,
-            (cos * b + sin * a + rounding) >> bits,
-        )
+            half[n // 4 - m] = point[1]
+        half[m] = point[0]
+        point = gaussian_product(point, turn, bits)
     if n % 2 == 0:
         for m in range(n // 4 + 1, n // 2 + 1):
             half[m] = -half[n // 2 - m]
@@ -139,7 +133,7 @@ def _fixed_cosines(n: int, precision_bits: int, /) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=64)
-def _fixed_eigenvalues(spec: GraphSpec, precision_bits: int, /) -> tuple[int, ...]:
+def fixed_eigenvalues(spec: GraphSpec, precision_bits: int, /) -> tuple[int, ...]:
     """Lambda_j = 2k * 2^F - 2 * sum_r C_(jr mod n) for j = 0..n-1, each an
     exact integer sum of the fixed-point cosines, for j <= n/2; the cosines'
     exact mirror makes Lambda_(n-j) the same sum, so it is copied."""
@@ -153,29 +147,15 @@ def _fixed_eigenvalues(spec: GraphSpec, precision_bits: int, /) -> tuple[int, ..
     return tuple(half + [half[n - m] for m in range(n // 2 + 1, n)])
 
 
-def _rounded(table: tuple[int, ...], precision_bits: int) -> tuple:
-    """Each entry of an n-entry fixed-point table rounded once to an mpf at
-    the working precision of precision_bits."""
-    bits = _fraction_bits(len(table), precision_bits)
-    with working_precision(precision_bits):
-        return tuple(mp.mpf((value, -bits)) for value in table)
-
-
 @lru_cache(maxsize=64)
 def cosine_table(n: int, precision_bits: int, /):
     """cos(2*pi*m/n) for m = 0..n-1 at the requested precision: each entry
     is one rounding of the fixed-point C_m that the spectral sum reads, so
     the table mirrors exactly, c_(n-m) = c_m and, for even n, c_(n/2-m) =
     -c_m, and costs one transcendental call."""
-    return _rounded(_fixed_cosines(n, precision_bits), precision_bits)
-
-
-@lru_cache(maxsize=64)
-def laplacian_eigenvalues(spec: GraphSpec, precision_bits: int, /):
-    """Eigenvalues lambda_j = 2k - 2*sum_r cos(2*pi*j*r/n) for j = 0..n-1,
-    each one rounding of the fixed-point Lambda_j that the spectral sum
-    reads; lambda_0 = 0 and lambda_(n-j) = lambda_j exactly."""
-    return _rounded(_fixed_eigenvalues(spec, precision_bits), precision_bits)
+    bits = fraction_bits(n, precision_bits)
+    with working_precision(precision_bits):
+        return tuple(mp.mpf((c, -bits)) for c in _fixed_cosines(n, precision_bits))
 
 
 @lru_cache(maxsize=512)
@@ -210,7 +190,7 @@ def hit_spectral(
     t_(n/2)), the middle term present for even n only.  Each t_j is the
     integer floor((2^F - C_(j ell)) * 2^F / Lambda_j) of the fixed-point
     tables, and the integer sum is rounded to an mpf once, within the bound
-    derived at _fraction_bits.
+    derived at fraction_bits.
     """
     check_ell(spec, ell)
     with working_precision(precision_bits):
@@ -218,13 +198,13 @@ def hit_spectral(
             return mp.mpf(0)
         n = spec.n
         cosines = _fixed_cosines(n, precision_bits)
-        eigenvalues = _fixed_eigenvalues(spec, precision_bits)
+        eigenvalues = fixed_eigenvalues(spec, precision_bits)
         if min(eigenvalues[1 : n // 2 + 1]) <= 0:
             raise ConsistencyError(
                 "nonpositive Laplacian eigenvalue; the spectrum must be "
                 "positive away from the constant mode"
             )
-        one, bits = cosines[0], _fraction_bits(n, precision_bits)
+        one, bits = cosines[0], fraction_bits(n, precision_bits)
         terms = [
             ((one - cosines[(j * ell) % n]) << bits) // eigenvalues[j]
             for j in range(1, n // 2 + 1)
@@ -235,7 +215,7 @@ def hit_spectral(
 
 def _closed_bits(sf: SpectralFactorization, n: int) -> int:
     """F, the fraction bits of the closed-form sum on n vertices: the most
-    that recurrences._ratio_bits asks for any factor's ratios (at least the
+    that recurrences.ratio_bits asks for any factor's ratios (at least the
     working precision p), plus bitlen(k).
 
     Error bound.  Each factor's term N * A * ratio is within 2^-(p+8) of its
@@ -247,14 +227,12 @@ def _closed_bits(sf: SpectralFactorization, n: int) -> int:
     there, and h(0, ell) >= 1 for ell != 0, so the closed value is within
     2^-(p+7) relatively before its one rounding to p bits.
     """
-    with working_precision(sf.precision_bits):
-        least = mp.prec
-    ratio_bits = [_ratio_bits(factor, n, sf.precision_bits) for factor in sf.factors]
-    return max([least, *ratio_bits]) + sf.k.bit_length()
+    bits = [ratio_bits(factor, n, sf.precision_bits) for factor in sf.factors]
+    return max([working_bits(sf.precision_bits), *bits]) + sf.k.bit_length()
 
 
-def _closed_values(spec: GraphSpec, ells, precision_bits: int, fixed_ratios) -> list:
-    """The closed value of each ell asked for, fixed_ratios(factor, bits)
+def _closed_values(spec: GraphSpec, ells, precision_bits: int, ratio_table) -> list:
+    """The closed value of each ell asked for, ratio_table(factor, bits)
     giving a factor's ratio at each of them on Gaussian integers at F =
     _closed_bits fraction bits.
 
@@ -268,15 +246,15 @@ def _closed_values(spec: GraphSpec, ells, precision_bits: int, fixed_ratios) -> 
     bits = _closed_bits(sf, spec.n)
     weighted, tables = [], []
     for factor in sf.factors:
-        real, imag = _fixed(factor.coefficient, bits)
+        real, imag = to_fixed(factor.coefficient, bits)
         weight = 2 if factor.root.imag else 1
         weighted.append((weight * real, weight * imag))
-        tables.append(fixed_ratios(factor, bits))
+        tables.append(ratio_table(factor, bits))
     values = []
     with working_precision(precision_bits):
         for index, ell in enumerate(ells):
             quadratic = Fraction(sf.pole_coefficient, 2) * ell * (spec.n - ell)
-            total = _divide(quadratic.numerator << 2 * bits, quadratic.denominator)
+            total = round_divide(quadratic.numerator << 2 * bits, quadratic.denominator)
             for (a, b), table in zip(weighted, tables):
                 x, y = table[index]
                 total += spec.n * (a * x - b * y)
@@ -289,7 +267,7 @@ def _closed_exponential(spec: GraphSpec, ells, precision_bits: int) -> list:
     fixed-point ratio table per factor over those ell."""
     return _closed_values(
         spec, ells, precision_bits,
-        lambda factor, bits: _fixed_ratios(factor, ells, spec.n, bits),
+        lambda factor, bits: fixed_ratios(factor, ells, spec.n, bits),
     )
 
 
@@ -308,7 +286,7 @@ def hit_closed(
     real by construction and is added up from real parts alone.  The sum
     is taken on fixed-point integers and rounded once (_closed_values); the
     exponential form's ratios are fixed-point integers already
-    (recurrences._fixed_ratios), the sequence form's are converted.
+    (recurrences.fixed_ratios), the sequence form's are converted.
     """
     check_ell(spec, ell)
     if form == "exponential":
@@ -318,7 +296,7 @@ def hit_closed(
     return _closed_values(
         spec, (ell,), precision_bits,
         lambda factor, bits: [
-            _fixed(correction_ratio(factor, ell, spec.n, form, precision_bits), bits)
+            to_fixed(correction_ratio(factor, ell, spec.n, form, precision_bits), bits)
         ],
     )[0]
 
@@ -352,7 +330,7 @@ def hit_closed_literal(
     return _closed_values(
         spec, (ell,), precision_bits,
         lambda factor, bits: [
-            _fixed(full_index_ratio(factor, ell, spec.n, precision_bits), bits)
+            to_fixed(full_index_ratio(factor, ell, spec.n, precision_bits), bits)
         ],
     )[0]
 

@@ -26,21 +26,21 @@ both round symmetrically, so in either form the ratios of the conjugate
 factor are exact conjugates of that factor's, and callers take them as such
 instead of computing them.
 
-The exponential form runs on fixed-point Gaussian integers (_fixed_ratios):
-rho is converted once per factor, every rho^m comes from one power chain,
-and the denominator is inverted once, with F fraction bits derived from N,
-A and the factor's distance from the unit circle (_ratio_bits) so that
-every ratio is within 2^-(p+8) / (N max(1, |A|)) of the ratio of the
-factor's rho.  The closed form in hitting adds these integers as they are.
-The sequence form stays in mpmath, the independent recurrence route: every
-W_m and V_m comes from one index-doubling ladder (_doubled_terms), so
-correction_ratio evaluates one ell from W_ell, W_{N-ell} and W_N alone, in
-O(log N) operations, even at N in the millions; full_index_ratio takes its V
-terms the same way.  correction_ratios returns the ratio for every ell =
-0..N of one (factor, N) from one ladder over 0..N, or one power chain, for
-callers that loop over ell.  A power or a W_m is the same whichever other
-indices are asked for, so in either form a table entry equals
-correction_ratio's value bit for bit.
+The exponential form runs on spectral's fixed-point Gaussian integers
+(fixed_ratios): rho is converted once per factor, every rho^m comes from one
+power chain, and the denominator is inverted once, with F fraction bits
+derived from N, A and the factor's distance from the unit circle
+(ratio_bits) so that every ratio is within 2^-(p+8) / (N max(1, |A|)) of the
+ratio of the factor's rho.  The closed form in hitting adds these integers
+as they are.  The sequence form stays in mpmath, the independent recurrence
+route: every W_m and V_m comes from one index-doubling ladder
+(_doubled_terms), so correction_ratio evaluates one ell from W_ell,
+W_{N-ell} and W_N alone, in O(log N) operations, even at N in the millions;
+full_index_ratio takes its V terms the same way.  correction_ratios returns
+the ratio for every ell = 0..N of one (factor, N) from one ladder over 0..N,
+or one power chain, for callers that loop over ell.  A power or a W_m is the
+same whichever other indices are asked for, so in either form a table entry
+equals correction_ratio's value bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +48,10 @@ from __future__ import annotations
 from mpmath import mp
 
 from .errors import ParameterError
-from .spectral import DEFAULT_PRECISION_BITS, FactorData, working_precision
+from .spectral import (
+    DEFAULT_PRECISION_BITS, FactorData, gaussian_product, round_divide, to_fixed,
+    working_bits, working_precision,
+)
 
 __all__ = [
     "correction_ratio",
@@ -117,40 +120,7 @@ def _doubled_terms(coefficient, indices):
     return {m: +value for m, value in values.items()}
 
 
-def _round_shift(value: int, shift: int) -> int:
-    """value / 2^shift to the nearest integer, ties away from zero, so that
-    rounding commutes with negation (and Gaussian rounding with
-    conjugation)."""
-    if shift <= 0:
-        return value << -shift
-    half = 1 << (shift - 1)
-    return (value + half) >> shift if value >= 0 else -((half - value) >> shift)
-
-
-def _divide(value: int, divisor: int) -> int:
-    """value / divisor to the nearest integer for divisor > 0, ties away from
-    zero, as _round_shift rounds."""
-    quotient = (2 * abs(value) + divisor) // (2 * divisor)
-    return quotient if value >= 0 else -quotient
-
-
-def _fixed(value, bits: int):
-    """value * 2^bits rounded as _round_shift rounds: an int for an mpf, a
-    pair (real, imaginary) of ints, a Gaussian integer, for an mpc."""
-    if isinstance(value, mp.mpc):
-        return _fixed(value.real, bits), _fixed(value.imag, bits)
-    sign, man, exp, _ = value._mpf_
-    return _round_shift(-man if sign else man, -(exp + bits))
-
-
-def _product(a, b, shift: int):
-    """The Gaussian product a * b / 2^shift, each part rounded by
-    _round_shift."""
-    (w, x), (y, z) = a, b
-    return _round_shift(w * y - x * z, shift), _round_shift(w * z + x * y, shift)
-
-
-def _ratio_bits(factor, n_vertices: int, precision_bits: int) -> int:
+def ratio_bits(factor, n_vertices: int, precision_bits: int) -> int:
     """F, the fraction bits of the fixed-point exponential-form ratios of one
     factor on n_vertices: the working precision p plus 8 plus bitlen(40 N^2
     max(1, |A|) / d^3), d = 1 - |rho| the factor's distance from the unit
@@ -168,14 +138,13 @@ def _ratio_bits(factor, n_vertices: int, precision_bits: int) -> int:
     |A|)) of the exact ratio of the factor's rho: N A times it, the term
     the closed form adds, within 2^-(p+8).
     """
-    with working_precision(precision_bits):
-        bits = mp.prec
     distance = 1 - abs(complex(factor.inner_root))
     scale = max(1.0, abs(complex(factor.coefficient)))
-    return bits + 8 + int(40 * n_vertices**2 * scale / distance**3).bit_length()
+    growth = int(40 * n_vertices**2 * scale / distance**3)
+    return working_bits(precision_bits) + 8 + growth.bit_length()
 
 
-def _fixed_ratios(factor, ells, n_vertices: int, bits: int) -> list:
+def fixed_ratios(factor, ells, n_vertices: int, bits: int) -> list:
     """ratio(ell) * 2^bits on Gaussian integers for each ell asked for, all
     from one conversion of rho.
 
@@ -187,15 +156,15 @@ def _fixed_ratios(factor, ells, n_vertices: int, bits: int) -> list:
     and each ratio is round((1 - P_ell)(1 - P_(N-ell)) inverse): the first
     product is exact, so ell and N - ell give the same integers, and every
     rounding commutes with conjugation, so a conjugate factor's ratios are
-    the exact conjugates.  Within the bound derived at _ratio_bits when bits
+    the exact conjugates.  Within the bound derived at ratio_bits when bits
     is at least that F.
     """
     one = 1 << bits
-    powers = {0: (one, 0), 1: _fixed(factor.inner_root, bits)}
+    powers = {0: (one, 0), 1: to_fixed(factor.inner_root, bits)}
 
     def power(m):
         if m not in powers:
-            powers[m] = _product(power(m >> 1), power(m - (m >> 1)), bits)
+            powers[m] = gaussian_product(power(m >> 1), power(m - (m >> 1)), bits)
         return powers[m]
 
     def value(m):
@@ -207,28 +176,30 @@ def _fixed_ratios(factor, ells, n_vertices: int, bits: int) -> list:
     x, y = powers[1]
     norm = real * real + imag * imag
     inverse = (
-        _divide((x * real + y * imag) << 2 * bits, norm),
-        _divide((y * real - x * imag) << 2 * bits, norm),
+        round_divide((x * real + y * imag) << 2 * bits, norm),
+        round_divide((y * real - x * imag) << 2 * bits, norm),
     )
     ratios = []
     for ell in ells:
         (a, b), (c, d) = value(ell), value(n_vertices - ell)
-        ratios.append(_product((a * c - b * d, a * d + b * c), inverse, 2 * bits))
+        ratios.append(
+            gaussian_product((a * c - b * d, a * d + b * c), inverse, 2 * bits)
+        )
     return ratios
 
 
 def _ratio_parts(factor, ells, n_vertices, form, precision_bits) -> list:
     """The ratio of each ell asked for, in the caller's working precision.
 
-    Exponential form: _fixed_ratios at _ratio_bits, each rounded once to an
+    Exponential form: fixed_ratios at ratio_bits, each rounded once to an
     mpc.  Sequence form: W_ell * W_(N-ell) / (delta * W_N), the W_m from one
     _doubled_terms ladder over every index the ells need.
     """
     if form == "exponential":
-        bits = _ratio_bits(factor, n_vertices, precision_bits)
+        bits = ratio_bits(factor, n_vertices, precision_bits)
         return [
             mp.mpc(mp.mpf((x, -bits)), mp.mpf((y, -bits)))
-            for x, y in _fixed_ratios(factor, ells, n_vertices, bits)
+            for x, y in fixed_ratios(factor, ells, n_vertices, bits)
         ]
     if form == "sequence":
         delta = half_index_coefficient(factor, precision_bits)

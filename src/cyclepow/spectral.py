@@ -24,8 +24,11 @@ partial_fractions keeps one factor per real root and one per conjugate pair,
 the upper root standing for both: a pair contributes twice the real part of
 the upper factor's term to a real sum, and its conjugate term where a
 complex one is needed.  Distinctness is verified numerically per k rather
-than assumed.  working_precision is the one working precision of every
-analytic value; no other module names the guard bits.
+than assumed.  working_bits is the one working precision of every analytic
+value; no other module names the guard bits.  The fixed-point format of the
+analytic layer is here too: v * 2^F rounded to an integer, a complex value
+to a Gaussian integer, always to the nearest with ties away from zero, so
+rounding commutes with negation and conjugation.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from mpmath import mp
 
@@ -72,13 +76,45 @@ _NEWTON_BUDGET = 100
 _SEED_BITS = 64
 
 
-def working_precision(precision_bits: int):
-    """mp.workprec(precision_bits + _GUARD_BITS), the working precision of
-    every analytic value requested at precision_bits; ParameterError below
-    MIN_PRECISION_BITS, raised on the call, before the context is entered."""
+def working_bits(precision_bits: int) -> int:
+    """p = precision_bits + _GUARD_BITS, the working precision of every analytic
+    value requested at precision_bits; ParameterError below the floor."""
     if precision_bits < MIN_PRECISION_BITS:
         raise ParameterError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
-    return mp.workprec(precision_bits + _GUARD_BITS)
+    return precision_bits + _GUARD_BITS
+
+
+def working_precision(precision_bits: int):
+    """mp.workprec(working_bits(precision_bits)), checked before it is entered."""
+    return mp.workprec(working_bits(precision_bits))
+
+
+def round_shift(value: int, shift: int) -> int:
+    """value / 2^shift to the nearest integer (a left shift for shift <= 0)."""
+    if shift <= 0:
+        return value << -shift
+    half = 1 << (shift - 1)
+    return (value + half) >> shift if value >= 0 else -((half - value) >> shift)
+
+
+def round_divide(value: int, divisor: int) -> int:
+    """value / divisor rounded to the nearest integer, for divisor > 0."""
+    quotient = (2 * abs(value) + divisor) // (2 * divisor)
+    return quotient if value >= 0 else -quotient
+
+
+def to_fixed(value, bits: int):
+    """value * 2^bits rounded: an int for an mpf, a Gaussian integer for an mpc."""
+    if isinstance(value, mp.mpc):
+        return to_fixed(value.real, bits), to_fixed(value.imag, bits)
+    sign, man, exp, _ = value._mpf_
+    return round_shift(-man if sign else man, -(exp + bits))
+
+
+def gaussian_product(a, b, shift: int):
+    """The Gaussian product a * b / 2^shift, each part rounded."""
+    (w, x), (y, z) = a, b
+    return round_shift(w * y - x * z, shift), round_shift(w * z + x * y, shift)
 
 
 def residual_tolerance(precision_bits: int):
@@ -226,13 +262,9 @@ def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS)
             upper = _polish(psi, dpsi, z, tol, target)
             roots += [upper, mp.conj(upper)]
         roots.sort(key=lambda z: (z.real, z.imag))
-        min_separation = separation_tolerance(precision_bits)
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                if abs(roots[i] - roots[j]) <= min_separation:
-                    raise ConsistencyError(
-                        "refined roots are not numerically distinct"
-                    )
+        separation = separation_tolerance(precision_bits)
+        if any(abs(a - b) <= separation for a, b in combinations(roots, 2)):
+            raise ConsistencyError("refined roots are not numerically distinct")
     return roots
 
 

@@ -1,4 +1,5 @@
 import inspect
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,13 +24,13 @@ from cyclepow import (
     tau_eigen,
     tau_product,
 )
-from cyclepow.hitting import cosine_table, hit_exact_all, laplacian_eigenvalues
+from cyclepow.hitting import cosine_table, fixed_eigenvalues, hit_exact_all
 from cyclepow.recurrences import (
-    _fixed_ratios,
-    _ratio_bits,
     correction_ratio,
     correction_ratios,
+    fixed_ratios,
     full_index_ratio,
+    ratio_bits,
 )
 from cyclepow.spectral import (
     certified_bound,
@@ -110,7 +111,7 @@ def test_k2_fibonacci_form_at_n_1000():
 
 
 def test_eigenvalues_positive_away_from_constant_mode():
-    eigenvalues = laplacian_eigenvalues(GraphSpec(12, 3), 128)
+    eigenvalues = fixed_eigenvalues(GraphSpec(12, 3), 128)
     assert eigenvalues[0] == 0
     assert all(lam > 0 for lam in eigenvalues[1:])
 
@@ -143,19 +144,6 @@ def test_cosine_table_mirrors_exactly(bits):
 
 
 @pytest.mark.parametrize("bits", [64, 256, 512])
-def test_eigenvalues_match_the_unfolded_sum(bits):
-    for n in [*range(3, 20), 97, 98, 100, 104]:
-        for k in range(1, min(4, (n - 1) // 2) + 1):
-            eigenvalues = laplacian_eigenvalues(GraphSpec(n, k), bits)
-            tolerance = 32 * k * mp.mpf(2) ** -(bits + 32)
-            with mp.workprec(bits + 96):
-                expected = unfolded_eigenvalues(n, k)
-            assert len(eigenvalues) == n
-            for j in range(n):
-                assert abs(eigenvalues[j] - expected[j]) <= tolerance, (n, k, j)
-
-
-@pytest.mark.parametrize("bits", [64, 256, 512])
 def test_folded_spectral_sum_and_product_match_unfolded_references(bits):
     tolerance = residual_tolerance(bits)
     for n in [*range(3, 20), 97, 98, 100, 104]:
@@ -182,19 +170,27 @@ FIXED_POINT_GRAPHS = [
 
 @pytest.mark.parametrize("bits", [64, 256, 512])
 def test_fixed_point_eigenvalues_are_within_the_derived_bound(bits):
-    # _fraction_bits derives F so that every Lambda_j * 2^-F is within
-    # 2^-(bits+32) of lambda_j relatively; at bits + 96 the reference and
-    # the conversion of Lambda_j are exact far below that.
+    # fraction_bits derives F so that every Lambda_j * 2^-F is within
+    # 2^-(p+4) of lambda_j relatively, p = bits + 32, and tau_eigen's
+    # docstring derives 2^-p + N 2^-(p+4) from it for the tree product; at
+    # bits + 96 the reference and the conversion of Lambda_j are exact far
+    # below that.
+    p = bits + 32
     for n, k in FIXED_POINT_GRAPHS:
-        fixed = hitting._fixed_eigenvalues(GraphSpec(n, k), bits)
-        fraction_bits = hitting._fraction_bits(n, bits)
+        spec = GraphSpec(n, k)
+        fixed = fixed_eigenvalues(spec, bits)
+        fraction_bits = hitting.fraction_bits(n, bits)
+        tau = tau_eigen(spec, bits)
         with mp.workprec(bits + 96):
             expected = unfolded_eigenvalues(n, k)
-            tolerance = mp.mpf(2) ** -(bits + 32)
+            tolerance = mp.mpf(2) ** -(p + 4)
             assert fixed[0] == 0
             for j in range(1, n):
                 error = abs(mp.mpf((fixed[j], -fraction_bits)) - expected[j])
                 assert error <= tolerance * expected[j], (n, k, j)
+            product = mp.fprod(expected[1:]) / n
+            bound = (mp.mpf(2) ** -p + n * tolerance) * product
+            assert abs(tau - product) <= bound, (n, k)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 512])
@@ -234,18 +230,13 @@ def test_tables_evaluate_only_the_unmirrored_cosines(monkeypatch):
     # and half layouts alike; the public tables and the sum read it.
     for n in (4096, 4098, 4097):
         for bits in (64, 256):
-            for cached in (
-                hitting._fixed_cosines,
-                hitting._fixed_eigenvalues,
-                hitting.cosine_table,
-                hitting.laplacian_eigenvalues,
-            ):
+            for cached in (hitting._fixed_cosines, fixed_eigenvalues, cosine_table):
                 cached.cache_clear()
             calls.clear()
-            hitting.cosine_table(n, bits)
+            cosine_table(n, bits)
             assert len(calls) == 1, (n, bits)
             calls.clear()
-            hitting.laplacian_eigenvalues(GraphSpec(n, 3), bits)
+            tau_eigen(GraphSpec(n, 3), bits)
             hit_spectral(GraphSpec(n, 3), n // 3, bits)
             assert calls == [], (n, bits)
 
@@ -254,43 +245,38 @@ def test_spectral_sum_reads_eigenvalues_through_the_cached_table(monkeypatch):
     # hit_spectral looks its fixed-point eigenvalue table up by name, once per
     # call, so the table it reads is the one the cache shares.
     calls = []
-    original = hitting._fixed_eigenvalues
+    original = fixed_eigenvalues
 
     def counted(spec, precision_bits):
         calls.append((spec, precision_bits))
         return original(spec, precision_bits)
 
-    monkeypatch.setattr(hitting, "_fixed_eigenvalues", counted)
+    monkeypatch.setattr(hitting, "fixed_eigenvalues", counted)
     spec = GraphSpec(13, 3)
     hit_spectral(spec, 4, 128)
     assert calls == [(spec, 128)]
 
 
-def test_tau_eigen_is_the_product_of_the_table_hit_spectral_reads():
-    spec = GraphSpec(14, 3)
-    hitting._fixed_eigenvalues.cache_clear()
-    hitting.laplacian_eigenvalues.cache_clear()
+@pytest.mark.parametrize("n", [14, 15])
+def test_tau_eigen_is_the_product_of_the_table_hit_spectral_reads(n):
+    # The exact product of the integer table, rounded once, for the
+    # mirrored layouts of even and odd n; the table is built once.
+    spec = GraphSpec(n, 3)
+    fixed_eigenvalues.cache_clear()
     value = tau_eigen(spec, 128)
-    fixed = hitting._fixed_eigenvalues(spec, 128)
-    fraction_bits = hitting._fraction_bits(spec.n, 128)
-    with working_precision(128):
-        rounded = tuple(mp.mpf((lam, -fraction_bits)) for lam in fixed)
-        expected = mp.fprod(rounded[1:]) / spec.n
-    assert laplacian_eigenvalues(spec, 128) == rounded
-    assert value == expected
-    before = hitting._fixed_eigenvalues.cache_info()
+    fixed = fixed_eigenvalues(spec, 128)
+    fraction_bits = hitting.fraction_bits(n, 128)
+    with mp.workprec(2 * (128 + 32)):
+        exact = mp.mpf(math.prod(fixed[1:])) / (n << (n - 1) * fraction_bits)
+        assert abs(value - exact) <= mp.mpf(2) ** -(128 + 32) * exact
+    before = fixed_eigenvalues.cache_info()
     hit_spectral(spec, 3, 128)
-    after = hitting._fixed_eigenvalues.cache_info()
+    after = fixed_eigenvalues.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_spectral_tables_keep_the_64_most_recent_graphs():
-    tables = (
-        hitting._fixed_cosines,
-        hitting._fixed_eigenvalues,
-        hitting.cosine_table,
-        hitting.laplacian_eigenvalues,
-    )
+    tables = (hitting._fixed_cosines, fixed_eigenvalues, cosine_table)
     for cached in tables:
         cached.cache_clear()
     for n in range(7, 7 + 65):
@@ -405,7 +391,7 @@ CLOSED_SIZES = [*range(3, 61), 97, 128, 200]
 @pytest.mark.parametrize("bits", [64, 256, 512])
 def test_fixed_point_closed_form_is_within_the_derived_bound(bits):
     # Every exponential-form ratio, as fixed-point integers at the F of
-    # recurrences._ratio_bits, lies within 2^-(p+8) / (N max(1, |A|)) of the
+    # recurrences.ratio_bits, lies within 2^-(p+8) / (N max(1, |A|)) of the
     # ratio of the factor's rho, and every closed value within
     # closed_tolerance of the sum over every root, both against mpmath at
     # twice the precision; the sequence form's closed values at the least
@@ -418,8 +404,8 @@ def test_fixed_point_closed_form_is_within_the_derived_bound(bits):
             spec = GraphSpec(n, k)
             tables = [exponential_ratios(factor, n, bits) for factor in sf.factors]
             for factor, expected in zip(sf.factors, tables):
-                fraction_bits = _ratio_bits(factor, n, bits)
-                fixed = _fixed_ratios(factor, range(n + 1), n, fraction_bits)
+                fraction_bits = ratio_bits(factor, n, bits)
+                fixed = fixed_ratios(factor, range(n + 1), n, fraction_bits)
                 with mp.workprec(2 * (bits + 32)):
                     scale = n * max(1, abs(factor.coefficient))
                     bound = mp.mpf(2) ** -(p + 8) / scale
@@ -456,13 +442,13 @@ def test_exponential_ratios_and_closed_form_run_on_integers(monkeypatch):
 
         monkeypatch.setattr(ctx_mp_python, name, counted)
     conversions = []
-    fixed = recurrences._fixed
+    fixed = recurrences.to_fixed
 
     def converted(value, bits):
         conversions.append(value)
         return fixed(value, bits)
 
-    monkeypatch.setattr(recurrences, "_fixed", converted)
+    monkeypatch.setattr(recurrences, "to_fixed", converted)
     for spec in (GraphSpec(20, 3), GraphSpec(41, 8)):
         factors = cached_factorization(spec.k, 256).factors
         rhos = [factor.inner_root for factor in factors]
@@ -480,9 +466,11 @@ def test_exponential_ratios_and_closed_form_run_on_integers(monkeypatch):
 
 def total_by_eigenvalues(spec, bits):
     """2kN * sum of 1/lambda_j over the nonzero modes: summing the spectral
-    sum over ell sums each 1 - cos(2 pi j ell/N) to N."""
-    eigenvalues = laplacian_eigenvalues(spec, bits)
-    return spec.degree * spec.n * mp.fsum(1 / lam for lam in eigenvalues[1:])
+    sum over ell sums each 1 - cos(2 pi j ell/N) to N.  1/lambda_j is
+    2^F / Lambda_j for the fixed-point table."""
+    one = mp.ldexp(1, hitting.fraction_bits(spec.n, bits))
+    fixed = fixed_eigenvalues(spec, bits)
+    return spec.degree * spec.n * mp.fsum(one / lam for lam in fixed[1:])
 
 
 def total_by_factors(spec, bits):
@@ -609,9 +597,8 @@ def test_the_floor_holds_where_a_route_returns_early(call, args):
 CACHED = {
     "cached_factorization": (cached_factorization, (3, 96)),
     "_fixed_cosines": (hitting._fixed_cosines, (12, 96)),
-    "_fixed_eigenvalues": (hitting._fixed_eigenvalues, (GraphSpec(12, 3), 96)),
+    "fixed_eigenvalues": (fixed_eigenvalues, (GraphSpec(12, 3), 96)),
     "cosine_table": (cosine_table, (12, 96)),
-    "laplacian_eigenvalues": (laplacian_eigenvalues, (GraphSpec(12, 3), 96)),
     "hit_exact_all": (hit_exact_all, (GraphSpec(12, 3),)),
 }
 

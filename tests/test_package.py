@@ -5,9 +5,11 @@ plus the exception types; every other helper is imported from its module.
 The two scripts and the README's library snippet run here in fresh
 processes, so a name they need cannot leave the API unnoticed.  Fresh
 processes also show that numpy is loaded only to simulate walks.  Guard
-bits are named in spectral alone: the other modules enter working_precision.
+bits are named in spectral alone, and no module reaches for another's
+private names.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -55,13 +57,57 @@ def test_package_api_is_pinned_and_importable():
     assert API <= namespace.keys()
 
 
+# Helpers that one module shares with another, kept out of __all__ (the
+# benchmark tracer wraps what is listed there).
+SHARED_HELPERS = {
+    "spectral": [
+        "working_bits",
+        "working_precision",
+        "round_shift",
+        "round_divide",
+        "to_fixed",
+        "gaussian_product",
+    ],
+    "recurrences": ["ratio_bits", "fixed_ratios"],
+    "hitting": ["fraction_bits", "fixed_eigenvalues"],
+}
+
+
 def test_guard_bits_are_named_only_in_spectral():
-    # Every other module takes its working precision from working_precision,
-    # which stays out of spectral.__all__ (the benchmark tracer wraps those).
+    # Every other module takes its working precision from working_bits or
+    # working_precision.
     package = ROOT / "src" / "cyclepow"
     naming = [p.name for p in package.glob("*.py") if "_GUARD_BITS" in p.read_text()]
     assert naming == ["spectral.py"]
-    assert "working_precision" not in cyclepow.spectral.__all__
+    for module, names in SHARED_HELPERS.items():
+        listed = vars(cyclepow)[module].__all__
+        assert [name for name in names if name in listed] == [], module
+
+
+def test_no_module_imports_another_modules_private_name():
+    # A name one module shares with another is public (SHARED_HELPERS).
+    # Checked: `from .module import _name`, and `module._name` for a package
+    # module bound by `from . import module`.
+    offences = []
+    for path in sorted((ROOT / "src" / "cyclepow").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [alias.name for alias in node.names]
+                if node.module is None:
+                    siblings.update(names)
+                else:
+                    offences += [(path.name, n) for n in names if n.startswith("_")]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings
+                and node.attr.startswith("_")
+            ):
+                offences.append((path.name, f"{node.value.id}.{node.attr}"))
+    assert offences == []
 
 
 def run_python(*args):
@@ -133,3 +179,14 @@ def test_only_simulation_loads_numpy(args, loads_numpy, tmp_path):
     result = run_python("-c", CLI_PROBE, *argv)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == str(loads_numpy)
+
+
+def test_cli_prints_exact_values_past_the_int_digit_limit():
+    # tau at (1000, 3) has 648 digits, past the least limit CPython accepts.
+    result = run_python(
+        "-X", "int_max_str_digits=640", "-m", "cyclepow.cli",
+        "trees", "--n", "1000", "--k", "3",
+    )
+    assert result.returncode == 0, result.stderr
+    row = next(line for line in result.stdout.splitlines() if "method=tau_det" in line)
+    assert row.split("value=")[1] == str(cyclepow.tau_det(cyclepow.GraphSpec(1000, 3)))

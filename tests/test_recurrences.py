@@ -227,9 +227,9 @@ def test_ratio_symmetry():
                         assert correction_ratio(factor, ell, n) == correction_ratio(
                             factor, n - ell, n
                         )
-    # The tables verify reads: values[ell] * values[n - ell] / denominator.
-    # Swapping the factors of an mpc product swaps terms of correctly rounded
-    # sums, so ell and n - ell give the same bits.
+    # The tables verify reads: each ratio is round((1 - P_ell)(1 - P_(n-ell))
+    # * inverse) on fixed-point integers.  The first product is exact and
+    # commutes, so ell and n - ell give the same integers and the same bits.
     for k in range(2, 9):
         for factor in cached_factorization(k, 256).factors:
             for n in range(2 * k + 1, 33):

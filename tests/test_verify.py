@@ -171,23 +171,21 @@ def test_a_run_that_raised_leaves_no_cached_values(monkeypatch):
 
 SPECTRAL_TABLES = (
     hitting._fixed_cosines,
-    hitting._fixed_eigenvalues,
+    hitting.fixed_eigenvalues,
     hitting.cosine_table,
-    hitting.laplacian_eigenvalues,
 )
 
 
 def test_each_graph_builds_its_eigenvalue_table_once():
     # 74 graphs, more than the 64 tables each cache keeps: a second walk over
-    # the graphs would build every table again.  hit_spectral reads the
-    # fixed-point table, tau_eigen its rounding.
+    # the graphs would build every table again.  hit_spectral and tau_eigen
+    # both read the fixed-point table.
     for cached in SPECTRAL_TABLES:
         cached.cache_clear()
     run_verification(kmax=2, nmax=40, precision_bits=512)
     graphs = len(list(verify._specs(2, 40)))
     assert graphs == 74
-    for cached in (hitting._fixed_eigenvalues, hitting.laplacian_eigenvalues):
-        assert cached.cache_info().misses == graphs
+    assert hitting.fixed_eigenvalues.cache_info().misses == graphs
 
 
 @pytest.mark.parametrize("mirror", [False, True], ids=["octant", "mirror"])
