@@ -80,9 +80,8 @@ def tau_eigen(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
     The nonzero Laplacian eigenvalues multiply to n times the tree count.
     They are read as the integers Lambda_j = lambda_j 2^F that hit_spectral
     reads (fixed_eigenvalues), where Lambda_(n-j) = Lambda_j: the product
-    over 1 <= j < n/2 is squared, times Lambda_(n/2) for even n.  It is kept
-    as an (F + 64)-bit mantissa, rounded after each factor, and an exponent,
-    and its quotient by n is rounded to an mpf once.
+    over 1 <= j < n/2, kept as an (F + 64)-bit mantissa and an exponent, is
+    squared, times Lambda_(n/2) for even n, and divided by n.
 
     Error bound, relative, p the working precision: each Lambda_j is within
     2^-(p+4) (see hitting.fraction_bits) and the roundings add less than

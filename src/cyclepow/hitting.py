@@ -25,9 +25,8 @@ Methods, graded against one another:
 
 Vertex transitivity makes h between arbitrary pairs equivalent to some
 h(0, ell), so only that form is exposed.  The analytic methods compute in
-spectral.working_precision, which checks the floor at ell = 0 as well, and
-their integers follow spectral's fixed-point format.  arboreal.tau_eigen
-multiplies the same eigenvalue table (fixed_eigenvalues, fraction_bits).
+spectral.working_precision, which checks the floor at ell = 0 as well, on
+spectral's fixed-point integers; arboreal.tau_eigen reads fixed_eigenvalues.
 """
 
 from __future__ import annotations

@@ -25,10 +25,8 @@ the upper root standing for both: a pair contributes twice the real part of
 the upper factor's term to a real sum, and its conjugate term where a
 complex one is needed.  Distinctness is verified numerically per k rather
 than assumed.  working_bits is the one working precision of every analytic
-value; no other module names the guard bits.  The fixed-point format of the
-analytic layer is here too: v * 2^F rounded to an integer, a complex value
-to a Gaussian integer, always to the nearest with ties away from zero, so
-rounding commutes with negation and conjugation.
+value; no other module names the guard bits.  The fixed-point format is here
+too: v * 2^F to the nearest (Gaussian) integer, ties away from zero.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from mpmath import mp
 
@@ -262,9 +259,13 @@ def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS)
             upper = _polish(psi, dpsi, z, tol, target)
             roots += [upper, mp.conj(upper)]
         roots.sort(key=lambda z: (z.real, z.imag))
-        separation = separation_tolerance(precision_bits)
-        if any(abs(a - b) <= separation for a, b in combinations(roots, 2)):
-            raise ConsistencyError("refined roots are not numerically distinct")
+        min_separation = separation_tolerance(precision_bits)
+        for i in range(len(roots)):
+            for j in range(i + 1, len(roots)):
+                if abs(roots[i] - roots[j]) <= min_separation:
+                    raise ConsistencyError(
+                        "refined roots are not numerically distinct"
+                    )
     return roots
 
 
