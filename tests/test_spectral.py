@@ -17,10 +17,14 @@ from cyclepow.spectral import (
     cached_factorization,
     check_decomposition,
     find_roots,
+    gaussian_product,
     inner_root,
     partial_fractions,
     residual_tolerance,
+    round_divide,
+    round_shift,
     separation_tolerance,
+    to_fixed,
     working_precision,
 )
 
@@ -292,3 +296,36 @@ def test_check_decomposition_random_points(k):
 def test_factorization_rejects_bad_k():
     with pytest.raises(ParameterError):
         partial_fractions(0)
+
+
+def nearest_away(q):
+    """The integer nearest the Fraction q, ties away from zero."""
+    magnitude = (2 * abs(q.numerator) + q.denominator) // (2 * q.denominator)
+    return magnitude if q >= 0 else -magnitude
+
+
+@pytest.mark.parametrize("shift", [-3, 0, 1, 2, 5])
+def test_round_shift_is_nearest_with_ties_away_from_zero(shift):
+    for value in range(-300, 301):
+        expected = nearest_away(Fraction(value, 1) / Fraction(2) ** shift)
+        assert round_shift(value, shift) == expected, (value, shift)
+
+
+@pytest.mark.parametrize("divisor", [1, 2, 3, 4, 7])
+def test_round_divide_is_nearest_with_ties_away_from_zero(divisor):
+    for value in range(-300, 301):
+        expected = nearest_away(Fraction(value, divisor))
+        assert round_divide(value, divisor) == expected, (value, divisor)
+
+
+def test_to_fixed_and_gaussian_product_round_each_part():
+    # 2.5 and -2.5 are exact ties at F = 0; 0.375 * 2^2 = 1.5 is one at F = 2.
+    assert to_fixed(mp.mpf(2.5), 0) == 3
+    assert to_fixed(mp.mpf(-2.5), 0) == -3
+    assert to_fixed(mp.mpf(0.375), 2) == 2
+    assert to_fixed(mp.mpf(-0.375), 2) == -2
+    assert to_fixed(mp.mpf(3), 4) == 48
+    assert to_fixed(mp.mpc(0.375, -2.5), 2) == (2, -10)
+    # (3 + 5i)(7 - 2i) = 31 + 29i; / 2^1 is 15.5 + 14.5i, both ties.
+    assert gaussian_product((3, 5), (7, -2), 1) == (16, 15)
+    assert gaussian_product((-3, 5), (7, 2), 1) == (-16, 15)
