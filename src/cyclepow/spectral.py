@@ -6,27 +6,29 @@ The rational function 2k / phi_k(x) splits over the simple poles of phi_k:
 
 where gamma_1..gamma_{k-1} are the roots of psi_k, B = 2k / psi_k(2) =
 12 / ((k+1)(2k+1)) exactly, and A_a = -2k / ((2 - gamma_a) * psi_k'(gamma_a)).
-Each gamma lies off the real interval [-2, 2] (the spectrum arc), so the
-quadratic rho^2 - gamma*rho + 1 = 0 has exactly one root with |rho| < 1; that
-inner root drives all the geometric corrections downstream.
+Each gamma lies off the real interval [-2, 2] (the spectrum arc), so it is
+rho + 1/rho for exactly one rho with |rho| < 1; that inner root drives all
+the geometric corrections downstream.
 
-Roots are located all at once by mpmath's Durand-Kerner iteration at a low
-fixed precision, then polished by Newton iteration at the working precision,
-with residuals certified against the 2^(-precision_bits/2) convention used
-package-wide.  psi_k has integer coefficients, so only the real roots and
-those in the upper half plane are polished: a real root is polished from a
-real start and stays exactly real, and each lower root is the exact
-conjugate of its upper partner.  mpmath rounds complex operations
-symmetrically, so the inner root and coefficient of a lower root would come
-out exact conjugates of its partner's as well, and so would the correction
-ratios built from them, in mpmath or in fixed point (see recurrences).  So
+The inner roots are found directly: f(z) = z^(2k+1) - (2k+1) z^(k+1) +
+(2k+1) z^k - 1 equals z^(k-1) (z - 1)^3 psi_k(z + 1/z), so they are the
+k - 1 roots of f inside the unit circle.  One branch per real root and per
+conjugate pair is seeded at 64 bits from f's form near the unit circle and
+polished by Newton iteration on f at the working precision; the one real
+branch (k even) is stepped in mpf and stays exactly real.  An upper root of
+f is the conjugate rho of an upper gamma.  mpmath rounds complex operations
+symmetrically, so the lower gamma's inner root and coefficient would come
+out exact conjugates of the upper's, and so would the correction ratios
+built from them, in mpmath or in fixed point (see recurrences).  So
 partial_fractions keeps one factor per real root and one per conjugate pair,
 the upper root standing for both: a pair contributes twice the real part of
 the upper factor's term to a real sum, and its conjugate term where a
-complex one is needed.  Distinctness is verified numerically per k rather
-than assumed.  working_bits is the one working precision of every analytic
-value; no other module names the guard bits.  The fixed-point format is here
-too: v * 2^F to the nearest (Gaussian) integer, ties away from zero.
+complex one is needed.  Each residual |psi_k(gamma)| is certified against
+the 2^(-precision_bits/2) convention used package-wide, and |rho| and the
+distinctness of the roots are verified numerically per k rather than
+assumed.  working_bits is the one working precision of every analytic value;
+no other module names the guard bits.  The fixed-point format is here too:
+v * 2^F to the nearest (Gaussian) integer, ties away from zero.
 """
 
 from __future__ import annotations
@@ -52,8 +54,6 @@ __all__ = [
     "SpectralFactorization",
     "cached_factorization",
     "check_decomposition",
-    "find_roots",
-    "inner_root",
     "partial_fractions",
     "residual_tolerance",
     "separation_tolerance",
@@ -69,8 +69,8 @@ _GUARD_BITS = 32
 
 _NEWTON_BUDGET = 100
 
-# The precision of the Durand-Kerner root estimates that Newton polishes.
-_SEED_BITS = 64
+# Steps of the seed map in _seed.
+_SEED_STEPS = 4
 
 
 def working_bits(precision_bits: int) -> int:
@@ -138,7 +138,7 @@ class FactorData:
     root         -- gamma, a root of psi_k (high-precision complex)
     inner_root   -- rho with rho + 1/rho = root and |rho| < 1
     coefficient  -- A, the partial-fraction coefficient at this pole
-    residual     -- |psi_k(root)| after Newton refinement
+    residual     -- |psi_k(root)|, certified within 2^(-precision_bits/2)
     """
 
     root: object
@@ -154,7 +154,7 @@ class SpectralFactorization:
     pole_coefficient is B = 12/((k+1)(2k+1)), kept as an exact rational so the
     quadratic term of the closed-form hitting time stays exact.  factors holds
     one factor per real root of psi_k and one per conjugate pair, in the
-    order (Re, Im) of find_roots: a non-real factor has Im(root) > 0 and
+    order (Re, Im) of their roots: a non-real factor has Im(root) > 0 and
     stands for its conjugate too.
     """
 
@@ -164,45 +164,47 @@ class SpectralFactorization:
     factors: tuple[FactorData, ...]
 
 
-def _root_estimates(psi: IntPolynomial):
-    """All deg(psi) roots from mpmath's Durand-Kerner iteration (polyroots),
-    run at _SEED_BITS whatever the working precision: Newton's quadratic
-    convergence in _polish takes them the rest of the way.
+def _inner_equation(k: int) -> IntPolynomial:
+    """f(z) = z^(2k+1) - (2k+1) z^(k+1) + (2k+1) z^k - 1, which equals
+    z^(k-1) (z - 1)^3 psi_k(z + 1/z): its roots are 1 (triple) and the
+    inner roots of psi_k's roots with their reciprocals."""
+    coeffs = [0] * (2 * k + 2)
+    coeffs[0], coeffs[k], coeffs[k + 1], coeffs[-1] = -1, 2 * k + 1, -2 * k - 1, 1
+    return IntPolynomial(tuple(coeffs))
 
-    The roots of psi_k lie within 2.5 of the origin (checked for k <= 64),
-    where log2(sum |c_i| 2.5^i) < 2 deg(psi) + 1 for 3 <= k <= 128, so
-    evaluating psi near a root cancels about 2 bits per degree at most; that
-    many extra bits, plus the guard bits, keep the iteration's error test
-    reachable.  The iteration needs about deg(psi) + log2(_SEED_BITS) steps
-    (measured for k <= 64), and twice that bounds it.
+
+def _seed(k: int, j: int):
+    """Branch j's root of _inner_equation(k), to a few bits, for j <= k/2.
+
+    Near the unit circle f(z) = 0 reads z^k (2k+1)(1 - z) = 1, so the inner
+    roots sit near the fixed points of z <- w^j ((2k+1)(1 - z))^(-1/k),
+    w = e^(2 pi i/k), j = 1..k-1.  Branch j <= k/2 has Im z > 0, except
+    that j = k/2 is real and is stepped in mpf so that it stays exactly
+    real.  The map contracts by 0.14 at most (at k = 2); _SEED_STEPS steps
+    from 0 at 64 bits leave every seed within 1/800 of its distance to any
+    other root of f (measured for k <= 256).
     """
-    degree = psi.degree
-    maxsteps = 2 * (degree + _SEED_BITS.bit_length())
-    try:
-        with mp.workprec(_SEED_BITS):
-            return mp.polyroots(
-                list(reversed(psi.coeffs)),
-                maxsteps=maxsteps,
-                extraprec=2 * degree + _GUARD_BITS,
-            )
-    except mp.NoConvergence:
-        raise PrecisionError(
-            f"root estimates for a degree-{degree} psi did not converge in "
-            f"{maxsteps} Durand-Kerner steps; the seeding, not precision_bits, "
-            "falls short at this k"
-        ) from None
+    with mp.workprec(MIN_PRECISION_BITS):
+        if 2 * j == k:
+            turn, z = -1, mp.mpf(0)
+        else:
+            turn, z = mp.expjpi(mp.mpf(2 * j) / k), mp.mpc(0)
+        exponent = -1 / mp.mpf(k)
+        for _ in range(_SEED_STEPS):
+            z = turn * ((2 * k + 1) * (1 - z)) ** exponent
+    return z
 
 
-def _polish(psi: IntPolynomial, dpsi: IntPolynomial, z, tol, target):
-    """Newton iteration from z, kept to the iterate with the least |psi|.
+def _polish(p: IntPolynomial, dp: IntPolynomial, z, tol, target):
+    """Newton iteration on p from z, kept to the iterate with the least |p|.
 
-    Stops once |psi| <= target, or once it bounces on the rounding floor
-    below tol; PrecisionError unless the least |psi| is within tol.
+    Stops once |p| <= target, or once it bounces on the rounding floor
+    below tol; PrecisionError unless the least |p| is within tol.
     """
     best = z
     best_residual = mp.inf
     for _ in range(_NEWTON_BUDGET):
-        value = eval_poly(psi, z)
+        value = eval_poly(p, z)
         residual = abs(value)
         if residual < best_residual:
             best, best_residual = z, residual
@@ -210,7 +212,7 @@ def _polish(psi: IntPolynomial, dpsi: IntPolynomial, z, tol, target):
             break  # bouncing on the rounding floor; keep the best
         if residual <= target:
             break
-        slope = eval_poly(dpsi, z)
+        slope = eval_poly(dp, z)
         if slope == 0:
             break
         z = z - value / slope
@@ -219,74 +221,6 @@ def _polish(psi: IntPolynomial, dpsi: IntPolynomial, z, tol, target):
             "root refinement did not converge; retry with higher precision_bits"
         )
     return best
-
-
-def find_roots(psi: IntPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS):
-    """All deg(psi) roots, Newton-refined until |psi(root)| is certified,
-    and closed under complex conjugation by construction.
-
-    Initial estimates come from mpmath's Durand-Kerner solver at _SEED_BITS.
-    psi has integer coefficients, so its non-real roots come in conjugate
-    pairs: an estimate z is real when |Im z| <= certified_bound(z,
-    _SEED_BITS), upper or lower otherwise.  The real parts of the real
-    estimates and the upper estimates are polished by Newton iteration
-    until the residual drops below 2^(-precision_bits/2), so every real root
-    has imaginary part exactly 0; each lower root is the exact conjugate of
-    a polished upper root.  ConsistencyError is raised unless the reals and
-    twice the uppers make deg(psi), and unless the roots are pairwise
-    separated by more than 2^(-precision_bits/4).
-    """
-    with working_precision(precision_bits):
-        degree = psi.degree
-        if degree <= 0:
-            return []
-        tol = residual_tolerance(precision_bits)
-        # Polish well past the certified bound so downstream products stay
-        # clean at the full working precision; the rounding floor ends the
-        # iteration early when this is unreachable.
-        target = mp.mpf(2) ** -(precision_bits + _GUARD_BITS // 2)
-        reals, uppers = [], []
-        for estimate in map(mp.mpc, _root_estimates(psi)):
-            if abs(estimate.imag) <= certified_bound(estimate, _SEED_BITS):
-                reals.append(estimate)
-            elif estimate.imag > 0:
-                uppers.append(estimate)
-        if len(reals) + 2 * len(uppers) != degree:
-            raise ConsistencyError("root estimates are not closed under conjugation")
-        dpsi = derivative(psi)
-        roots = [_polish(psi, dpsi, mp.mpc(z.real), tol, target) for z in reals]
-        for z in uppers:
-            upper = _polish(psi, dpsi, z, tol, target)
-            roots += [upper, mp.conj(upper)]
-        roots.sort(key=lambda z: (z.real, z.imag))
-        min_separation = separation_tolerance(precision_bits)
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                if abs(roots[i] - roots[j]) <= min_separation:
-                    raise ConsistencyError(
-                        "refined roots are not numerically distinct"
-                    )
-    return roots
-
-
-def inner_root(gamma, precision_bits: int = DEFAULT_PRECISION_BITS):
-    """The root of rho^2 - gamma*rho + 1 = 0 with |rho| < 1.
-
-    The two roots multiply to 1, so exactly one lies inside the unit circle
-    unless gamma sits on the real interval [-2, 2]; landing within
-    2^(-precision_bits/4) of the circle signals corrupted input.
-    """
-    with working_precision(precision_bits):
-        g = mp.mpc(gamma)
-        offset = mp.sqrt(g * g - 4)
-        candidates = ((g + offset) / 2, (g - offset) / 2)
-        rho = min(candidates, key=abs)
-        if abs(abs(rho) - 1) <= separation_tolerance(precision_bits):
-            raise DegeneracyError(
-                "inner root lies on the unit circle; gamma is not a valid "
-                "correction-factor root"
-            )
-    return rho
 
 
 def partial_fractions(
@@ -301,17 +235,39 @@ def partial_fractions(
         raise ConsistencyError("psi_k(2) does not match k(k+1)(2k+1)/6")
     pole_coefficient = Fraction(2 * k, psi_at_2)
 
-    roots = find_roots(psi, precision_bits)
-    dpsi = derivative(psi)
+    f, dpsi = _inner_equation(k), derivative(psi)
+    df = derivative(f)
     factors = []
     with working_precision(precision_bits):
-        for gamma in (root for root in roots if root.imag >= 0):
-            rho = inner_root(gamma, precision_bits)
-            if abs(rho + 1 / rho - gamma) > certified_bound(gamma, precision_bits):
-                raise PrecisionError("inner root does not reproduce its root")
-            coefficient = -2 * k / ((2 - gamma) * eval_poly(dpsi, gamma))
+        tol = residual_tolerance(precision_bits)
+        # Polish down to the rounding floor, so that rho, and gamma built on
+        # it, stay clean at the full working precision; the floor ends it.
+        target = mp.mpf(2) ** -working_bits(precision_bits)
+        edge = 1 - separation_tolerance(precision_bits)
+        for branch in range(1, k // 2 + 1):
+            # An upper root of f is the conjugate of an upper gamma's rho.
+            rho = mp.conj(_polish(f, df, _seed(k, branch), tol, target))
+            if abs(rho) >= edge:
+                raise DegeneracyError(
+                    "inner root lies within 2^(-precision_bits/4) of the unit circle"
+                )
+            gamma = mp.mpc(rho + 1 / rho)
             residual = abs(eval_poly(psi, gamma))
-            factors.append(FactorData(gamma, rho, coefficient, residual))
+            if residual > tol:
+                raise PrecisionError(
+                    f"|psi_{k}(gamma)| exceeds 2^(-precision_bits/2); retry "
+                    "with higher precision_bits"
+                )
+            coefficient = -2 * k / ((2 - gamma) * eval_poly(dpsi, gamma))
+            factors.append(FactorData(gamma, mp.mpc(rho), coefficient, residual))
+        factors.sort(key=lambda factor: (factor.root.real, factor.root.imag))
+        roots = [factor.root for factor in factors]
+        roots += [mp.conj(root) for root in roots if root.imag]
+        min_separation = separation_tolerance(precision_bits)
+        for i in range(len(roots)):
+            for j in range(i + 1, len(roots)):
+                if abs(roots[i] - roots[j]) <= min_separation:
+                    raise ConsistencyError("refined roots are not numerically distinct")
     return SpectralFactorization(
         k=k,
         precision_bits=precision_bits,

@@ -10,14 +10,13 @@ value.
 
 A row must be able to fail on some input, and no row repeats another.  What
 holds by construction is checked where it is built and pinned by tests.
-build_psi raises unless (2 - x) * psi_k = phi_k, partial_fractions unless
-psi_k(2) = k(k+1)(2k+1)/6 and rho + 1/rho reproduces gamma within
-2^(-bits/2), find_roots unless each residual |psi_k(gamma)| is within that
-bound, and inner_root when rho lands within 2^(-bits/4) of the unit circle.
-find_roots keeps each real root exactly real and each lower root the exact
-conjugate of a polished upper root, and mpmath's complex operations and
-the fixed-point exponential ratios round symmetrically, so a pair's inner
-roots, coefficients and correction ratios are exact conjugates: a
+build_psi raises unless (2 - x) * psi_k = phi_k, and partial_fractions
+unless psi_k(2) = k(k+1)(2k+1)/6, each residual |psi_k(gamma)| is within
+2^(-bits/2) and the roots are apart by more than 2^(-bits/4), and when rho
+lands within 2^(-bits/4) of the unit circle.  gamma is rho + 1/rho by
+construction, a real root stays exactly real, and mpmath's complex
+operations and the fixed-point exponential ratios round symmetrically, so a
+pair's inner roots, coefficients and correction ratios are exact conjugates: a
 factorization keeps one factor per real root and one per pair, its upper
 root, and partial-fraction-residual keeps its points clear of both poles.
 The ratio's symmetry ell <-> N - ell holds bit for bit; the recurrence is

@@ -9,8 +9,9 @@ the terms of s_{n+1} = c*s_n - s_{n-1} come from stepping it or from the
 Binet expression, the exponential-form correction ratios and the closed
 form are mpmath complex arithmetic at twice the working precision over
 every root, simulated walks run one at a time, each from its own numpy
-Philox generator, and spectral sums and products run over every Fourier
-mode with one mp.cospi call per cosine.
+Philox generator, spectral sums and products run over every Fourier
+mode with one mp.cospi call per cosine, and the roots of psi_k come from
+mpmath's Durand-Kerner iteration (polyroots) on psi_k itself.
 """
 
 from __future__ import annotations
@@ -84,6 +85,21 @@ def closed_reference(sf, n: int, tables) -> list:
         return values
 
 
+def psi_roots_reference(psi, precision_bits: int) -> list:
+    """All roots of psi (psi_k, constant term first) by mpmath's Durand-Kerner
+    iteration at twice the working precision, 2 (precision_bits + 32).
+    Evaluating psi_k near a root cancels about 2 bits per degree (its roots
+    lie within 2.5 of the origin), so the iteration carries that many extra
+    bits; its step budget is generous, and NoConvergence propagates."""
+    degree = len(psi.coeffs) - 1
+    if degree < 1:
+        return []
+    with mp.workprec(2 * (precision_bits + 32)):
+        return mp.polyroots(
+            list(reversed(psi.coeffs)), maxsteps=200, extraprec=2 * degree + 32
+        )
+
+
 def exact_conjugates(a, b) -> bool:
     """b is the complex conjugate of a bit for bit.  mp.conj and unary minus
     round to the ambient precision, so the imaginary part is negated with
@@ -109,7 +125,7 @@ def conjugate_factor(factor):
 
 def with_conjugates(factors):
     """Every root's factor: each factor of a factorization, a non-real one
-    preceded by its conjugate factor, as find_roots orders a pair."""
+    preceded by its conjugate factor, the (Re, Im) order of a pair."""
     for factor in factors:
         if factor.root.imag:
             yield conjugate_factor(factor)

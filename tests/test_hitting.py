@@ -13,7 +13,6 @@ from cyclepow import (
     ParameterError,
     SimulationBudgetError,
     arboreal_counts,
-    build_psi,
     cached_factorization,
     hit_closed,
     hit_closed_literal,
@@ -34,7 +33,7 @@ from cyclepow.recurrences import (
 )
 from cyclepow.spectral import (
     certified_bound,
-    find_roots,
+    partial_fractions,
     residual_tolerance,
     working_precision,
 )
@@ -585,8 +584,8 @@ def test_every_analytic_route_rejects_precision_below_the_floor(route):
 
 @pytest.mark.parametrize(
     "call, args",
-    [(hit_spectral, (GraphSpec(12, 3), 0, 63)), (find_roots, (build_psi(1), 63))],
-    ids=["hit_spectral-at-ell-0", "find_roots-at-degree-0"],
+    [(hit_spectral, (GraphSpec(12, 3), 0, 63)), (partial_fractions, (1, 63))],
+    ids=["hit_spectral-at-ell-0", "partial_fractions-at-k-1"],
 )
 def test_the_floor_holds_where_a_route_returns_early(call, args):
     # ell = 0 builds no table and psi_1 has no roots; both still check

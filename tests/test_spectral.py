@@ -12,13 +12,12 @@ from cyclepow import (
     build_psi,
 )
 from cyclepow import spectral
-from cyclepow.polynomials import derivative, eval_poly
+from cyclepow.polynomials import eval_poly
 from cyclepow.spectral import (
     cached_factorization,
+    certified_bound,
     check_decomposition,
-    find_roots,
     gaussian_product,
-    inner_root,
     partial_fractions,
     residual_tolerance,
     round_divide,
@@ -28,147 +27,172 @@ from cyclepow.spectral import (
     working_precision,
 )
 
-from oracles import exact_conjugate, exact_conjugates
+from oracles import exact_conjugate, exact_conjugates, psi_roots_reference
 
-# Every k through 16, and two larger ones; k = 48 has its own test.
+# Every k through 16, and two larger ones; larger k have their own test.
 WIDE_K = [*range(2, 17), 24, 32]
 
 
 def assert_layout(k, bits):
-    """The factors are find_roots' real and upper roots in its order, one per
-    real root and one per conjugate pair."""
-    roots = find_roots(build_psi(k), bits)
+    """One factor per real root and one per conjugate pair, kept as its
+    upper root, in (Re, Im) order; psi_k has one real root exactly when k
+    is even, and a real root is an mpc whose imaginary part is exactly 0."""
+    roots = [factor.root for factor in cached_factorization(k, bits).factors]
     reals = sum(1 for root in roots if root.imag == 0)
-    pairs = sum(1 for root in roots if root.imag > 0)
-    factors = cached_factorization(k, bits).factors
-    assert reals + 2 * pairs == k - 1
-    assert len(factors) == reals + pairs
-    assert all(factor.root.imag > 0 for factor in factors if factor.root.imag)
-    assert [factor.root for factor in factors] == [
-        root for root in roots if root.imag >= 0
-    ]
+    assert all(isinstance(root, mp.mpc) and root.imag >= 0 for root in roots)
+    assert reals == 1 - k % 2
+    assert reals + 2 * (len(roots) - reals) == k - 1
+    assert roots == sorted(roots, key=lambda z: (z.real, z.imag))
 
 
-def assert_lower_roots_give_conjugate_factors(k, bits):
-    """Each lower root of find_roots, taken through partial_fractions' own
-    steps, gives the exact conjugate of a kept factor (root, inner root and
-    coefficient): what a non-real factor stands for is what the lower root's
-    factor would be, bit for bit."""
-    psi = build_psi(k)
-    dpsi = derivative(psi)
-    uppers = [f for f in cached_factorization(k, bits).factors if f.root.imag]
-    lowers = [root for root in find_roots(psi, bits) if root.imag < 0]
-    assert len(lowers) == len(uppers)
-    with working_precision(bits):
-        for gamma in lowers:
-            lower = (
-                gamma,
-                inner_root(gamma, bits),
-                -2 * k / ((2 - gamma) * eval_poly(dpsi, gamma)),
+def mirrored_seed(seed):
+    """The exact conjugate of a seed; a real seed is an mpf and stays one."""
+    return exact_conjugate(seed) if isinstance(seed, mp.mpc) else seed
+
+
+def assert_conjugate_seeds_give_conjugate_factors(k, bits, monkeypatch):
+    """partial_fractions polished from the conjugate of every seed gives,
+    factor for factor, the exact conjugate of the kept factors (root, inner
+    root and coefficient): what a non-real factor stands for is what the
+    lower root's factor would be, bit for bit."""
+    kept = cached_factorization(k, bits).factors
+    with monkeypatch.context() as patch:
+        seed = spectral._seed
+        patch.setattr(spectral, "_seed", lambda k, j: mirrored_seed(seed(k, j)))
+        mirrored = partial_fractions(k, bits).factors
+    assert len(mirrored) == len(kept)
+    for upper, lower in zip(kept, mirrored):
+        assert all(
+            map(
+                exact_conjugates,
+                (upper.root, upper.inner_root, upper.coefficient),
+                (lower.root, lower.inner_root, lower.coefficient),
             )
-            assert any(
-                all(
-                    map(
-                        exact_conjugates,
-                        (upper.root, upper.inner_root, upper.coefficient),
-                        lower,
-                    )
-                )
-                for upper in uppers
-            )
+        )
 
 
-def test_find_roots_degenerate_and_linear():
-    assert find_roots(build_psi(1)) == []
-    roots = find_roots(build_psi(2))
-    assert len(roots) == 1
-    assert roots[0] == -3
+def psi_in_z(k):
+    """z^(k-1) (z - 1)^3 psi_k(z + 1/z) on integer coefficient lists,
+    constant term first: sum_i c_i (z^2 + 1)^i z^(k-1-i), times (z - 1)
+    three times."""
+    psi = build_psi(k).coeffs
+    degree = len(psi) - 1
+    total, power = [0] * (2 * degree + 1), [1]
+    for i, c in enumerate(psi):
+        for e, p in enumerate(power):
+            total[e + degree - i] += c * p
+        power = [a + b for a, b in zip(power + [0, 0], [0, 0] + power)]
+    for _ in range(3):
+        total = [a - b for a, b in zip([0] + total, total + [0])]
+    return total
 
 
-def test_find_roots_conjugate_pair_k3():
-    roots = find_roots(build_psi(3))
-    assert len(roots) == 2
+def test_inner_equation_is_psi_in_z():
+    for k in range(1, 65):
+        f = spectral._inner_equation(k).coeffs
+        assert list(f) == psi_in_z(k), k
+        assert len(f) == 2 * k + 2 and sum(map(bool, f)) == 4
+
+
+def test_inner_roots_k2():
+    (factor,) = partial_fractions(2).factors
     with mp.workprec(256):
-        half_root7 = mp.sqrt(7) / 2
-        lower, upper = sorted(roots, key=lambda z: z.imag)
-        assert abs(lower - mp.mpc(mp.mpf(-3) / 2, -half_root7)) < mp.mpf(2) ** -100
-        assert abs(upper - mp.mpc(mp.mpf(-3) / 2, half_root7)) < mp.mpf(2) ** -100
+        assert abs(factor.root - (-3)) < mp.mpf(2) ** -250
+        assert abs(factor.inner_root - (-3 + mp.sqrt(5)) / 2) < mp.mpf(2) ** -250
+    assert factor.root.imag == 0 and factor.inner_root.imag == 0
+
+
+def test_inner_root_pair_k3():
+    (upper,) = partial_fractions(3).factors
+    with mp.workprec(256):
+        gamma = mp.mpc(-3, mp.sqrt(7)) / 2
+        assert abs(upper.root - gamma) < mp.mpf(2) ** -250
+        rho = upper.inner_root
+        assert abs(rho) < 1 and rho.imag < 0
+        assert abs(rho * rho - gamma * rho + 1) < mp.mpf(2) ** -250
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_root_count_and_residuals(k):
-    roots = find_roots(build_psi(k), 256)
-    assert len(roots) == k - 1
+    sf = partial_fractions(k, 256)
     psi = build_psi(k)
     with mp.workprec(288):
-        from cyclepow.polynomials import eval_poly
-
+        roots = [factor.root for factor in sf.factors]
+        roots += [exact_conjugate(root) for root in roots if root.imag]
+        assert len(roots) == k - 1
         for gamma in roots:
             assert abs(eval_poly(psi, gamma)) <= mp.mpf(2) ** -128
 
 
-def test_find_roots_requires_64_bits():
-    with pytest.raises(ParameterError):
-        find_roots(build_psi(3), 32)
+def test_partial_fractions_requires_64_bits():
+    with pytest.raises(ParameterError, match="precision_bits must be >= 64"):
+        partial_fractions(3, 32)
 
 
-def test_partial_fractions_certifies_large_k():
-    sf = partial_fractions(48, 256)
+@pytest.mark.parametrize("k", [48, 64, 96])
+def test_partial_fractions_certifies_large_k(k, monkeypatch):
+    sf = partial_fractions(k, 256)
     assert all(factor.residual <= residual_tolerance(256) for factor in sf.factors)
-    roots = find_roots(build_psi(48), 256)
-    assert len(roots) == 47
     with mp.workprec(288):
+        roots = [factor.root for factor in sf.factors]
+        roots += [exact_conjugate(root) for root in roots if root.imag]
+        assert len(roots) == k - 1
         separation = min(
             abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]
         )
     assert separation > separation_tolerance(256)
-    assert_layout(48, 256)
-    assert_lower_roots_give_conjugate_factors(48, 256)
+    assert_layout(k, 256)
+    assert_conjugate_seeds_give_conjugate_factors(k, 256, monkeypatch)
 
 
-def test_find_roots_rejects_estimates_not_closed_under_conjugation(monkeypatch):
-    original = spectral._root_estimates
-
-    def unbalanced(psi):
-        estimates = list(original(psi))
-        estimates.remove(max(estimates, key=mp.im))  # one upper estimate
-        return estimates
-
-    monkeypatch.setattr(spectral, "_root_estimates", unbalanced)
-    with pytest.raises(ConsistencyError, match="not closed under conjugation"):
-        find_roots(build_psi(5), 128)
-
-
-def test_unconverged_seeding_is_a_precision_error(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise mp.NoConvergence("Didn't converge")
-
-    monkeypatch.setattr(mp, "polyroots", no_convergence)
-    with pytest.raises(PrecisionError, match="not precision_bits") as error:
-        find_roots(build_psi(5), 128)
-    assert "degree-4" in str(error.value)
+@pytest.mark.parametrize("k", WIDE_K)
+def test_factors_lie_within_their_bound_of_durand_kerner_roots(k):
+    # The oracle runs mpmath's polyroots on psi_k at twice the working
+    # precision; every root and conjugate is within its certified bound of
+    # its own oracle root.
+    for bits in (64, 256, 512):
+        reference = psi_roots_reference(build_psi(k), bits)
+        with working_precision(bits):
+            roots = [factor.root for factor in cached_factorization(k, bits).factors]
+            roots += [exact_conjugate(root) for root in roots if root.imag]
+            assert len(roots) == len(reference) == k - 1
+            for gamma in roots:
+                nearest = min(reference, key=lambda z: abs(z - gamma))
+                assert abs(nearest - gamma) <= certified_bound(gamma, bits)
+                reference.remove(nearest)
 
 
-def test_inner_root_examples():
-    with mp.workprec(256):
-        rho = inner_root(mp.mpc(-3))
-        assert abs(rho - (-3 + mp.sqrt(5)) / 2) < mp.mpf(2) ** -120
-        assert abs(inner_root(mp.mpf("2.5")) - mp.mpf("0.5")) < mp.mpf(2) ** -120
+def test_a_seed_on_the_unit_circle_is_a_degeneracy_error(monkeypatch):
+    # f(1) = 0 exactly, so the polish keeps z = 1 and |rho| = 1.
+    monkeypatch.setattr(spectral, "_seed", lambda k, j: mp.mpc(1))
+    with pytest.raises(DegeneracyError, match="unit circle"):
+        partial_fractions(5, 256)
 
 
-def test_inner_root_complex_residual():
-    with mp.workprec(160):
-        gamma = mp.mpc(mp.mpf(-3) / 2, mp.sqrt(7) / 2)
-        rho = inner_root(gamma, 128)
-        assert abs(rho) < 1
-        assert abs(rho + 1 / rho - gamma) < mp.mpf(2) ** -64
+def test_two_branches_on_one_root_are_a_consistency_error(monkeypatch):
+    seed = spectral._seed
+    monkeypatch.setattr(spectral, "_seed", lambda k, j: seed(k, 1))
+    with pytest.raises(ConsistencyError, match="not numerically distinct"):
+        partial_fractions(5, 256)
 
 
-def test_inner_root_degenerate_on_arc():
-    with pytest.raises(DegeneracyError):
-        inner_root(mp.mpc(2))
-    with pytest.raises(DegeneracyError):
-        inner_root(mp.mpc(0))  # rho = +-i sits on the unit circle
+def test_unconverged_polish_is_a_precision_error(monkeypatch):
+    # One Newton step leaves a 64-bit seed far above 2^(-256/2).
+    monkeypatch.setattr(spectral, "_NEWTON_BUDGET", 1)
+    with pytest.raises(PrecisionError, match="did not converge"):
+        partial_fractions(5, 256)
+
+
+def test_partial_fractions_rejects_a_root_off_psi(monkeypatch):
+    polish = spectral._polish
+
+    def perturbed(*args):
+        with mp.workprec(256 + 32):
+            return polish(*args) * (1 + mp.mpf(2) ** -40)
+
+    monkeypatch.setattr(spectral, "_polish", perturbed)
+    with pytest.raises(PrecisionError, match=r"\|psi_3\(gamma\)\| exceeds"):
+        partial_fractions(3, 256)
 
 
 def test_partial_fractions_k1():
@@ -214,9 +238,9 @@ def test_roots_avoid_spectrum_arc(k):
 
 
 @pytest.mark.parametrize("k", WIDE_K)
-def test_conjugate_closure(k):
+def test_conjugate_closure(k, monkeypatch):
     for bits in (64, 256, 512):
-        assert_lower_roots_give_conjugate_factors(k, bits)
+        assert_conjugate_seeds_give_conjugate_factors(k, bits, monkeypatch)
 
 
 @pytest.mark.parametrize("k", WIDE_K)
@@ -243,18 +267,6 @@ def test_factor_layout_small_k():
     assert upper.root.imag > 0
     real, upper = partial_fractions(4).factors
     assert real.root.imag == 0 and upper.root.imag > 0
-
-
-def test_partial_fractions_rejects_an_inner_root_off_its_root(monkeypatch):
-    original = spectral.inner_root
-
-    def perturbed(gamma, precision_bits):
-        with mp.workprec(precision_bits + 32):
-            return original(gamma, precision_bits) * (1 + mp.mpf(2) ** -40)
-
-    monkeypatch.setattr(spectral, "inner_root", perturbed)
-    with pytest.raises(PrecisionError, match="inner root does not reproduce its root"):
-        partial_fractions(3, 256)
 
 
 def test_check_decomposition_fixed_points():
