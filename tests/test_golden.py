@@ -93,7 +93,26 @@ hitting-oracle-closed from 6.898e-87 at (n=21, k=3, ell=1) to 4.207e-87 at
 resolvent-periodization from 1.022e-163 at (n=11, k=2, ell=1) to
 7.493e-164 at (n=18, k=2, ell=1) and hitting-oracle-closed from 5.557e-164
 at (n=6, k=2, ell=1) to 4.680e-164 at (n=27, k=2, ell=1).  No case count,
-requirement or status moved.
+requirement or status moved.  It was re-recorded a twelfth time when each
+inner root came to be polished on z^(2k+1) - (2k+1) z^(k+1) + (2k+1) z^k - 1
+and gamma set to rho + 1/rho, so rho and gamma moved in their last working
+bits: only `worst` values and their locations moved, in the five rows that
+read the factors.  In the default case partial-fraction-residual went from
+2.020e-87 at (k=3, x=(0.54049 - 0.74925j)) to 1.756e-86 at (k=2,
+x=(-2.8897 - 0.58884j)), ratio-form-agreement from 4.295e-87 at (n=11, k=3,
+ell=1) to 4.213e-87 at (n=10, k=3, ell=1), resolvent-periodization from
+8.518e-87 at (n=24, k=2, ell=3) to 7.572e-87 at (n=19, k=2, ell=9),
+tree-triple-agreement from 1.234e-85 to 4.798e-86, still at (n=24, k=3),
+and hitting-oracle-closed from 4.207e-87 at (n=9, k=2, ell=1) to 4.009e-87
+at (n=21, k=3, ell=7).  In the 512-bit case partial-fraction-residual went
+from 8.700e-165 at (k=2, x=(-3.4901 + 1.7399j)) to 1.631e-163 at (k=2,
+x=(-2.8897 - 0.58884j)), ratio-form-agreement from 1.737e-164 at (n=6, k=2,
+ell=1) to 3.473e-164 at (n=9, k=2, ell=1), resolvent-periodization from
+7.493e-164 at (n=18, k=2, ell=1) to 8.174e-164 at (n=22, k=2, ell=1),
+tree-triple-agreement from 1.051e-162 at (n=40, k=2) to 1.949e-163 at
+(n=36, k=2) and hitting-oracle-closed from 4.680e-164 at (n=27, k=2, ell=1)
+to 3.163e-164 at (n=34, k=2, ell=5).  No case count, requirement or status
+moved.
 
 `data/trees_golden.json` holds `trees` output in json, csv and text (the
 text without its `# wall_time_s` line) for a few small graphs with and
