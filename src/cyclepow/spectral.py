@@ -69,9 +69,6 @@ _GUARD_BITS = 32
 
 _NEWTON_BUDGET = 100
 
-# Steps of the seed map in _seed.
-_SEED_STEPS = 4
-
 
 def working_bits(precision_bits: int) -> int:
     """p = precision_bits + _GUARD_BITS, the working precision of every analytic
@@ -180,9 +177,9 @@ def _seed(k: int, j: int):
     roots sit near the fixed points of z <- w^j ((2k+1)(1 - z))^(-1/k),
     w = e^(2 pi i/k), j = 1..k-1.  Branch j <= k/2 has Im z > 0, except
     that j = k/2 is real and is stepped in mpf so that it stays exactly
-    real.  The map contracts by 0.14 at most (at k = 2); _SEED_STEPS steps
-    from 0 at 64 bits leave every seed within 1/800 of its distance to any
-    other root of f (measured for k <= 256).
+    real.  The map contracts by 0.14 at most (at k = 2); four steps from 0
+    at 64 bits leave every seed within 1/800 of its distance to any other
+    root of f (measured for k <= 256).
     """
     with mp.workprec(MIN_PRECISION_BITS):
         if 2 * j == k:
@@ -190,7 +187,7 @@ def _seed(k: int, j: int):
         else:
             turn, z = mp.expjpi(mp.mpf(2 * j) / k), mp.mpc(0)
         exponent = -1 / mp.mpf(k)
-        for _ in range(_SEED_STEPS):
+        for _ in range(4):
             z = turn * ((2 * k + 1) * (1 - z)) ** exponent
     return z
 
