@@ -171,15 +171,15 @@ def _inner_equation(k: int) -> IntPolynomial:
 
 
 def _seed(k: int, j: int):
-    """Branch j's root of _inner_equation(k), to a few bits, for j <= k/2.
+    """A rough root of _inner_equation(k) on branch j, for 1 <= j <= k/2.
 
     Near the unit circle f(z) = 0 reads z^k (2k+1)(1 - z) = 1, so the inner
     roots sit near the fixed points of z <- w^j ((2k+1)(1 - z))^(-1/k),
     w = e^(2 pi i/k), j = 1..k-1.  Branch j <= k/2 has Im z > 0, except
     that j = k/2 is real and is stepped in mpf so that it stays exactly
-    real.  The map contracts by 0.14 at most (at k = 2); four steps from 0
-    at 64 bits leave every seed within 1/800 of its distance to any other
-    root of f (measured for k <= 256).
+    real.  The map contracts by at most 0.14 (at k = 2), and four steps
+    from 0 at 64 bits leave every seed within 1/800 of its distance to any
+    other root of f (both measured for k <= 256).
     """
     with mp.workprec(MIN_PRECISION_BITS):
         if 2 * j == k:

@@ -27,7 +27,12 @@ from cyclepow.spectral import (
     working_precision,
 )
 
-from oracles import exact_conjugate, exact_conjugates, psi_roots_reference
+from oracles import (
+    exact_conjugate,
+    exact_conjugates,
+    psi_roots_reference,
+    with_conjugates,
+)
 
 # Every k through 16, and two larger ones; larger k have their own test.
 WIDE_K = [*range(2, 17), 24, 32]
@@ -117,8 +122,7 @@ def test_root_count_and_residuals(k):
     sf = partial_fractions(k, 256)
     psi = build_psi(k)
     with mp.workprec(288):
-        roots = [factor.root for factor in sf.factors]
-        roots += [exact_conjugate(root) for root in roots if root.imag]
+        roots = [factor.root for factor in with_conjugates(sf.factors)]
         assert len(roots) == k - 1
         for gamma in roots:
             assert abs(eval_poly(psi, gamma)) <= mp.mpf(2) ** -128
@@ -131,11 +135,10 @@ def test_partial_fractions_requires_64_bits():
 
 @pytest.mark.parametrize("k", [48, 64, 96])
 def test_partial_fractions_certifies_large_k(k, monkeypatch):
-    sf = partial_fractions(k, 256)
+    sf = cached_factorization(k, 256)
     assert all(factor.residual <= residual_tolerance(256) for factor in sf.factors)
     with mp.workprec(288):
-        roots = [factor.root for factor in sf.factors]
-        roots += [exact_conjugate(root) for root in roots if root.imag]
+        roots = [factor.root for factor in with_conjugates(sf.factors)]
         assert len(roots) == k - 1
         separation = min(
             abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]
@@ -153,8 +156,8 @@ def test_factors_lie_within_their_bound_of_durand_kerner_roots(k):
     for bits in (64, 256, 512):
         reference = psi_roots_reference(build_psi(k), bits)
         with working_precision(bits):
-            roots = [factor.root for factor in cached_factorization(k, bits).factors]
-            roots += [exact_conjugate(root) for root in roots if root.imag]
+            factors = cached_factorization(k, bits).factors
+            roots = [factor.root for factor in with_conjugates(factors)]
             assert len(roots) == len(reference) == k - 1
             for gamma in roots:
                 nearest = min(reference, key=lambda z: abs(z - gamma))
@@ -177,7 +180,7 @@ def test_two_branches_on_one_root_are_a_consistency_error(monkeypatch):
 
 
 def test_unconverged_polish_is_a_precision_error(monkeypatch):
-    # One Newton step leaves a 64-bit seed far above 2^(-256/2).
+    # A budget of one step keeps the seed, whose |f| is far above 2^(-128).
     monkeypatch.setattr(spectral, "_NEWTON_BUDGET", 1)
     with pytest.raises(PrecisionError, match="did not converge"):
         partial_fractions(5, 256)
