@@ -1,8 +1,9 @@
 """Walk times for hitting.hit_simulate, in numpy uint64 arithmetic.
 
 The Philox4x64-10 blocks and Generator.integers bounded draws of many walks
-are computed at once.  This is the package's only numpy code; hit_simulate
-imports the module on its first call, so no other route loads numpy.
+are computed at once, rejected draws included, so no walk needs a Generator
+of its own.  This is the package's only numpy code; hit_simulate imports the
+module on its first call, so no other route loads numpy.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 2**64 - 1
 _BLOCK_DRAWS = 8  # uint32 draws from one four-word Philox4x64 block
 # Walks advanced together, and uint32 draws per lockstep round across them;
-# both only bound memory and per-round overhead, never the result.
+# both only bound memory and per-round overhead, never the result.  A walk
+# moves at most WINDOW_DRAWS times in a round, which hit_simulate's size
+# limit allows for.
 _SLICE_WALKS = 4096
-_WINDOW_DRAWS = 2**15
+WINDOW_DRAWS = 2**15
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -67,16 +70,20 @@ def _philox_blocks(
 
 
 def _bounded_draws(words: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draws in [0, bound) from uint64 words, as Generator.integers makes them.
+    """Draws in [0, bound) from uint64 words, as Generator.integers makes them
+    (Lemire's method), and a mask of the draws numpy rejects.
 
-    Each word gives two uint32s, low half first, and each uint32 u gives
-    (u * bound) >> 32 (Lemire's method).  numpy rejects u, and draws the next
-    uint32 in its place, when the low 32 bits of u * bound fall below
-    2**32 mod bound; the second array marks those draws, after which the
-    stream is shifted.  Above 2**32 numpy draws from whole uint64 words, and
-    then every draw is marked.  The last axis of `words` becomes twice as
-    long.
+    Up to 2**32 each word gives two uint32s u, low half first, and u gives
+    (u * bound) >> 32; numpy rejects u when the low 32 bits of u * bound fall
+    below 2**32 mod bound, and the last axis of `words` becomes twice as
+    long.  Above 2**32 each word w gives the high word of the 128-bit
+    w * bound, rejected when its low word falls below 2**64 mod bound.
+    numpy draws the next value in a rejected draw's place, so the accepted
+    draws, in order, are the stream.
     """
+    if bound > 2**32:
+        high, low = _mulhilo(bound, words)
+        return high.view(np.int64), low < 2**64 % bound
     halves = np.stack((words & _MASK32, words >> 32), axis=-1)
     scaled = halves.reshape(*words.shape[:-1], -1) * np.uint64(bound)
     return (scaled >> 32).view(np.int64), (scaled & _MASK32) < 2**32 % bound
@@ -87,80 +94,48 @@ def _moves(draws: np.ndarray, k: int) -> np.ndarray:
     return np.where(draws < k, draws + 1, k - 1 - draws)
 
 
-def _walk_on(
-    spec: GraphSpec,
-    ell: int,
-    seed: int,
-    walk: int,
-    blocks_used: int,
-    position: int,
-    allowance: int,
-) -> int:
-    """Steps from `position` to the first visit of ell, drawn with the walk's
-    own Generator past its first `blocks_used` Philox blocks.
-
-    This is exact whatever numpy rejects.  Stops early, returning a count
-    above `allowance`, once the walk has taken more than `allowance` steps.
-    """
-    generator = np.random.Generator(
-        np.random.Philox(
-            key=np.array([seed, walk], dtype=np.uint64), counter=blocks_used
-        )
-    )
-    taken = 0
-    while taken <= allowance:
-        draws = generator.integers(0, spec.degree, size=64)
-        path = (position + np.cumsum(_moves(draws, spec.k))) % spec.n
-        hits = np.flatnonzero(path == ell)
-        if hits.size:
-            return taken + int(hits[0]) + 1
-        taken += 64
-        position = int(path[-1])
-    return taken
-
-
 def walk_times(
     spec: GraphSpec, ell: int, walks: int, seed: int, step_cap: int
 ) -> np.ndarray:
     """First-passage times from 0 to ell != 0 of walks 0..walks-1, with the
-    step cap and the fallback for rejected draws that hit_simulate describes."""
+    step cap that hit_simulate describes.
+
+    Every round draws the next window of Philox blocks for all active walks
+    of a slice.  A rejected draw moves nothing and is not a step, so each
+    walk adds up its own steps.  Positions stay below n + WINDOW_DRAWS * k in
+    magnitude, which hit_simulate keeps below 2**63.
+    """
     n, degree = spec.n, spec.degree
-    times = np.empty(walks, dtype=np.int64)
+    times = np.zeros(walks, dtype=np.int64)
     spent = finished = 0
-
-    def check_budget() -> None:
-        if spent > step_cap:
-            raise SimulationBudgetError(
-                f"step cap {step_cap} exceeded after {finished} complete walks "
-                f"(n={n}, k={spec.k}, ell={ell})"
-            )
-
     for first in range(0, walks, _SLICE_WALKS):
         active = np.arange(first, min(walks, first + _SLICE_WALKS), dtype=np.uint64)
         position = np.zeros(active.size, dtype=np.int64)
         used = 0  # Philox blocks consumed by every active walk
         while active.size:
-            blocks = max(1, _WINDOW_DRAWS // (_BLOCK_DRAWS * active.size))
+            blocks = max(1, WINDOW_DRAWS // (_BLOCK_DRAWS * active.size))
             counters = np.arange(used + 1, used + blocks + 1, dtype=np.uint64)
             words = _philox_blocks(counters, seed, active[:, None])
             draws, rejected = _bounded_draws(words.reshape(active.size, -1), degree)
             moves = _moves(draws, spec.k)
+            moves[rejected] = 0
             path = (position[:, None] + np.cumsum(moves, axis=1)) % n
             hits = path == ell
-            redo = rejected.any(axis=1)
-            done = hits.any(axis=1) & ~redo
-            going = ~(done | redo)
-            first_hits = hits[done].argmax(axis=1) + 1
-            times[active[done]] = _BLOCK_DRAWS * used + first_hits
-            spent += int(first_hits.sum()) + draws.shape[1] * int(going.sum())
-            finished += first_hits.size
-            check_budget()
-            for walk, start in zip(active[redo].tolist(), position[redo].tolist()):
-                taken = _walk_on(spec, ell, seed, walk, used, start, step_cap - spent)
-                spent += taken
-                check_budget()
-                times[walk] = _BLOCK_DRAWS * used + taken
-                finished += 1
+            done = hits.any(axis=1)
+            # Draws up to each first hit, which is never a rejected draw, or
+            # the whole window; then the rejected draws among them.
+            taken = np.where(done, hits.argmax(axis=1) + 1, draws.shape[1])
+            rows, columns = np.nonzero(rejected)
+            taken -= np.bincount(rows[columns < taken[rows]], minlength=active.size)
+            times[active] += taken
+            spent += int(taken.sum())
+            finished += int(done.sum())
+            if spent > step_cap:
+                raise SimulationBudgetError(
+                    f"step cap {step_cap} exceeded after {finished} complete "
+                    f"walks (n={n}, k={spec.k}, ell={ell})"
+                )
+            going = ~done
             active, position = active[going], path[going, -1]
             used += blocks
     return times

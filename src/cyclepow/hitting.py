@@ -20,8 +20,9 @@ Methods, graded against one another:
   * hit_simulate  -- Monte Carlo over independent walks, walk w drawing from
                      numpy's Philox4x64 stream keyed by (seed, w); the
                      streams are computed for many walks at once (Philox
-                     blocks and bounded draws in numpy uint64 arithmetic),
-                     so runs are reproducible regardless of batching.
+                     blocks and bounded draws, rejections included, in numpy
+                     uint64 arithmetic), so runs are reproducible regardless
+                     of batching.
 
 Vertex transitivity makes h between arbitrary pairs equivalent to some
 h(0, ell), so only that form is exposed.  The analytic methods compute in
@@ -352,12 +353,15 @@ def hit_simulate(
     2k) (see GENERATOR_ID), so results are deterministic for a fixed seed.
     The walks of a slice advance in lockstep: every round computes the next
     window of Philox blocks for all of them at once, and each walk retires at
-    its first visit to ell.  A walk whose window holds a draw numpy would
-    reject (about 1e-9 per draw at k = 3) finishes on its own Generator
-    instead, so every walk time equals the one-walk-at-a-time computation.
-    SimulationBudgetError is raised once the finished walk times plus the
-    steps taken by unfinished walks exceed `step_cap`, and before any walk
-    when walks > step_cap: every walk to ell != 0 takes at least one step.
+    its first visit to ell.  A draw numpy would reject (about 1e-9 per draw
+    at k = 3) moves nothing and is not counted as a step, since numpy draws
+    the next value in its place, so every walk time equals the
+    one-walk-at-a-time computation.  SimulationBudgetError is raised once the
+    finished walk times plus the steps taken by unfinished walks exceed
+    `step_cap`, and before any walk when walks > step_cap: every walk to
+    ell != 0 takes at least one step.  ParameterError is raised, before any
+    walk, when n + 2**15 k reaches 2**63, where a window's positions would
+    overflow int64; h(0, ell) >= 2n/3 there, over 10**14 steps per walk.
     """
     check_ell(spec, ell)
     if walks < 1:
@@ -373,6 +377,11 @@ def hit_simulate(
         )
     from . import _philox  # loads numpy, which only simulation needs
 
+    if spec.n + _philox.WINDOW_DRAWS * spec.k >= 2**63:
+        raise ParameterError(
+            f"n={spec.n}, k={spec.k} is too large to simulate: "
+            f"n + {_philox.WINDOW_DRAWS} k must be below 2**63"
+        )
     times = _philox.walk_times(spec, ell, walks, seed, step_cap)
     mean = float(times.mean())
     if walks == 1:

@@ -276,6 +276,24 @@ def test_simulate_over_the_step_cap_fails_before_walking(runner, monkeypatch):
     assert result.stdout == ""
 
 
+def test_simulate_beyond_int64_positions_fails_before_walking(runner, monkeypatch):
+    from cyclepow import _philox
+
+    def walk(*args):
+        raise AssertionError("walked a run that overflows")
+
+    monkeypatch.setattr(_philox, "walk_times", walk)
+    result = runner.invoke(
+        main, ["hit", "--n", "9223372036854775809", "--k", "1", "--ell", "1",
+               "--method", "simulate", "--walks", "1"],
+    )
+    assert result.exit_code == 1
+    assert result.stderr.startswith(
+        "error: n=9223372036854775809, k=1 is too large to simulate"
+    )
+    assert result.stdout == ""
+
+
 def test_csv_format(runner):
     result = runner.invoke(
         main, ["hit", "--n", "6", "--k", "2", "--ell", "3", "--method", "exact",

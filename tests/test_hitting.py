@@ -697,53 +697,64 @@ def test_simulate_matches_reference_across_slices():
     )
 
 
-def test_simulate_rejected_draws_fall_back_exactly(monkeypatch):
-    redone = []
-    walk_on = _philox._walk_on
-
-    def spy(*args):
-        redone.append(args[3])
-        return walk_on(*args)
-
-    monkeypatch.setattr(_philox, "_walk_on", spy)
-    result = hit_simulate(REJECTING, 1, 20, 1)
-    assert redone
-    assert tuple(result) == simulate_reference(REJECTING, 1, 20, 1)
+# 2k = 3 * 2**17: numpy rejects a uint32 with probability 2**-14, about 24
+# times in a walk from 0 to 1, and some windows hold two or more rejections.
+OFTEN_REJECTING = GraphSpec(3 * 2**17 + 1, 3 * 2**16)
 
 
-def test_fallback_walk_overruns_a_budget_of_whole_draw_batches(monkeypatch):
-    # Seed 3: the first lockstep window of walk 0 holds a rejected draw, so
-    # the whole walk (10497 steps) runs on its own Generator, 64 draws at a
-    # time, with the full step cap as its budget.  A cap of 164 * 64 steps
-    # ends exactly on a batch boundary one step short of the hit; the walk
-    # must still overrun it instead of stopping at the boundary.
-    total = int(reference_walk_times(REJECTING, 1, 1, 3)[0])
-    cap = 64 * ((total - 1) // 64)
-    assert (total, cap) == (10497, 10496)
-    allowances = []
-    walk_on = _philox._walk_on
+@pytest.mark.parametrize(
+    "spec, walks, seed, most", [(REJECTING, 20, 1, 1), (OFTEN_REJECTING, 8, 0, 2)]
+)
+def test_simulate_skips_rejected_draws_exactly(monkeypatch, spec, walks, seed, most):
+    window_most = []
+    bounded_draws = _philox._bounded_draws
 
-    def spy(*args):
-        allowances.append(args[-1])
-        return walk_on(*args)
+    def spy(words, bound):
+        draws, rejected = bounded_draws(words, bound)
+        window_most.append(int(rejected.sum(axis=1).max()))
+        return draws, rejected
 
-    monkeypatch.setattr(_philox, "_walk_on", spy)
-    with pytest.raises(SimulationBudgetError):
-        hit_simulate(REJECTING, 1, 1, 3, step_cap=cap)
-    assert allowances == [cap]
-    assert hit_simulate(REJECTING, 1, 1, 3, step_cap=total) == (total, 0.0)
+    monkeypatch.setattr(_philox, "_bounded_draws", spy)
+    times = _philox.walk_times(spec, 1, walks, seed, 10**9)
+    assert max(window_most) >= most  # some window held `most` rejected draws
+    assert np.array_equal(times, reference_walk_times(spec, 1, walks, seed))
 
 
 @pytest.mark.parametrize(
     "spec, ell, walks, seed",
     [(GraphSpec(24, 1), 23, 50, 7), (GraphSpec(11, 3), 5, 5000, 8),
-     (REJECTING, 1, 20, 1)],
+     (REJECTING, 1, 20, 1), (REJECTING, 1, 1, 3)],
 )
 def test_simulate_step_cap_is_total_walk_time(spec, ell, walks, seed):
     total = int(reference_walk_times(spec, ell, walks, seed).sum())
     hit_simulate(spec, ell, walks, seed, step_cap=total)
     with pytest.raises(SimulationBudgetError, match=r"after \d+ complete walks"):
         hit_simulate(spec, ell, walks, seed, step_cap=total - 1)
+
+
+def test_simulate_beyond_32_bit_draws_stops_at_the_step_cap():
+    # 2k = 2**32 + 2: every draw takes a whole uint64 word.  A walk from 0 to
+    # 1 averages billions of steps, so a small cap ends it.
+    with pytest.raises(SimulationBudgetError, match="after 0 complete walks"):
+        hit_simulate(GraphSpec(2**32 + 3, 2**31 + 1), 1, 3, 0, step_cap=10**4)
+
+
+def test_simulate_refuses_walks_that_would_overflow_int64(monkeypatch):
+    walk_times = _philox.walk_times
+
+    def walk(*args):
+        raise AssertionError("walked a run that overflows")
+
+    monkeypatch.setattr(_philox, "walk_times", walk)
+    for spec in (GraphSpec(2**63 + 1, 1), GraphSpec(2**63 - 2**15, 1),
+                 GraphSpec(2**62, 2**47)):
+        with pytest.raises(ParameterError, match="too large to simulate"):
+            hit_simulate(spec, 1, 1, 0)
+    # n + 2**15 k = 2**63 - 1 is simulated, exactly; walk 2 of seed 4 spends
+    # 8213 steps at or below 0, wrapped just under n, over two windows.
+    monkeypatch.setattr(_philox, "walk_times", walk_times)
+    spec = GraphSpec(2**63 - 2**15 - 1, 1)
+    assert tuple(hit_simulate(spec, 1, 4, 4)) == simulate_reference(spec, 1, 4, 4)
 
 
 @pytest.mark.parametrize("seed, walk", [(0, 0), (2**64 - 1, 12345), (7, 2**64 - 1)])
@@ -753,25 +764,27 @@ def test_philox_blocks_match_numpy(seed, walk):
     fresh = np.random.Philox(key=key).random_raw(4 * 9)
     blocks = _philox._philox_blocks(np.arange(1, 10, dtype=np.uint64), seed, walks)
     assert np.array_equal(blocks.reshape(-1), fresh)
-    # A counter of c makes the next block c + 1, as the fallback relies on.
+    # A counter of c makes the next block c + 1, as later windows rely on.
     later = np.random.Philox(key=key, counter=1000).random_raw(4 * 3)
     blocks = _philox._philox_blocks(np.arange(1001, 1004, dtype=np.uint64), seed, walks)
     assert np.array_equal(blocks.reshape(-1), later)
 
 
-@pytest.mark.parametrize("bound", [3 * 2**30, 6, 8, 2**32, 2**32 + 2])
+@pytest.mark.parametrize(
+    "bound", [3 * 2**30, 6, 8, 2**32, 2**32 + 2, 3 * 2**40 + 5, 2**62 + 7]
+)
 def test_bounded_draws_match_generator_integers(bound):
     key = np.array([11, 3], dtype=np.uint64)
     words = np.random.Philox(key=key).random_raw(4000)
     draws, rejected = _philox._bounded_draws(words, bound)
-    if bound == 3 * 2**30:
-        # 2**32 mod 3 * 2**30 = 2**30: a quarter of the uint32s are rejected.
+    if bound in (3 * 2**30, 2**62 + 7):
+        # 2**32 mod 3 * 2**30 = 2**30 and 2**64 mod (2**62 + 7) = 2**62 - 21:
+        # about a quarter of the draws are rejected.
         assert 0.2 < rejected.mean() < 0.3
     elif bound & (bound - 1) == 0:
         assert not rejected.any()
-    elif bound > 2**32:
-        # numpy draws from whole uint64 words here, so nothing is kept.
-        assert rejected.all()
+    # one draw per uint32 up to 2**32, one per uint64 word above
+    assert draws.size == words.size * (2 if bound <= 2**32 else 1)
     accepted = draws[~rejected]
     expected = np.random.Generator(np.random.Philox(key=key)).integers(
         0, bound, size=accepted.size
