@@ -352,16 +352,17 @@ def hit_simulate(
     Walk w takes its steps from Generator(Philox(key=(seed, w))).integers(0,
     2k) (see GENERATOR_ID), so results are deterministic for a fixed seed.
     The walks of a slice advance in lockstep: every round computes the next
-    window of Philox blocks for all of them at once, and each walk retires at
-    its first visit to ell.  A draw numpy would reject (about 1e-9 per draw
-    at k = 3) moves nothing and is not counted as a step, since numpy draws
-    the next value in its place, so every walk time equals the
-    one-walk-at-a-time computation.  SimulationBudgetError is raised once the
-    finished walk times plus the steps taken by unfinished walks exceed
-    `step_cap`, and before any walk when walks > step_cap: every walk to
-    ell != 0 takes at least one step.  ParameterError is raised, before any
-    walk, when n + 2**15 k reaches 2**63, where a window's positions would
-    overflow int64; h(0, ell) >= 2n/3 there, over 10**14 steps per walk.
+    window of Philox blocks for all of them at once, never more blocks than
+    each walk has already used, and each walk retires at its first visit to
+    ell.  A draw numpy would reject (about 1e-9 per draw at k = 3) moves
+    nothing and is not counted as a step, since numpy draws the next value
+    in its place, so every walk time equals the one-walk-at-a-time
+    computation.  SimulationBudgetError is raised once the finished walk
+    times plus the steps taken by unfinished walks exceed `step_cap`, and
+    before any walk when walks > step_cap: every walk to ell != 0 takes at
+    least one step.  ParameterError is raised, before any walk, when
+    n + 2**15 k reaches 2**63, where a window's positions would overflow
+    int64; h(0, ell) >= 2n/3 there, over 10**14 steps per walk.
     """
     check_ell(spec, ell)
     if walks < 1:

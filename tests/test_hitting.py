@@ -721,6 +721,32 @@ def test_simulate_skips_rejected_draws_exactly(monkeypatch, spec, walks, seed, m
 
 
 @pytest.mark.parametrize(
+    "spec, ell, walks",
+    [(GraphSpec(50, 2), 1, 6000), (GraphSpec(50, 2), 1, 300),
+     (GraphSpec(12, 2), 1, 1000)],
+)
+def test_simulate_windows_stay_within_each_walks_progress(
+    monkeypatch, spec, ell, walks
+):
+    # 2k = 4 never rejects a draw.  A walk that has used U blocks without a
+    # hit has taken over 8U steps, and its next window is at most max(1, U)
+    # blocks, so the draws made stay below twice the steps plus one block of
+    # 8 draws per walk.  Windows sized by the walk count alone drew 63,816
+    # values for the 10,787 steps of 300 walks at (50, 2, 1).
+    made = []
+    bounded_draws = _philox._bounded_draws
+
+    def spy(words, bound):
+        draws, rejected = bounded_draws(words, bound)
+        made.append(draws.size)
+        return draws, rejected
+
+    monkeypatch.setattr(_philox, "_bounded_draws", spy)
+    steps = int(_philox.walk_times(spec, ell, walks, 12345, 10**9).sum())
+    assert sum(made) < 2 * steps + 8 * walks
+
+
+@pytest.mark.parametrize(
     "spec, ell, walks, seed",
     [(GraphSpec(24, 1), 23, 50, 7), (GraphSpec(11, 3), 5, 5000, 8),
      (REJECTING, 1, 20, 1), (REJECTING, 1, 1, 3)],
@@ -757,17 +783,26 @@ def test_simulate_refuses_walks_that_would_overflow_int64(monkeypatch):
     assert tuple(hit_simulate(spec, 1, 4, 4)) == simulate_reference(spec, 1, 4, 4)
 
 
-@pytest.mark.parametrize("seed, walk", [(0, 0), (2**64 - 1, 12345), (7, 2**64 - 1)])
-def test_philox_blocks_match_numpy(seed, walk):
-    key = np.array([seed, walk], dtype=np.uint64)
-    walks = np.array([walk], dtype=np.uint64)
-    fresh = np.random.Philox(key=key).random_raw(4 * 9)
-    blocks = _philox._philox_blocks(np.arange(1, 10, dtype=np.uint64), seed, walks)
-    assert np.array_equal(blocks.reshape(-1), fresh)
-    # A counter of c makes the next block c + 1, as later windows rely on.
-    later = np.random.Philox(key=key, counter=1000).random_raw(4 * 3)
-    blocks = _philox._philox_blocks(np.arange(1001, 1004, dtype=np.uint64), seed, walks)
-    assert np.array_equal(blocks.reshape(-1), later)
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 7])
+@pytest.mark.parametrize("start", [0, 999, 2**32 - 2, 2**40 + 3, 2**64 - 11])
+def test_philox_blocks_match_numpy(seed, start):
+    # Several walks against several counters, as walk_times broadcasts them.
+    # A counter of c makes the next block c + 1, as later windows rely on, so
+    # Philox(counter=start) emits the blocks for start + 1, ...  Past 2**32
+    # the high half of the round-0 product M0 * c is nonzero, and seeds 0 and
+    # 2**64 - 1 wrap the key bump.
+    walks = np.array([0, 12345, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
+    counters = np.arange(start + 1, start + 10, dtype=np.uint64)
+    blocks = _philox._philox_blocks(counters, seed, walks[:, None])
+    assert blocks.shape == (walks.size, counters.size, 4)
+    for walk, row in zip(walks, blocks):
+        key = np.array([seed, walk], dtype=np.uint64)
+        fresh = np.random.Philox(key=key, counter=start).random_raw(4 * counters.size)
+        assert np.array_equal(row.reshape(-1), fresh)
+    one_walk = _philox._philox_blocks(counters, seed, walks[1:2])
+    assert np.array_equal(one_walk, blocks[1])
+    swapped = _philox._philox_blocks(counters[:, None], seed, walks)
+    assert np.array_equal(swapped, blocks.transpose(1, 0, 2))
 
 
 @pytest.mark.parametrize(
@@ -790,3 +825,8 @@ def test_bounded_draws_match_generator_integers(bound):
         0, bound, size=accepted.size
     )
     assert np.array_equal(accepted, expected)
+    # The uint32 halves are a little-endian view, so a big-endian copy of the
+    # words gives the same draws and mask on any host.
+    swapped_draws, swapped_rejected = _philox._bounded_draws(words.astype(">u8"), bound)
+    assert np.array_equal(swapped_draws, draws)
+    assert np.array_equal(swapped_rejected, rejected)
