@@ -83,7 +83,7 @@ def _philox_blocks(
     key1 = [walks + np.uint64(r * _PHILOX_W[1] & _MASK64) for r in rounds]
     # Round 0: x = (c, 0, 0, 0) gives (seed, 0, hi(M0 c) ^ walk, lo(M0 c)).
     hi, x3 = _mulhilo(m0, np.array(counters, dtype=np.uint64, ndmin=1))
-    x2 = np.bitwise_xor(hi, key1[0], out=np.empty(shape, dtype=np.uint64))
+    x2 = hi ^ key1[0]
     # Round 1: x0 = seed and x1 = 0, so hi(M0 x0) and lo(M0 x0) are ints.
     seed_hi, seed_lo = divmod(_PHILOX_M[0] * seed, 2**64)
     x0, x1 = _mulhilo(m1, x2)
