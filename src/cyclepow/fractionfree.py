@@ -1,5 +1,6 @@
 """Fraction-free integer elimination of symmetric positive-definite band
-matrices: exact determinants, linear solves and principal minors.
+matrices: exact determinants, linear solves and principal minors, all read
+from one factorization.
 
 Every matrix the package eliminates is a Laplacian with at least one vertex
 deleted, so symmetric positive definite, and no other is accepted.  One-step
@@ -20,27 +21,43 @@ block carries everything: the pivot row also serves as the pivot column.  A
 column with only zeros above the active rows is untouched: its bordered
 minors are the original entries times the last pivot, as is every entry of
 a row that enters the block.  An n x n matrix costs about n * b(b+1)/2
-integer updates and O(n * b) storage; each division is exact by Sylvester's
-identity and still checked.
+integer updates; each division is exact by Sylvester's identity and still
+checked.
 
+The factor is every upper row U(i, i..i+b), pivots P_i = U(i, i) first and
+P_-1 = 1: O(n * b) integers of O(n) bits, which a bare determinant keeps
+too.  _factor memoises the last one on the band rows' content, lists and
+tuples alike, so a determinant, a solve and an adjugate of the same matrix
+eliminate once; one entry covers every caller that asks again (a tree count,
+then the hitting-time solve and the forest count of the same graph), and a
+matrix that fails its checks raises on every call.
+
+A solve then carries its right-hand side r through the same steps, in O(n * b):
+at column c, for d = 1..b,
+
+    r(c+d) = (P_c * r(c+d) - U(c, c+d) * r(c)) / P_(c-1),
+
+and the row entering the block at c+b+1 is multiplied by P_c.
 Back-substitution also stays in integers: with D the final pivot (det A),
 Cramer's rule makes D * x integral, so only the returned Fractions divide.
 
 The adjugate W = adj(A) = det A * A^-1 holds every minor with one row and
 column deleted on its diagonal.  Selected inversion (Erisman & Tinney, CACM
-18, 1975) sweeps W's band back from the kept upper rows U, with pivots P_i =
-U(i, i), P_-1 = 1 and A = U^T diag(1 / (P_(i-1) P_i)) U: for j = i+b down to i,
+18, 1975) sweeps W's band back from the factor U, with A = U^T diag(1 /
+(P_(i-1) P_i)) U: for j = i+b down to i,
 
     W(i, j) = ([j == i] * det A * P_(i-1) - sum_t U(i, t) W(t, j)) / P_i,
 
 summed over t = i+1..i+b, inside the band, reading W(t, j) as W(j, t) for
 t > j.  Each numerator is P_i times an integer cofactor, so each division is
-exact and still checked.  This costs about two determinants, O(n * b) space.
+exact and still checked.  The sweep costs about one more elimination, O(n * b)
+space.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
@@ -49,15 +66,14 @@ from .errors import ConsistencyError
 __all__ = ["adjugate_diagonal", "determinant", "solve"]
 
 
-def _forward(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int] | None, keep_all: bool
-) -> list[list[int]]:
-    """Eliminate below the diagonal; return the upper rows.
+@lru_cache(maxsize=1)
+def _factor(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Eliminate below the diagonal; return every upper row, upper row i
+    holding columns i..i+b of the triangular factor.
 
-    Upper row i holds columns i..i+b of the triangular factor, then any
-    right-hand side.  Unless keep_all only the last upper row is kept, as a
-    determinant needs no more.  Raises ConsistencyError unless the rows are
-    those of a symmetric positive-definite matrix.
+    Callers pass the band rows as tuples, tuple(map(tuple, rows)), so the
+    memo is keyed on their content.  Raises ConsistencyError unless the rows
+    are those of a symmetric positive-definite matrix.
     """
     n = len(rows)
     width = len(rows[0])
@@ -67,11 +83,9 @@ def _forward(
     for e in range(1, min(b, n - 1) + 1):
         if [row[b + e] for row in rows[: n - e]] != [row[b - e] for row in rows[e:]]:
             raise ConsistencyError("band rows are not symmetric")
-    right = [] if rhs is None else [int(x) for x in rhs]
-    # Active row col+d: columns col+d..col+b, then its right-hand side.
+    # Active row col+d: columns col+d..col+b.
     window = [
-        [int(x) for x in rows[d][b : 2 * b + 1 - d]] + right[d : d + 1]
-        for d in range(min(n, b + 1))
+        [int(x) for x in rows[d][b : 2 * b + 1 - d]] for d in range(min(n, b + 1))
     ]
     upper = []
     prev = 1
@@ -88,15 +102,35 @@ def _forward(
                 if remainder:
                     raise ConsistencyError("fraction-free step left a remainder")
                 updated.append(quotient)
-            updated.insert(b + 1 - d, int(rows[col + d][2 * b + 1 - d]) * pivot)
+            updated.append(int(rows[col + d][2 * b + 1 - d]) * pivot)
             window[d - 1] = updated
-        r = col + b + 1
-        if r < n:
-            window.append([int(x) * pivot for x in (rows[r][b], *right[r : r + 1])])
-        if keep_all or col == n - 1:
-            upper.append(base)
+        if col + b + 1 < n:
+            window.append([int(rows[col + b + 1][b]) * pivot])
+        upper.append(tuple(base))
         prev = pivot
-    return upper
+    return tuple(upper)
+
+
+def _carry(upper: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int]:
+    """The right-hand side after the elimination steps that built upper.
+
+    Raises ConsistencyError when a division leaves a remainder, which an
+    exact factor never does.
+    """
+    n, b = len(upper), len(upper[0]) - 1
+    right = [int(x) for x in rhs]
+    prev = 1
+    for c, u in enumerate(upper):
+        pivot, x = u[0], right[c]
+        for d in range(1, min(b, n - 1 - c) + 1):
+            quotient, remainder = divmod(pivot * right[c + d] - u[d] * x, prev)
+            if remainder:
+                raise ConsistencyError("right-hand-side step left a remainder")
+            right[c + d] = quotient
+        if c + b + 1 < n:
+            right[c + b + 1] *= pivot
+        prev = pivot
+    return right
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -108,7 +142,7 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     """
     if not rows:
         return 1
-    return _forward(rows, None, False)[-1][0]
+    return _factor(tuple(map(tuple, rows)))[-1][0]
 
 
 def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
@@ -123,14 +157,13 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
         raise ConsistencyError("right-hand side length does not match the matrix")
     if n == 0:
         return []
-    upper = _forward(rows, rhs, True)
+    upper = _factor(tuple(map(tuple, rows)))
+    right = _carry(upper, rhs)
     scale = upper[-1][0]
     scaled = [0] * n  # scale * x, integral by Cramer's rule
     for i in range(n - 1, -1, -1):
         row = upper[i]
-        acc = scale * row[-1]
-        for j in range(1, min(len(row) - 1, n - i)):
-            acc -= row[j] * scaled[i + j]
+        acc = scale * right[i] - sum(map(mul, row[1:], scaled[i + 1 : i + len(row)]))
         scaled[i], remainder = divmod(acc, row[0])
         if remainder:
             raise ConsistencyError("back-substitution left a remainder")
@@ -144,7 +177,7 @@ def adjugate_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
     n = len(rows)
     if n == 0:
         return []
-    upper = _forward(rows, None, True)
+    upper = _factor(tuple(map(tuple, rows)))
     det, b = upper[-1][0], len(upper[0]) - 1
     band = [[]] * n + [[0] * (b + 1)] * b  # band[i] is W(i, i..i+b), zero past n
     for i in range(n - 1, -1, -1):

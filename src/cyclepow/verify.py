@@ -31,7 +31,7 @@ Three more facts are pinned by tests alone, since no input can fail them:
   test_band_rows_equal_the_dense_construction): build_laplacian writes 2k on
   the diagonal and -1 for each of the 2k distinct neighbours, symmetrically,
   so row sums, symmetry, diagonal and trace hold by construction;
-  fractionfree._forward raises on an asymmetric matrix, and a wrong
+  fractionfree._factor raises on an asymmetric matrix, and a wrong
   neighbour rule would move every exact h, which the oracle rows grade.
 - The contracted Laplacians' structure (the same band test with (0, ell)
   removed, and test_contracted_tree_counts_against_brute_force): a kept row

@@ -152,6 +152,28 @@ def test_memoised_forests_in_any_call_order(cases):
     assert info.hits == len(cases) - info.misses
 
 
+def clear_exact_caches():
+    for cached in (fractionfree._factor, arboreal._graph_tau, hit_exact_all):
+        cached.cache_clear()
+
+
+def test_tree_bundle_factors_each_reduced_laplacian_once():
+    # tau_det, the solve behind resistance and the tau_det behind forests all
+    # read L with 0 deleted; tau_contracted eliminates L with 0 and 3 deleted.
+    clear_exact_caches()
+    arboreal_counts(GraphSpec(9, 2), 3)
+    info = fractionfree._factor.cache_info()
+    assert (info.misses, info.maxsize) == (2, 1)  # one factor held, not more
+
+
+def test_contracted_and_forest_counts_share_one_factorization():
+    spec = GraphSpec(9, 2)
+    clear_exact_caches()
+    counts = contracted_counts(spec)
+    assert [forests(spec, ell) for ell in range(1, spec.n)] == list(counts[1:])
+    assert fractionfree._factor.cache_info().misses == 1
+
+
 def test_tau_contracted_examples():
     assert tau_contracted(GraphSpec(5, 2), 2) == 50
     assert tau_contracted(GraphSpec(6, 1), 3) == 9

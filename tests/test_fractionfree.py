@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cyclepow import fractionfree
 from cyclepow.errors import ConsistencyError
 from cyclepow.fractionfree import adjugate_diagonal, determinant, solve
 from cyclepow.graphs import GraphSpec, build_laplacian
@@ -81,12 +82,40 @@ def test_solve_matches_plain_gaussian_elimination(system):
     ids=["non-symmetric", "indefinite", "full-laplacian"],
 )
 def test_rejects_all_but_symmetric_positive_definite(band):
-    with pytest.raises(ConsistencyError):
-        determinant(band)
-    with pytest.raises(ConsistencyError):
-        solve(band, [1] * len(band))
-    with pytest.raises(ConsistencyError):
-        adjugate_diagonal(band)
+    # Twice each: a failed factorization is not memoised.
+    for _ in range(2):
+        with pytest.raises(ConsistencyError):
+            determinant(band)
+        with pytest.raises(ConsistencyError):
+            solve(band, [1] * len(band))
+        with pytest.raises(ConsistencyError):
+            adjugate_diagonal(band)
+
+
+def test_solve_reads_the_factor_a_determinant_left():
+    rows = build_laplacian(GraphSpec(11, 2), (0,))[1]
+    lists = [list(row) for row in rows]
+    rhs = list(range(1, len(rows) + 1))
+    fractionfree._factor.cache_clear()
+    cold = solve(rows, rhs)
+    for first, second in ((lists, rows), (rows, lists)):
+        fractionfree._factor.cache_clear()
+        determinant(first)
+        assert solve(second, rhs) == cold
+        info = fractionfree._factor.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+def test_solve_checks_each_division_of_its_right_hand_side(monkeypatch):
+    # P_0 = 4 and r(1) = 1 after column 0, so U(1, 2) + 1 moves the column-1
+    # numerator of r(2) by 1, which P_0 cannot divide.
+    rows = build_laplacian(GraphSpec(7, 2), (0,))[1]
+    exact = fractionfree._factor(rows)
+    assert (exact[0][0], exact[0][1]) == (4, -1)
+    perturbed = (exact[0], (exact[1][0], exact[1][1] + 1, *exact[1][2:]), *exact[2:])
+    monkeypatch.setattr(fractionfree, "_factor", lambda rows: perturbed)
+    with pytest.raises(ConsistencyError, match="right-hand-side step left a remainder"):
+        solve(rows, [1] + [0] * (len(rows) - 1))
 
 
 def test_determinant_empty():
