@@ -18,17 +18,21 @@ The package API below is what the README, the CLI and the scripts use;
 helpers (band Laplacians, polynomials, recurrence sequences, root finding)
 are imported from their modules, for example
 ``cyclepow.graphs.build_laplacian``.
+
+Importing the package executes none of its eight layer modules.  Each is
+registered in ``sys.modules`` through ``importlib.util.LazyLoader`` and
+executes on its first attribute read, and the names in ``__all__`` resolve
+through the module ``__getattr__``.  So a command executes only the layers it
+reads: ``hit --method spectral`` never runs ``fractionfree``, ``arboreal`` or
+``verify``.  Python 3.11's ``LazyLoader`` takes no lock: a thread that reads a
+layer while another thread's first read is still executing it can find the
+layer half built.  The CLI is single-threaded; a threaded caller should read
+each layer it needs before starting its threads.
 """
 
-from .arboreal import (
-    arboreal_counts,
-    forests,
-    resistance,
-    tau_contracted,
-    tau_det,
-    tau_eigen,
-    tau_product,
-)
+import importlib.util
+import sys
+
 from .errors import (
     ConsistencyError,
     CyclepowError,
@@ -37,18 +41,6 @@ from .errors import (
     PrecisionError,
     SimulationBudgetError,
 )
-from .graphs import GraphSpec
-from .hitting import (
-    GENERATOR_ID,
-    hit_closed,
-    hit_closed_literal,
-    hit_exact,
-    hit_simulate,
-    hit_spectral,
-)
-from .polynomials import build_phi, build_psi
-from .spectral import cached_factorization
-from .verify import run_verification
 
 __version__ = "0.1.0"
 
@@ -78,3 +70,58 @@ __all__ = [
     "tau_eigen",
     "tau_product",
 ]
+
+# The layer that defines each name of __all__ outside `errors`.
+_LAYER_OF = {
+    "GraphSpec": "graphs",
+    "build_phi": "polynomials",
+    "build_psi": "polynomials",
+    "cached_factorization": "spectral",
+    "GENERATOR_ID": "hitting",
+    "hit_closed": "hitting",
+    "hit_closed_literal": "hitting",
+    "hit_exact": "hitting",
+    "hit_simulate": "hitting",
+    "hit_spectral": "hitting",
+    "arboreal_counts": "arboreal",
+    "forests": "arboreal",
+    "resistance": "arboreal",
+    "tau_contracted": "arboreal",
+    "tau_det": "arboreal",
+    "tau_eigen": "arboreal",
+    "tau_product": "arboreal",
+    "run_verification": "verify",
+}
+
+
+def _lazy(layer: str):
+    """The layer module, in sys.modules but not executed until read."""
+    spec = importlib.util.find_spec(f"{__name__}.{layer}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+graphs = _lazy("graphs")
+polynomials = _lazy("polynomials")
+fractionfree = _lazy("fractionfree")
+spectral = _lazy("spectral")
+recurrences = _lazy("recurrences")
+hitting = _lazy("hitting")
+arboreal = _lazy("arboreal")
+verify = _lazy("verify")
+
+
+def __getattr__(name: str):
+    """A name of __all__ from its layer, which this read may execute."""
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[layer], name)
+
+
+def __dir__():
+    """The package's own names plus those __getattr__ serves."""
+    return sorted(set(globals()) | set(__all__))

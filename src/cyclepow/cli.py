@@ -33,25 +33,15 @@ import click
 from mpmath import mp
 from mpmath.libmp import prec_to_dps
 
-from .arboreal import arboreal_counts, contracted_counts, forests, resistance
+from . import __version__, arboreal, hitting, verify
 from .errors import CyclepowError, ParameterError
 from .graphs import GraphSpec, check_ell
-from .hitting import (
-    GENERATOR_ID,
-    hit_closed,
-    hit_closed_all,
-    hit_closed_literal,
-    hit_exact,
-    hit_simulate,
-    hit_spectral,
-)
 from .spectral import (
     DEFAULT_PRECISION_BITS,
     MIN_PRECISION_BITS,
     certified_bound,
     working_precision,
 )
-from .verify import run_verification
 
 CSV_HEADER = "n,k,ell,method,value,err_bound"
 
@@ -120,7 +110,7 @@ def _count_rows(record: Record, spec: GraphSpec) -> None:
     """The cross-checked arboreal_counts of the record's (spec, ell): the
     three tree counts, then with ell the resistance, forest count and
     contracted tree count."""
-    counts = arboreal_counts(spec, record.ell, record.precision_bits)
+    counts = arboreal.arboreal_counts(spec, record.ell, record.precision_bits)
     record.add("tau_det", counts.tree_count)
     record.add("tau_eigen", counts.tree_count_eigen)
     record.add("tau_product", counts.tree_count_product)
@@ -192,7 +182,7 @@ class _Group(click.Group):
 
 
 @click.group(cls=_Group)
-@click.version_option(package_name="cyclepow")
+@click.version_option(__version__, prog_name="cyclepow")
 def main() -> None:
     """Hitting times, resistances, and tree counts on cycle power graphs."""
     # Exact values are printed in full, past CPython's int-to-str digit limit.
@@ -243,19 +233,20 @@ def cmd_hit(n, k, ell, method, form, precision, walks, seed, erratum, fmt) -> No
     for tag in methods:
         record = Record("hit", n, k, ell, precision)
         if tag == "exact":
-            record.add("exact", hit_exact(spec, ell))
+            record.add("exact", hitting.hit_exact(spec, ell))
         elif tag == "spectral":
-            record.add("spectral", hit_spectral(spec, ell, precision))
+            record.add("spectral", hitting.hit_spectral(spec, ell, precision))
         elif tag == "closed":
-            record.add("closed", hit_closed(spec, ell, precision, _FORM_NAMES[form]))
+            value = hitting.hit_closed(spec, ell, precision, _FORM_NAMES[form])
+            record.add("closed", value)
         else:
-            result = hit_simulate(spec, ell, walks, seed)
+            result = hitting.hit_simulate(spec, ell, walks, seed)
             record.results.append(("simulate", repr(result.mean), repr(result.stderr)))
             record.seed = str(seed)
-            record.generator = GENERATOR_ID
+            record.generator = hitting.GENERATOR_ID
         records.append(record)
     if erratum:
-        value = hit_closed_literal(spec, ell, precision)
+        value = hitting.hit_closed_literal(spec, ell, precision)
         record = Record("hit", n, k, ell, precision)
         record.results.append(("closed-literal", _format_value(value, precision), None))
         records.append(record)
@@ -295,7 +286,7 @@ def cmd_verify(kmax, nmax, precision, report) -> None:
     """Run every cross-method identity check up to the given bounds."""
     _check_precision(precision)
     started = time.perf_counter()
-    results = _usage_checked(run_verification, kmax, nmax, precision)
+    results = _usage_checked(verify.run_verification, kmax, nmax, precision)
     width = max(len(result.check_id) for result in results)
     click.echo(
         f"{'check':<{width}}  {'cases':>6}  {'worst':>11}  "
@@ -381,21 +372,21 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> None:
                 records.append(record)
                 continue
             if quantity == "forests":
-                contracted = contracted_counts(spec)
+                contracted = arboreal.contracted_counts(spec)
             else:
-                closed = hit_closed_all(spec, precision)
+                closed = hitting.hit_closed_all(spec, precision)
             for ell in range(1 if quantity == "forests" else 0, n):
                 record = Record("sweep", n, k, ell, precision)
                 if quantity == "hit":
-                    record.add("exact", hit_exact(spec, ell))
+                    record.add("exact", hitting.hit_exact(spec, ell))
                     record.add("closed", closed[ell])
                 elif quantity == "resist":
-                    record.add("exact", resistance(spec, ell))
+                    record.add("exact", arboreal.resistance(spec, ell))
                     with working_precision(precision):
                         value = closed[ell] / spec.num_edges
                     record.add("closed", value)
                 else:
-                    record.add("forests", forests(spec, ell))
+                    record.add("forests", arboreal.forests(spec, ell))
                     record.add("tau_contracted", contracted[ell])
                 records.append(record)
     text = "".join(line + "\n" for line in _lines(records, fmt))

@@ -5,7 +5,6 @@ import pytest
 from click.testing import CliRunner
 from mpmath import mp
 
-import cyclepow.cli as cli_module
 from cyclepow import (
     GraphSpec,
     ParameterError,
@@ -219,12 +218,21 @@ def test_usage_error_messages(runner, args, message):
 @pytest.mark.parametrize(
     "args, route",
     [
-        ("hit --n 12 --k 2 --ell 5 --method spectral", "hit_spectral"),
-        ("hit --n 12 --k 2 --ell 5 --method closed --erratum", "hit_closed_literal"),
-        ("trees --n 12 --k 2 --ell 5", "arboreal_counts"),
-        ("verify --kmax 1 --nmax 3", "run_verification"),
-        ("sweep --n-range 5:8 --k-range 1:2 --quantity tau", "arboreal_counts"),
-        ("sweep --n-range 5:8 --k-range 1:2 --quantity resist", "hit_closed_all"),
+        ("hit --n 12 --k 2 --ell 5 --method spectral", "hitting.hit_spectral"),
+        (
+            "hit --n 12 --k 2 --ell 5 --method closed --erratum",
+            "hitting.hit_closed_literal",
+        ),
+        ("trees --n 12 --k 2 --ell 5", "arboreal.arboreal_counts"),
+        ("verify --kmax 1 --nmax 3", "verify.run_verification"),
+        (
+            "sweep --n-range 5:8 --k-range 1:2 --quantity tau",
+            "arboreal.arboreal_counts",
+        ),
+        (
+            "sweep --n-range 5:8 --k-range 1:2 --quantity resist",
+            "hitting.hit_closed_all",
+        ),
     ],
 )
 def test_package_error_is_reported_for_every_command(
@@ -233,7 +241,8 @@ def test_package_error_is_reported_for_every_command(
     def fail(*args, **kwargs):
         raise PrecisionError("root refinement did not converge")
 
-    monkeypatch.setattr(cli_module, route, fail)
+    # The CLI reads each route from its layer module when the command runs.
+    monkeypatch.setattr(f"cyclepow.{route}", fail)
     out = tmp_path / "sweep.out"
     argv = args.split() + (["--out", str(out)] if args.startswith("sweep") else [])
     result = runner.invoke(main, argv)
@@ -328,7 +337,7 @@ def test_verify_usage_errors(runner):
 
 
 def test_verify_exits_one_on_failing_check(runner, monkeypatch):
-    import cyclepow.cli as cli_module
+    from cyclepow import verify
     from cyclepow.verify import CheckResult
 
     fake = [
@@ -337,7 +346,7 @@ def test_verify_exits_one_on_failing_check(runner, monkeypatch):
             "(n=6, k=2, ell=1)",
         )
     ]
-    monkeypatch.setattr(cli_module, "run_verification", lambda *a, **kw: fake)
+    monkeypatch.setattr(verify, "run_verification", lambda *a, **kw: fake)
     result = runner.invoke(main, ["verify", "--kmax", "1", "--nmax", "3"])
     assert result.exit_code == 1
     assert "fake-check" in result.output

@@ -4,9 +4,10 @@
 plus the exception types; every other helper is imported from its module.
 The two scripts and the README's library snippet run here in fresh
 processes, so a name they need cannot leave the API unnoticed.  Fresh
-processes also show that numpy is loaded only to simulate walks.  Guard
-bits are named in spectral alone, and no module reaches for another's
-private names.
+processes also show that numpy is loaded only to simulate walks, that a
+command executes only the layer modules it reads, and that `--version`
+works from a source checkout.  Guard bits are named in spectral alone, and
+no module reaches for another's private names.
 """
 
 import ast
@@ -14,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -55,6 +57,7 @@ def test_package_api_is_pinned_and_importable():
     namespace = {}
     exec("from cyclepow import *", namespace)
     assert API <= namespace.keys()
+    assert API <= set(dir(cyclepow))
 
 
 # Helpers that one module shares with another, kept out of __all__ (the
@@ -179,6 +182,99 @@ def test_only_simulation_loads_numpy(args, loads_numpy, tmp_path):
     result = run_python("-c", CLI_PROBE, *argv)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == str(loads_numpy)
+
+
+LAYERS = (
+    "graphs",
+    "polynomials",
+    "fractionfree",
+    "spectral",
+    "recurrences",
+    "hitting",
+    "arboreal",
+    "verify",
+)
+
+# Prints the layers in sys.modules, then those executed: a LazyLoader module
+# turns into a plain module on its first attribute read, and type() reads no
+# attribute.
+LAYER_PROBE = """
+import sys, types
+from cyclepow.cli import main
+if sys.argv[1:]:
+    main.main(args=sys.argv[1:], prog_name="cyclepow", standalone_mode=False)
+modules = {{layer: sys.modules.get("cyclepow." + layer) for layer in {layers!r}}}
+print(" ".join(layer for layer, module in modules.items() if module is not None))
+print(" ".join(
+    layer for layer, module in modules.items() if type(module) is types.ModuleType
+))
+""".format(layers=LAYERS)
+
+
+def layers_after(*argv):
+    result = run_python("-c", LAYER_PROBE, *argv)
+    assert result.returncode == 0, result.stderr
+    registered, executed = result.stdout.splitlines()[-2:]
+    return registered.split(), set(executed.split())
+
+
+def test_importing_the_cli_registers_every_layer():
+    registered, executed = layers_after()
+    assert registered == list(LAYERS)
+    assert executed <= {"graphs", "polynomials", "spectral"}
+
+
+UNUSED_BY_ANALYTIC_HIT = {"arboreal", "fractionfree", "verify"}
+
+
+@pytest.mark.parametrize(
+    "args, unexecuted",
+    [
+        ("hit --n 30 --k 3 --ell 7 --method spectral", UNUSED_BY_ANALYTIC_HIT),
+        ("hit --n 30 --k 3 --ell 7 --method closed", UNUSED_BY_ANALYTIC_HIT),
+        ("trees --n 30 --k 3 --ell 7", {"verify"}),
+    ],
+)
+def test_a_command_executes_only_the_layers_it_reads(args, unexecuted):
+    registered, executed = layers_after(*args.split())
+    assert registered == list(LAYERS)
+    assert "hitting" in executed
+    assert executed & unexecuted == set()
+
+
+# `import cyclepow` executes no layer; then each public name is imported
+# from the package and compared with the object its home module defines: the
+# one layer that lists it in __all__, or `errors` for the exception types.
+PUBLIC_PROBE = """
+import sys, types
+import cyclepow
+from cyclepow import errors
+layers = [sys.modules["cyclepow." + layer] for layer in {layers!r}]
+print(sum(type(layer) is types.ModuleType for layer in layers))
+imported = {{}}
+for name in cyclepow.__all__:
+    exec("from cyclepow import " + name, imported)
+for name in cyclepow.__all__:
+    homes = [layer for layer in layers if name in layer.__all__] or [errors]
+    print(name, len(homes), imported[name] is vars(homes[0])[name])
+""".format(layers=LAYERS)
+
+
+def test_every_public_name_imports_from_a_fresh_package():
+    result = run_python("-c", PUBLIC_PROBE)
+    assert result.returncode == 0, result.stderr
+    executed, *rows = result.stdout.splitlines()
+    assert executed == "0"
+    assert rows == [f"{name} 1 True" for name in cyclepow.__all__]
+
+
+def test_version_is_the_package_version_from_a_source_checkout():
+    result = run_python("-m", "cyclepow.cli", "--version")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "cyclepow, version 0.1.0\n"
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == cyclepow.__version__
+    assert cyclepow.__version__ == "0.1.0"
 
 
 def test_cli_prints_exact_values_past_the_int_digit_limit():
