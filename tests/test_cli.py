@@ -215,24 +215,25 @@ def test_usage_error_messages(runner, args, message):
     assert result.output.endswith(f"Error: {message}\n")
 
 
+# The layer module each route is read from when a command runs.
+ROUTE_LAYERS = {
+    "hit_spectral": "hitting",
+    "hit_closed_literal": "hitting",
+    "hit_closed_all": "hitting",
+    "arboreal_counts": "arboreal",
+    "run_verification": "verify",
+}
+
+
 @pytest.mark.parametrize(
     "args, route",
     [
-        ("hit --n 12 --k 2 --ell 5 --method spectral", "hitting.hit_spectral"),
-        (
-            "hit --n 12 --k 2 --ell 5 --method closed --erratum",
-            "hitting.hit_closed_literal",
-        ),
-        ("trees --n 12 --k 2 --ell 5", "arboreal.arboreal_counts"),
-        ("verify --kmax 1 --nmax 3", "verify.run_verification"),
-        (
-            "sweep --n-range 5:8 --k-range 1:2 --quantity tau",
-            "arboreal.arboreal_counts",
-        ),
-        (
-            "sweep --n-range 5:8 --k-range 1:2 --quantity resist",
-            "hitting.hit_closed_all",
-        ),
+        ("hit --n 12 --k 2 --ell 5 --method spectral", "hit_spectral"),
+        ("hit --n 12 --k 2 --ell 5 --method closed --erratum", "hit_closed_literal"),
+        ("trees --n 12 --k 2 --ell 5", "arboreal_counts"),
+        ("verify --kmax 1 --nmax 3", "run_verification"),
+        ("sweep --n-range 5:8 --k-range 1:2 --quantity tau", "arboreal_counts"),
+        ("sweep --n-range 5:8 --k-range 1:2 --quantity resist", "hit_closed_all"),
     ],
 )
 def test_package_error_is_reported_for_every_command(
@@ -241,8 +242,7 @@ def test_package_error_is_reported_for_every_command(
     def fail(*args, **kwargs):
         raise PrecisionError("root refinement did not converge")
 
-    # The CLI reads each route from its layer module when the command runs.
-    monkeypatch.setattr(f"cyclepow.{route}", fail)
+    monkeypatch.setattr(f"cyclepow.{ROUTE_LAYERS[route]}.{route}", fail)
     out = tmp_path / "sweep.out"
     argv = args.split() + (["--out", str(out)] if args.startswith("sweep") else [])
     result = runner.invoke(main, argv)
