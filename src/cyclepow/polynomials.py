@@ -30,7 +30,6 @@ __all__ = [
     "basis_term",
     "build_phi",
     "build_psi",
-    "derivative",
     "eval_poly",
 ]
 
@@ -113,9 +112,3 @@ def eval_poly(p: IntPolynomial, point):
         acc = acc * point + c
     return acc
 
-
-def derivative(p: IntPolynomial) -> IntPolynomial:
-    """Formal derivative with integer coefficients."""
-    if p.degree < 1:
-        return IntPolynomial((0,))
-    return IntPolynomial(tuple(i * c for i, c in enumerate(p.coeffs))[1:])

@@ -15,15 +15,19 @@ The inner roots are found directly: f(z) = z^(2k+1) - (2k+1) z^(k+1) +
 k - 1 roots of f inside the unit circle.  One branch per real root and per
 conjugate pair is seeded at 64 bits from f's form near the unit circle and
 polished by Newton iteration on f at the working precision; the one real
-branch (k even) is stepped in mpf and stays exactly real.  An upper root of
-f is the conjugate rho of an upper gamma.  mpmath rounds complex operations
+branch (k even) is stepped in mpf and stays exactly real.  partial_fractions
+evaluates no other polynomial away from x = 2: f's four terms, built on one
+power rho^(k-1), also give the bound on |psi_k(gamma)| and the slope
+psi_k'(gamma) that A needs, so their rounding does not grow with psi_k's
+coefficients; psi_k is read only at 2, exactly, for B.  An upper root of f
+is the conjugate rho of an upper gamma.  mpmath rounds complex operations
 symmetrically, so the lower gamma's inner root and coefficient would come
 out exact conjugates of the upper's, and so would the correction ratios
 built from them, in mpmath or in fixed point (see recurrences).  So
 partial_fractions keeps one factor per real root and one per conjugate pair,
 the upper root standing for both: a pair contributes twice the real part of
 the upper factor's term to a real sum, and its conjugate term where a
-complex one is needed.  Each residual |psi_k(gamma)| is certified against
+complex one is needed.  Each bound on |psi_k(gamma)| is certified against
 the 2^(-precision_bits/2) convention used package-wide, and |rho| and the
 distinctness of the roots are verified numerically per k rather than
 assumed.  working_bits is the one working precision of every analytic value;
@@ -45,7 +49,7 @@ from .errors import (
     ParameterError,
     PrecisionError,
 )
-from .polynomials import IntPolynomial, build_phi, build_psi, derivative, eval_poly
+from .polynomials import build_phi, build_psi, eval_poly
 
 __all__ = [
     "DEFAULT_PRECISION_BITS",
@@ -135,7 +139,9 @@ class FactorData:
     root         -- gamma, a root of psi_k (high-precision complex)
     inner_root   -- rho with rho + 1/rho = root and |rho| < 1
     coefficient  -- A, the partial-fraction coefficient at this pole
-    residual     -- |psi_k(root)|, certified within 2^(-precision_bits/2)
+    residual     -- a first-order bound on |psi_k(root)|, read through the
+                    inner equation at inner_root, and certified within
+                    2^(-precision_bits/2)
     """
 
     root: object
@@ -161,17 +167,25 @@ class SpectralFactorization:
     factors: tuple[FactorData, ...]
 
 
-def _inner_equation(k: int) -> IntPolynomial:
-    """f(z) = z^(2k+1) - (2k+1) z^(k+1) + (2k+1) z^k - 1, which equals
-    z^(k-1) (z - 1)^3 psi_k(z + 1/z): its roots are 1 (triple) and the
-    inner roots of psi_k's roots with their reciprocals."""
-    coeffs = [0] * (2 * k + 2)
-    coeffs[0], coeffs[k], coeffs[k + 1], coeffs[-1] = -1, 2 * k + 1, -2 * k - 1, 1
-    return IntPolynomial(tuple(coeffs))
+def _inner_equation(k: int, z):
+    """f(z), f'(z) and w = z^(k-1), for the four-term inner equation
+
+        f(z) = z^(2k+1) - (2k+1) z^(k+1) + (2k+1) z^k - 1
+             = z^(k-1) (z - 1)^3 psi_k(z + 1/z),
+
+    whose roots are 1 (triple) and the inner roots of psi_k's roots with
+    their reciprocals.  Both are built on the one power w, in O(log k)
+    products: f(z) = w z (w z^2 - (2k+1)(z - 1)) - 1 and
+    f'(z) = (2k+1) w (w z^2 - (k+1) z + k).
+    """
+    w = z ** (k - 1)
+    wz2 = w * z * z
+    value = w * z * (wz2 - (2 * k + 1) * (z - 1)) - 1
+    return value, (2 * k + 1) * w * (wz2 - (k + 1) * z + k), w
 
 
 def _seed(k: int, j: int):
-    """A rough root of _inner_equation(k) on branch j, for 1 <= j <= k/2.
+    """A rough root of the inner equation f on branch j, for 1 <= j <= k/2.
 
     Near the unit circle f(z) = 0 reads z^k (2k+1)(1 - z) = 1, so the inner
     roots sit near the fixed points of z <- w^j ((2k+1)(1 - z))^(-1/k),
@@ -192,16 +206,17 @@ def _seed(k: int, j: int):
     return z
 
 
-def _polish(p: IntPolynomial, dp: IntPolynomial, z, tol, target):
-    """Newton iteration on p from z, kept to the iterate with the least |p|.
+def _polish(k: int, z, tol, target):
+    """Newton iteration on the inner equation f from z, kept to the iterate
+    with the least |f|.
 
-    Stops once |p| <= target, or once it bounces on the rounding floor
-    below tol; PrecisionError unless the least |p| is within tol.
+    Stops once |f| <= target, or once it bounces on the rounding floor
+    below tol; PrecisionError unless the least |f| is within tol.
     """
     best = z
     best_residual = mp.inf
     for _ in range(_NEWTON_BUDGET):
-        value = eval_poly(p, z)
+        value, slope, _ = _inner_equation(k, z)
         residual = abs(value)
         if residual < best_residual:
             best, best_residual = z, residual
@@ -209,7 +224,6 @@ def _polish(p: IntPolynomial, dp: IntPolynomial, z, tol, target):
             break  # bouncing on the rounding floor; keep the best
         if residual <= target:
             break
-        slope = eval_poly(dp, z)
         if slope == 0:
             break
         z = z - value / slope
@@ -220,20 +234,59 @@ def _polish(p: IntPolynomial, dp: IntPolynomial, z, tol, target):
     return best
 
 
+def _root_data(k: int, rho):
+    """gamma = rho + 1/rho, a bound on |psi_k(gamma)|, and psi_k'(gamma),
+    all read through f at the inner root rho (|rho| < 1) at the working
+    precision p = mp.prec.
+
+    With w = rho^(k-1) and s = w (rho - 1)^3, psi_k(rho + 1/rho) = f(rho) / s
+    exactly.  Differentiating f(z) = z^(k-1) (z - 1)^3 psi_k(z + 1/z) gives
+    f'(z) = (z^(k-1) (z - 1)^3)' psi_k(z + 1/z) + s psi_k'(z + 1/z) (1 - z^-2),
+    whose first term vanishes at a root, so psi_k'(gamma) = f'(rho) /
+    (s (1 - rho^-2)).  Two roundings separate what is read from
+    psi_k(gamma); mpmath rounds each part of a sum or product once, within
+    2^-p of it:
+
+    - f(rho) is formed from w in eight roundings, each within 2^-p of a
+      partial sum no larger than T = |w|^2 |rho|^3 + (2k+1) |w rho (rho - 1)|
+      + 1, the size of f's terms, so it is read within (6 + 2e) 2^-p T if w
+      carries e units of rounding.  mpmath rounds the exact power once
+      (e = 1), or forms exp((k-1) log rho) with 10 guard bits (e about
+      1 + (k-1) |log rho| 2^-9), so e <= 5 for k up to about 500 and f(rho)
+      is read within 2^(4-p) T.
+    - The stored gamma is rounded: each part of 1/rho is its quotient by
+      |rho|^2 (formed with 10 guard bits), rounded once, and each part of
+      the sum is rounded once, so |gamma - (rho + 1/rho)| <=
+      2^(1-p) (|gamma| + |1/rho|).
+
+    So, to first order in the rounding (what is left is of order 2^-2p),
+
+        |psi_k(gamma)| <= (|f(rho)| + 2^(4-p) T) / |s|
+                          + |psi_k'(gamma)| 2^(1-p) (|gamma| + |1/rho|).
+
+    Neither term grows with psi_k's coefficients, as the rounding of Horner
+    on psi_k does (with sum |c_i| |gamma|^i).
+    """
+    gamma = mp.mpc(rho + 1 / rho)
+    value, slope, power = _inner_equation(k, rho)
+    scale = power * (rho - 1) ** 3
+    dpsi = slope / (scale * (1 - rho**-2))
+    terms = abs(power * rho) * (abs(power * rho**2) + (2 * k + 1) * abs(rho - 1)) + 1
+    rounding = 8 * terms / abs(scale) + abs(dpsi) * (abs(gamma) + 1 / abs(rho))
+    return gamma, abs(value / scale) + mp.ldexp(rounding, 1 - mp.prec), dpsi
+
+
 def partial_fractions(
     k: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> SpectralFactorization:
     """Assemble the decomposition data for 2k / phi_k: one factor per real
     root and one per conjugate pair, kept as its upper root."""
-    psi = build_psi(k)
     # psi_k(2) = k(k+1)(2k+1)/6 pins B exactly; both expressions must agree.
-    psi_at_2 = eval_poly(psi, 2)
+    psi_at_2 = eval_poly(build_psi(k), 2)
     if 6 * psi_at_2 != k * (k + 1) * (2 * k + 1):
         raise ConsistencyError("psi_k(2) does not match k(k+1)(2k+1)/6")
     pole_coefficient = Fraction(2 * k, psi_at_2)
 
-    f, dpsi = _inner_equation(k), derivative(psi)
-    df = derivative(f)
     factors = []
     with working_precision(precision_bits):
         tol = residual_tolerance(precision_bits)
@@ -243,19 +296,18 @@ def partial_fractions(
         edge = 1 - separation_tolerance(precision_bits)
         for branch in range(1, k // 2 + 1):
             # An upper root of f is the conjugate of an upper gamma's rho.
-            rho = mp.conj(_polish(f, df, _seed(k, branch), tol, target))
+            rho = mp.conj(_polish(k, _seed(k, branch), tol, target))
             if abs(rho) >= edge:
                 raise DegeneracyError(
                     "inner root lies within 2^(-precision_bits/4) of the unit circle"
                 )
-            gamma = mp.mpc(rho + 1 / rho)
-            residual = abs(eval_poly(psi, gamma))
+            gamma, residual, dpsi = _root_data(k, rho)
             if residual > tol:
                 raise PrecisionError(
                     f"|psi_{k}(gamma)| exceeds 2^(-precision_bits/2); retry "
                     "with higher precision_bits"
                 )
-            coefficient = -2 * k / ((2 - gamma) * eval_poly(dpsi, gamma))
+            coefficient = -2 * k / ((2 - gamma) * dpsi)
             factors.append(FactorData(gamma, mp.mpc(rho), coefficient, residual))
         factors.sort(key=lambda factor: (factor.root.real, factor.root.imag))
         roots = [factor.root for factor in factors]

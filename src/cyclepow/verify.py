@@ -11,9 +11,10 @@ value.
 A row must be able to fail on some input, and no row repeats another.  What
 holds by construction is checked where it is built and pinned by tests.
 build_psi raises unless (2 - x) * psi_k = phi_k, and partial_fractions
-unless psi_k(2) = k(k+1)(2k+1)/6, each residual |psi_k(gamma)| is within
-2^(-bits/2) and the roots are apart by more than 2^(-bits/4), and when rho
-lands within 2^(-bits/4) of the unit circle.  gamma is rho + 1/rho by
+unless psi_k(2) = k(k+1)(2k+1)/6, each bound on |psi_k(gamma)|, read
+through the four-term inner equation at rho, is within 2^(-bits/2) and the
+roots are apart by more than 2^(-bits/4), and when rho lands within
+2^(-bits/4) of the unit circle.  gamma is rho + 1/rho by
 construction, a real root stays exactly real, and mpmath's complex
 operations and the fixed-point exponential ratios round symmetrically, so a
 pair's inner roots, coefficients and correction ratios are exact conjugates: a

@@ -69,6 +69,19 @@ def test_hit_closed_at_k48_matches_the_complete_graph(runner):
     assert abs(Fraction(closed_row["value"]) - 96) <= Fraction(closed_row["err"])
 
 
+def test_hit_closed_at_k192_matches_the_complete_graph(runner):
+    # K_385: psi_192's roots certify through the four-term inner equation,
+    # where Horner on psi_192 could not resolve |psi_192(gamma)|.  The
+    # exact route, a 384-row elimination, is left to the k = 48 case.
+    result = runner.invoke(
+        main, ["hit", "--n", "385", "--k", "192", "--ell", "5",
+               "--method", "closed", "--format", "json"],
+    )
+    assert result.exit_code == 0, result.output
+    (row,) = records(result.output)[0]["results"]
+    assert abs(Fraction(row["value"]) - 384) <= Fraction(row["err"])
+
+
 def test_trees_at_k48_match_the_complete_graph(runner):
     # On K_97 Cayley's formula gives tau = n^(n-2).
     result = runner.invoke(

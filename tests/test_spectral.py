@@ -12,7 +12,7 @@ from cyclepow import (
     build_psi,
 )
 from cyclepow import spectral
-from cyclepow.polynomials import eval_poly
+from cyclepow.polynomials import IntPolynomial, eval_poly
 from cyclepow.spectral import (
     cached_factorization,
     certified_bound,
@@ -24,6 +24,7 @@ from cyclepow.spectral import (
     round_shift,
     separation_tolerance,
     to_fixed,
+    working_bits,
     working_precision,
 )
 
@@ -76,27 +77,21 @@ def assert_conjugate_seeds_give_conjugate_factors(k, bits, monkeypatch):
         )
 
 
-def psi_in_z(k):
-    """z^(k-1) (z - 1)^3 psi_k(z + 1/z) on integer coefficient lists,
-    constant term first: sum_i c_i (z^2 + 1)^i z^(k-1-i), times (z - 1)
-    three times."""
-    psi = build_psi(k).coeffs
-    degree = len(psi) - 1
-    total, power = [0] * (2 * degree + 1), [1]
-    for i, c in enumerate(psi):
-        for e, p in enumerate(power):
-            total[e + degree - i] += c * p
-        power = [a + b for a, b in zip(power + [0, 0], [0, 0] + power)]
-    for _ in range(3):
-        total = [a - b for a, b in zip([0] + total, total + [0])]
-    return total
-
-
 def test_inner_equation_is_psi_in_z():
+    # Exact on Fraction points: f(z) = z^(k-1) (z - 1)^3 psi_k(z + 1/z), and
+    # f'(z) is that product differentiated by the product and chain rules.
     for k in range(1, 65):
-        f = spectral._inner_equation(k).coeffs
-        assert list(f) == psi_in_z(k), k
-        assert len(f) == 2 * k + 2 and sum(map(bool, f)) == 4
+        psi = build_psi(k).coeffs
+        for z in (Fraction(2), Fraction(1, 3), Fraction(-3, 2), Fraction(5, 7)):
+            x = z + 1 / z
+            value = sum(c * x**i for i, c in enumerate(psi))
+            slope = sum(i * c * x ** (i - 1) for i, c in enumerate(psi) if i)
+            scale = z ** (k - 1) * (z - 1) ** 3
+            scale_slope = z ** (k - 2) * (z - 1) ** 2 * ((k - 1) * (z - 1) + 3 * z)
+            f, df, power = spectral._inner_equation(k, z)
+            assert power == z ** (k - 1), (k, z)
+            assert f == scale * value, (k, z)
+            assert df == scale_slope * value + scale * slope * (1 - z**-2), (k, z)
 
 
 def test_inner_roots_k2():
@@ -133,19 +128,39 @@ def test_partial_fractions_requires_64_bits():
         partial_fractions(3, 32)
 
 
-@pytest.mark.parametrize("k", [48, 64, 96])
-def test_partial_fractions_certifies_large_k(k, monkeypatch):
-    sf = cached_factorization(k, 256)
-    assert all(factor.residual <= residual_tolerance(256) for factor in sf.factors)
-    with mp.workprec(288):
+@pytest.mark.parametrize(
+    "k, bits",
+    [(48, 256), (64, 256), (96, 256), (128, 256), (192, 256), (256, 256), (256, 512)],
+)
+def test_partial_fractions_certifies_large_k(k, bits, monkeypatch):
+    sf = cached_factorization(k, bits)
+    assert all(factor.residual <= residual_tolerance(bits) for factor in sf.factors)
+    with working_precision(bits):
         roots = [factor.root for factor in with_conjugates(sf.factors)]
         assert len(roots) == k - 1
         separation = min(
             abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]
         )
-    assert separation > separation_tolerance(256)
-    assert_layout(k, 256)
-    assert_conjugate_seeds_give_conjugate_factors(k, 256, monkeypatch)
+    assert separation > separation_tolerance(bits)
+    assert_layout(k, bits)
+    assert_conjugate_seeds_give_conjugate_factors(k, bits, monkeypatch)
+
+
+@pytest.mark.parametrize("k, bits", [(3, 64), (8, 64), (32, 256), (128, 256), (256, 512)])
+def test_factors_match_horner_on_psi_at_high_precision(k, bits):
+    # The oracle reads psi_k(gamma) and psi_k'(gamma) by Horner at the
+    # stored gamma, with bits enough that its own rounding, which grows with
+    # sum |c_i| |gamma|^i, cannot show.  Each residual bounds |psi_k(gamma)|,
+    # and each A = -2k / ((2 - gamma) psi_k'(gamma)) is within 2^-(bits+16)
+    # relatively.
+    psi = build_psi(k)
+    slope = IntPolynomial(tuple(i * c for i, c in enumerate(psi.coeffs))[1:])
+    with mp.workprec(4 * working_bits(bits) + 4000):
+        for factor in cached_factorization(k, bits).factors:
+            assert abs(eval_poly(psi, factor.root)) <= factor.residual, factor.root
+            oracle = -2 * k / ((2 - factor.root) * eval_poly(slope, factor.root))
+            error = abs(factor.coefficient - oracle)
+            assert error <= abs(oracle) * mp.mpf(2) ** -(bits + 16), factor.root
 
 
 @pytest.mark.parametrize("k", WIDE_K)
