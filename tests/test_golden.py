@@ -112,7 +112,18 @@ ell=1) to 3.473e-164 at (n=9, k=2, ell=1), resolvent-periodization from
 tree-triple-agreement from 1.051e-162 at (n=40, k=2) to 1.949e-163 at
 (n=36, k=2) and hitting-oracle-closed from 4.680e-164 at (n=27, k=2, ell=1)
 to 3.163e-164 at (n=34, k=2, ell=5).  No case count, requirement or status
-moved.
+moved.  It was re-recorded a thirteenth time when the Newton polish, the
+residual bound and the slope psi_k'(gamma) behind each coefficient A came
+to be read through the four-term equation instead of Horner on its dense
+coefficients, psi_k and psi_k': only the `worst` values and locations of
+the two rows that read A moved.  In the default case (threshold
+<= 2.94e-39) partial-fraction-residual went from 1.756e-86 to 1.889e-86,
+still at (k=2, x=(-2.8897 - 0.58884j)), and hitting-oracle-closed from
+4.009e-87 at (n=21, k=3, ell=7) to 3.998e-87 at (n=9, k=3, ell=2); in the
+512-bit case (threshold <= 8.64e-78) partial-fraction-residual went from
+1.631e-163 to 1.668e-163, still at (k=2, x=(-2.8897 - 0.58884j)), and
+hitting-oracle-closed from 3.163e-164 at (n=34, k=2, ell=5) to 4.949e-164
+at (n=13, k=2, ell=1).  No case count, requirement or status moved.
 
 `data/trees_golden.json` holds `trees` output in json, csv and text (the
 text without its `# wall_time_s` line) for a few small graphs with and
