@@ -23,8 +23,11 @@ Importing the package executes none of its eight layer modules.  Each is
 registered in ``sys.modules`` through ``importlib.util.LazyLoader`` and
 executes on its first attribute read, and the names in ``__all__`` resolve
 through the module ``__getattr__``.  So a command executes only the layers it
-reads: ``hit --method spectral`` never runs ``fractionfree``, ``arboreal`` or
-``verify``.  Python 3.11's ``LazyLoader`` takes no lock: a thread that reads a
+reads: importing ``cyclepow.cli`` runs ``graphs`` and ``spectral``, ``hit
+--method spectral`` adds only ``hitting``, ``--method exact`` adds
+``fractionfree`` too, and ``--method closed`` ``polynomials`` and
+``recurrences``; ``trees`` runs all but ``recurrences`` and ``verify``.
+Python 3.11's ``LazyLoader`` takes no lock: a thread that reads a
 layer while another thread's first read is still executing it can find the
 layer half built.  The CLI is single-threaded; a threaded caller should read
 each layer it needs before starting its threads.

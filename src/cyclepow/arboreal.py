@@ -30,9 +30,9 @@ resistance, forests and tau_contracted only when given an ell in 1..n-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -179,8 +179,7 @@ def contracted_counts(spec: GraphSpec) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class ArborealCounts:
+class ArborealCounts(NamedTuple):
     """Exact counts with their analytic cross-checks for one (spec, ell).
 
     resistance, forest_count and contracted_tree_count are set only when ell

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import click
@@ -81,18 +80,20 @@ def _bound_string(value, precision_bits: int) -> str:
         return mp.nstr(certified_bound(mp.mpf(value), precision_bits), 3)
 
 
-@dataclass
 class Record:
-    """One run record: a (cmd, n, k, ell) context plus tagged values."""
+    """One run record: a (cmd, n, k, ell) context plus tagged values, and
+    the seed and generator of a simulated row."""
 
-    cmd: str
-    n: int
-    k: int
-    ell: int | None
-    precision_bits: int
-    results: list[tuple[str, str, str | None]] = field(default_factory=list)
-    seed: str | None = None
-    generator: str | None = None
+    __slots__ = (
+        "cmd", "n", "k", "ell", "precision_bits", "results", "seed", "generator"
+    )
+
+    def __init__(self, cmd: str, n: int, k: int, ell: int | None, precision_bits: int):
+        self.cmd, self.n, self.k, self.ell = cmd, n, k, ell
+        self.precision_bits = precision_bits
+        self.results: list[tuple[str, str, str | None]] = []
+        self.seed: str | None = None
+        self.generator: str | None = None
 
     def add(self, label: str, value) -> None:
         """Append a row: an exact int or Fraction in full with no bound, an

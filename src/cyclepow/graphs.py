@@ -19,30 +19,49 @@ deleted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConsistencyError, ParameterError
 
 __all__ = ["GraphSpec", "build_laplacian"]
 
 
-@dataclass(frozen=True)
 class GraphSpec:
-    """Parameters (n, k) of the distance-k power of the n-cycle."""
+    """Parameters (n, k) of the distance-k power of the n-cycle.
 
-    n: int
-    k: int
+    Immutable, and equal and hashed by (n, k) among GraphSpecs, so that it
+    keys the package's lru caches.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not isinstance(self.k, int):
+    __slots__ = ("n", "k")
+
+    def __init__(self, n: int, k: int) -> None:
+        if not isinstance(n, int) or not isinstance(k, int):
             raise ParameterError("n and k must be integers")
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
-        if self.n < 2 * self.k + 1:
+        if k < 1:
+            raise ParameterError(f"k must be >= 1, got {k}")
+        if n < 2 * k + 1:
             raise ParameterError(
                 "need n >= 2k+1 so the graph is simple and 2k-regular "
-                f"(got n={self.n}, k={self.k})"
+                f"(got n={n}, k={k})"
             )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of GraphSpec")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of GraphSpec")
+
+    def __repr__(self) -> str:
+        return f"GraphSpec(n={self.n!r}, k={self.k!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not GraphSpec:
+            return NotImplemented
+        return self.n == other.n and self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k))
 
     @property
     def degree(self) -> int:

@@ -35,14 +35,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice, repeat
+from operator import add, neg
 from typing import NamedTuple
 
 from mpmath import mp
 
-from . import fractionfree
+from . import fractionfree, recurrences
 from .errors import ConsistencyError, ParameterError, SimulationBudgetError
 from .graphs import GraphSpec, build_laplacian, check_ell
-from .recurrences import correction_ratio, fixed_ratios, full_index_ratio, ratio_bits
 from .spectral import (
     DEFAULT_PRECISION_BITS,
     SpectralFactorization,
@@ -127,24 +128,30 @@ def _fixed_cosines(n: int, precision_bits: int, /) -> tuple[int, ...]:
         half[m] = point[0]
         point = gaussian_product(point, turn, bits)
     if n % 2 == 0:
-        for m in range(n // 4 + 1, n // 2 + 1):
-            half[m] = -half[n // 2 - m]
-    return tuple(half + [half[n - m] for m in range(n // 2 + 1, n)])
+        half[n // 4 + 1 :] = map(neg, half[n // 2 - n // 4 - 1 :: -1])
+    return tuple(half + half[(n - 1) // 2 : 0 : -1])
 
 
 @lru_cache(maxsize=64)
 def fixed_eigenvalues(spec: GraphSpec, precision_bits: int, /) -> tuple[int, ...]:
     """Lambda_j = 2k * 2^F - 2 * sum_r C_(jr mod n) for j = 0..n-1, each an
     exact integer sum of the fixed-point cosines, for j <= n/2; the cosines'
-    exact mirror makes Lambda_(n-j) the same sum, so it is copied."""
-    n, k = spec.n, spec.k
+    exact mirror makes Lambda_(n-j) the same sum, so it is copied.
+
+    The sums are built a column r at a time: C_(jr mod n) for j = 0..n/2 is
+    every r-th entry of r laps of the table, gathered and added in C
+    iterators without copying the table.  Integer addition is exact, so the
+    order of the additions does not matter.
+    """
+    n, size = spec.n, spec.n // 2 + 1
     cosines = _fixed_cosines(n, precision_bits)
+    sums = repeat(0, size)
+    for r in range(1, spec.k + 1):
+        laps = chain.from_iterable(repeat(cosines, r))
+        sums = map(add, sums, islice(laps, 0, r * size, r))
     top = spec.degree * cosines[0]
-    half = [
-        top - 2 * sum(cosines[(j * r) % n] for r in range(1, k + 1))
-        for j in range(n // 2 + 1)
-    ]
-    return tuple(half + [half[n - m] for m in range(n // 2 + 1, n)])
+    half = [top - 2 * total for total in sums]
+    return tuple(half + half[(n - 1) // 2 : 0 : -1])
 
 
 @lru_cache(maxsize=64)
@@ -227,7 +234,9 @@ def _closed_bits(sf: SpectralFactorization, n: int) -> int:
     there, and h(0, ell) >= 1 for ell != 0, so the closed value is within
     2^-(p+7) relatively before its one rounding to p bits.
     """
-    bits = [ratio_bits(factor, n, sf.precision_bits) for factor in sf.factors]
+    bits = [
+        recurrences.ratio_bits(factor, n, sf.precision_bits) for factor in sf.factors
+    ]
     return max([working_bits(sf.precision_bits), *bits]) + sf.k.bit_length()
 
 
@@ -267,7 +276,7 @@ def _closed_exponential(spec: GraphSpec, ells, precision_bits: int) -> list:
     fixed-point ratio table per factor over those ell."""
     return _closed_values(
         spec, ells, precision_bits,
-        lambda factor, bits: fixed_ratios(factor, ells, spec.n, bits),
+        lambda factor, bits: recurrences.fixed_ratios(factor, ells, spec.n, bits),
     )
 
 
@@ -293,10 +302,11 @@ def hit_closed(
         return _closed_exponential(spec, (ell,), precision_bits)[0]
     if form != "sequence":
         raise ParameterError(f"unknown form {form!r}")
+    ratio = recurrences.correction_ratio
     return _closed_values(
         spec, (ell,), precision_bits,
         lambda factor, bits: [
-            to_fixed(correction_ratio(factor, ell, spec.n, form, precision_bits), bits)
+            to_fixed(ratio(factor, ell, spec.n, form, precision_bits), bits)
         ],
     )[0]
 
@@ -327,10 +337,11 @@ def hit_closed_literal(
     never be used for real evaluation.
     """
     check_ell(spec, ell)
+    ratio = recurrences.full_index_ratio
     return _closed_values(
         spec, (ell,), precision_bits,
         lambda factor, bits: [
-            to_fixed(full_index_ratio(factor, ell, spec.n, precision_bits), bits)
+            to_fixed(ratio(factor, ell, spec.n, precision_bits), bits)
         ],
     )[0]
 

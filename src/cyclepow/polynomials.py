@@ -21,8 +21,6 @@ desk scale, but exactness removes all overflow reasoning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConsistencyError, ParameterError
 
 __all__ = [
@@ -34,23 +32,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
     """Integer-coefficient polynomial, constant term first.
 
     Trailing zero coefficients are stripped on construction; the zero
-    polynomial is canonically (0,) with degree -1.
+    polynomial is canonically (0,) with degree -1.  Immutable, and equal and
+    hashed by its coefficients.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
+    def __init__(self, coeffs) -> None:
+        coeffs = tuple(int(c) for c in coeffs)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        if not coeffs:
-            coeffs = (0,)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", coeffs or (0,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of IntPolynomial")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of IntPolynomial")
+
+    def __repr__(self) -> str:
+        return f"IntPolynomial(coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not IntPolynomial:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -59,30 +72,39 @@ class IntPolynomial:
         return len(self.coeffs) - 1
 
 
-def basis_term(r: int) -> IntPolynomial:
-    """P_r, the polynomial expressing z^r + z^-r in x = z + 1/z."""
-    if r < 0:
-        raise ParameterError(f"r must be >= 0, got {r}")
-    prev, cur = [2], [0, 1]
-    if r == 0:
-        return IntPolynomial(tuple(prev))
-    for _ in range(r - 1):
+def _basis_terms(k: int):
+    """P_0, P_1, ..., P_k as coefficient lists, by one pass of
+    P_(r+1) = x * P_r - P_(r-1): O(k^2) coefficient operations."""
+    prev, cur = [0, 1], [2]  # P_(-1) = P_1 = x, and P_0
+    yield cur
+    for _ in range(k):
         step = [0] + cur  # x * P_r
         for i, c in enumerate(prev):
             step[i] -= c
         prev, cur = cur, step
-    return IntPolynomial(tuple(cur))
+        yield cur
+
+
+def basis_term(r: int) -> IntPolynomial:
+    """P_r, the polynomial expressing z^r + z^-r in x = z + 1/z."""
+    if r < 0:
+        raise ParameterError(f"r must be >= 0, got {r}")
+    *_, last = _basis_terms(r)
+    return IntPolynomial(last)
 
 
 def build_phi(k: int) -> IntPolynomial:
-    """The degree-k Laplacian symbol phi_k(x) = 2k - sum_{r=1..k} P_r(x)."""
+    """The degree-k Laplacian symbol phi_k(x) = 2k - sum_{r=1..k} P_r(x),
+    each P_r subtracted as the recurrence makes it."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     acc = [2 * k] + [0] * k
-    for r in range(1, k + 1):
-        for i, c in enumerate(basis_term(r).coeffs):
+    terms = _basis_terms(k)
+    next(terms)  # P_0
+    for term in terms:
+        for i, c in enumerate(term):
             acc[i] -= c
-    return IntPolynomial(tuple(acc))
+    return IntPolynomial(acc)
 
 
 def build_psi(k: int) -> IntPolynomial:
@@ -101,7 +123,7 @@ def build_psi(k: int) -> IntPolynomial:
         psi[i - 1] = 2 * psi[i] - phi[i]
     if 2 * psi[0] != phi[0]:
         raise ConsistencyError(f"2 - x does not divide phi_{k}")
-    return IntPolynomial(tuple(psi))
+    return IntPolynomial(psi)
 
 
 def eval_poly(p: IntPolynomial, point):

@@ -37,19 +37,19 @@ v * 2^F to the nearest (Gaussian) integer, ties away from zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from mpmath import mp
 
+from . import polynomials
 from .errors import (
     ConsistencyError,
     DegeneracyError,
     ParameterError,
     PrecisionError,
 )
-from .polynomials import build_phi, build_psi, eval_poly
 
 __all__ = [
     "DEFAULT_PRECISION_BITS",
@@ -132,8 +132,7 @@ def separation_tolerance(precision_bits: int):
     return mp.mpf(2) ** (mp.mpf(-precision_bits) / 4)
 
 
-@dataclass(frozen=True)
-class FactorData:
+class FactorData(NamedTuple):
     """One correction factor: a root of psi_k with its derived quantities.
 
     root         -- gamma, a root of psi_k (high-precision complex)
@@ -150,8 +149,7 @@ class FactorData:
     residual: object
 
 
-@dataclass(frozen=True)
-class SpectralFactorization:
+class SpectralFactorization(NamedTuple):
     """Partial-fraction decomposition of 2k / phi_k at a stated precision.
 
     pole_coefficient is B = 12/((k+1)(2k+1)), kept as an exact rational so the
@@ -276,13 +274,36 @@ def _root_data(k: int, rho):
     return gamma, abs(value / scale) + mp.ldexp(rounding, 1 - mp.prec), dpsi
 
 
+def _check_separation(roots, precision_bits: int) -> None:
+    """ConsistencyError unless the roots and the conjugates of the non-real
+    ones lie pairwise more than separation_tolerance apart.
+
+    Sorted by real part, each root is compared only with the later roots
+    whose real part lies within the tolerance, O(k log k) for separated
+    roots.  No pair that is skipped could fail: each part of a complex
+    difference is rounded as the real difference is, and the rounded
+    modulus is at least the rounded real part's size.
+    """
+    roots = sorted(
+        roots + [mp.conj(root) for root in roots if root.imag],
+        key=lambda root: root.real,
+    )
+    min_separation = separation_tolerance(precision_bits)
+    for i, root in enumerate(roots):
+        for j in range(i + 1, len(roots)):
+            if roots[j].real - root.real > min_separation:
+                break
+            if abs(roots[j] - root) <= min_separation:
+                raise ConsistencyError("refined roots are not numerically distinct")
+
+
 def partial_fractions(
     k: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> SpectralFactorization:
     """Assemble the decomposition data for 2k / phi_k: one factor per real
     root and one per conjugate pair, kept as its upper root."""
     # psi_k(2) = k(k+1)(2k+1)/6 pins B exactly; both expressions must agree.
-    psi_at_2 = eval_poly(build_psi(k), 2)
+    psi_at_2 = polynomials.eval_poly(polynomials.build_psi(k), 2)
     if 6 * psi_at_2 != k * (k + 1) * (2 * k + 1):
         raise ConsistencyError("psi_k(2) does not match k(k+1)(2k+1)/6")
     pole_coefficient = Fraction(2 * k, psi_at_2)
@@ -310,13 +331,7 @@ def partial_fractions(
             coefficient = -2 * k / ((2 - gamma) * dpsi)
             factors.append(FactorData(gamma, mp.mpc(rho), coefficient, residual))
         factors.sort(key=lambda factor: (factor.root.real, factor.root.imag))
-        roots = [factor.root for factor in factors]
-        roots += [mp.conj(root) for root in roots if root.imag]
-        min_separation = separation_tolerance(precision_bits)
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                if abs(roots[i] - roots[j]) <= min_separation:
-                    raise ConsistencyError("refined roots are not numerically distinct")
+        _check_separation([factor.root for factor in factors], precision_bits)
     return SpectralFactorization(
         k=k,
         precision_bits=precision_bits,
@@ -355,7 +370,8 @@ def check_decomposition(sf: SpectralFactorization, x):
             poles.append((factor.root, factor.coefficient))
         if any(abs(point - root) <= clearance for root, _ in poles):
             raise ParameterError("evaluation point too close to a root pole")
-        lhs = 2 * sf.k / eval_poly(build_phi(sf.k), point)
+        phi = polynomials.build_phi(sf.k)
+        lhs = 2 * sf.k / polynomials.eval_poly(phi, point)
         b = sf.pole_coefficient
         rhs = mp.mpf(b.numerator) / b.denominator / (2 - point)
         for root, coefficient in poles:

@@ -60,10 +60,9 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from mpmath import mp
 
@@ -89,7 +88,6 @@ from .spectral import (
 __all__ = ["CheckResult", "run_verification"]
 
 
-@dataclass(frozen=True)
 class CheckResult:
     """Outcome of one verification check.
 
@@ -98,22 +96,38 @@ class CheckResult:
     checks (the erratum fixtures) never fail the run.
     """
 
-    check_id: str
-    description: str
-    cases: int
-    statistic: float
-    threshold: float
-    comparison: str
-    passed: bool
-    worst_case: str = ""
-    informational: bool = False
+    __slots__ = (
+        "check_id", "description", "cases", "statistic", "threshold",
+        "comparison", "passed", "worst_case", "informational",
+    )
+
+    def __init__(
+        self,
+        check_id: str,
+        description: str,
+        cases: int,
+        statistic: float,
+        threshold: float,
+        comparison: str,
+        passed: bool,
+        worst_case: str = "",
+        informational: bool = False,
+    ) -> None:
+        self.check_id = check_id
+        self.description = description
+        self.cases = cases
+        self.statistic = statistic
+        self.threshold = threshold
+        self.comparison = comparison
+        self.passed = passed
+        self.worst_case = worst_case
+        self.informational = informational
 
 
 Cases = Callable[[int, int, int], Iterator[tuple[float, str]]]
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(NamedTuple):
     """One row of the table.  `description` and `threshold` may be callables
     of the precision in bits; a threshold callable's value goes through float()."""
 

@@ -16,13 +16,14 @@ mpmath's Durand-Kerner iteration (polyroots) on psi_k itself.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 from mpmath import mp
+
+from cyclepow.spectral import FactorData
 
 
 def fibonacci(n: int) -> int:
@@ -115,11 +116,11 @@ def exact_conjugate(z):
 def conjugate_factor(factor):
     """The factor of the conjugate root: root, inner root and coefficient
     conjugated bit for bit."""
-    return dataclasses.replace(
-        factor,
+    return FactorData(
         root=exact_conjugate(factor.root),
         inner_root=exact_conjugate(factor.inner_root),
         coefficient=exact_conjugate(factor.coefficient),
+        residual=factor.residual,
     )
 
 

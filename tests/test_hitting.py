@@ -115,6 +115,27 @@ def test_eigenvalues_positive_away_from_constant_mode():
     assert all(lam > 0 for lam in eigenvalues[1:])
 
 
+@pytest.mark.parametrize(
+    "graphs, bits",
+    [
+        ([(n, k) for k in range(1, 9) for n in range(2 * k + 1, 65)], 64),
+        ([(16000, 6)], 256),
+        ([(8000, 8)], 512),
+    ],
+    ids=["small", "16000-6", "8000-8"],
+)
+def test_fixed_eigenvalues_are_the_per_entry_sums(graphs, bits):
+    # Lambda_j = 2k C_0 - 2 sum_r C_(jr mod n), entry by entry over the
+    # cosine table, at 4 | n and at every other n.
+    for n, k in graphs:
+        cosines = hitting._fixed_cosines(n, bits)
+        expected = tuple(
+            2 * k * cosines[0] - 2 * sum(cosines[j * r % n] for r in range(1, k + 1))
+            for j in range(n)
+        )
+        assert fixed_eigenvalues(GraphSpec(n, k), bits) == expected, (n, k)
+
+
 # Every residue of n mod 8, small and large.
 TABLE_SIZES = [*range(3, 71), 97, 98, 100, 104, 1000, 1001, 1002, 1003, 1004, 4096]
 

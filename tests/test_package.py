@@ -5,8 +5,8 @@ plus the exception types; every other helper is imported from its module.
 The two scripts and the README's library snippet run here in fresh
 processes, so a name they need cannot leave the API unnoticed.  Fresh
 processes also show that numpy is loaded only to simulate walks, that a
-command executes only the layer modules it reads, and that `--version`
-works from a source checkout.  Guard bits are named in spectral alone, and
+command executes only the layer modules it reads and never imports
+dataclasses, and that `--version` works from a source checkout.  Guard bits are named in spectral alone, and
 no module reaches for another's private names.
 """
 
@@ -195,9 +195,9 @@ LAYERS = (
     "verify",
 )
 
-# Prints the layers in sys.modules, then those executed: a LazyLoader module
-# turns into a plain module on its first attribute read, and type() reads no
-# attribute.
+# Prints the layers in sys.modules, then those executed, then whether
+# dataclasses was imported: a LazyLoader module turns into a plain module on
+# its first attribute read, and type() reads no attribute.
 LAYER_PROBE = """
 import sys, types
 from cyclepow.cli import main
@@ -208,20 +208,22 @@ print(" ".join(layer for layer, module in modules.items() if module is not None)
 print(" ".join(
     layer for layer, module in modules.items() if type(module) is types.ModuleType
 ))
+print("dataclasses" in sys.modules)
 """.format(layers=LAYERS)
 
 
 def layers_after(*argv):
     result = run_python("-c", LAYER_PROBE, *argv)
     assert result.returncode == 0, result.stderr
-    registered, executed = result.stdout.splitlines()[-2:]
+    registered, executed, dataclasses = result.stdout.splitlines()[-3:]
+    assert dataclasses == "False"
     return registered.split(), set(executed.split())
 
 
 def test_importing_the_cli_registers_every_layer():
     registered, executed = layers_after()
     assert registered == list(LAYERS)
-    assert executed <= {"graphs", "polynomials", "spectral"}
+    assert executed <= {"graphs", "spectral"}
 
 
 UNUSED_BY_ANALYTIC_HIT = {"arboreal", "fractionfree", "verify"}
@@ -230,13 +232,28 @@ UNUSED_BY_ANALYTIC_HIT = {"arboreal", "fractionfree", "verify"}
 @pytest.mark.parametrize(
     "args, unexecuted",
     [
-        ("hit --n 30 --k 3 --ell 7 --method spectral", UNUSED_BY_ANALYTIC_HIT),
+        (
+            "hit --n 30 --k 3 --ell 7 --method spectral",
+            UNUSED_BY_ANALYTIC_HIT | {"polynomials", "recurrences"},
+        ),
         ("hit --n 30 --k 3 --ell 7 --method closed", UNUSED_BY_ANALYTIC_HIT),
-        ("trees --n 30 --k 3 --ell 7", {"verify"}),
+        ("trees --n 30 --k 3 --ell 7", {"recurrences", "verify"}),
+        (
+            "hit --n 30 --k 3 --ell 7 --method exact",
+            {"arboreal", "polynomials", "recurrences", "verify"},
+        ),
+        (
+            "sweep --n-range 5:9 --k-range 1:2 --quantity forests",
+            {"recurrences", "verify"},
+        ),
+        ("verify --kmax 1 --nmax 5", set()),
     ],
 )
-def test_a_command_executes_only_the_layers_it_reads(args, unexecuted):
-    registered, executed = layers_after(*args.split())
+def test_a_command_executes_only_the_layers_it_reads(args, unexecuted, tmp_path):
+    argv = args.split()
+    if argv[0] == "sweep":
+        argv += ["--out", str(tmp_path / "sweep.csv")]
+    registered, executed = layers_after(*argv)
     assert registered == list(LAYERS)
     assert "hitting" in executed
     assert executed & unexecuted == set()

@@ -27,6 +27,16 @@ def test_phi_small_cases():
     assert build_phi(3).coeffs == (8, 2, -1, -1)  # (2-x)(x^2+3x+4)
 
 
+def test_phi_is_2k_minus_the_sum_of_the_basis_terms():
+    # build_phi makes each P_r once, by one pass of the recurrence.
+    for k in range(1, 65):
+        expected = [2 * k] + [0] * k
+        for r in range(1, k + 1):
+            for i, c in enumerate(basis_term(r).coeffs):
+                expected[i] -= c
+        assert build_phi(k).coeffs == tuple(expected), k
+
+
 def test_psi_small_cases():
     assert build_psi(1).coeffs == (1,)
     assert build_psi(2).coeffs == (3, 1)

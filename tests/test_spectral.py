@@ -194,6 +194,54 @@ def test_two_branches_on_one_root_are_a_consistency_error(monkeypatch):
         partial_fractions(5, 256)
 
 
+def test_a_planted_near_duplicate_root_is_a_consistency_error():
+    # The pair's partner is not its neighbour in (Re, Im) order: a conjugate
+    # of the same real part lies between them.
+    bits = 256
+    with working_precision(bits):
+        root = mp.mpc("-2.5", "0.75")
+        near = root + mp.mpf(2) ** -200
+        far = mp.mpc("1.5", "0.25")
+        spectral._check_separation([root, far], bits)
+        with pytest.raises(ConsistencyError, match="not numerically distinct"):
+            spectral._check_separation([root, near, far], bits)
+        # A non-real root within the tolerance of its own conjugate.
+        with pytest.raises(ConsistencyError, match="not numerically distinct"):
+            spectral._check_separation([mp.mpc(1, mp.mpf(2) ** -100)], bits)
+
+
+def test_separation_check_decides_as_comparing_every_pair():
+    # Spread roots, real ones among them, and two more planted about the
+    # tolerance from two of them: the windowed check raises exactly when
+    # some pair of all roots and conjugates is within the tolerance.
+    bits = 64
+    outcomes = set()
+    with working_precision(bits):
+        tolerance = separation_tolerance(bits)
+        for seed in range(20):
+            rng = random.Random(seed)
+            roots = [
+                mp.mpc(rng.uniform(-3, 3), rng.choice([0, rng.uniform(0, 1)]))
+                for _ in range(8)
+            ]
+            for _ in range(2):
+                turn = mp.expjpi(rng.choice([0, 0.5, rng.uniform(0, 1)]))
+                moved = rng.choice(roots) + tolerance * rng.uniform(0.5, 1.5) * turn
+                roots.append(mp.mpc(moved.real, abs(moved.imag)))
+            every = roots + [mp.conj(root) for root in roots if root.imag]
+            apart = all(
+                abs(a - b) > tolerance for i, a in enumerate(every) for b in every[i + 1:]
+            )
+            try:
+                spectral._check_separation(roots, bits)
+            except ConsistencyError:
+                assert not apart, seed
+            else:
+                assert apart, seed
+            outcomes.add(apart)
+    assert outcomes == {True, False}
+
+
 def test_unconverged_polish_is_a_precision_error(monkeypatch):
     # A budget of one step keeps the seed, whose |f| is far above 2^(-128).
     monkeypatch.setattr(spectral, "_NEWTON_BUDGET", 1)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -9,6 +8,7 @@ from mpmath import mp
 
 from cyclepow import ParameterError, hitting, run_verification, verify
 from cyclepow.cli import main
+from cyclepow.spectral import FactorData, SpectralFactorization
 
 
 def test_run_verification_small_bounds_all_pass():
@@ -244,8 +244,12 @@ def _coefficient_defect(sf, k, bits):
     if not sf.factors:
         return sf
     first = sf.factors[0]
-    first = dataclasses.replace(first, coefficient=2 * first.coefficient)
-    return dataclasses.replace(sf, factors=(first, *sf.factors[1:]))
+    first = FactorData(
+        first.root, first.inner_root, 2 * first.coefficient, first.residual
+    )
+    return SpectralFactorization(
+        sf.k, sf.precision_bits, sf.pole_coefficient, (first, *sf.factors[1:])
+    )
 
 
 def _hit_defect(hits, spec):
