@@ -6,8 +6,9 @@ The two scripts and the README's library snippet run here in fresh
 processes, so a name they need cannot leave the API unnoticed.  Fresh
 processes also show that numpy is loaded only to simulate walks, that a
 command executes only the layer modules it reads and never imports
-dataclasses, and that `--version` works from a source checkout.  Guard bits are named in spectral alone, and
-no module reaches for another's private names.
+dataclasses, and that `--version` works from a source checkout.  Guard bits
+are named in spectral alone, and no module reaches for another's private
+names.
 """
 
 import ast
@@ -244,7 +245,7 @@ UNUSED_BY_ANALYTIC_HIT = {"arboreal", "fractionfree", "verify"}
         ),
         (
             "sweep --n-range 5:9 --k-range 1:2 --quantity forests",
-            {"recurrences", "verify"},
+            {"polynomials", "recurrences", "verify"},
         ),
         ("verify --kmax 1 --nmax 5", set()),
     ],
