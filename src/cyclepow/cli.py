@@ -18,17 +18,17 @@ value exists.  Output is byte-deterministic for identical flags (including
 
 Exit codes, the same for every command: 0 success; 1 a failed `verify`
 check or an error from the computation, reported on stderr as
-"error: <message>"; 2 usage error; 3 I/O error.
+"error: <message>"; 2 usage error, reported after the command's usage
+as "Error: <message>"; 3 I/O error.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
-import click
 from mpmath import mp
 from mpmath.libmp import prec_to_dps
 
@@ -46,16 +46,21 @@ CSV_HEADER = "n,k,ell,method,value,err_bound"
 
 _FORM_NAMES = {"exp": "exponential", "seq": "sequence"}
 
-_precision_option = click.option(
-    "--precision", type=int, default=DEFAULT_PRECISION_BITS, show_default=True
-)
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv", "text"]),
-    default="text",
-    show_default=True,
-)
+
+class _UsageError(Exception):
+    """A command line that a command refuses; reported as a usage error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports every usage error, its own and the commands', after the
+    usage line as "Error: <message>" on stderr, with exit code 2."""
+
+    def error(self, message):
+        self.exit(
+            2,
+            f"{self.format_usage()}Try '{self.prog} --help' for help.\n\n"
+            f"Error: {message}\n",
+        )
 
 
 def _usage_checked(call, *args):
@@ -63,12 +68,12 @@ def _usage_checked(call, *args):
     try:
         return call(*args)
     except ParameterError as exc:
-        raise click.UsageError(str(exc))
+        raise _UsageError(str(exc))
 
 
 def _check_precision(precision: int) -> None:
     if precision < MIN_PRECISION_BITS:
-        raise click.UsageError(f"precision must be at least {MIN_PRECISION_BITS} bits")
+        raise _UsageError(f"precision must be at least {MIN_PRECISION_BITS} bits")
 
 
 def _format_value(value, precision_bits: int) -> str:
@@ -96,15 +101,15 @@ class Record:
         self.generator: str | None = None
 
     def add(self, label: str, value) -> None:
-        """Append a row: an exact int or Fraction in full with no bound, an
-        mpmath value to the record's precision with its error bound."""
-        if isinstance(value, (int, Fraction)):
-            self.results.append((label, str(value), None))
-        else:
+        """Append a row: an mpmath value to the record's precision with its
+        error bound, an exact int or Fraction in full with no bound."""
+        if isinstance(value, mp.mpf):
             bits = self.precision_bits
             self.results.append(
                 (label, _format_value(value, bits), _bound_string(value, bits))
             )
+        else:
+            self.results.append((label, str(value), None))
 
 
 def _count_rows(record: Record, spec: GraphSpec) -> None:
@@ -161,71 +166,23 @@ def _lines(records: list[Record], fmt: str) -> list[str]:
 
 
 def _emit(records: list[Record], fmt: str, started: float) -> None:
-    """Echo the lines of `records`; text ends with the wall time since
+    """Print the lines of `records`; text ends with the wall time since
     `started`."""
     lines = _lines(records, fmt)
     if fmt == "text":
         lines.append(f"# wall_time_s={time.perf_counter() - started:.3f}")
-    for line in lines:
-        click.echo(line)
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
-class _Group(click.Group):
-    """Reports a package error from any command as "error: <message>" on
-    stderr, with exit code 1."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except CyclepowError as exc:
-            click.echo(f"error: {exc}", err=True)
-            ctx.exit(1)
-
-
-@click.group(cls=_Group)
-@click.version_option(__version__, prog_name="cyclepow")
-def main() -> None:
-    """Hitting times, resistances, and tree counts on cycle power graphs."""
-    # Exact values are printed in full, past CPython's int-to-str digit limit.
-    getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
-
-
-@main.command("hit")
-@click.option("--n", type=int, required=True, help="Vertex count (>= 2k+1).")
-@click.option("--k", type=int, required=True, help="Jump radius (>= 1).")
-@click.option("--ell", type=int, required=True, help="Target vertex.")
-@click.option(
-    "--method",
-    type=click.Choice(["exact", "spectral", "closed", "simulate", "all"]),
-    default="all",
-    show_default=True,
-)
-@click.option(
-    "--form",
-    type=click.Choice(["exp", "seq"]),
-    default="exp",
-    show_default=True,
-    help="Correction-ratio evaluation path for the closed form.",
-)
-@_precision_option
-@click.option("--walks", type=int, default=10000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option(
-    "--erratum",
-    is_flag=True,
-    help="Also report the uncorrected full-index closed form (known to "
-    "deviate from the oracle; for comparison only).",
-)
-@_format_option
 def cmd_hit(n, k, ell, method, form, precision, walks, seed, erratum, fmt) -> None:
     """Average hitting time h(0, ell) on the (n, k) cycle power graph."""
     spec = _usage_checked(GraphSpec, n, k)
     _usage_checked(check_ell, spec, ell)
     _check_precision(precision)
     if walks < 1:
-        raise click.UsageError("walks must be >= 1")
+        raise _UsageError("walks must be >= 1")
     if not 0 <= seed < 2**64:
-        raise click.UsageError("seed must fit in 64 bits")
+        raise _UsageError("seed must fit in 64 bits")
     methods = (
         ["exact", "spectral", "closed", "simulate"] if method == "all" else [method]
     )
@@ -254,12 +211,6 @@ def cmd_hit(n, k, ell, method, form, precision, walks, seed, erratum, fmt) -> No
     _emit(records, fmt, started)
 
 
-@main.command("trees")
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--ell", type=int, default=None)
-@_precision_option
-@_format_option
 def cmd_trees(n, k, ell, precision, fmt) -> None:
     """Spanning-tree counts; with --ell also resistance, forests, and the
     contracted-graph tree count."""
@@ -273,23 +224,13 @@ def cmd_trees(n, k, ell, precision, fmt) -> None:
     _emit([record], fmt, started)
 
 
-@main.command("verify")
-@click.option("--kmax", type=int, default=3, show_default=True)
-@click.option("--nmax", type=int, default=24, show_default=True)
-@_precision_option
-@click.option(
-    "--report",
-    type=click.Choice(["summary", "full"]),
-    default="summary",
-    show_default=True,
-)
-def cmd_verify(kmax, nmax, precision, report) -> None:
+def cmd_verify(kmax, nmax, precision, report) -> int:
     """Run every cross-method identity check up to the given bounds."""
     _check_precision(precision)
     started = time.perf_counter()
     results = _usage_checked(verify.run_verification, kmax, nmax, precision)
     width = max(len(result.check_id) for result in results)
-    click.echo(
+    print(
         f"{'check':<{width}}  {'cases':>6}  {'worst':>11}  "
         f"{'requirement':>14}  status"
     )
@@ -301,7 +242,7 @@ def cmd_verify(kmax, nmax, precision, report) -> None:
         if not result.passed:
             failures.append(result)
         requirement = f"{result.comparison} {result.threshold:.3g}"
-        click.echo(
+        print(
             f"{result.check_id:<{width}}  {result.cases:>6}  "
             f"{result.statistic:>11.3e}  {requirement:>14}  {status}"
         )
@@ -309,17 +250,20 @@ def cmd_verify(kmax, nmax, precision, report) -> None:
             detail = result.description
             if result.worst_case:
                 detail += f"; worst at {result.worst_case}"
-            click.echo(f"{'':<{width}}  {detail}")
+            print(f"{'':<{width}}  {detail}")
     for result in results:
         if result.informational:
-            click.echo(f"note: {result.check_id}: {result.description}")
-    click.echo(f"# wall_time_s={time.perf_counter() - started:.3f}")
+            print(f"note: {result.check_id}: {result.description}")
+    print(f"# wall_time_s={time.perf_counter() - started:.3f}")
     if failures:
         worst = failures[0]
-        click.echo(
-            f"FAILED {worst.check_id} at {worst.worst_case or 'n/a'}", err=True
+        sys.stdout.flush()
+        print(
+            f"FAILED {worst.check_id} at {worst.worst_case or 'n/a'}",
+            file=sys.stderr,
         )
-        sys.exit(1)
+        return 1
+    return 0
 
 
 def _parse_range(text: str, label: str) -> range:
@@ -330,30 +274,13 @@ def _parse_range(text: str, label: str) -> range:
         else:
             lo = hi = int(text)
     except ValueError:
-        raise click.UsageError(f"bad {label} range {text!r}; use LO:HI")
+        raise _UsageError(f"bad {label} range {text!r}; use LO:HI")
     if lo > hi:
-        raise click.UsageError(f"reversed {label} range {text!r}; need LO <= HI")
+        raise _UsageError(f"reversed {label} range {text!r}; need LO <= HI")
     return range(lo, hi + 1)
 
 
-@main.command("sweep")
-@click.option("--n-range", "n_range", required=True, help="Inclusive LO:HI.")
-@click.option("--k-range", "k_range", required=True, help="Inclusive LO:HI.")
-@click.option(
-    "--quantity",
-    type=click.Choice(["hit", "resist", "tau", "forests"]),
-    required=True,
-)
-@click.option("--out", "out_path", required=True, type=click.Path())
-@_precision_option
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv"]),
-    default="csv",
-    show_default=True,
-)
-def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> None:
+def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> int:
     """Write one row per (n, k, ell) and method over the given ranges.
 
     Invalid combinations (n < 2k+1) are skipped; rows are ordered by n, k,
@@ -395,8 +322,124 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> None:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     except OSError as exc:
-        click.echo(f"cannot write {out_path}: {exc}", err=True)
-        sys.exit(3)
+        print(f"cannot write {out_path}: {exc}", file=sys.stderr)
+        return 3
+    return 0
+
+
+def _command(commands, run) -> _Parser:
+    """The parser of `run` (cmd_hit is `hit`), described by its docstring."""
+    doc = run.__doc__
+    parser = commands.add_parser(
+        run.__name__[len("cmd_"):], help=doc.split("\n\n")[0], description=doc,
+        add_help=False, allow_abbrev=False,
+    )
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    parser.set_defaults(run=run, parser=parser)
+    return parser
+
+
+def _option(parser: _Parser, flag: str, help: str = "", **kwargs) -> None:
+    """Add `flag` to `parser`, its help ending in "[required]" or its
+    default."""
+    if kwargs.get("required"):
+        help += " [required]"
+    elif kwargs.get("default") is not None:
+        help += " [default: %(default)s]"
+    parser.add_argument(flag, help=help.lstrip(), **kwargs)
+
+
+def _parser(prog: str) -> _Parser:
+    """The command-line parser: one subparser per command."""
+    parser = _Parser(
+        prog=prog,
+        description="Hitting times, resistances, and tree counts on cycle "
+        "power graphs.",
+        add_help=False,
+        allow_abbrev=False,
+    )
+    parser.add_argument(
+        "--version",
+        action="version",
+        version=f"cyclepow, version {__version__}",
+        help="Show the version and exit.",
+    )
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    hit = _command(commands, cmd_hit)
+    _option(hit, "--n", "Vertex count (>= 2k+1).", type=int, required=True)
+    _option(hit, "--k", "Jump radius (>= 1).", type=int, required=True)
+    _option(hit, "--ell", "Target vertex.", type=int, required=True)
+    _option(
+        hit, "--method",
+        choices=["exact", "spectral", "closed", "simulate", "all"], default="all",
+    )
+    _option(
+        hit, "--form", "Correction-ratio evaluation path for the closed form.",
+        choices=["exp", "seq"], default="exp",
+    )
+    _option(hit, "--precision", type=int, default=DEFAULT_PRECISION_BITS)
+    _option(hit, "--walks", type=int, default=10000)
+    _option(hit, "--seed", type=int, default=0)
+    _option(
+        hit, "--erratum",
+        "Also report the uncorrected full-index closed form (known to "
+        "deviate from the oracle; for comparison only).",
+        action="store_true",
+    )
+    _option(
+        hit, "--format", dest="fmt", choices=["json", "csv", "text"], default="text"
+    )
+
+    trees = _command(commands, cmd_trees)
+    _option(trees, "--n", type=int, required=True)
+    _option(trees, "--k", type=int, required=True)
+    _option(trees, "--ell", type=int)
+    _option(trees, "--precision", type=int, default=DEFAULT_PRECISION_BITS)
+    _option(
+        trees, "--format", dest="fmt", choices=["json", "csv", "text"], default="text"
+    )
+
+    checks = _command(commands, cmd_verify)
+    _option(checks, "--kmax", type=int, default=3)
+    _option(checks, "--nmax", type=int, default=24)
+    _option(checks, "--precision", type=int, default=DEFAULT_PRECISION_BITS)
+    _option(checks, "--report", choices=["summary", "full"], default="summary")
+
+    sweep = _command(commands, cmd_sweep)
+    _option(sweep, "--n-range", "Inclusive LO:HI.", required=True)
+    _option(sweep, "--k-range", "Inclusive LO:HI.", required=True)
+    _option(
+        sweep, "--quantity", choices=["hit", "resist", "tau", "forests"],
+        required=True,
+    )
+    _option(sweep, "--out", dest="out_path", metavar="PATH", required=True)
+    _option(sweep, "--precision", type=int, default=DEFAULT_PRECISION_BITS)
+    _option(sweep, "--format", dest="fmt", choices=["json", "csv"], default="csv")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str = "cyclepow"):
+    """Run the command line `args` (default: sys.argv[1:]) and exit with its
+    code, as SystemExit."""
+    # Exact values are printed in full, past CPython's int-to-str digit limit.
+    getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
+    params = vars(_parser(prog_name).parse_args(args))
+    run, parser = params.pop("run"), params.pop("parser")
+    try:
+        code = run(**params)
+    except _UsageError as exc:
+        parser.error(str(exc))
+    except CyclepowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 1
+    sys.exit(code or 0)
+
+
+# benchmark/traced_cli.py runs a command line as main.main(args=...,
+# prog_name=...), the call form of a click entry point.
+main.main = main
 
 
 if __name__ == "__main__":

@@ -33,11 +33,10 @@ spectral's fixed-point integers; arboreal.tau_eigen reads fixed_eigenvalues.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from operator import add, neg
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from mpmath import mp
 
@@ -54,6 +53,9 @@ from .spectral import (
     working_bits,
     working_precision,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "GENERATOR_ID",
@@ -174,6 +176,8 @@ def hit_exact_all(spec: GraphSpec, /) -> tuple[Fraction, ...]:
     the hitting-time vector.  The system is solved on band rows in fold
     order, and the solution is put back in vertex order.
     """
+    from fractions import Fraction
+
     order, rows = build_laplacian(spec, (0,))
     values = fractionfree.solve(rows, [spec.degree] * len(rows))
     solution = [Fraction(0)] * spec.n
@@ -262,7 +266,7 @@ def _closed_values(spec: GraphSpec, ells, precision_bits: int, ratio_table) -> l
     values = []
     with working_precision(precision_bits):
         for index, ell in enumerate(ells):
-            quadratic = Fraction(sf.pole_coefficient, 2) * ell * (spec.n - ell)
+            quadratic = sf.pole_coefficient / 2 * ell * (spec.n - ell)
             total = round_divide(quadratic.numerator << 2 * bits, quadratic.denominator)
             for (a, b), table in zip(weighted, tables):
                 x, y = table[index]

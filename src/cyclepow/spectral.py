@@ -37,9 +37,8 @@ v * 2^F to the nearest (Gaussian) integer, ties away from zero.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from mpmath import mp
 
@@ -50,6 +49,9 @@ from .errors import (
     ParameterError,
     PrecisionError,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DEFAULT_PRECISION_BITS",
@@ -302,6 +304,8 @@ def partial_fractions(
 ) -> SpectralFactorization:
     """Assemble the decomposition data for 2k / phi_k: one factor per real
     root and one per conjugate pair, kept as its upper root."""
+    from fractions import Fraction
+
     # psi_k(2) = k(k+1)(2k+1)/6 pins B exactly; both expressions must agree.
     psi_at_2 = polynomials.eval_poly(polynomials.build_psi(k), 2)
     if 6 * psi_at_2 != k * (k + 1) * (2 * k + 1):

@@ -11,18 +11,23 @@ form are mpmath complex arithmetic at twice the working precision over
 every root, simulated walks run one at a time, each from its own numpy
 Philox generator, spectral sums and products run over every Fourier
 mode with one mp.cospi call per cosine, and the roots of psi_k come from
-mpmath's Durand-Kerner iteration (polyroots) on psi_k itself.
+mpmath's Durand-Kerner iteration (polyroots) on psi_k itself.  `invoke`
+runs the command line in this process and captures what it writes.
 """
 
 from __future__ import annotations
 
+import io
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp
 
+from cyclepow import cli
 from cyclepow.spectral import FactorData
 
 
@@ -364,3 +369,48 @@ def eigen_product_reference(n: int, k: int, precision_bits: int):
         for lam in unfolded_eigenvalues(n, k)[1:]:
             product *= lam
         return product / n
+
+
+class Invocation(NamedTuple):
+    """One in-process CLI run: its exit code, what it wrote to stdout and to
+    stderr, both as `output` in the order written, and the exception that
+    ended it (None on exit code 0)."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str
+    exception: BaseException | None
+
+
+class _Tee(io.StringIO):
+    """A stream that also writes to a shared one."""
+
+    def __init__(self, shared: io.StringIO):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text: str) -> int:
+        self.shared.write(text)
+        return super().write(text)
+
+
+def invoke(args: list[str]) -> Invocation:
+    """Run `cyclepow args` through `cli.main`, as its console script does."""
+    output = io.StringIO()
+    stdout, stderr = _Tee(output), _Tee(output)
+    exception = None
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+            exit_code = code if isinstance(code, int) else int(code is not None)
+            exception = exc if exit_code else None
+        except Exception as exc:
+            exit_code, exception = 1, exc
+        else:
+            exit_code = 0
+    return Invocation(
+        exit_code, stdout.getvalue(), stderr.getvalue(), output.getvalue(), exception
+    )

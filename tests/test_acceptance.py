@@ -9,7 +9,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from click.testing import CliRunner
 from mpmath import mp
 
 from cyclepow import (
@@ -25,10 +24,9 @@ from cyclepow import (
 )
 from cyclepow.hitting import hit_exact_all
 from cyclepow.recurrences import correction_ratio
-from cyclepow.cli import main as cli_main
 from cyclepow.hitting import cosine_table
 
-from oracles import fibonacci
+from oracles import fibonacci, invoke
 
 PRECISION = 256
 ORACLE_RTOL = 1e-10
@@ -225,12 +223,11 @@ def test_criterion_09_monte_carlo_sanity_and_reproducibility():
         exact = float(hit_exact(spec, 5))
         result = hit_simulate(spec, 5, 10**5, 20240601)
         assert abs(result.mean - exact) <= 4 * result.stderr
-        runner = CliRunner()
         args = ["hit", "--n", "12", "--k", "2", "--ell", "5", "--method",
                 "simulate", "--walks", "2000", "--seed", "20240601",
                 "--format", "json"]
-        first = runner.invoke(cli_main, args)
-        second = runner.invoke(cli_main, args)
+        first = invoke(args)
+        second = invoke(args)
         assert first.output == second.output
         assert first.exit_code == second.exit_code == 0
 

@@ -2,7 +2,6 @@ import json
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 from mpmath import mp
 
 from cyclepow import (
@@ -13,22 +12,17 @@ from cyclepow import (
     hit_exact,
     tau_det,
 )
-from cyclepow.cli import main
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
+from oracles import invoke
 
 
 def records(output: str) -> list[dict]:
     return [json.loads(line) for line in output.splitlines() if line.strip()]
 
 
-def test_hit_exact_json(runner):
-    result = runner.invoke(
-        main, ["hit", "--n", "7", "--k", "1", "--ell", "3",
-               "--method", "exact", "--format", "json"],
+def test_hit_exact_json():
+    result = invoke(
+        ["hit", "--n", "7", "--k", "1", "--ell", "3",
+         "--method", "exact", "--format", "json"],
     )
     assert result.exit_code == 0
     (record,) = records(result.output)
@@ -38,10 +32,10 @@ def test_hit_exact_json(runner):
     assert record["seed"] is None
 
 
-def test_hit_all_methods_consistent(runner):
-    result = runner.invoke(
-        main, ["hit", "--n", "6", "--k", "2", "--ell", "1", "--method", "all",
-               "--walks", "3000", "--seed", "11", "--format", "json"],
+def test_hit_all_methods_consistent():
+    result = invoke(
+        ["hit", "--n", "6", "--k", "2", "--ell", "1", "--method", "all",
+         "--walks", "3000", "--seed", "11", "--format", "json"],
     )
     assert result.exit_code == 0
     recs = records(result.output)
@@ -57,11 +51,11 @@ def test_hit_all_methods_consistent(runner):
     assert recs[3]["generator"]
 
 
-def test_hit_closed_at_k48_matches_the_complete_graph(runner):
+def test_hit_closed_at_k48_matches_the_complete_graph():
     # n = 2k + 1 is the complete graph K_97, where every h(0, ell) is n - 1.
     args = ["hit", "--n", "97", "--k", "48", "--ell", "5", "--format", "json"]
-    exact = runner.invoke(main, args + ["--method", "exact"])
-    closed = runner.invoke(main, args + ["--method", "closed"])
+    exact = invoke(args + ["--method", "exact"])
+    closed = invoke(args + ["--method", "closed"])
     assert exact.exit_code == 0 and closed.exit_code == 0, closed.output
     (exact_row,) = records(exact.output)[0]["results"]
     (closed_row,) = records(closed.output)[0]["results"]
@@ -69,23 +63,23 @@ def test_hit_closed_at_k48_matches_the_complete_graph(runner):
     assert abs(Fraction(closed_row["value"]) - 96) <= Fraction(closed_row["err"])
 
 
-def test_hit_closed_at_k192_matches_the_complete_graph(runner):
+def test_hit_closed_at_k192_matches_the_complete_graph():
     # K_385: psi_192's roots certify through the four-term inner equation,
     # where Horner on psi_192 could not resolve |psi_192(gamma)|.  The
     # exact route, a 384-row elimination, is left to the k = 48 case.
-    result = runner.invoke(
-        main, ["hit", "--n", "385", "--k", "192", "--ell", "5",
-               "--method", "closed", "--format", "json"],
+    result = invoke(
+        ["hit", "--n", "385", "--k", "192", "--ell", "5",
+         "--method", "closed", "--format", "json"],
     )
     assert result.exit_code == 0, result.output
     (row,) = records(result.output)[0]["results"]
     assert abs(Fraction(row["value"]) - 384) <= Fraction(row["err"])
 
 
-def test_trees_at_k48_match_the_complete_graph(runner):
+def test_trees_at_k48_match_the_complete_graph():
     # On K_97 Cayley's formula gives tau = n^(n-2).
-    result = runner.invoke(
-        main, ["trees", "--n", "97", "--k", "48", "--format", "json"]
+    result = invoke(
+        ["trees", "--n", "97", "--k", "48", "--format", "json"]
     )
     assert result.exit_code == 0, result.output
     rows = {row["method"]: row for row in records(result.output)[0]["results"]}
@@ -94,20 +88,20 @@ def test_trees_at_k48_match_the_complete_graph(runner):
     assert abs(Fraction(product["value"]) - 97**95) <= Fraction(product["err"])
 
 
-def test_hit_zero_displacement(runner):
-    result = runner.invoke(
-        main, ["hit", "--n", "6", "--k", "2", "--ell", "0", "--method", "all",
-               "--walks", "10", "--format", "json"],
+def test_hit_zero_displacement():
+    result = invoke(
+        ["hit", "--n", "6", "--k", "2", "--ell", "0", "--method", "all",
+         "--walks", "10", "--format", "json"],
     )
     assert result.exit_code == 0
     for rec in records(result.output):
         assert float(rec["results"][0]["value"]) == 0
 
 
-def test_hit_erratum_record(runner):
-    result = runner.invoke(
-        main, ["hit", "--n", "6", "--k", "2", "--ell", "1", "--method", "exact",
-               "--erratum", "--format", "json"],
+def test_hit_erratum_record():
+    result = invoke(
+        ["hit", "--n", "6", "--k", "2", "--ell", "1", "--method", "exact",
+         "--erratum", "--format", "json"],
     )
     assert result.exit_code == 0
     recs = records(result.output)
@@ -115,51 +109,51 @@ def test_hit_erratum_record(runner):
     assert abs(float(recs[-1]["results"][0]["value"]) - 23 / 6) < 1e-12
 
 
-def test_hit_usage_errors(runner):
-    result = runner.invoke(main, ["hit", "--n", "4", "--k", "2", "--ell", "1"])
+def test_hit_usage_errors():
+    result = invoke(["hit", "--n", "4", "--k", "2", "--ell", "1"])
     assert result.exit_code == 2
     assert "2k+1" in result.output
-    result = runner.invoke(main, ["hit", "--n", "6", "--k", "2", "--ell", "9"])
+    result = invoke(["hit", "--n", "6", "--k", "2", "--ell", "9"])
     assert result.exit_code == 2
-    result = runner.invoke(main, ["hit", "--n", "6", "--k", "2", "--ell", "1",
-                                  "--method", "bogus"])
+    result = invoke(["hit", "--n", "6", "--k", "2", "--ell", "1",
+                     "--method", "bogus"])
     assert result.exit_code == 2
 
 
-def test_hit_json_round_trip_is_exact(runner):
+def test_hit_json_round_trip_is_exact():
     spec = GraphSpec(11, 3)
     for ell in (1, 4, 5):
-        result = runner.invoke(
-            main, ["hit", "--n", "11", "--k", "3", "--ell", str(ell),
-                   "--method", "exact", "--format", "json"],
+        result = invoke(
+            ["hit", "--n", "11", "--k", "3", "--ell", str(ell),
+             "--method", "exact", "--format", "json"],
         )
         (record,) = records(result.output)
         assert record["results"][0]["value"] == str(hit_exact(spec, ell))
         assert Fraction(record["results"][0]["value"]) == hit_exact(spec, ell)
 
 
-def test_hit_deterministic_bytes(runner):
+def test_hit_deterministic_bytes():
     args = ["hit", "--n", "9", "--k", "2", "--ell", "4", "--method", "all",
             "--walks", "500", "--seed", "77", "--format", "json"]
-    first = runner.invoke(main, args)
-    second = runner.invoke(main, args)
+    first = invoke(args)
+    second = invoke(args)
     assert first.output == second.output
-    different = runner.invoke(main, args[:-3] + ["78", "--format", "json"])
+    different = invoke(args[:-3] + ["78", "--format", "json"])
     assert different.output != first.output
 
 
-def test_text_format_has_wall_time_only_difference(runner):
+def test_text_format_has_wall_time_only_difference():
     args = ["hit", "--n", "7", "--k", "2", "--ell", "2", "--method", "exact"]
-    first = runner.invoke(main, args)
-    second = runner.invoke(main, args)
+    first = invoke(args)
+    second = invoke(args)
     strip = lambda out: [l for l in out.splitlines() if not l.startswith("# wall")]
     assert strip(first.output) == strip(second.output)
     assert any(l.startswith("# wall_time_s=") for l in first.output.splitlines())
 
 
-def test_trees_without_ell(runner):
-    result = runner.invoke(
-        main, ["trees", "--n", "5", "--k", "2", "--format", "json"],
+def test_trees_without_ell():
+    result = invoke(
+        ["trees", "--n", "5", "--k", "2", "--format", "json"],
     )
     assert result.exit_code == 0
     (record,) = records(result.output)
@@ -169,9 +163,9 @@ def test_trees_without_ell(runner):
     assert abs(float(values["tau_product"]) - 125) < 1e-20
 
 
-def test_trees_with_ell(runner):
-    result = runner.invoke(
-        main, ["trees", "--n", "5", "--k", "2", "--ell", "1", "--format", "json"],
+def test_trees_with_ell():
+    result = invoke(
+        ["trees", "--n", "5", "--k", "2", "--ell", "1", "--format", "json"],
     )
     (record,) = records(result.output)
     by_method = {r["method"]: r["value"] for r in record["results"]}
@@ -180,18 +174,17 @@ def test_trees_with_ell(runner):
     assert by_method["tau_contracted"] == "50"
 
 
-def test_trees_cycle(runner):
-    result = runner.invoke(main, ["trees", "--n", "6", "--k", "1",
-                                  "--format", "json"])
+def test_trees_cycle():
+    result = invoke(["trees", "--n", "6", "--k", "1", "--format", "json"])
     (record,) = records(result.output)
     assert record["results"][0]["value"] == "6"
 
 
 @pytest.mark.parametrize("ell", [-1, 0, 6])
-def test_trees_gives_the_ell_advice_of_arboreal_counts(runner, ell):
+def test_trees_gives_the_ell_advice_of_arboreal_counts(ell):
     with pytest.raises(ParameterError) as raised:
         arboreal_counts(GraphSpec(6, 1), ell)
-    result = runner.invoke(main, ["trees", "--n", "6", "--k", "1", "--ell", str(ell)])
+    result = invoke(["trees", "--n", "6", "--k", "1", "--ell", str(ell)])
     assert result.exit_code == 2
     assert result.output.endswith(f"Error: {raised.value}\n")
 
@@ -222,10 +215,49 @@ def test_trees_gives_the_ell_advice_of_arboreal_counts(runner, ell):
         ),
     ],
 )
-def test_usage_error_messages(runner, args, message):
-    result = runner.invoke(main, args.split())
+def test_usage_error_messages(args, message):
+    result = invoke(args.split())
     assert result.exit_code == 2
     assert result.output.endswith(f"Error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("hit --n 5", "the following arguments are required: --k, --ell"),
+        ("hit --n 6 --k 2 --ell 1 --method foo",
+         "argument --method: invalid choice: 'foo'"),
+        ("hit --n five --k 2 --ell 1", "argument --n: invalid int value: 'five'"),
+        ("trees --n 6 --k 2 --bogus 1", "unrecognized arguments: --bogus 1"),
+        ("", "the following arguments are required: COMMAND"),
+    ],
+)
+def test_parser_usage_errors(args, message):
+    # The message is matched up to where argparse's wording may vary.
+    result = invoke(args.split())
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    *_, last = result.stderr.split("\nError: ")
+    assert last.startswith(message) and last.endswith("\n")
+    assert "\n" not in last[:-1]
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("hit", "--n --k --ell --method --form --precision --walks --seed "
+         "--erratum --format"),
+        ("trees", "--n --k --ell --precision --format"),
+        ("verify", "--kmax --nmax --precision --report"),
+        ("sweep", "--n-range --k-range --quantity --out --precision --format"),
+    ],
+)
+def test_command_help_names_every_option(command, options):
+    result = invoke([command, "--help"])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    for option in [*options.split(), "--help"]:
+        assert f"  {option} " in result.stdout, option
 
 
 # The layer module each route is read from when a command runs.
@@ -250,7 +282,7 @@ ROUTE_LAYERS = {
     ],
 )
 def test_package_error_is_reported_for_every_command(
-    runner, monkeypatch, tmp_path, args, route
+    monkeypatch, tmp_path, args, route
 ):
     def fail(*args, **kwargs):
         raise PrecisionError("root refinement did not converge")
@@ -258,14 +290,14 @@ def test_package_error_is_reported_for_every_command(
     monkeypatch.setattr(f"cyclepow.{ROUTE_LAYERS[route]}.{route}", fail)
     out = tmp_path / "sweep.out"
     argv = args.split() + (["--out", str(out)] if args.startswith("sweep") else [])
-    result = runner.invoke(main, argv)
+    result = invoke(argv)
     assert result.exit_code == 1
     assert result.stderr == "error: root refinement did not converge\n"
     assert result.stdout == ""
     assert not out.exists()
 
 
-def test_trees_refuses_a_tree_product_beyond_its_bound(runner, monkeypatch):
+def test_trees_refuses_a_tree_product_beyond_its_bound(monkeypatch):
     from cyclepow import arboreal
 
     exact = arboreal.tau_eigen
@@ -275,39 +307,39 @@ def test_trees_refuses_a_tree_product_beyond_its_bound(runner, monkeypatch):
             return exact(spec, bits) * (1 + mp.mpf(2) ** -100)
 
     monkeypatch.setattr(arboreal, "tau_eigen", off)
-    result = runner.invoke(main, ["trees", "--n", "12", "--k", "2", "--ell", "5"])
+    result = invoke(["trees", "--n", "12", "--k", "2", "--ell", "5"])
     assert result.exit_code == 1
     assert result.stderr.startswith("error: eigenvalue tree product ")
     assert " disagrees with the determinant count " in result.stderr
     assert result.stdout == ""
 
 
-def test_simulate_over_the_step_cap_fails_before_walking(runner, monkeypatch):
+def test_simulate_over_the_step_cap_fails_before_walking(monkeypatch):
     from cyclepow import _philox
 
     def walk(*args):
         raise AssertionError("walked a run that cannot finish")
 
     monkeypatch.setattr(_philox, "walk_times", walk)
-    result = runner.invoke(
-        main, ["hit", "--n", "12", "--k", "2", "--ell", "5", "--method",
-               "simulate", "--walks", "2000000000"],
+    result = invoke(
+        ["hit", "--n", "12", "--k", "2", "--ell", "5", "--method",
+         "simulate", "--walks", "2000000000"],
     )
     assert result.exit_code == 1
     assert result.stderr.startswith("error: step cap 1000000000 is below ")
     assert result.stdout == ""
 
 
-def test_simulate_beyond_int64_positions_fails_before_walking(runner, monkeypatch):
+def test_simulate_beyond_int64_positions_fails_before_walking(monkeypatch):
     from cyclepow import _philox
 
     def walk(*args):
         raise AssertionError("walked a run that overflows")
 
     monkeypatch.setattr(_philox, "walk_times", walk)
-    result = runner.invoke(
-        main, ["hit", "--n", "9223372036854775809", "--k", "1", "--ell", "1",
-               "--method", "simulate", "--walks", "1"],
+    result = invoke(
+        ["hit", "--n", "9223372036854775809", "--k", "1", "--ell", "1",
+         "--method", "simulate", "--walks", "1"],
     )
     assert result.exit_code == 1
     assert result.stderr.startswith(
@@ -316,10 +348,10 @@ def test_simulate_beyond_int64_positions_fails_before_walking(runner, monkeypatc
     assert result.stdout == ""
 
 
-def test_csv_format(runner):
-    result = runner.invoke(
-        main, ["hit", "--n", "6", "--k", "2", "--ell", "3", "--method", "exact",
-               "--format", "csv"],
+def test_csv_format():
+    result = invoke(
+        ["hit", "--n", "6", "--k", "2", "--ell", "3", "--method", "exact",
+         "--format", "csv"],
     )
     lines = result.output.splitlines()
     assert lines[0] == "n,k,ell,method,value,err_bound"
@@ -327,16 +359,16 @@ def test_csv_format(runner):
     assert "\r" not in result.output
 
 
-def test_verify_small_ranges(runner):
-    result = runner.invoke(main, ["verify", "--kmax", "1", "--nmax", "12"])
+def test_verify_small_ranges():
+    result = invoke(["verify", "--kmax", "1", "--nmax", "12"])
     assert result.exit_code == 0
     assert "pass" in result.output
     assert "FAIL" not in result.output
 
 
-def test_verify_full_report_shows_erratum(runner):
-    result = runner.invoke(
-        main, ["verify", "--kmax", "2", "--nmax", "6", "--report", "full"],
+def test_verify_full_report_shows_erratum():
+    result = invoke(
+        ["verify", "--kmax", "2", "--nmax", "6", "--report", "full"],
     )
     assert result.exit_code == 0
     assert "erratum-full-index-ratio" in result.output
@@ -344,12 +376,12 @@ def test_verify_full_report_shows_erratum(runner):
     assert "info" in result.output
 
 
-def test_verify_usage_errors(runner):
-    assert runner.invoke(main, ["verify", "--kmax", "9", "--nmax", "40"]).exit_code == 2
-    assert runner.invoke(main, ["verify", "--kmax", "3", "--nmax", "5"]).exit_code == 2
+def test_verify_usage_errors():
+    assert invoke(["verify", "--kmax", "9", "--nmax", "40"]).exit_code == 2
+    assert invoke(["verify", "--kmax", "3", "--nmax", "5"]).exit_code == 2
 
 
-def test_verify_exits_one_on_failing_check(runner, monkeypatch):
+def test_verify_exits_one_on_failing_check(monkeypatch):
     from cyclepow import verify
     from cyclepow.verify import CheckResult
 
@@ -360,17 +392,17 @@ def test_verify_exits_one_on_failing_check(runner, monkeypatch):
         )
     ]
     monkeypatch.setattr(verify, "run_verification", lambda *a, **kw: fake)
-    result = runner.invoke(main, ["verify", "--kmax", "1", "--nmax", "3"])
+    result = invoke(["verify", "--kmax", "1", "--nmax", "3"])
     assert result.exit_code == 1
     assert "fake-check" in result.output
     assert "(n=6, k=2, ell=1)" in result.output
 
 
-def test_sweep_tau_csv(runner, tmp_path):
+def test_sweep_tau_csv(tmp_path):
     out = tmp_path / "tau.csv"
-    result = runner.invoke(
-        main, ["sweep", "--n-range", "5:8", "--k-range", "1:2",
-               "--quantity", "tau", "--out", str(out)],
+    result = invoke(
+        ["sweep", "--n-range", "5:8", "--k-range", "1:2",
+         "--quantity", "tau", "--out", str(out)],
     )
     assert result.exit_code == 0
     lines = out.read_text().splitlines()
@@ -383,11 +415,11 @@ def test_sweep_tau_csv(runner, tmp_path):
     assert len(det_rows) == 8
 
 
-def test_sweep_hit_quadratic(runner, tmp_path):
+def test_sweep_hit_quadratic(tmp_path):
     out = tmp_path / "hit.csv"
-    result = runner.invoke(
-        main, ["sweep", "--n-range", "7:7", "--k-range", "1:1",
-               "--quantity", "hit", "--out", str(out)],
+    result = invoke(
+        ["sweep", "--n-range", "7:7", "--k-range", "1:1",
+         "--quantity", "hit", "--out", str(out)],
     )
     assert result.exit_code == 0
     for line in out.read_text().splitlines()[1:]:
@@ -397,13 +429,13 @@ def test_sweep_hit_quadratic(runner, tmp_path):
             assert Fraction(value) == ell * (7 - ell)
 
 
-def test_sweep_resist_closed_values_are_full_precision(runner, tmp_path):
+def test_sweep_resist_closed_values_are_full_precision(tmp_path):
     # regression: the analytic resistance used to be divided at ambient
     # (53-bit) precision, leaving double-rounding artifacts in the output
     out = tmp_path / "resist.csv"
-    result = runner.invoke(
-        main, ["sweep", "--n-range", "5:5", "--k-range", "1:1",
-               "--quantity", "resist", "--out", str(out)],
+    result = invoke(
+        ["sweep", "--n-range", "5:5", "--k-range", "1:1",
+         "--quantity", "resist", "--out", str(out)],
     )
     assert result.exit_code == 0
     rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
@@ -415,11 +447,11 @@ def test_sweep_resist_closed_values_are_full_precision(runner, tmp_path):
         assert abs(float(text) - float(Fraction(exact[ell]))) < 1e-15
 
 
-def test_sweep_forests_json(runner, tmp_path):
+def test_sweep_forests_json(tmp_path):
     out = tmp_path / "forests.jsonl"
-    result = runner.invoke(
-        main, ["sweep", "--n-range", "5:6", "--k-range", "1:1",
-               "--quantity", "forests", "--format", "json", "--out", str(out)],
+    result = invoke(
+        ["sweep", "--n-range", "5:6", "--k-range", "1:1",
+         "--quantity", "forests", "--format", "json", "--out", str(out)],
     )
     assert result.exit_code == 0
     for line in out.read_text().splitlines():
@@ -428,40 +460,40 @@ def test_sweep_forests_json(runner, tmp_path):
         assert by_method["forests"] == by_method["tau_contracted"]
 
 
-def test_sweep_empty_range(runner, tmp_path):
+def test_sweep_empty_range(tmp_path):
     # every (n, k) here has n < 2k+1, so each is skipped
     out = tmp_path / "empty.csv"
-    result = runner.invoke(
-        main, ["sweep", "--n-range", "3:4", "--k-range", "2:2",
-               "--quantity", "tau", "--out", str(out)],
+    result = invoke(
+        ["sweep", "--n-range", "3:4", "--k-range", "2:2",
+         "--quantity", "tau", "--out", str(out)],
     )
     assert result.exit_code == 0
     assert out.read_text() == "n,k,ell,method,value,err_bound\n"
 
 
 @pytest.mark.parametrize("n_range, k_range", [("9:5", "1:1"), ("5:5", "2:1")])
-def test_sweep_reversed_range(runner, tmp_path, n_range, k_range):
+def test_sweep_reversed_range(tmp_path, n_range, k_range):
     out = tmp_path / "reversed.csv"
-    result = runner.invoke(
-        main, ["sweep", "--n-range", n_range, "--k-range", k_range,
-               "--quantity", "tau", "--out", str(out)],
+    result = invoke(
+        ["sweep", "--n-range", n_range, "--k-range", k_range,
+         "--quantity", "tau", "--out", str(out)],
     )
     assert result.exit_code == 2
     assert "reversed" in result.output
     assert not out.exists()
 
 
-def test_sweep_unwritable_path(runner):
-    result = runner.invoke(
-        main, ["sweep", "--n-range", "5:5", "--k-range", "1:1",
-               "--quantity", "tau", "--out", "/nonexistent-dir/t.csv"],
+def test_sweep_unwritable_path():
+    result = invoke(
+        ["sweep", "--n-range", "5:5", "--k-range", "1:1",
+         "--quantity", "tau", "--out", "/nonexistent-dir/t.csv"],
     )
     assert result.exit_code == 3
 
 
-def test_sweep_bad_range(runner, tmp_path):
-    result = runner.invoke(
-        main, ["sweep", "--n-range", "x:y", "--k-range", "1:1",
-               "--quantity", "tau", "--out", str(tmp_path / "t.csv")],
+def test_sweep_bad_range(tmp_path):
+    result = invoke(
+        ["sweep", "--n-range", "x:y", "--k-range", "1:1",
+         "--quantity", "tau", "--out", str(tmp_path / "t.csv")],
     )
     assert result.exit_code == 2

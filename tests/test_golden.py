@@ -143,9 +143,7 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from cyclepow.cli import main
+from oracles import invoke
 
 DATA = Path(__file__).parent / "data"
 
@@ -162,7 +160,7 @@ TREES = load("trees_golden.json")
 
 def output_of(args):
     """CLI output for args; a text format loses its `# wall_time_s` line."""
-    result = CliRunner().invoke(main, args.split())
+    result = invoke(args.split())
     assert result.exit_code == 0, result.output
     output = result.output
     if args.endswith("--format text"):
@@ -179,7 +177,7 @@ def test_hit_output_matches_recorded_bytes(case):
 
 @pytest.mark.parametrize("case", VERIFY, ids=[case["args"] for case in VERIFY])
 def test_verify_report_matches_recorded_bytes(case):
-    result = CliRunner().invoke(main, case["args"].split())
+    result = invoke(case["args"].split())
     assert result.exit_code == 0, result.output
     lines = result.output.splitlines(keepends=True)
     assert lines[-1].startswith("# wall_time_s=")
@@ -189,7 +187,7 @@ def test_verify_report_matches_recorded_bytes(case):
 @pytest.mark.parametrize("case", SWEEP, ids=[case["args"] for case in SWEEP])
 def test_sweep_file_matches_recorded_bytes(case, tmp_path):
     out = tmp_path / "sweep.out"
-    result = CliRunner().invoke(main, [*case["args"].split(), "--out", str(out)])
+    result = invoke([*case["args"].split(), "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert out.read_bytes() == case["output"].encode("utf-8")
 

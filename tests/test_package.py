@@ -5,8 +5,9 @@ plus the exception types; every other helper is imported from its module.
 The two scripts and the README's library snippet run here in fresh
 processes, so a name they need cannot leave the API unnoticed.  Fresh
 processes also show that numpy is loaded only to simulate walks, that a
-command executes only the layer modules it reads and never imports
-dataclasses, and that `--version` works from a source checkout.  Guard bits
+command executes only the layer modules it reads and never imports click or
+dataclasses, that the spectral route never imports fractions, and that
+`--version` works from a source checkout.  Guard bits
 are named in spectral alone, and no module reaches for another's private
 names.
 """
@@ -156,10 +157,15 @@ def test_import_does_not_load_numpy(module):
     assert result.stdout == "False\n"
 
 
+# A command's SystemExit ends the probe only when its exit code is not 0.
 CLI_PROBE = """
 import sys
 from cyclepow.cli import main
-main.main(args=sys.argv[1:], prog_name="cyclepow", standalone_mode=False)
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    if exc.code:
+        raise
 print("numpy" in sys.modules)
 """
 
@@ -196,33 +202,54 @@ LAYERS = (
     "verify",
 )
 
-# Prints the layers in sys.modules, then those executed, then whether
-# dataclasses was imported: a LazyLoader module turns into a plain module on
-# its first attribute read, and type() reads no attribute.
+# Modules whose import a request should not pay for when it does not use them.
+WATCHED = ("click", "dataclasses", "fractions")
+
+# Prints the layers in sys.modules, then those executed, then the WATCHED
+# modules imported: a LazyLoader module turns into a plain module on its
+# first attribute read, and type() reads no attribute.
 LAYER_PROBE = """
 import sys, types
 from cyclepow.cli import main
 if sys.argv[1:]:
-    main.main(args=sys.argv[1:], prog_name="cyclepow", standalone_mode=False)
+    try:
+        main(sys.argv[1:])
+    except SystemExit as exc:
+        if exc.code:
+            raise
 modules = {{layer: sys.modules.get("cyclepow." + layer) for layer in {layers!r}}}
 print(" ".join(layer for layer, module in modules.items() if module is not None))
 print(" ".join(
     layer for layer, module in modules.items() if type(module) is types.ModuleType
 ))
-print("dataclasses" in sys.modules)
-""".format(layers=LAYERS)
+print(" ".join(name for name in {watched!r} if name in sys.modules))
+""".format(layers=LAYERS, watched=WATCHED)
 
 
 def layers_after(*argv):
+    """The layers registered and executed after the command line `argv`
+    (after the import alone when empty), and the WATCHED modules imported;
+    neither click nor dataclasses ever is."""
     result = run_python("-c", LAYER_PROBE, *argv)
     assert result.returncode == 0, result.stderr
-    registered, executed, dataclasses = result.stdout.splitlines()[-3:]
-    assert dataclasses == "False"
-    return registered.split(), set(executed.split())
+    registered, executed, watched = result.stdout.splitlines()[-3:]
+    assert {"click", "dataclasses"}.isdisjoint(watched.split())
+    return registered.split(), set(executed.split()), set(watched.split())
+
+
+def test_the_cli_imports_neither_click_nor_dataclasses():
+    tree = ast.parse((ROOT / "src" / "cyclepow" / "cli.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module.split(".")[0])
+    assert imported & {"click", "dataclasses"} == set()
 
 
 def test_importing_the_cli_registers_every_layer():
-    registered, executed = layers_after()
+    registered, executed, _ = layers_after()
     assert registered == list(LAYERS)
     assert executed <= {"graphs", "spectral"}
 
@@ -254,10 +281,15 @@ def test_a_command_executes_only_the_layers_it_reads(args, unexecuted, tmp_path)
     argv = args.split()
     if argv[0] == "sweep":
         argv += ["--out", str(tmp_path / "sweep.csv")]
-    registered, executed = layers_after(*argv)
+    registered, executed, _ = layers_after(*argv)
     assert registered == list(LAYERS)
     assert "hitting" in executed
     assert executed & unexecuted == set()
+
+
+def test_the_spectral_route_imports_no_fractions():
+    *_, watched = layers_after(*"hit --n 30 --k 3 --ell 7 --method spectral".split())
+    assert watched == set()
 
 
 # `import cyclepow` executes no layer; then each public name is imported

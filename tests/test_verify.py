@@ -3,12 +3,11 @@ import math
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from mpmath import mp
 
 from cyclepow import ParameterError, hitting, run_verification, verify
-from cyclepow.cli import main
 from cyclepow.spectral import FactorData, SpectralFactorization
+from oracles import invoke
 
 
 def test_run_verification_small_bounds_all_pass():
@@ -283,7 +282,7 @@ def test_defects_cover_every_row_that_can_fail():
 @pytest.mark.parametrize("row, route, move", DEFECTS, ids=[d[0] for d in DEFECTS])
 def test_each_row_fails_on_a_defect_in_what_it_reads(row, route, move, monkeypatch):
     monkeypatch.setattr(verify, route, _moved(getattr(verify, route), move))
-    result = CliRunner().invoke(main, "verify --kmax 2 --nmax 8".split())
+    result = invoke("verify --kmax 2 --nmax 8".split())
     assert isinstance(result.exception, SystemExit) and result.exit_code == 1
     statuses = {line.split()[0]: line.split()[-1] for line in result.output.splitlines()}
     assert statuses[row] == "FAIL"
