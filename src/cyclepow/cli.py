@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -429,10 +430,16 @@ def main(args: list[str] | None = None, prog_name: str = "cyclepow"):
     run, parser = params.pop("run"), params.pop("parser")
     try:
         code = run(**params)
+        sys.stdout.flush()
     except _UsageError as exc:
         parser.error(str(exc))
     except CyclepowError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = 1
+    except BrokenPipeError:
+        # The reader of stdout has gone: exit 1 quietly, with stdout on
+        # devnull so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code or 0)
 

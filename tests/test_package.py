@@ -6,8 +6,9 @@ The two scripts and the README's library snippet run here in fresh
 processes, so a name they need cannot leave the API unnoticed.  Fresh
 processes also show that numpy is loaded only to simulate walks, that a
 command executes only the layer modules it reads and never imports click or
-dataclasses, that the spectral route never imports fractions, and that
-`--version` works from a source checkout.  Guard bits
+dataclasses, that the spectral route never imports fractions, that a
+closed stdout ends a command quietly, and that `--version` works from a
+source checkout.  Guard bits
 are named in spectral alone, and no module reaches for another's private
 names.
 """
@@ -115,12 +116,12 @@ def test_no_module_imports_another_modules_private_name():
     assert offences == []
 
 
-def run_python(*args):
+def run_python(*args, stdout=subprocess.PIPE):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
-        text=True, timeout=120,
+        [sys.executable, *args], cwd=ROOT, env=env, stdout=stdout,
+        stderr=subprocess.PIPE, text=True, timeout=120,
     )
 
 
@@ -336,3 +337,16 @@ def test_cli_prints_exact_values_past_the_int_digit_limit():
     assert result.returncode == 0, result.stderr
     row = next(line for line in result.stdout.splitlines() if "method=tau_det" in line)
     assert row.split("value=")[1] == str(cyclepow.tau_det(cyclepow.GraphSpec(1000, 3)))
+
+
+def test_a_closed_stdout_ends_a_command_quietly_with_exit_code_1():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = run_python(
+            "-m", "cyclepow.cli", "hit", "--n", "7", "--k", "1", "--ell", "3",
+            stdout=write,
+        )
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (1, "")
