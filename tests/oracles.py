@@ -373,14 +373,14 @@ def eigen_product_reference(n: int, k: int, precision_bits: int):
 
 class Invocation(NamedTuple):
     """One in-process CLI run: its exit code, what it wrote to stdout and to
-    stderr, both as `output` in the order written, and the exception that
-    ended it (None on exit code 0)."""
+    stderr, both as `output` in the order written, and the SystemExit that
+    ended it (None on exit code 0).  Any other exception propagates."""
 
     exit_code: int
     stdout: str
     stderr: str
     output: str
-    exception: BaseException | None
+    exception: SystemExit | None
 
 
 class _Tee(io.StringIO):
@@ -399,18 +399,12 @@ def invoke(args: list[str]) -> Invocation:
     """Run `cyclepow args` through `cli.main`, as its console script does."""
     output = io.StringIO()
     stdout, stderr = _Tee(output), _Tee(output)
-    exception = None
     with redirect_stdout(stdout), redirect_stderr(stderr):
         try:
-            cli.main(list(args))
+            cli.main(args)
         except SystemExit as exc:
-            code = exc.code
-            exit_code = code if isinstance(code, int) else int(code is not None)
-            exception = exc if exit_code else None
-        except Exception as exc:
-            exit_code, exception = 1, exc
-        else:
-            exit_code = 0
+            ended = exc
     return Invocation(
-        exit_code, stdout.getvalue(), stderr.getvalue(), output.getvalue(), exception
+        ended.code, stdout.getvalue(), stderr.getvalue(), output.getvalue(),
+        ended if ended.code else None,
     )
