@@ -47,33 +47,6 @@ from .errors import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConsistencyError",
-    "CyclepowError",
-    "DegeneracyError",
-    "GENERATOR_ID",
-    "GraphSpec",
-    "ParameterError",
-    "PrecisionError",
-    "SimulationBudgetError",
-    "arboreal_counts",
-    "build_phi",
-    "build_psi",
-    "cached_factorization",
-    "forests",
-    "hit_closed",
-    "hit_closed_literal",
-    "hit_exact",
-    "hit_simulate",
-    "hit_spectral",
-    "resistance",
-    "run_verification",
-    "tau_contracted",
-    "tau_det",
-    "tau_eigen",
-    "tau_product",
-]
-
 # The layer that defines each name of __all__ outside `errors`.
 _LAYER_OF = {
     "GraphSpec": "graphs",
@@ -95,6 +68,18 @@ _LAYER_OF = {
     "tau_product": "arboreal",
     "run_verification": "verify",
 }
+
+__all__ = sorted(
+    [
+        "ConsistencyError",
+        "CyclepowError",
+        "DegeneracyError",
+        "ParameterError",
+        "PrecisionError",
+        "SimulationBudgetError",
+        *_LAYER_OF,
+    ]
+)
 
 
 def _lazy(layer: str):

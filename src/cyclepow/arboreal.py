@@ -145,8 +145,9 @@ def forests(spec: GraphSpec, ell: int) -> int:
 
     tau * h(0, ell) / (n*k) computed in exact rational arithmetic; the result
     must reduce to an integer, anything else indicates a broken invariant.
-    tau and the hitting times are each computed once per graph and reused
-    for every ell.
+    tau is computed once per graph, for up to 512 graphs in any call order;
+    the hitting times come from one exact solve, reused for every ell while
+    its graph is the last one solved.
     """
     check_ell(spec, ell, lowest=1)
     value = _graph_tau(spec) * hit_exact(spec, ell) / spec.num_edges

@@ -79,9 +79,12 @@ GENERATOR_ID = "numpy.random.Philox4x64(key=(seed,walk))"
 
 # The cached functions below take positional arguments only, with no
 # defaults, so each value has exactly one cache key.  The spectral tables are
-# kept for the 64 most recent (n, bits) or (graph, bits): a default verify run
-# reads 22 cosine and 60 eigenvalue tables, and sweep --quantity tau reads
-# each graph's tables once.
+# kept for the 64 most recent (n, bits) or (graph, bits), because each n's
+# cosine table is shared across k: verify walks its graphs k by k, so a
+# default run reads each of its 22 cosine tables again at every k, while each
+# of its 60 eigenvalue tables is read only while its graph is the latest.
+# hit_exact_all keeps one graph: verify and sweep read a graph's vector only
+# while that graph is the latest.
 def fraction_bits(n: int, precision_bits: int) -> int:
     """F, the fraction bits of the fixed-point tables of an n-vertex graph:
     the working precision p = precision_bits + guard bits, plus 4 * bitlen(n).
@@ -167,7 +170,7 @@ def cosine_table(n: int, precision_bits: int, /):
         return tuple(mp.mpf((c, -bits)) for c in _fixed_cosines(n, precision_bits))
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)
 def hit_exact_all(spec: GraphSpec, /) -> tuple[Fraction, ...]:
     """All h(0, ell) for ell = 0..n-1 from one exact solve.
 

@@ -45,23 +45,26 @@ Three more facts are pinned by tests alone, since no input can fail them:
   hit_spectral raises ConsistencyError on lambda <= 0, and a defect in
   build_phi moves psi_k, which hitting-oracle-closed grades.
 
-The checks form one ordered table of case generators `(kmax, nmax, bits)
--> (statistic, case)`, each registered with `@_check(id, description,
-threshold, comparison)` and run in definition order, in
-`working_precision(bits)`, by one runner (`_fold`) that keeps the worst
-statistic and names its case.  Two rows are informational erratum fixtures:
-the full-index sequence ratio and the doubled-index Fibonacci variant of the
-k=2 closed form reproduce a published-but-wrong value, and the report shows
-how far they sit from the exact oracle without ever failing the run.
+The checks form one ordered table of case generators `(spec, bits) ->
+(statistic, case)`, each registered with `@_check(id, description,
+threshold, comparison)`.  run_verification walks the graphs once, in
+`working_precision(bits)`, and hands each graph to every row in definition
+order; a row yields nothing outside its own domain (k = 1, n = 2k+1, n <=
+24, 32 or 48, k = 2, or the erratum graph (6, 2)) and keeps one running
+worst statistic that names its case.  So every row reads a graph's exact
+solve, eigenvalue table and reduced-Laplacian factor while that graph is the
+latest, and none reads them again later.  Two rows are informational
+erratum fixtures: the full-index sequence ratio and the doubled-index
+Fibonacci variant of the k=2 closed form reproduce a published-but-wrong
+value, and the report shows how far they sit from the exact oracle without
+ever failing the run.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from mpmath import mp
@@ -124,7 +127,7 @@ class CheckResult:
         self.informational = informational
 
 
-Cases = Callable[[int, int, int], Iterator[tuple[float, str]]]
+Cases = Callable[[GraphSpec, int], Iterator[tuple[float, str]]]
 
 
 class _Check(NamedTuple):
@@ -160,51 +163,6 @@ def _check(
     return register
 
 
-def _fold(check: _Check, kmax: int, nmax: int, bits: int) -> CheckResult | None:
-    """Run one row and keep its worst case.
-
-    "<=" rows keep the largest statistic, starting from 0.0, and ">=" rows
-    the smallest, starting from +inf; the first case that strictly improves
-    on the worst so far is named, so ties keep the earlier case and an
-    all-zero "<=" row names none.  A NaN statistic is worse than any number:
-    the first one is kept and fails the row.  A row without cases passes
-    with statistic 0.0, except that an informational row without cases is
-    left out of the report.
-    """
-    # Outside the working precision: 2^(-bits/2) for odd bits depends on it.
-    threshold = check.threshold
-    if callable(threshold):
-        threshold = float(threshold(bits))
-    maximum = check.comparison == "<="
-    worse = operator.gt if maximum else operator.lt
-    worst, worst_case, count = (0.0 if maximum else math.inf), "", 0
-    with working_precision(bits):
-        for value, case in check.cases(kmax, nmax, bits):
-            count += 1
-            if worse(value, worst) or (math.isnan(value) and not math.isnan(worst)):
-                worst, worst_case = value, case
-        if count == 0 and check.informational:
-            return None
-        description = check.description
-        if callable(description):
-            description = description(bits)
-    if count == 0:
-        worst, passed = 0.0, True
-    else:
-        passed = worst <= threshold if maximum else worst >= threshold
-    return CheckResult(
-        check.check_id,
-        description,
-        count,
-        worst,
-        threshold,
-        check.comparison,
-        passed or check.informational,
-        worst_case,
-        check.informational,
-    )
-
-
 def _specs(kmax: int, nmax: int) -> Iterator[GraphSpec]:
     for k in range(1, kmax + 1):
         for n in range(2 * k + 1, nmax + 1):
@@ -221,9 +179,13 @@ def _rel(a, b) -> float:
     "decomposition of 2k/phi_k holds at 16 random points per k",
     residual_tolerance,
 )
-def _decomposition_residual(kmax, nmax, bits):
+def _decomposition_residual(spec, bits):
+    # One Random(0xC0FFEE) stream draws the points of k = 1, 2, ... in turn,
+    # so graph (2k+1, k) replays the draws of every k' < k before its own.
+    if spec.n != 2 * spec.k + 1:
+        return
     rng = random.Random(0xC0FFEE)
-    for k in range(1, kmax + 1):
+    for k in range(1, spec.k + 1):
         sf = cached_factorization(k, bits)
         roots = [f.root for f in sf.factors]
         poles = [mp.mpc(2)] + roots + [mp.conj(root) for root in roots]
@@ -232,11 +194,11 @@ def _decomposition_residual(kmax, nmax, bits):
             candidate = mp.mpc(rng.uniform(-6, 6), rng.uniform(-3, 3))
             if all(abs(candidate - pole) > 0.25 for pole in poles):
                 points.append(candidate)
-        for point in points:
-            yield (
-                float(check_decomposition(sf, point)),
-                f"(k={k}, x={mp.nstr(point, 5)})",
-            )
+    for point in points:
+        yield (
+            float(check_decomposition(sf, point)),
+            f"(k={spec.k}, x={mp.nstr(point, 5)})",
+        )
 
 
 @_check(
@@ -244,15 +206,14 @@ def _decomposition_residual(kmax, nmax, bits):
     "exponential and sequence correction ratios agree",
     residual_tolerance,
 )
-def _ratio_form_agreement(kmax, nmax, bits):
-    for k in range(2, kmax + 1):
-        sf = cached_factorization(k, bits)
-        for n in range(2 * k + 1, min(nmax, 48) + 1):
-            for factor in sf.factors:
-                exp_forms = correction_ratios(factor, n, "exponential", bits)
-                seq_forms = correction_ratios(factor, n, "sequence", bits)
-                for ell, (exp_form, seq_form) in enumerate(zip(exp_forms, seq_forms)):
-                    yield _rel(exp_form, seq_form), f"(n={n}, k={k}, ell={ell})"
+def _ratio_form_agreement(spec, bits):
+    if spec.k < 2 or spec.n > 48:
+        return
+    for factor in cached_factorization(spec.k, bits).factors:
+        exp_forms = correction_ratios(factor, spec.n, "exponential", bits)
+        seq_forms = correction_ratios(factor, spec.n, "sequence", bits)
+        for ell, (exp_form, seq_form) in enumerate(zip(exp_forms, seq_forms)):
+            yield _rel(exp_form, seq_form), f"(n={spec.n}, k={spec.k}, ell={ell})"
 
 
 def _fibonacci(n: int) -> int:
@@ -267,48 +228,46 @@ def _fibonacci(n: int) -> int:
     "k=2 sequence ratio reproduces -F_ell F_(n-ell) / F_n",
     residual_tolerance,
 )
-def _fibonacci_anchor(kmax, nmax, bits):
-    if kmax < 2:
+def _fibonacci_anchor(spec, bits):
+    if spec.k != 2 or spec.n > 48:
         return
+    n, f_n = spec.n, _fibonacci(spec.n)
     factor = cached_factorization(2, bits).factors[0]
-    for n in range(5, min(nmax, 48) + 1):
-        f_n = _fibonacci(n)
-        ratios = correction_ratios(factor, n, "sequence", bits)
-        for ell, ratio in enumerate(ratios):
-            expected = mp.mpf(-_fibonacci(ell) * _fibonacci(n - ell)) / f_n
-            yield _rel(ratio, expected), f"(n={n}, ell={ell})"
+    for ell, ratio in enumerate(correction_ratios(factor, n, "sequence", bits)):
+        expected = mp.mpf(-_fibonacci(ell) * _fibonacci(n - ell)) / f_n
+        yield _rel(ratio, expected), f"(n={n}, ell={ell})"
 
 
 @_check("hitting-symmetry", "h(0, ell) = h(0, n - ell) as exact rationals")
-def _hitting_symmetry(kmax, nmax, bits):
-    for spec in _specs(kmax, nmax):
-        exact_all = hit_exact_all(spec)
-        for ell in range(1, spec.n):
-            deviation = 0.0 if exact_all[ell] == exact_all[spec.n - ell] else 1.0
-            yield deviation, f"(n={spec.n}, k={spec.k}, ell={ell})"
+def _hitting_symmetry(spec, bits):
+    exact_all = hit_exact_all(spec)
+    for ell in range(1, spec.n):
+        deviation = 0.0 if exact_all[ell] == exact_all[spec.n - ell] else 1.0
+        yield deviation, f"(n={spec.n}, k={spec.k}, ell={ell})"
 
 
 @_check("k1-quadratic", "plain cycle: h(0, ell) = ell * (n - ell) exactly")
-def _k1_quadratic(kmax, nmax, bits):
-    for n in range(3, nmax + 1):
-        exact_all = hit_exact_all(GraphSpec(n, 1))
-        for ell in range(n):
-            deviation = 0.0 if exact_all[ell] == Fraction(ell * (n - ell)) else 1.0
-            yield deviation, f"(n={n}, ell={ell})"
+def _k1_quadratic(spec, bits):
+    if spec.k != 1:
+        return
+    n, exact_all = spec.n, hit_exact_all(spec)
+    for ell in range(n):
+        deviation = 0.0 if exact_all[ell] == Fraction(ell * (n - ell)) else 1.0
+        yield deviation, f"(n={n}, ell={ell})"
 
 
 @_check(
     "complete-graph-degeneracy",
     "n = 2k+1: every hitting time is 2k and tau = n^(n-2)",
 )
-def _complete_graph(kmax, nmax, bits):
-    for k in range(1, kmax + 1):  # run_verification ensures 2k+1 <= nmax
-        n = 2 * k + 1
-        spec = GraphSpec(n, k)
-        exact_all = hit_exact_all(spec)
-        wrong = any(exact_all[ell] != Fraction(2 * k) for ell in range(1, n))
-        wrong = wrong or tau_det(spec) != n ** (n - 2)
-        yield (1.0 if wrong else 0.0), f"(n={n}, k={k})"
+def _complete_graph(spec, bits):
+    n, k = spec.n, spec.k
+    if n != 2 * k + 1:  # run_verification ensures 2k+1 <= nmax
+        return
+    exact_all = hit_exact_all(spec)
+    wrong = any(exact_all[ell] != Fraction(2 * k) for ell in range(1, n))
+    wrong = wrong or tau_det(spec) != n ** (n - 2)
+    yield (1.0 if wrong else 0.0), f"(n={n}, k={k})"
 
 
 @_check(
@@ -316,62 +275,27 @@ def _complete_graph(kmax, nmax, bits):
     "direct resolvent sum equals n * correction ratio",
     residual_tolerance,
 )
-def _resolvent_periodization(kmax, nmax, bits):
+def _resolvent_periodization(spec, bits):
     # Term j equals term n - j (the cosine table mirrors exactly), so the sum
     # over 1 <= j < n is folded as hit_spectral folds it.  The sum stays in
     # mpmath, an arithmetic apart from the fixed-point ratios it grades.
-    for k in range(2, min(kmax, 3) + 1):
-        sf = cached_factorization(k, bits)
-        for n in range(2 * k + 1, min(nmax, 32) + 1):
-            cosines = cosine_table(n, bits)
-            numerators = [1 - cosine for cosine in cosines]
-            for factor in sf.factors:
-                gamma = mp.mpc(factor.root)
-                reciprocals = [
-                    1 / (gamma - 2 * cosines[j]) for j in range(1, n // 2 + 1)
-                ]
-                ratios = correction_ratios(factor, n, "exponential", bits)
-                for ell in range(n):
-                    terms = [
-                        numerators[(j * ell) % n] * reciprocal
-                        for j, reciprocal in enumerate(reciprocals, 1)
-                    ]
-                    middle = terms.pop() if n % 2 == 0 else 0
-                    direct = 2 * mp.fsum(terms) + middle
-                    yield _rel(direct, n * ratios[ell]), f"(n={n}, k={k}, ell={ell})"
-
-
-@lru_cache(maxsize=1)
-def _oracle_deviations(kmax, nmax, bits) -> tuple[tuple, tuple]:
-    """(trees, hits), both relative deviations from the exact oracles.
-
-    trees holds (tau, case) per graph: the larger deviation of the eigenvalue
-    and root products from the determinant count.  hits holds (spectral,
-    closed, case) per (graph, ell): the deviations of the spectral sum and
-    the closed form from the exact solve.  The tree row and both hitting
-    rows read this one pass over the graphs, so each graph's eigenvalue
-    table is built once and read by tau_eigen and hit_spectral alike, and
-    its exact solve is looked up once.
-    """
-    trees, hits = [], []
-    for spec in _specs(kmax, nmax):
-        exact_all = hit_exact_all(spec)
-        closed_all = hit_closed_all(spec, bits)
-        for ell in range(spec.n):
-            exact = mp.mpf(exact_all[ell].numerator) / exact_all[ell].denominator
-            hits.append(
-                (
-                    _rel(hit_spectral(spec, ell, bits), exact),
-                    _rel(closed_all[ell], exact),
-                    f"(n={spec.n}, k={spec.k}, ell={ell})",
-                )
-            )
-        tau = mp.mpf(tau_det(spec))
-        deviation = max(
-            _rel(tau_eigen(spec, bits), tau), _rel(tau_product(spec, bits), tau)
-        )
-        trees.append((deviation, f"(n={spec.n}, k={spec.k})"))
-    return tuple(trees), tuple(hits)
+    n, k = spec.n, spec.k
+    if not 2 <= k <= 3 or n > 32:
+        return
+    cosines = cosine_table(n, bits)
+    numerators = [1 - cosine for cosine in cosines]
+    for factor in cached_factorization(k, bits).factors:
+        gamma = mp.mpc(factor.root)
+        reciprocals = [1 / (gamma - 2 * cosines[j]) for j in range(1, n // 2 + 1)]
+        ratios = correction_ratios(factor, n, "exponential", bits)
+        for ell in range(n):
+            terms = [
+                numerators[(j * ell) % n] * reciprocal
+                for j, reciprocal in enumerate(reciprocals, 1)
+            ]
+            middle = terms.pop() if n % 2 == 0 else 0
+            direct = 2 * mp.fsum(terms) + middle
+            yield _rel(direct, n * ratios[ell]), f"(n={n}, k={k}, ell={ell})"
 
 
 @_check(
@@ -379,9 +303,14 @@ def _oracle_deviations(kmax, nmax, bits) -> tuple[tuple, tuple]:
     "determinant, eigenvalue product, and root product all give tau",
     residual_tolerance,
 )
-def _tree_triple(kmax, nmax, bits):
-    trees, _ = _oracle_deviations(kmax, nmax, bits)
-    yield from trees
+def _tree_triple(spec, bits):
+    # tau_eigen multiplies the fixed-point eigenvalue table that the spectral
+    # oracle row reads later for this graph.
+    tau = mp.mpf(tau_det(spec))
+    deviation = max(
+        _rel(tau_eigen(spec, bits), tau), _rel(tau_product(spec, bits), tau)
+    )
+    yield deviation, f"(n={spec.n}, k={spec.k})"
 
 
 @_check(
@@ -389,37 +318,42 @@ def _tree_triple(kmax, nmax, bits):
     "forest count tau * h(0, ell) / (n*k) is an integer and equals the "
     "contracted tree count",
 )
-def _forest_duality(kmax, nmax, bits):
-    for spec in _specs(kmax, nmax):
-        tau = tau_det(spec)
-        exact_all = hit_exact_all(spec)
-        contracted = contracted_counts(spec)
-        for ell in range(1, spec.n):
-            forest = tau * exact_all[ell] / spec.num_edges
-            if forest.denominator != 1:
-                deviation = 1
-            else:
-                deviation = abs(forest.numerator - contracted[ell])
-            yield float(deviation), f"(n={spec.n}, k={spec.k}, ell={ell})"
+def _forest_duality(spec, bits):
+    tau = tau_det(spec)
+    exact_all = hit_exact_all(spec)
+    contracted = contracted_counts(spec)
+    for ell in range(1, spec.n):
+        forest = tau * exact_all[ell] / spec.num_edges
+        if forest.denominator != 1:
+            deviation = 1
+        else:
+            deviation = abs(forest.numerator - contracted[ell])
+        yield float(deviation), f"(n={spec.n}, k={spec.k}, ell={ell})"
 
 
 @_check(
     "resistance-metric",
     "R subadditive along the cycle (capped at n<=24)",
 )
-def _resistance_metric(kmax, nmax, bits):
+def _resistance_metric(spec, bits):
     # R = h / (n*k), so its symmetry is the hitting-symmetry row.
-    for spec in _specs(kmax, min(nmax, 24)):
-        # h * lcm(denominators) orders exactly as R = h / (n*k) does.
-        n, hits = spec.n, hit_exact_all(spec)
-        scale = math.lcm(*(value.denominator for value in hits))
-        scaled = [value.numerator * (scale // value.denominator) for value in hits]
-        wrong = any(
-            scaled[(a + b) % n] > scaled[a] + scaled[b]
-            for a in range(1, n)
-            for b in range(1, n)
-        )
-        yield (1.0 if wrong else 0.0), f"(n={n}, k={spec.k})"
+    if spec.n > 24:
+        return
+    # h * lcm(denominators) orders exactly as R = h / (n*k) does.
+    n, hits = spec.n, hit_exact_all(spec)
+    scale = math.lcm(*(value.denominator for value in hits))
+    scaled = [value.numerator * (scale // value.denominator) for value in hits]
+    wrong = any(
+        scaled[(a + b) % n] > scaled[a] + scaled[b]
+        for a in range(1, n)
+        for b in range(1, n)
+    )
+    yield (1.0 if wrong else 0.0), f"(n={n}, k={spec.k})"
+
+
+def _exact_hits(spec: GraphSpec) -> list:
+    """Every exact h(0, ell), rounded to the working precision."""
+    return [mp.mpf(h.numerator) / h.denominator for h in hit_exact_all(spec)]
 
 
 @_check(
@@ -427,23 +361,25 @@ def _resistance_metric(kmax, nmax, bits):
     "spectral sum matches the exact solve",
     residual_tolerance,
 )
-def _oracle_spectral(kmax, nmax, bits):
-    _, hits = _oracle_deviations(kmax, nmax, bits)
-    for spectral, _, case in hits:
-        yield spectral, case
+def _oracle_spectral(spec, bits):
+    for ell, exact in enumerate(_exact_hits(spec)):
+        yield (
+            _rel(hit_spectral(spec, ell, bits), exact),
+            f"(n={spec.n}, k={spec.k}, ell={ell})",
+        )
 
 
 @_check(
     "hitting-oracle-closed", "closed form matches the exact solve", residual_tolerance
 )
-def _oracle_closed(kmax, nmax, bits):
-    _, hits = _oracle_deviations(kmax, nmax, bits)
-    for _, closed, case in hits:
-        yield closed, case
+def _oracle_closed(spec, bits):
+    closed_all = hit_closed_all(spec, bits)
+    for ell, exact in enumerate(_exact_hits(spec)):
+        yield _rel(closed_all[ell], exact), f"(n={spec.n}, k={spec.k}, ell={ell})"
 
 
 # The erratum fixtures compare the published closed-form variants with the
-# exact h(0, 1) = 5 on (n=6, k=2); they report nothing below that graph.
+# exact h(0, 1) = 5 on (n=6, k=2); they report nothing on any other graph.
 _ERRATUM_CASE = "(n=6, k=2, ell=1)"
 _DOUBLED_INDEX_VALUE = Fraction(2, 5) * 5 + Fraction(4, 5) * 6 * Fraction(
     _fibonacci(2) * _fibonacci(10), _fibonacci(12)
@@ -464,8 +400,8 @@ def _full_index_value(bits: int):
     ">=",
     informational=True,
 )
-def _erratum_full_index(kmax, nmax, bits):
-    if kmax >= 2 and nmax >= 6:
+def _erratum_full_index(spec, bits):
+    if (spec.n, spec.k) == (6, 2):
         yield float(abs(_full_index_value(bits) - 5)), _ERRATUM_CASE
 
 
@@ -477,24 +413,67 @@ def _erratum_full_index(kmax, nmax, bits):
     ">=",
     informational=True,
 )
-def _erratum_doubled_index(kmax, nmax, bits):
-    if kmax >= 2 and nmax >= 6:
+def _erratum_doubled_index(spec, bits):
+    if (spec.n, spec.k) == (6, 2):
         yield float(abs(_DOUBLED_INDEX_VALUE - 5)), _ERRATUM_CASE
 
 
 def run_verification(
     kmax: int, nmax: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> list[CheckResult]:
-    """Run every check bounded by kmax and nmax; erratum fixtures included."""
+    """Run every check bounded by kmax and nmax; erratum fixtures included.
+
+    Each row keeps its worst case as the walk over the graphs feeds it.
+    "<=" rows keep the largest statistic, starting from 0.0, and ">=" rows
+    the smallest, starting from +inf; the first case that strictly improves
+    on the worst so far is named, so ties keep the earlier case and an
+    all-zero "<=" row names none.  A NaN statistic is worse than any number:
+    the first one is kept and fails the row.  A row without cases passes
+    with statistic 0.0, except that an informational row without cases is
+    left out of the report.
+    """
     if not 1 <= kmax <= 8:
         raise ParameterError(f"kmax must be in 1..8, got {kmax}")
     if nmax < 2 * kmax + 1:
         raise ParameterError(f"nmax must be >= 2*kmax+1, got {nmax}")
+    bits = precision_bits
     results = []
-    try:
-        for check in _CHECKS:
-            results.append(_fold(check, kmax, nmax, precision_bits))
-    finally:
-        # Run-scoped: a run that raised must not leave its values to the next.
-        _oracle_deviations.cache_clear()
-    return [result for result in results if result is not None]
+    for check in _CHECKS:
+        # Outside the working precision: 2^(-bits/2) for odd bits depends on it.
+        threshold = check.threshold
+        if callable(threshold):
+            threshold = float(threshold(bits))
+        start = 0.0 if check.comparison == "<=" else math.inf
+        results.append(
+            CheckResult(
+                check.check_id, "", 0, start, threshold, check.comparison, True,
+                informational=check.informational,
+            )
+        )
+    with working_precision(bits):
+        for spec in _specs(kmax, nmax):
+            for check, result in zip(_CHECKS, results):
+                maximum = check.comparison == "<="
+                for value, case in check.cases(spec, bits):
+                    result.cases += 1
+                    worst = result.statistic
+                    if (value > worst if maximum else value < worst) or (
+                        math.isnan(value) and not math.isnan(worst)
+                    ):
+                        result.statistic, result.worst_case = value, case
+        reported = []
+        for check, result in zip(_CHECKS, results):
+            if result.cases == 0:
+                if check.informational:
+                    continue
+                result.statistic = 0.0
+            elif not check.informational:
+                worst, threshold = result.statistic, result.threshold
+                maximum = check.comparison == "<="
+                result.passed = worst <= threshold if maximum else worst >= threshold
+            description = check.description
+            if callable(description):
+                description = description(bits)
+            result.description = description
+            reported.append(result)
+    return reported

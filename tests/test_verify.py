@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from cyclepow import ParameterError, hitting, run_verification, verify
+from cyclepow import ParameterError, fractionfree, hitting, run_verification, verify
 from cyclepow.spectral import FactorData, SpectralFactorization
 from oracles import invoke
 
@@ -47,12 +47,17 @@ def test_bounds_validation():
 
 
 def fold(cases, comparison="<=", threshold=0.0, informational=False):
-    """Run the verify runner on one synthetic row yielding `cases`."""
+    """Run the verify runner on one synthetic row yielding `cases` on the one
+    graph of kmax = 1, nmax = 3; None when the row is left out."""
     check = verify._Check(
         "synthetic", "synthetic row", threshold, comparison, informational,
-        lambda kmax, nmax, bits: iter(cases),
+        lambda spec, bits: iter(cases),
     )
-    return verify._fold(check, 1, 3, 64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_CHECKS", [check])
+        results = run_verification(1, 3, 64)
+    assert len(results) <= 1
+    return results[0] if results else None
 
 
 NAN = float("nan")
@@ -144,7 +149,6 @@ def test_oracle_rows_share_one_pass(monkeypatch):
     assert results["hitting-oracle-spectral"].cases == len(calls)
     assert results["hitting-oracle-closed"].cases == len(calls)
     assert results["tree-triple-agreement"].cases == len(trees)
-    assert verify._oracle_deviations.cache_info().currsize == 0
 
 
 def test_a_run_that_raised_leaves_no_cached_values(monkeypatch):
@@ -155,7 +159,6 @@ def test_a_run_that_raised_leaves_no_cached_values(monkeypatch):
         patch.setattr(verify, "contracted_counts", fail)
         with pytest.raises(RuntimeError, match="contraction failed"):
             run_verification(2, 8, 64)
-    assert verify._oracle_deviations.cache_info().currsize == 0
     spectral = verify.hit_spectral
 
     def doubled(spec, ell, bits):
@@ -185,6 +188,20 @@ def test_each_graph_builds_its_eigenvalue_table_once():
     graphs = len(list(verify._specs(2, 40)))
     assert graphs == 74
     assert hitting.fixed_eigenvalues.cache_info().misses == graphs
+
+
+def test_each_graph_is_solved_and_factored_once():
+    # One walk over the graphs: every row reads a graph's exact solve and its
+    # reduced-Laplacian factor while that graph is the latest, so one cached
+    # entry of each serves the run.
+    for cached in (fractionfree._factor, hitting.hit_exact_all):
+        cached.cache_clear()
+    run_verification(kmax=3, nmax=24)
+    graphs = len(list(verify._specs(3, 24)))
+    assert graphs == 60
+    solves = hitting.hit_exact_all.cache_info()
+    assert fractionfree._factor.cache_info().misses == solves.misses == graphs
+    assert solves.maxsize == 1
 
 
 @pytest.mark.parametrize("mirror", [False, True], ids=["octant", "mirror"])
