@@ -27,9 +27,9 @@ from cyclepow import (
 )
 
 
-def poly_str(poly) -> str:
+def poly_str(coeffs) -> str:
     parts = []
-    for power, coeff in enumerate(poly.coeffs):
+    for power, coeff in enumerate(coeffs):
         if coeff == 0:
             continue
         if power == 0:

@@ -68,9 +68,11 @@ def tau_det(spec: GraphSpec) -> int:
     return fractionfree.determinant(build_laplacian(spec, (0,))[1])
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)
 def _graph_tau(spec: GraphSpec) -> int:
-    """tau_det(spec), once per graph for the forest counts of every ell."""
+    """tau_det(spec), once per graph for the forest counts of every ell: a
+    hit costs well under a microsecond, where tau_det rebuilds and hashes the
+    band rows even when fractionfree's factorization is cached."""
     return tau_det(spec)
 
 
@@ -145,9 +147,8 @@ def forests(spec: GraphSpec, ell: int) -> int:
 
     tau * h(0, ell) / (n*k) computed in exact rational arithmetic; the result
     must reduce to an integer, anything else indicates a broken invariant.
-    tau is computed once per graph, for up to 512 graphs in any call order;
-    the hitting times come from one exact solve, reused for every ell while
-    its graph is the last one solved.
+    tau and the hitting times are computed once per graph and reused for
+    every ell while that graph is the latest one asked for.
     """
     check_ell(spec, ell, lowest=1)
     value = _graph_tau(spec) * hit_exact(spec, ell) / spec.num_edges

@@ -78,13 +78,14 @@ GENERATOR_ID = "numpy.random.Philox4x64(key=(seed,walk))"
 
 
 # The cached functions below take positional arguments only, with no
-# defaults, so each value has exactly one cache key.  The spectral tables are
-# kept for the 64 most recent (n, bits) or (graph, bits), because each n's
-# cosine table is shared across k: verify walks its graphs k by k, so a
-# default run reads each of its 22 cosine tables again at every k, while each
-# of its 60 eigenvalue tables is read only while its graph is the latest.
-# hit_exact_all keeps one graph: verify and sweep read a graph's vector only
-# while that graph is the latest.
+# defaults, so each value has exactly one cache key.  verify, sweep and each
+# CLI request read a graph's eigenvalue table and exact solve only while that
+# graph is the latest, so fixed_eigenvalues and hit_exact_all keep one graph
+# each (one table at n = 16000, k = 6 and 256 bits holds about 1.3 MB).  The
+# two cosine memos keep the 64 most recent (n, bits), because each n's table
+# serves every k and verify's outer loop is over k: at its default bounds it
+# builds 22 fixed-point and 20 rounded cosine tables, where memos of one
+# table would build 60 and 38.
 def fraction_bits(n: int, precision_bits: int) -> int:
     """F, the fraction bits of the fixed-point tables of an n-vertex graph:
     the working precision p = precision_bits + guard bits, plus 4 * bitlen(n).
@@ -137,7 +138,7 @@ def _fixed_cosines(n: int, precision_bits: int, /) -> tuple[int, ...]:
     return tuple(half + half[(n - 1) // 2 : 0 : -1])
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def fixed_eigenvalues(spec: GraphSpec, precision_bits: int, /) -> tuple[int, ...]:
     """Lambda_j = 2k * 2^F - 2 * sum_r C_(jr mod n) for j = 0..n-1, each an
     exact integer sum of the fixed-point cosines, for j <= n/2; the cosines'

@@ -9,11 +9,13 @@ of the distance-k Laplacian is then
 
 whose values at x = 2*cos(2*pi*j/N) are exactly the Laplacian eigenvalues.
 phi_k vanishes at x = 2, and dividing that root out gives the degree-(k-1)
-cofactor psi_k with phi_k(x) = (2 - x) * psi_k(x).  Both are built on
-coefficient lists: the P_r by their recurrence, psi_k by reading the
-coefficients of phi_k from the top.  The division is exact by construction,
-so a remainder is treated as a bug rather than an error the caller could
-cause.
+cofactor psi_k with phi_k(x) = (2 - x) * psi_k(x).  Every polynomial here is
+a plain tuple of integer coefficients, constant term first: the P_r are built
+by their recurrence, psi_k by reading the coefficients of phi_k from the top.
+The top coefficient is -1 for phi_k and 1 for psi_k and every P_r, so no
+tuple ends in a zero and its length less one is its degree.  The division is
+exact by construction, so a remainder is treated as a bug rather than an
+error the caller could cause.
 
 Coefficients are arbitrary-precision integers throughout; they stay small at
 desk scale, but exactness removes all overflow reasoning.
@@ -24,52 +26,11 @@ from __future__ import annotations
 from .errors import ConsistencyError, ParameterError
 
 __all__ = [
-    "IntPolynomial",
     "basis_term",
     "build_phi",
     "build_psi",
     "eval_poly",
 ]
-
-
-class IntPolynomial:
-    """Integer-coefficient polynomial, constant term first.
-
-    Trailing zero coefficients are stripped on construction; the zero
-    polynomial is canonically (0,) with degree -1.  Immutable, and equal and
-    hashed by its coefficients.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs) -> None:
-        coeffs = tuple(int(c) for c in coeffs)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs or (0,))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of IntPolynomial")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of IntPolynomial")
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial(coeffs={self.coeffs!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not IntPolynomial:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        if self.coeffs == (0,):
-            return -1
-        return len(self.coeffs) - 1
 
 
 def _basis_terms(k: int):
@@ -85,15 +46,15 @@ def _basis_terms(k: int):
         yield cur
 
 
-def basis_term(r: int) -> IntPolynomial:
+def basis_term(r: int) -> tuple[int, ...]:
     """P_r, the polynomial expressing z^r + z^-r in x = z + 1/z."""
     if r < 0:
         raise ParameterError(f"r must be >= 0, got {r}")
     *_, last = _basis_terms(r)
-    return IntPolynomial(last)
+    return tuple(last)
 
 
-def build_phi(k: int) -> IntPolynomial:
+def build_phi(k: int) -> tuple[int, ...]:
     """The degree-k Laplacian symbol phi_k(x) = 2k - sum_{r=1..k} P_r(x),
     each P_r subtracted as the recurrence makes it."""
     if k < 1:
@@ -104,10 +65,10 @@ def build_phi(k: int) -> IntPolynomial:
     for term in terms:
         for i, c in enumerate(term):
             acc[i] -= c
-    return IntPolynomial(acc)
+    return tuple(acc)
 
 
-def build_psi(k: int) -> IntPolynomial:
+def build_psi(k: int) -> tuple[int, ...]:
     """The degree-(k-1) cofactor psi_k with phi_k(x) = (2 - x) * psi_k(x).
 
     Matching coefficients gives phi_d = -psi_(d-1) at the top degree d,
@@ -115,7 +76,7 @@ def build_psi(k: int) -> IntPolynomial:
     is read off from the top; ConsistencyError is raised unless the last
     equation, the remainder of the division, holds.
     """
-    phi = build_phi(k).coeffs
+    phi = build_phi(k)
     degree = len(phi) - 1
     psi = [0] * degree
     psi[-1] = -phi[degree]
@@ -123,14 +84,14 @@ def build_psi(k: int) -> IntPolynomial:
         psi[i - 1] = 2 * psi[i] - phi[i]
     if 2 * psi[0] != phi[0]:
         raise ConsistencyError(f"2 - x does not divide phi_{k}")
-    return IntPolynomial(psi)
+    return tuple(psi)
 
 
-def eval_poly(p: IntPolynomial, point):
-    """Horner evaluation in the arithmetic of `point` (int, Fraction, mpf,
-    mpc, ... anything with * and +)."""
+def eval_poly(coeffs: tuple[int, ...], point):
+    """Horner evaluation of `coeffs`, constant term first, in the arithmetic
+    of `point` (int, Fraction, mpf, mpc, ... anything with * and +)."""
     acc = 0 * point
-    for c in reversed(p.coeffs):
+    for c in reversed(coeffs):
         acc = acc * point + c
     return acc
 

@@ -97,12 +97,12 @@ def psi_roots_reference(psi, precision_bits: int) -> list:
     Evaluating psi_k near a root cancels about 2 bits per degree (its roots
     lie within 2.5 of the origin), so the iteration carries that many extra
     bits; its step budget is generous, and NoConvergence propagates."""
-    degree = len(psi.coeffs) - 1
+    degree = len(psi) - 1
     if degree < 1:
         return []
     with mp.workprec(2 * (precision_bits + 32)):
         return mp.polyroots(
-            list(reversed(psi.coeffs)), maxsteps=200, extraprec=2 * degree + 32
+            list(reversed(psi)), maxsteps=200, extraprec=2 * degree + 32
         )
 
 

@@ -147,8 +147,10 @@ def test_memoised_forests_in_any_call_order(cases):
         count = forests(spec, ell)
         assert count == tau_contracted(spec, ell)
         assert count == tau_det(spec) * hit_exact(spec, ell) / spec.num_edges
+    # One tau is kept, so each switch to another graph recomputes it.
+    switches = 1 + sum(a != b for (a, _), (b, _) in zip(cases, cases[1:]))
     info = arboreal._graph_tau.cache_info()
-    assert info.misses == len({spec for spec, _ in cases})
+    assert info.misses == switches
     assert info.hits == len(cases) - info.misses
 
 

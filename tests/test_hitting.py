@@ -296,16 +296,18 @@ def test_tau_eigen_is_the_product_of_the_table_hit_spectral_reads(n):
 
 
 def test_spectral_tables_keep_the_64_most_recent_graphs():
-    tables = (hitting._fixed_cosines, fixed_eigenvalues, cosine_table)
-    for cached in tables:
+    # The cosine tables of the 64 most recent n, and the eigenvalue table of
+    # the latest graph.
+    sizes = {hitting._fixed_cosines: 64, fixed_eigenvalues: 1, cosine_table: 64}
+    for cached in sizes:
         cached.cache_clear()
     for n in range(7, 7 + 65):
         hit_spectral(GraphSpec(n, 3), 1, 64)
         tau_eigen(GraphSpec(n, 3), 64)
         cosine_table(n, 64)
-    for cached in tables:
+    for cached, size in sizes.items():
         info = cached.cache_info()
-        assert (info.maxsize, info.currsize, info.misses) == (64, 64, 65)
+        assert (info.maxsize, info.currsize, info.misses) == (size, size, 65)
 
 
 @pytest.mark.parametrize("n", [0, -4])

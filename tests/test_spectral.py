@@ -12,7 +12,7 @@ from cyclepow import (
     build_psi,
 )
 from cyclepow import spectral
-from cyclepow.polynomials import IntPolynomial, eval_poly
+from cyclepow.polynomials import eval_poly
 from cyclepow.spectral import (
     cached_factorization,
     certified_bound,
@@ -81,7 +81,7 @@ def test_inner_equation_is_psi_in_z():
     # Exact on Fraction points: f(z) = z^(k-1) (z - 1)^3 psi_k(z + 1/z), and
     # f'(z) is that product differentiated by the product and chain rules.
     for k in range(1, 65):
-        psi = build_psi(k).coeffs
+        psi = build_psi(k)
         for z in (Fraction(2), Fraction(1, 3), Fraction(-3, 2), Fraction(5, 7)):
             x = z + 1 / z
             value = sum(c * x**i for i, c in enumerate(psi))
@@ -154,7 +154,7 @@ def test_factors_match_horner_on_psi_at_high_precision(k, bits):
     # and each A = -2k / ((2 - gamma) psi_k'(gamma)) is within 2^-(bits+16)
     # relatively.
     psi = build_psi(k)
-    slope = IntPolynomial(tuple(i * c for i, c in enumerate(psi.coeffs))[1:])
+    slope = tuple(i * c for i, c in enumerate(psi))[1:]
     with mp.workprec(4 * working_bits(bits) + 4000):
         for factor in cached_factorization(k, bits).factors:
             assert abs(eval_poly(psi, factor.root)) <= factor.residual, factor.root

@@ -5,7 +5,14 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from cyclepow import ParameterError, fractionfree, hitting, run_verification, verify
+from cyclepow import (
+    ParameterError,
+    arboreal,
+    fractionfree,
+    hitting,
+    run_verification,
+    verify,
+)
 from cyclepow.spectral import FactorData, SpectralFactorization
 from oracles import invoke
 
@@ -191,17 +198,31 @@ def test_each_graph_builds_its_eigenvalue_table_once():
 
 
 def test_each_graph_is_solved_and_factored_once():
-    # One walk over the graphs: every row reads a graph's exact solve and its
-    # reduced-Laplacian factor while that graph is the latest, so one cached
-    # entry of each serves the run.
-    for cached in (fractionfree._factor, hitting.hit_exact_all):
+    # One walk over the graphs: every row reads a graph's exact solve, its
+    # reduced-Laplacian factor and its eigenvalue table while that graph is
+    # the latest, so one cached entry of each serves the run.
+    memos = (fractionfree._factor, hitting.hit_exact_all, hitting.fixed_eigenvalues)
+    for cached in memos:
         cached.cache_clear()
     run_verification(kmax=3, nmax=24)
     graphs = len(list(verify._specs(3, 24)))
     assert graphs == 60
-    solves = hitting.hit_exact_all.cache_info()
-    assert fractionfree._factor.cache_info().misses == solves.misses == graphs
-    assert solves.maxsize == 1
+    for cached in memos:
+        assert cached.cache_info().misses == graphs, cached
+    assert {cached.cache_info().maxsize for cached in memos} == {1}
+
+
+def test_sweep_forests_reads_each_graphs_tau_once(tmp_path):
+    # sweep asks for every ell of one graph before the next, so the one tau
+    # that arboreal keeps is computed once per graph.
+    arboreal._graph_tau.cache_clear()
+    result = invoke(
+        ["sweep", "--n-range", "5:12", "--k-range", "1:3",
+         "--quantity", "forests", "--out", str(tmp_path / "forests.csv")],
+    )
+    assert result.exit_code == 0
+    info = arboreal._graph_tau.cache_info()
+    assert (info.maxsize, info.misses) == (1, 22)  # the (n, k) with n >= 2k + 1
 
 
 @pytest.mark.parametrize("mirror", [False, True], ids=["octant", "mirror"])
