@@ -11,10 +11,12 @@ Subcommands:
              worst deviations (erratum fixtures are informational)
   sweep   -- write exact and analytic values over (n, k, ell) ranges to a file
 
-Exact values are serialized as decimal strings ("p/q" for rationals, digit
-strings for integers) so no consumer ever sees a rounded float where an exact
-value exists.  Output is byte-deterministic for identical flags (including
---seed); only the wall-time comment of the text format varies.
+A run record is the JSON object that `--format json` prints; csv and text
+print its rows.  Exact values are serialized as decimal strings ("p/q" for
+rationals, digit strings for integers) so no consumer ever sees a rounded
+float where an exact value exists.  Output is byte-deterministic for
+identical flags (including --seed); only the wall-time comment of the text
+format varies.
 
 Exit codes, the same for every command: 0 success; 1 a failed `verify`
 check or an error from the computation, reported on stderr as
@@ -81,92 +83,66 @@ def _format_value(value, precision_bits: int) -> str:
     return mp.nstr(value, prec_to_dps(precision_bits), strip_zeros=True)
 
 
-def _bound_string(value, precision_bits: int) -> str:
-    with mp.workprec(precision_bits):
-        return mp.nstr(certified_bound(mp.mpf(value), precision_bits), 3)
+def _record(cmd: str, n: int, k: int, ell: int | None, precision_bits: int) -> dict:
+    """A run record with no rows yet, in the key order of `--format json`."""
+    return {
+        "cmd": cmd, "n": n, "k": k, "ell": ell, "results": [],
+        "precision_bits": precision_bits, "seed": None, "generator": None,
+    }
 
 
-class Record:
-    """One run record: a (cmd, n, k, ell) context plus tagged values, and
-    the seed and generator of a simulated row."""
-
-    __slots__ = (
-        "cmd", "n", "k", "ell", "precision_bits", "results", "seed", "generator"
-    )
-
-    def __init__(self, cmd: str, n: int, k: int, ell: int | None, precision_bits: int):
-        self.cmd, self.n, self.k, self.ell = cmd, n, k, ell
-        self.precision_bits = precision_bits
-        self.results: list[tuple[str, str, str | None]] = []
-        self.seed: str | None = None
-        self.generator: str | None = None
-
-    def add(self, label: str, value) -> None:
-        """Append a row: an mpmath value to the record's precision with its
-        error bound, an exact int or Fraction in full with no bound."""
-        if isinstance(value, mp.mpf):
-            bits = self.precision_bits
-            self.results.append(
-                (label, _format_value(value, bits), _bound_string(value, bits))
-            )
-        else:
-            self.results.append((label, str(value), None))
+def _add(record: dict, label: str, value, err: str | None = None) -> None:
+    """Append a row: an mpmath value to the record's precision with its
+    error bound, any other value as str(value) with `err`."""
+    if isinstance(value, mp.mpf):
+        bits = record["precision_bits"]
+        with mp.workprec(bits):
+            err = mp.nstr(certified_bound(mp.mpf(value), bits), 3)
+        value = _format_value(value, bits)
+    record["results"].append({"method": label, "value": str(value), "err": err})
 
 
-def _count_rows(record: Record, spec: GraphSpec) -> None:
+def _count_rows(record: dict, spec: GraphSpec) -> None:
     """The cross-checked arboreal_counts of the record's (spec, ell): the
     three tree counts, then with ell the resistance, forest count and
     contracted tree count."""
-    counts = arboreal.arboreal_counts(spec, record.ell, record.precision_bits)
-    record.add("tau_det", counts.tree_count)
-    record.add("tau_eigen", counts.tree_count_eigen)
-    record.add("tau_product", counts.tree_count_product)
-    if record.ell is not None:
-        record.add("resistance", counts.resistance)
-        record.add("forests", counts.forest_count)
-        record.add("tau_contracted", counts.contracted_tree_count)
+    ell = record["ell"]
+    counts = arboreal.arboreal_counts(spec, ell, record["precision_bits"])
+    _add(record, "tau_det", counts.tree_count)
+    _add(record, "tau_eigen", counts.tree_count_eigen)
+    _add(record, "tau_product", counts.tree_count_product)
+    if ell is not None:
+        _add(record, "resistance", counts.resistance)
+        _add(record, "forests", counts.forest_count)
+        _add(record, "tau_contracted", counts.contracted_tree_count)
 
 
-def _lines(records: list[Record], fmt: str) -> list[str]:
+def _lines(records: list[dict], fmt: str) -> list[str]:
     """The output lines of `records` in `fmt`; csv opens with its header."""
     if fmt == "json":
-        return [
-            json.dumps({
-                "cmd": r.cmd,
-                "n": r.n,
-                "k": r.k,
-                "ell": r.ell,
-                "results": [
-                    {"method": method, "value": value, "err": err}
-                    for method, value, err in r.results
-                ],
-                "precision_bits": r.precision_bits,
-                "seed": r.seed,
-                "generator": r.generator,
-            })
-            for r in records
-        ]
+        return [json.dumps(r) for r in records]
     if fmt == "csv":
         return [CSV_HEADER] + [
-            f"{r.n},{r.k},{'' if r.ell is None else r.ell},{method},{value},{err or ''}"
+            f"{r['n']},{r['k']},{'' if r['ell'] is None else r['ell']},"
+            f"{row['method']},{row['value']},{row['err'] or ''}"
             for r in records
-            for method, value, err in r.results
+            for row in r["results"]
         ]
     lines = []
     for r in records:
-        ell = "-" if r.ell is None else r.ell
-        for method, value, err in r.results:
-            suffix = f"  err<={err}" if err else ""
+        ell = "-" if r["ell"] is None else r["ell"]
+        for row in r["results"]:
+            suffix = f"  err<={row['err']}" if row["err"] else ""
             lines.append(
-                f"{r.cmd} n={r.n} k={r.k} ell={ell} "
-                f"method={method} value={value}{suffix}"
+                f"{r['cmd']} n={r['n']} k={r['k']} ell={ell} "
+                f"method={row['method']} value={row['value']}{suffix}"
             )
-        if r.seed is not None:
-            lines.append(f"# seed={r.seed} generator={r.generator}")
+        if r["seed"] is not None:
+            lines.append(f"# seed={r['seed']} generator={r['generator']}")
     return lines
 
 
-def _emit(records: list[Record], fmt: str, started: float) -> None:
+def _emit(records: list[dict], fmt: str, started: float) -> None:
     """Print the lines of `records`; text ends with the wall time since
     `started`."""
     lines = _lines(records, fmt)
@@ -190,24 +166,24 @@ def cmd_hit(n, k, ell, method, form, precision, walks, seed, erratum, fmt) -> No
     started = time.perf_counter()
     records = []
     for tag in methods:
-        record = Record("hit", n, k, ell, precision)
+        record = _record("hit", n, k, ell, precision)
         if tag == "exact":
-            record.add("exact", hitting.hit_exact(spec, ell))
+            _add(record, "exact", hitting.hit_exact(spec, ell))
         elif tag == "spectral":
-            record.add("spectral", hitting.hit_spectral(spec, ell, precision))
+            _add(record, "spectral", hitting.hit_spectral(spec, ell, precision))
         elif tag == "closed":
             value = hitting.hit_closed(spec, ell, precision, _FORM_NAMES[form])
-            record.add("closed", value)
+            _add(record, "closed", value)
         else:
             result = hitting.hit_simulate(spec, ell, walks, seed)
-            record.results.append(("simulate", repr(result.mean), repr(result.stderr)))
-            record.seed = str(seed)
-            record.generator = hitting.GENERATOR_ID
+            _add(record, "simulate", repr(result.mean), repr(result.stderr))
+            record.update(seed=str(seed), generator=hitting.GENERATOR_ID)
         records.append(record)
     if erratum:
+        # Printed to the precision, but with no bound: the form is wrong.
         value = hitting.hit_closed_literal(spec, ell, precision)
-        record = Record("hit", n, k, ell, precision)
-        record.results.append(("closed-literal", _format_value(value, precision), None))
+        record = _record("hit", n, k, ell, precision)
+        _add(record, "closed-literal", _format_value(value, precision))
         records.append(record)
     _emit(records, fmt, started)
 
@@ -220,7 +196,7 @@ def cmd_trees(n, k, ell, precision, fmt) -> None:
     if ell is not None:
         _usage_checked(check_ell, spec, ell, 1)
     started = time.perf_counter()
-    record = Record("trees", n, k, ell, precision)
+    record = _record("trees", n, k, ell, precision)
     _count_rows(record, spec)
     _emit([record], fmt, started)
 
@@ -289,14 +265,14 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> int:
     _check_precision(precision)
     ns = _parse_range(n_range, "--n-range")
     ks = _parse_range(k_range, "--k-range")
-    records: list[Record] = []
+    records: list[dict] = []
     for n in ns:
         for k in ks:
             if k < 1 or n < 2 * k + 1:
                 continue
             spec = GraphSpec(n, k)
             if quantity == "tau":
-                record = Record("sweep", n, k, None, precision)
+                record = _record("sweep", n, k, None, precision)
                 _count_rows(record, spec)
                 records.append(record)
                 continue
@@ -305,18 +281,18 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> int:
             else:
                 closed = hitting.hit_closed_all(spec, precision)
             for ell in range(1 if quantity == "forests" else 0, n):
-                record = Record("sweep", n, k, ell, precision)
+                record = _record("sweep", n, k, ell, precision)
                 if quantity == "hit":
-                    record.add("exact", hitting.hit_exact(spec, ell))
-                    record.add("closed", closed[ell])
+                    _add(record, "exact", hitting.hit_exact(spec, ell))
+                    _add(record, "closed", closed[ell])
                 elif quantity == "resist":
-                    record.add("exact", arboreal.resistance(spec, ell))
+                    _add(record, "exact", arboreal.resistance(spec, ell))
                     with working_precision(precision):
                         value = closed[ell] / spec.num_edges
-                    record.add("closed", value)
+                    _add(record, "closed", value)
                 else:
-                    record.add("forests", arboreal.forests(spec, ell))
-                    record.add("tau_contracted", contracted[ell])
+                    _add(record, "forests", arboreal.forests(spec, ell))
+                    _add(record, "tau_contracted", contracted[ell])
                 records.append(record)
     text = "".join(line + "\n" for line in _lines(records, fmt))
     try:

@@ -437,43 +437,35 @@ def run_verification(
     if nmax < 2 * kmax + 1:
         raise ParameterError(f"nmax must be >= 2*kmax+1, got {nmax}")
     bits = precision_bits
-    results = []
-    for check in _CHECKS:
-        # Outside the working precision: 2^(-bits/2) for odd bits depends on it.
-        threshold = check.threshold
-        if callable(threshold):
-            threshold = float(threshold(bits))
-        start = 0.0 if check.comparison == "<=" else math.inf
-        results.append(
-            CheckResult(
-                check.check_id, "", 0, start, threshold, check.comparison, True,
-                informational=check.informational,
-            )
-        )
+    # One [cases, worst, case] per row, folded as the walk feeds it.
+    folds = [[0, 0.0 if c.comparison == "<=" else math.inf, ""] for c in _CHECKS]
     with working_precision(bits):
         for spec in _specs(kmax, nmax):
-            for check, result in zip(_CHECKS, results):
+            for check, fold in zip(_CHECKS, folds):
                 maximum = check.comparison == "<="
                 for value, case in check.cases(spec, bits):
-                    result.cases += 1
-                    worst = result.statistic
+                    fold[0] += 1
+                    worst = fold[1]
                     if (value > worst if maximum else value < worst) or (
                         math.isnan(value) and not math.isnan(worst)
                     ):
-                        result.statistic, result.worst_case = value, case
+                        fold[1:] = value, case
         reported = []
-        for check, result in zip(_CHECKS, results):
-            if result.cases == 0:
-                if check.informational:
-                    continue
-                result.statistic = 0.0
-            elif not check.informational:
-                worst, threshold = result.statistic, result.threshold
-                maximum = check.comparison == "<="
-                result.passed = worst <= threshold if maximum else worst >= threshold
-            description = check.description
+        for check, (cases, worst, case) in zip(_CHECKS, folds):
+            if cases == 0 and check.informational:
+                continue
+            threshold, description = check.threshold, check.description
+            if callable(threshold):
+                threshold = float(threshold(bits))
             if callable(description):
                 description = description(bits)
-            result.description = description
-            reported.append(result)
+            passed = not cases or check.informational or (
+                worst <= threshold if check.comparison == "<=" else worst >= threshold
+            )
+            reported.append(
+                CheckResult(
+                    check.check_id, description, cases, worst if cases else 0.0,
+                    threshold, check.comparison, passed, case, check.informational,
+                )
+            )
     return reported

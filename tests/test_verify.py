@@ -13,7 +13,7 @@ from cyclepow import (
     run_verification,
     verify,
 )
-from cyclepow.spectral import FactorData, SpectralFactorization
+from cyclepow.spectral import FactorData, SpectralFactorization, residual_tolerance
 from oracles import invoke
 
 
@@ -42,6 +42,20 @@ def test_erratum_fixtures_are_informational():
 def test_erratum_fixtures_absent_below_their_range():
     results = run_verification(kmax=1, nmax=12)
     assert not any(r.informational for r in results)
+
+
+def test_odd_precision_rows_grade_against_the_default_precision_float():
+    # 2^(-97/2) is irrational, so its float could hang on the precision it is
+    # taken at; every numeric row grades against the one taken at 53 bits.
+    with mp.workprec(53):
+        tolerance = float(residual_tolerance(97))
+    numeric = {c.check_id for c in verify._CHECKS if c.threshold is residual_tolerance}
+    rows = [r for r in run_verification(1, 5, 97) if r.check_id in numeric]
+    assert len(rows) == len(numeric)
+    assert all(r.threshold == tolerance for r in rows)
+    result = invoke(["verify", "--kmax", "1", "--nmax", "5", "--precision", "97"])
+    assert result.exit_code == 0
+    assert result.stdout.count("<= 2.51e-15") == len(numeric)
 
 
 def test_bounds_validation():
