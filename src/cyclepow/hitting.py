@@ -248,10 +248,11 @@ def _closed_bits(sf: SpectralFactorization, n: int) -> int:
     return max([working_bits(sf.precision_bits), *bits]) + sf.k.bit_length()
 
 
-def _closed_values(spec: GraphSpec, ells, precision_bits: int, ratio_table) -> list:
-    """The closed value of each ell asked for, ratio_table(factor, bits)
-    giving a factor's ratio at each of them on Gaussian integers at F =
-    _closed_bits fraction bits.
+def _closed_values(spec: GraphSpec, ells, precision_bits: int, form: str) -> list:
+    """The closed value of each ell asked for, with each factor's ratios in
+    the given recurrences form on Gaussian integers at F = _closed_bits
+    fraction bits: one fixed_ratios table over the ells in the exponential
+    form, each correction_ratio converted once in the others.
 
     A * 2^F is rounded to a Gaussian integer once per factor and doubled
     for a non-real factor, whose conjugate adds the same real part; the
@@ -261,12 +262,17 @@ def _closed_values(spec: GraphSpec, ells, precision_bits: int, ratio_table) -> l
     """
     sf = cached_factorization(spec.k, precision_bits)
     bits = _closed_bits(sf, spec.n)
+    ratio = recurrences.correction_ratio
     weighted, tables = [], []
     for factor in sf.factors:
         real, imag = to_fixed(factor.coefficient, bits)
         weight = 2 if factor.root.imag else 1
         weighted.append((weight * real, weight * imag))
-        tables.append(ratio_table(factor, bits))
+        if form == "exponential":
+            tables.append(recurrences.fixed_ratios(factor, ells, spec.n, bits))
+        else:
+            ratios = (ratio(factor, ell, spec.n, form, precision_bits) for ell in ells)
+            tables.append([to_fixed(value, bits) for value in ratios])
     values = []
     with working_precision(precision_bits):
         for index, ell in enumerate(ells):
@@ -277,15 +283,6 @@ def _closed_values(spec: GraphSpec, ells, precision_bits: int, ratio_table) -> l
                 total += spec.n * (a * x - b * y)
             values.append(mp.mpf((total, -2 * bits)))
     return values
-
-
-def _closed_exponential(spec: GraphSpec, ells, precision_bits: int) -> list:
-    """The exponential-form closed value of each ell asked for, from one
-    fixed-point ratio table per factor over those ell."""
-    return _closed_values(
-        spec, ells, precision_bits,
-        lambda factor, bits: recurrences.fixed_ratios(factor, ells, spec.n, bits),
-    )
 
 
 def hit_closed(
@@ -303,20 +300,13 @@ def hit_closed(
     real by construction and is added up from real parts alone.  The sum
     is taken on fixed-point integers and rounded once (_closed_values); the
     exponential form's ratios are fixed-point integers already
-    (recurrences.fixed_ratios), the sequence form's are converted.
+    (recurrences.fixed_ratios), the sequence form's are converted.  Only
+    those two forms are taken: the full-index form is hit_closed_literal's.
     """
     check_ell(spec, ell)
-    if form == "exponential":
-        return _closed_exponential(spec, (ell,), precision_bits)[0]
-    if form != "sequence":
+    if form not in ("exponential", "sequence"):
         raise ParameterError(f"unknown form {form!r}")
-    ratio = recurrences.correction_ratio
-    return _closed_values(
-        spec, (ell,), precision_bits,
-        lambda factor, bits: [
-            to_fixed(ratio(factor, ell, spec.n, form, precision_bits), bits)
-        ],
-    )[0]
+    return _closed_values(spec, (ell,), precision_bits, form)[0]
 
 
 def hit_closed_all(
@@ -328,7 +318,7 @@ def hit_closed_all(
     over ell <= n/2, and h(0, n - ell) is h(0, ell): the ratios of ell and
     n - ell are the same integers.
     """
-    half = _closed_exponential(spec, range(spec.n // 2 + 1), precision_bits)
+    half = _closed_values(spec, range(spec.n // 2 + 1), precision_bits, "exponential")
     return tuple(half + half[1 : (spec.n + 1) // 2][::-1])
 
 
@@ -345,13 +335,7 @@ def hit_closed_literal(
     never be used for real evaluation.
     """
     check_ell(spec, ell)
-    ratio = recurrences.full_index_ratio
-    return _closed_values(
-        spec, (ell,), precision_bits,
-        lambda factor, bits: [
-            to_fixed(ratio(factor, ell, spec.n, precision_bits), bits)
-        ],
-    )[0]
+    return _closed_values(spec, (ell,), precision_bits, "full-index")[0]
 
 
 class SimulationResult(NamedTuple):

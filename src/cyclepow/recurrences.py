@@ -17,12 +17,13 @@ either choice of sigma: -sigma negates delta and every even-index W_n
 exactly, so only the principal root is taken.  The analogous full-index
 ratio V_ell * V_{N-ell} / V_N does NOT reproduce it (off by more than a unit
 already at N=6, k=2), so the exponential and half-index forms are the trusted
-evaluation paths and the full-index ratio is kept only for erratum reporting.
+evaluation paths and the full-index ratio (form="full-index") is kept only
+for erratum reporting.
 The exponential form is also the default for large N: |rho| < 1 keeps it
 uniformly well-conditioned, whereas |W_N| grows like |rho|^(-N/2).  A
 factorization keeps one factor per conjugate pair, its upper root (see
 spectral): the fixed-point integers below and mpmath's complex operations
-both round symmetrically, so in either form the ratios of the conjugate
+both round symmetrically, so in every form the ratios of the conjugate
 factor are exact conjugates of that factor's, and callers take them as such
 instead of computing them.
 
@@ -35,11 +36,11 @@ ratio of the factor's rho.  The closed form in hitting adds these integers
 as they are.  The sequence form stays in mpmath, the independent recurrence
 route: every W_m and V_m comes from one index-doubling ladder
 (_doubled_terms), so correction_ratio evaluates one ell from W_ell,
-W_{N-ell} and W_N alone, in O(log N) operations, even at N in the millions;
-full_index_ratio takes its V terms the same way.  correction_ratios returns
+W_{N-ell} and W_N alone (or the three V terms), in O(log N) operations,
+even at N in the millions.  correction_ratios returns
 the ratio for every ell = 0..N of one (factor, N) from one ladder over 0..N,
 or one power chain, for callers that loop over ell.  A power or a W_m is the
-same whichever other indices are asked for, so in either form a table entry
+same whichever other indices are asked for, so in every form a table entry
 equals correction_ratio's value bit for bit.
 """
 
@@ -56,7 +57,6 @@ from .spectral import (
 __all__ = [
     "correction_ratio",
     "correction_ratios",
-    "full_index_ratio",
     "half_index_coefficient",
 ]
 
@@ -192,8 +192,9 @@ def _ratio_parts(factor, ells, n_vertices, form, precision_bits) -> list:
     """The ratio of each ell asked for, in the caller's working precision.
 
     Exponential form: fixed_ratios at ratio_bits, each rounded once to an
-    mpc.  Sequence form: W_ell * W_(N-ell) / (delta * W_N), the W_m from one
-    _doubled_terms ladder over every index the ells need.
+    mpc.  Sequence form: W_ell * W_(N-ell) / (delta * W_N); full-index form:
+    V_ell * V_(N-ell) / V_N, with coefficient gamma.  Either sequence comes
+    from one _doubled_terms ladder over every index the ells need.
     """
     if form == "exponential":
         bits = ratio_bits(factor, n_vertices, precision_bits)
@@ -201,13 +202,16 @@ def _ratio_parts(factor, ells, n_vertices, form, precision_bits) -> list:
             mp.mpc(mp.mpf((x, -bits)), mp.mpf((y, -bits)))
             for x, y in fixed_ratios(factor, ells, n_vertices, bits)
         ]
-    if form == "sequence":
-        delta = half_index_coefficient(factor, precision_bits)
-        indices = {n_vertices, *ells, *(n_vertices - ell for ell in ells)}
-        values = _doubled_terms(delta, indices)
-        denominator = delta * values[n_vertices]
-        return [values[ell] * values[n_vertices - ell] / denominator for ell in ells]
-    raise ParameterError(f"unknown form {form!r}")
+    if form not in ("sequence", "full-index"):
+        raise ParameterError(f"unknown form {form!r}")
+    half = form == "sequence"
+    coefficient = (
+        half_index_coefficient(factor, precision_bits) if half else mp.mpc(factor.root)
+    )
+    indices = {n_vertices, *ells, *(n_vertices - ell for ell in ells)}
+    values = _doubled_terms(coefficient, indices)
+    denominator = coefficient * values[n_vertices] if half else values[n_vertices]
+    return [values[ell] * values[n_vertices - ell] / denominator for ell in ells]
 
 
 def _check_indices(n_vertices: int, ell: int = 0) -> None:
@@ -237,6 +241,12 @@ def correction_ratio(
     recurrence, taking only W_ell, W_{N-ell} and W_N, each by index doubling
     in O(log N) operations.  The two agree to the certified-residual
     tolerance and are symmetric in ell <-> N - ell by construction.
+
+    form="full-index" evaluates V_ell * V_{N-ell} / V_N for the full-index
+    sequence, its three V terms by the same doubling.  It is kept solely for
+    erratum reporting: it does not equal the correction ratio (already at
+    N=6, ell=1 for the square of the cycle it gives -55/144 where the true
+    ratio is -5/8).
     """
     _check_indices(n_vertices, ell)
     with working_precision(precision_bits):
@@ -254,7 +264,7 @@ def correction_ratios(
     One ladder reaches every W_m for m = 0..N (or one chain every rho^m)
     instead of three terms per ell, and the ratios of ell <= N/2 are
     mirrored: ell and N - ell give the same bits.  The values are those of
-    the per-ell function bit for bit, in either form.  Holds N + 1 values,
+    the per-ell function bit for bit, in every form.  Holds N + 1 values,
     so large-N callers that need a few ell should call correction_ratio.
     """
     _check_indices(n_vertices)
@@ -264,23 +274,3 @@ def correction_ratios(
         )
     return tuple(half + half[: (n_vertices + 1) // 2][::-1])
 
-
-def full_index_ratio(
-    factor: FactorData,
-    ell: int,
-    n_vertices: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-):
-    """V_ell * V_{N-ell} / V_N for the full-index sequence.
-
-    Kept solely for erratum reporting: this ratio does not equal the verified
-    correction ratio (already at N=6, ell=1 for the square of the cycle it
-    gives -55/144 where the true ratio is -5/8).  The three V terms come by
-    index doubling, as in correction_ratio.
-    """
-    _check_indices(n_vertices, ell)
-    with working_precision(precision_bits):
-        terms = _doubled_terms(
-            mp.mpc(factor.root), (ell, n_vertices - ell, n_vertices)
-        )
-        return terms[ell] * terms[n_vertices - ell] / terms[n_vertices]

@@ -118,7 +118,16 @@ def gaussian_product(a, b, shift: int):
 
 
 def residual_tolerance(precision_bits: int):
-    """2^(-precision_bits/2), the package-wide certified-residual bound."""
+    """2^(-precision_bits/2), the package-wide certified-residual bound, in
+    the caller's working precision."""
+    return _residual_tolerance(precision_bits, mp.prec)
+
+
+@lru_cache(maxsize=8)
+def _residual_tolerance(precision_bits: int, prec: int, /):
+    """residual_tolerance formed once per (precision_bits, mp.prec): the
+    value is rounded to the working precision prec, and an mpf is immutable,
+    so every row printed at that precision shares it."""
     return mp.mpf(2) ** (mp.mpf(-precision_bits) / 2)
 
 

@@ -28,7 +28,6 @@ from cyclepow.recurrences import (
     correction_ratio,
     correction_ratios,
     fixed_ratios,
-    full_index_ratio,
     ratio_bits,
 )
 from cyclepow.spectral import (
@@ -342,8 +341,10 @@ def test_closed_sequence_form_matches():
 @pytest.mark.parametrize("k", [1, 2])
 def test_closed_rejects_an_unknown_form_at_every_k(k):
     # psi_1 has no roots, so at k = 1 no correction ratio is ever evaluated.
-    with pytest.raises(ParameterError, match="^unknown form 'bogus'$"):
-        hit_closed(GraphSpec(7, k), 3, form="bogus")
+    # The full-index form is the erratum's, reached only by hit_closed_literal.
+    for form in ("bogus", "full-index"):
+        with pytest.raises(ParameterError, match=f"^unknown form '{form}'$"):
+            hit_closed(GraphSpec(7, k), 3, form=form)
 
 
 def test_closed_all_is_bit_identical_to_each_ell():
@@ -375,8 +376,8 @@ def full_index_sum(spec, ell, bits):
     with mp.workprec(2 * (bits + 32)):
         corrections = mp.mpc(0)
         for factor in with_conjugates(sf.factors):
-            corrections += factor.coefficient * full_index_ratio(
-                factor, ell, spec.n, bits
+            corrections += factor.coefficient * correction_ratio(
+                factor, ell, spec.n, "full-index", bits
             )
         corrections *= spec.n
         return mp.mpf(quadratic.numerator) / quadratic.denominator + mp.re(

@@ -9,8 +9,8 @@ command executes only the layer modules it reads and never imports click or
 dataclasses, that the spectral route never imports fractions, that a
 closed stdout ends a command quietly, and that `--version` works from a
 source checkout.  Guard bits
-are named in spectral alone, and no module reaches for another's private
-names.
+are named in spectral alone, no module reaches for another's private
+names, and every Python file parses under the 3.10 grammar.
 """
 
 import ast
@@ -113,6 +113,16 @@ def test_no_module_imports_another_modules_private_name():
             ):
                 offences.append((path.name, f"{node.value.id}.{node.attr}"))
     assert offences == []
+
+
+def test_every_python_file_parses_under_the_3_10_grammar():
+    # CI also runs the suite on Python 3.10. This checks grammar only (an
+    # `except*` clause fails here), not the library APIs a file calls.
+    folders = ("src", "tests", "benchmark", "scripts")
+    paths = [path for name in folders for path in sorted((ROOT / name).rglob("*.py"))]
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def run_python(*args, stdout=subprocess.PIPE):

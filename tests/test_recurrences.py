@@ -6,7 +6,6 @@ from mpmath import mp
 from cyclepow import ParameterError, cached_factorization
 from cyclepow.recurrences import (
     correction_ratio,
-    full_index_ratio,
     half_index_coefficient,
 )
 
@@ -95,14 +94,12 @@ def test_correction_ratio_bounds_checked():
     with pytest.raises(ParameterError):
         correction_ratio(k2_factor(), 1, 6, form="nope")
     # N = 0 would divide by 1 - rho^0 = W_0 = V_0 = 0
-    for form in ("exponential", "sequence"):
+    for form in ("exponential", "sequence", "full-index"):
         with pytest.raises(ParameterError):
             correction_ratio(k2_factor(), 0, 0, form)
-    with pytest.raises(ParameterError):
-        full_index_ratio(k2_factor(), 0, 0)
 
 
-@pytest.mark.parametrize("form", ["exponential", "sequence"])
+@pytest.mark.parametrize("form", ["exponential", "sequence", "full-index"])
 @pytest.mark.parametrize("k", range(2, 5))
 def test_ratio_table_is_bit_identical_to_each_ell(k, form):
     for factor in cached_factorization(k, 256).factors:
@@ -129,8 +126,10 @@ INDEX_ROUTES = {
     "correction_ratio-sequence": lambda factor, ell, n: correction_ratio(
         factor, ell, n, "sequence"
     ),
+    "correction_ratio-full-index": lambda factor, ell, n: correction_ratio(
+        factor, ell, n, "full-index"
+    ),
     "correction_ratios": lambda factor, ell, n: correction_ratios(factor, n),
-    "full_index_ratio": full_index_ratio,
 }
 
 
@@ -264,8 +263,8 @@ def test_ratio_conjugation():
             for (upper, lower), n in product(pairs, (2 * k + 1, 24, 97, 10**5 + 3)):
                 for ell in (1, 2, n // 3, n // 2, n - 1):
                     assert exact_conjugates(
-                        full_index_ratio(upper, ell, n, bits),
-                        full_index_ratio(lower, ell, n, bits),
+                        correction_ratio(upper, ell, n, "full-index", bits),
+                        correction_ratio(lower, ell, n, "full-index", bits),
                     )
 
 
@@ -287,7 +286,7 @@ def test_full_index_ratio_is_the_known_mismatch():
     # V_1 V_5 / V_6 = -55/144, far from the verified ratio -5/8
     factor = k2_factor()
     with mp.workprec(256):
-        literal = full_index_ratio(factor, 1, 6, 256)
+        literal = correction_ratio(factor, 1, 6, "full-index", 256)
         assert abs(literal + mp.mpf(55) / 144) < mp.mpf(2) ** -100
         verified = correction_ratio(factor, 1, 6)
         assert abs(literal - verified) > mp.mpf("0.2")
