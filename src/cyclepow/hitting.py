@@ -11,8 +11,8 @@ Methods, graded against one another:
                      solved exactly by banded fraction-free elimination;
   * hit_spectral  -- the eigenvalue sum over the Fourier modes of the
                      circulant Laplacian, in fixed-point integers built
-                     from one transcendental call per cosine table and
-                     rounded to the working precision once;
+                     from cosine_table (one transcendental call per n and
+                     precision) and rounded to the working precision once;
   * hit_closed    -- exact quadratic term plus one geometric correction per
                      real root of psi_k and per conjugate pair, real by
                      construction, added up in fixed-point integers and
@@ -27,7 +27,8 @@ Methods, graded against one another:
 Vertex transitivity makes h between arbitrary pairs equivalent to some
 h(0, ell), so only that form is exposed.  The analytic methods compute in
 spectral.working_precision, which checks the floor at ell = 0 as well, on
-spectral's fixed-point integers; arboreal.tau_eigen reads fixed_eigenvalues.
+spectral's fixed-point integers; arboreal.tau_eigen reads fixed_eigenvalues,
+and verify's resolvent row rounds cosine_table's integers itself.
 """
 
 from __future__ import annotations
@@ -82,10 +83,10 @@ GENERATOR_ID = "numpy.random.Philox4x64(key=(seed,walk))"
 # CLI request read a graph's eigenvalue table and exact solve only while that
 # graph is the latest, so fixed_eigenvalues and hit_exact_all keep one graph
 # each (one table at n = 16000, k = 6 and 256 bits holds about 1.3 MB).  The
-# two cosine memos keep the 64 most recent (n, bits), because each n's table
-# serves every k and verify's outer loop is over k: at its default bounds it
-# builds 22 fixed-point and 20 rounded cosine tables, where memos of one
-# table would build 60 and 38.
+# one cosine memo, cosine_table, keeps the 64 most recent (n, bits), because
+# each n's table serves every k and verify's outer loop is over k: at its
+# default bounds it builds 22 cosine tables, where a memo of one table would
+# build 60.
 def fraction_bits(n: int, precision_bits: int) -> int:
     """F, the fraction bits of the fixed-point tables of an n-vertex graph:
     the working precision p = precision_bits + guard bits, plus 4 * bitlen(n).
@@ -109,7 +110,7 @@ def fraction_bits(n: int, precision_bits: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _fixed_cosines(n: int, precision_bits: int, /) -> tuple[int, ...]:
+def cosine_table(n: int, precision_bits: int, /) -> tuple[int, ...]:
     """C_m, cos(2*pi*m/n) * 2^F to within n units (see fraction_bits), for
     m = 0..n-1, with C_0 = 2^F exactly.
 
@@ -147,28 +148,24 @@ def fixed_eigenvalues(spec: GraphSpec, precision_bits: int, /) -> tuple[int, ...
     The sums are built a column r at a time: C_(jr mod n) for j = 0..n/2 is
     every r-th entry of r laps of the table, gathered and added in C
     iterators without copying the table.  Integer addition is exact, so the
-    order of the additions does not matter.
+    order of the additions does not matter.  ConsistencyError is raised
+    unless every Lambda_j with j != 0 is positive, so hit_spectral and
+    arboreal.tau_eigen read a checked table.
     """
     n, size = spec.n, spec.n // 2 + 1
-    cosines = _fixed_cosines(n, precision_bits)
+    cosines = cosine_table(n, precision_bits)
     sums = repeat(0, size)
     for r in range(1, spec.k + 1):
         laps = chain.from_iterable(repeat(cosines, r))
         sums = map(add, sums, islice(laps, 0, r * size, r))
     top = spec.degree * cosines[0]
     half = [top - 2 * total for total in sums]
+    if min(half[1:]) <= 0:
+        raise ConsistencyError(
+            "nonpositive Laplacian eigenvalue; the spectrum must be "
+            "positive away from the constant mode"
+        )
     return tuple(half + half[(n - 1) // 2 : 0 : -1])
-
-
-@lru_cache(maxsize=64)
-def cosine_table(n: int, precision_bits: int, /):
-    """cos(2*pi*m/n) for m = 0..n-1 at the requested precision: each entry
-    is one rounding of the fixed-point C_m that the spectral sum reads, so
-    the table mirrors exactly, c_(n-m) = c_m and, for even n, c_(n/2-m) =
-    -c_m, and costs one transcendental call."""
-    bits = fraction_bits(n, precision_bits)
-    with working_precision(precision_bits):
-        return tuple(mp.mpf((c, -bits)) for c in _fixed_cosines(n, precision_bits))
 
 
 @lru_cache(maxsize=1)
@@ -212,13 +209,8 @@ def hit_spectral(
         if ell == 0:
             return mp.mpf(0)
         n = spec.n
-        cosines = _fixed_cosines(n, precision_bits)
+        cosines = cosine_table(n, precision_bits)
         eigenvalues = fixed_eigenvalues(spec, precision_bits)
-        if min(eigenvalues[1 : n // 2 + 1]) <= 0:
-            raise ConsistencyError(
-                "nonpositive Laplacian eigenvalue; the spectrum must be "
-                "positive away from the constant mode"
-            )
         one, bits = cosines[0], fraction_bits(n, precision_bits)
         terms = [
             ((one - cosines[(j * ell) % n]) << bits) // eigenvalues[j]

@@ -42,8 +42,9 @@ Three more facts are pinned by tests alone, since no input can fail them:
   test_eigenvalues_positive_away_from_constant_mode): phi_k(2 cos theta) =
   2 sum_r (1 - cos r theta) > 0 at every nonzero mode, and stays positive at
   the 96-bit minimum working precision for every n below about 2^44;
-  hit_spectral raises ConsistencyError on lambda <= 0, and a defect in
-  build_phi moves psi_k, which hitting-oracle-closed grades.
+  fixed_eigenvalues raises ConsistencyError on lambda <= 0, so hit_spectral
+  and tau_eigen both do, and a defect in build_phi moves psi_k, which
+  hitting-oracle-closed grades.
 
 The checks form one ordered table of case generators `(spec, bits) ->
 (statistic, case)`, each registered with `@_check(id, description,
@@ -74,6 +75,7 @@ from .errors import ParameterError
 from .graphs import GraphSpec
 from .hitting import (
     cosine_table,
+    fraction_bits,
     hit_closed_all,
     hit_closed_literal,
     hit_exact_all,
@@ -278,11 +280,13 @@ def _complete_graph(spec, bits):
 def _resolvent_periodization(spec, bits):
     # Term j equals term n - j (the cosine table mirrors exactly), so the sum
     # over 1 <= j < n is folded as hit_spectral folds it.  The sum stays in
-    # mpmath, an arithmetic apart from the fixed-point ratios it grades.
+    # mpmath, an arithmetic apart from the fixed-point ratios it grades: each
+    # fixed-point cosine is rounded once to the working precision.
     n, k = spec.n, spec.k
     if not 2 <= k <= 3 or n > 32:
         return
-    cosines = cosine_table(n, bits)
+    scale = fraction_bits(n, bits)
+    cosines = [mp.mpf((c, -scale)) for c in cosine_table(n, bits)]
     numerators = [1 - cosine for cosine in cosines]
     for factor in cached_factorization(k, bits).factors:
         gamma = mp.mpc(factor.root)

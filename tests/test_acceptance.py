@@ -22,14 +22,21 @@ from cyclepow import (
     tau_eigen,
     tau_product,
 )
-from cyclepow.hitting import hit_exact_all
+from cyclepow.hitting import cosine_table, fraction_bits, hit_exact_all
 from cyclepow.recurrences import correction_ratio
-from cyclepow.hitting import cosine_table
 
 from oracles import fibonacci, invoke
 
 PRECISION = 256
 ORACLE_RTOL = 1e-10
+
+
+def rounded_cosines(n):
+    """cos(2 pi m/n) for m = 0..n-1: cosine_table's fixed-point integers,
+    each rounded once to the current precision, as verify's resolvent row
+    rounds them."""
+    scale = fraction_bits(n, PRECISION)
+    return [mp.mpf((c, -scale)) for c in cosine_table(n, PRECISION)]
 
 
 @contextmanager
@@ -142,7 +149,7 @@ def test_criterion_06_resolvent_periodization_identity():
             for k in (2, 3):
                 sf = cached_factorization(k, PRECISION)
                 for n in range(2 * k + 1, 33):
-                    cosines = cosine_table(n, PRECISION)
+                    cosines = rounded_cosines(n)
                     for factor in sf.factors:
                         gamma = mp.mpc(factor.root)
                         for ell in range(n):
@@ -238,7 +245,7 @@ def test_criterion_10_cycle_eigenvalue_product():
     ):
         with mp.workprec(PRECISION + 32):
             for n in range(3, 65):
-                cosines = cosine_table(n, PRECISION)
+                cosines = rounded_cosines(n)
                 product = mp.mpf(1)
                 for j in range(1, n):
                     product *= 2 - 2 * cosines[j]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mpmath import ctx_mp_python, mp
 
 from cyclepow import (
+    ConsistencyError,
     GraphSpec,
     ParameterError,
     SimulationBudgetError,
@@ -114,6 +115,28 @@ def test_eigenvalues_positive_away_from_constant_mode():
     assert all(lam > 0 for lam in eigenvalues[1:])
 
 
+def test_a_nonpositive_eigenvalue_fails_every_reader_of_the_table(monkeypatch):
+    # C_1 = C_(n-1) = C_0 makes Lambda_1 = Lambda_(n-1) = 0 at k = 1; the
+    # table that hit_spectral and tau_eigen both read raises where it is built.
+    exact = cosine_table
+
+    def flattened(n, bits):
+        table = list(exact(n, bits))
+        table[1] = table[n - 1] = table[0]
+        return tuple(table)
+
+    monkeypatch.setattr(hitting, "cosine_table", flattened)
+    spec = GraphSpec(9, 1)
+    fixed_eigenvalues.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="nonpositive Laplacian"):
+            hit_spectral(spec, 4, 64)
+        with pytest.raises(ConsistencyError, match="nonpositive Laplacian"):
+            tau_eigen(spec, 64)
+    finally:
+        fixed_eigenvalues.cache_clear()
+
+
 @pytest.mark.parametrize(
     "graphs, bits",
     [
@@ -127,7 +150,7 @@ def test_fixed_eigenvalues_are_the_per_entry_sums(graphs, bits):
     # Lambda_j = 2k C_0 - 2 sum_r C_(jr mod n), entry by entry over the
     # cosine table, at 4 | n and at every other n.
     for n, k in graphs:
-        cosines = hitting._fixed_cosines(n, bits)
+        cosines = cosine_table(n, bits)
         expected = tuple(
             2 * k * cosines[0] - 2 * sum(cosines[j * r % n] for r in range(1, k + 1))
             for j in range(n)
@@ -140,26 +163,30 @@ TABLE_SIZES = [*range(3, 71), 97, 98, 100, 104, 1000, 1001, 1002, 1003, 1004, 40
 
 
 @pytest.mark.parametrize("bits", [64, 256, 512])
-def test_cosine_table_is_within_guard_bits_of_each_cosine(bits):
-    tolerance = 8 * mp.mpf(2) ** -(bits + 32)
+def test_cosine_table_is_within_n_units_of_each_cosine(bits):
+    # The bound fraction_bits derives: |C_m - 2^F cos(2 pi m/n)| <= n for
+    # every m, a unit being 2^-F; at F + 32 bits the reference is exact far
+    # below one unit.
     for n in TABLE_SIZES:
         table = cosine_table(n, bits)
         assert len(table) == n
-        with mp.workprec(bits + 96):
+        fraction_bits = hitting.fraction_bits(n, bits)
+        with mp.workprec(fraction_bits + 32):
             for m, value in enumerate(table):
-                assert abs(value - mp.cospi(mp.mpf(2 * m) / n)) <= tolerance, (n, m)
+                expected = mp.ldexp(mp.cospi(mp.mpf(2 * m) / n), fraction_bits)
+                assert abs(value - expected) <= n, (n, m)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 512])
 def test_cosine_table_mirrors_exactly(bits):
     for n in TABLE_SIZES:
         table = cosine_table(n, bits)
-        assert table[0] == 1
+        assert table[0] == 1 << hitting.fraction_bits(n, bits)
         for m in range(1, n):
             assert table[m] == table[n - m], (n, m)
         if n % 2 == 0:
             for m in range(n // 2 + 1):
-                assert table[n // 2 - m] == mp.fneg(table[m], exact=True), (n, m)
+                assert table[n // 2 - m] == -table[m], (n, m)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 512])
@@ -246,10 +273,10 @@ def test_tables_evaluate_only_the_unmirrored_cosines(monkeypatch):
 
         monkeypatch.setattr(mp, name, counted)
     # One transcendental call per (n, bits) table, for the octant, quarter
-    # and half layouts alike; the public tables and the sum read it.
+    # and half layouts alike; the eigenvalue table and the sum read it.
     for n in (4096, 4098, 4097):
         for bits in (64, 256):
-            for cached in (hitting._fixed_cosines, fixed_eigenvalues, cosine_table):
+            for cached in (cosine_table, fixed_eigenvalues):
                 cached.cache_clear()
             calls.clear()
             cosine_table(n, bits)
@@ -297,13 +324,12 @@ def test_tau_eigen_is_the_product_of_the_table_hit_spectral_reads(n):
 def test_spectral_tables_keep_the_64_most_recent_graphs():
     # The cosine tables of the 64 most recent n, and the eigenvalue table of
     # the latest graph.
-    sizes = {hitting._fixed_cosines: 64, fixed_eigenvalues: 1, cosine_table: 64}
+    sizes = {cosine_table: 64, fixed_eigenvalues: 1}
     for cached in sizes:
         cached.cache_clear()
     for n in range(7, 7 + 65):
         hit_spectral(GraphSpec(n, 3), 1, 64)
         tau_eigen(GraphSpec(n, 3), 64)
-        cosine_table(n, 64)
     for cached, size in sizes.items():
         info = cached.cache_info()
         assert (info.maxsize, info.currsize, info.misses) == (size, size, 65)
@@ -619,7 +645,6 @@ def test_the_floor_holds_where_a_route_returns_early(call, args):
 
 CACHED = {
     "cached_factorization": (cached_factorization, (3, 96)),
-    "_fixed_cosines": (hitting._fixed_cosines, (12, 96)),
     "fixed_eigenvalues": (fixed_eigenvalues, (GraphSpec(12, 3), 96)),
     "cosine_table": (cosine_table, (12, 96)),
     "hit_exact_all": (hit_exact_all, (GraphSpec(12, 3),)),

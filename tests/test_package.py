@@ -14,6 +14,7 @@ names, and every Python file parses under the 3.10 grammar.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -337,6 +338,14 @@ def test_version_is_the_package_version_from_a_source_checkout():
     match = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
     assert match and match.group(1) == cyclepow.__version__
     assert cyclepow.__version__ == "0.1.0"
+    # The console script that an install puts on PATH resolves to cli.main.
+    script = re.search(
+        r'^\[project\.scripts\]\ncyclepow = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE
+    )
+    assert script, "pyproject.toml declares no cyclepow console script"
+    from cyclepow import cli
+
+    assert getattr(importlib.import_module(script.group(1)), script.group(2)) is cli.main
 
 
 def test_cli_prints_exact_values_past_the_int_digit_limit():

@@ -192,11 +192,7 @@ def test_a_run_that_raised_leaves_no_cached_values(monkeypatch):
     assert oracle.statistic == 0.5
 
 
-SPECTRAL_TABLES = (
-    hitting._fixed_cosines,
-    hitting.fixed_eigenvalues,
-    hitting.cosine_table,
-)
+SPECTRAL_TABLES = (hitting.cosine_table, hitting.fixed_eigenvalues)
 
 
 def test_each_graph_builds_its_eigenvalue_table_once():
@@ -214,9 +210,11 @@ def test_each_graph_builds_its_eigenvalue_table_once():
 def test_each_graph_is_solved_and_factored_once():
     # One walk over the graphs: every row reads a graph's exact solve, its
     # reduced-Laplacian factor and its eigenvalue table while that graph is
-    # the latest, so one cached entry of each serves the run.
+    # the latest, so one cached entry of each serves the run.  The one
+    # cosine memo keeps 64 tables, since each n's table serves every k: the
+    # 22 n from 3 to 24 are built once each.
     memos = (fractionfree._factor, hitting.hit_exact_all, hitting.fixed_eigenvalues)
-    for cached in memos:
+    for cached in (*memos, hitting.cosine_table):
         cached.cache_clear()
     run_verification(kmax=3, nmax=24)
     graphs = len(list(verify._specs(3, 24)))
@@ -224,6 +222,8 @@ def test_each_graph_is_solved_and_factored_once():
     for cached in memos:
         assert cached.cache_info().misses == graphs, cached
     assert {cached.cache_info().maxsize for cached in memos} == {1}
+    cosines = hitting.cosine_table.cache_info()
+    assert (cosines.maxsize, cosines.misses) == (64, 22)
 
 
 def test_sweep_forests_reads_each_graphs_tau_once(tmp_path):
@@ -244,7 +244,7 @@ def test_a_cosine_defect_fails_the_spectral_oracle(mirror, monkeypatch):
     # A 1e-8 defect in C_1, or in its mirror C_(n-1), of every fixed-point
     # cosine table, the one the spectral sum and its eigenvalues read, moves
     # the k = 1 spectral sums past the oracle tolerance.
-    exact = hitting._fixed_cosines
+    exact = hitting.cosine_table
 
     def defective(n, bits):
         table = list(exact(n, bits))
@@ -252,7 +252,7 @@ def test_a_cosine_defect_fails_the_spectral_oracle(mirror, monkeypatch):
         table[j] += table[j] // 10**8
         return tuple(table)
 
-    monkeypatch.setattr(hitting, "_fixed_cosines", defective)
+    monkeypatch.setattr(hitting, "cosine_table", defective)
     for cached in SPECTRAL_TABLES:
         cached.cache_clear()
     try:
