@@ -23,10 +23,13 @@ Importing the package executes none of its eight layer modules.  Each is
 registered in ``sys.modules`` through ``importlib.util.LazyLoader`` and
 executes on its first attribute read, and the names in ``__all__`` resolve
 through the module ``__getattr__``.  So a command executes only the layers it
-reads: importing ``cyclepow.cli`` runs ``graphs`` and ``spectral``, ``hit
---method spectral`` adds only ``hitting``, ``--method exact`` adds
-``fractionfree`` too, and ``--method closed`` ``polynomials`` and
-``recurrences``; ``trees`` runs all but ``recurrences`` and ``verify``.
+reads: importing ``cyclepow.cli`` runs only ``graphs``, ``hit --method
+exact`` adds ``hitting`` and ``fractionfree``, ``--method spectral``
+``hitting`` and ``spectral``, and ``--method closed`` ``polynomials`` and
+``recurrences`` too; ``trees`` runs all but ``recurrences`` and ``verify``.
+mpmath is imported with ``spectral``, ``recurrences`` or ``verify``, or by a
+function that creates an mpmath value, so a command that runs none of
+them, such as ``--help`` or ``hit --method exact``, never imports it.
 Python 3.11's ``LazyLoader`` takes no lock: a thread that reads a
 layer while another thread's first read is still executing it can find the
 layer half built.  The CLI is single-threaded; a threaded caller should read

@@ -34,20 +34,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from mpmath import mp
-
-from . import fractionfree
+from . import fractionfree, spectral
 from .errors import ConsistencyError
-from .graphs import GraphSpec, build_laplacian, check_ell
+from .graphs import DEFAULT_PRECISION_BITS, GraphSpec, build_laplacian, check_ell
 from .hitting import fixed_eigenvalues, fraction_bits, hit_exact
-from .spectral import (
-    DEFAULT_PRECISION_BITS,
-    cached_factorization,
-    certified_bound,
-    round_divide,
-    round_shift,
-    working_precision,
-)
 
 __all__ = [
     "ArborealCounts",
@@ -90,6 +80,8 @@ def tau_eigen(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
     n 2^-(F+64), so for n^2 < 2^p the product is within n 2^-(p+4) before
     its one rounding to p bits, and the value within 2^-p + n 2^-(p+4) of tau.
     """
+    from mpmath import mp
+
     n = spec.n
     eigenvalues = fixed_eigenvalues(spec, precision_bits)
     bits = fraction_bits(n, precision_bits)
@@ -97,10 +89,12 @@ def tau_eigen(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
     for value in eigenvalues[1 : (n + 1) // 2]:
         mantissa *= value
         shift = mantissa.bit_length() - bits - 64
-        mantissa, exponent = round_shift(mantissa, shift), exponent + shift - bits
+        mantissa = spectral.round_shift(mantissa, shift)
+        exponent += shift - bits
     middle = eigenvalues[n // 2] if n % 2 == 0 else 1 << bits
-    with working_precision(precision_bits):
-        return mp.mpf((round_divide(mantissa**2 * middle, n), 2 * exponent - bits))
+    with spectral.working_precision(precision_bits):
+        mantissa = spectral.round_divide(mantissa**2 * middle, n)
+        return mp.mpf((mantissa, 2 * exponent - bits))
 
 
 def tau_product(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -120,9 +114,11 @@ def tau_product(spec: GraphSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
     real roots are multiplied in first, then the pairs.  Grouping the square
     before dividing by rho^(n-1) keeps intermediates tame for large n.
     """
+    from mpmath import mp
+
     n = spec.n
-    factors = cached_factorization(spec.k, precision_bits).factors
-    with working_precision(precision_bits):
+    factors = spectral.cached_factorization(spec.k, precision_bits).factors
+    with spectral.working_precision(precision_bits):
         accumulator = mp.mpf(n)
         parity = -1 if n % 2 == 0 else 1
         for factor in sorted(factors, key=lambda factor: factor.root.imag != 0):
@@ -208,14 +204,16 @@ def arboreal_counts(
     eigenvalue and root products must lie within certified_bound of the
     determinant count; ConsistencyError otherwise.
     """
+    from mpmath import mp
+
     if ell is not None:
         check_ell(spec, ell, lowest=1)
     tau = tau_det(spec)
     eigen = tau_eigen(spec, precision_bits)
     product = tau_product(spec, precision_bits)
-    with working_precision(precision_bits):
+    with spectral.working_precision(precision_bits):
         for route, value in (("eigenvalue", eigen), ("root", product)):
-            bound = certified_bound(value, precision_bits)
+            bound = spectral.certified_bound(value, precision_bits)
             if abs(value - tau) > bound:
                 raise ConsistencyError(
                     f"{route} tree product {mp.nstr(value, 20)} disagrees with "

@@ -32,18 +32,9 @@ import os
 import sys
 import time
 
-from mpmath import mp
-from mpmath.libmp import prec_to_dps
-
-from . import __version__, arboreal, hitting, verify
+from . import __version__, arboreal, hitting, spectral, verify
 from .errors import CyclepowError, ParameterError
-from .graphs import GraphSpec, check_ell
-from .spectral import (
-    DEFAULT_PRECISION_BITS,
-    MIN_PRECISION_BITS,
-    certified_bound,
-    working_precision,
-)
+from .graphs import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, GraphSpec, check_ell
 
 CSV_HEADER = "n,k,ell,method,value,err_bound"
 
@@ -80,6 +71,9 @@ def _check_precision(precision: int) -> None:
 
 
 def _format_value(value, precision_bits: int) -> str:
+    from mpmath import mp
+    from mpmath.libmp import prec_to_dps
+
     return mp.nstr(value, prec_to_dps(precision_bits), strip_zeros=True)
 
 
@@ -93,11 +87,14 @@ def _record(cmd: str, n: int, k: int, ell: int | None, precision_bits: int) -> d
 
 def _add(record: dict, label: str, value, err: str | None = None) -> None:
     """Append a row: an mpmath value to the record's precision with its
-    error bound, any other value as str(value) with `err`."""
-    if isinstance(value, mp.mpf):
+    error bound, any other value as str(value) with `err`.  Without mpmath
+    loaded no value can be an mpf, so exact rows never import it."""
+    mpmath = sys.modules.get("mpmath")
+    if mpmath is not None and isinstance(value, mpmath.mpf):
+        mp = mpmath.mp
         bits = record["precision_bits"]
         with mp.workprec(bits):
-            err = mp.nstr(certified_bound(mp.mpf(value), bits), 3)
+            err = mp.nstr(spectral.certified_bound(mp.mpf(value), bits), 3)
         value = _format_value(value, bits)
     record["results"].append({"method": label, "value": str(value), "err": err})
 
@@ -287,7 +284,7 @@ def cmd_sweep(n_range, k_range, quantity, out_path, precision, fmt) -> int:
                     _add(record, "closed", closed[ell])
                 elif quantity == "resist":
                     _add(record, "exact", arboreal.resistance(spec, ell))
-                    with working_precision(precision):
+                    with spectral.working_precision(precision):
                         value = closed[ell] / spec.num_edges
                     _add(record, "closed", value)
                 else:

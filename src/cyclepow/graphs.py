@@ -23,6 +23,12 @@ from .errors import ConsistencyError, ParameterError
 
 __all__ = ["GraphSpec", "build_laplacian"]
 
+# The precision every analytic route defaults to, and the least it accepts.
+# They live here, beside check_ell, because the CLI checks and prints them
+# before it reads any analytic layer; spectral imports them from here.
+DEFAULT_PRECISION_BITS = 256
+MIN_PRECISION_BITS = 64
+
 
 class GraphSpec:
     """Parameters (n, k) of the distance-k power of the n-cycle.

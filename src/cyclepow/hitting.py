@@ -29,6 +29,11 @@ h(0, ell), so only that form is exposed.  The analytic methods compute in
 spectral.working_precision, which checks the floor at ell = 0 as well, on
 spectral's fixed-point integers; arboreal.tau_eigen reads fixed_eigenvalues,
 and verify's resolvent row rounds cosine_table's integers itself.
+
+hit_exact and hit_simulate create no mpmath value, so they load neither
+mpmath nor spectral: spectral's helpers are read through the lazily
+registered module when a call needs them, and mpmath is imported by the
+functions that create its values.
 """
 
 from __future__ import annotations
@@ -39,24 +44,14 @@ from itertools import chain, islice, repeat
 from operator import add, neg
 from typing import TYPE_CHECKING, NamedTuple
 
-from mpmath import mp
-
-from . import fractionfree, recurrences
+from . import fractionfree, recurrences, spectral
 from .errors import ConsistencyError, ParameterError, SimulationBudgetError
-from .graphs import GraphSpec, build_laplacian, check_ell
-from .spectral import (
-    DEFAULT_PRECISION_BITS,
-    SpectralFactorization,
-    cached_factorization,
-    gaussian_product,
-    round_divide,
-    to_fixed,
-    working_bits,
-    working_precision,
-)
+from .graphs import DEFAULT_PRECISION_BITS, GraphSpec, build_laplacian, check_ell
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .spectral import SpectralFactorization
 
 __all__ = [
     "GENERATOR_ID",
@@ -106,7 +101,7 @@ def fraction_bits(n: int, precision_bits: int) -> int:
     spectral sum cost at most n units against h >= 1: the fixed-point sum is
     within about 2^-(p+2) of h before its one rounding to p bits.
     """
-    return working_bits(precision_bits) + 4 * n.bit_length()
+    return spectral.working_bits(precision_bits) + 4 * n.bit_length()
 
 
 @lru_cache(maxsize=64)
@@ -120,11 +115,13 @@ def cosine_table(n: int, precision_bits: int, /) -> tuple[int, ...]:
     even n and m <= (n-1)/2 at odd n.  The rest is copied exactly:
     C_(n/2-m) = -C_m for even n, then C_(n-m) = C_m.
     """
+    from mpmath import mp
+
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     bits = fraction_bits(n, precision_bits)
     with mp.workprec(bits + 8):
-        turn = to_fixed(mp.mpc(*mp.cospi_sinpi(mp.mpf(2) / n)), bits)
+        turn = spectral.to_fixed(mp.mpc(*mp.cospi_sinpi(mp.mpf(2) / n)), bits)
     octant = n % 4 == 0
     last = n // 8 if octant else n // 2 if n % 2 else n // 4
     half = [0] * (n // 2 + 1)
@@ -133,7 +130,7 @@ def cosine_table(n: int, precision_bits: int, /) -> tuple[int, ...]:
         if octant:
             half[n // 4 - m] = point[1]
         half[m] = point[0]
-        point = gaussian_product(point, turn, bits)
+        point = spectral.gaussian_product(point, turn, bits)
     if n % 2 == 0:
         half[n // 4 + 1 :] = map(neg, half[n // 2 - n // 4 - 1 :: -1])
     return tuple(half + half[(n - 1) // 2 : 0 : -1])
@@ -204,8 +201,10 @@ def hit_spectral(
     tables, and the integer sum is rounded to an mpf once, within the bound
     derived at fraction_bits.
     """
+    from mpmath import mp
+
     check_ell(spec, ell)
-    with working_precision(precision_bits):
+    with spectral.working_precision(precision_bits):
         if ell == 0:
             return mp.mpf(0)
         n = spec.n
@@ -237,7 +236,7 @@ def _closed_bits(sf: SpectralFactorization, n: int) -> int:
     bits = [
         recurrences.ratio_bits(factor, n, sf.precision_bits) for factor in sf.factors
     ]
-    return max([working_bits(sf.precision_bits), *bits]) + sf.k.bit_length()
+    return max([spectral.working_bits(sf.precision_bits), *bits]) + sf.k.bit_length()
 
 
 def _closed_values(spec: GraphSpec, ells, precision_bits: int, form: str) -> list:
@@ -252,24 +251,28 @@ def _closed_values(spec: GraphSpec, ells, precision_bits: int, form: str) -> lis
     (n - ell) are added up as integers at 2F fraction bits and rounded to an
     mpf once, within the bound derived at _closed_bits.
     """
-    sf = cached_factorization(spec.k, precision_bits)
+    from mpmath import mp
+
+    sf = spectral.cached_factorization(spec.k, precision_bits)
     bits = _closed_bits(sf, spec.n)
     ratio = recurrences.correction_ratio
     weighted, tables = [], []
     for factor in sf.factors:
-        real, imag = to_fixed(factor.coefficient, bits)
+        real, imag = spectral.to_fixed(factor.coefficient, bits)
         weight = 2 if factor.root.imag else 1
         weighted.append((weight * real, weight * imag))
         if form == "exponential":
             tables.append(recurrences.fixed_ratios(factor, ells, spec.n, bits))
         else:
             ratios = (ratio(factor, ell, spec.n, form, precision_bits) for ell in ells)
-            tables.append([to_fixed(value, bits) for value in ratios])
+            tables.append([spectral.to_fixed(value, bits) for value in ratios])
     values = []
-    with working_precision(precision_bits):
+    with spectral.working_precision(precision_bits):
         for index, ell in enumerate(ells):
             quadratic = sf.pole_coefficient / 2 * ell * (spec.n - ell)
-            total = round_divide(quadratic.numerator << 2 * bits, quadratic.denominator)
+            total = spectral.round_divide(
+                quadratic.numerator << 2 * bits, quadratic.denominator
+            )
             for (a, b), table in zip(weighted, tables):
                 x, y = table[index]
                 total += spec.n * (a * x - b * y)

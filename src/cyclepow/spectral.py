@@ -49,6 +49,7 @@ from .errors import (
     ParameterError,
     PrecisionError,
 )
+from .graphs import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -64,11 +65,6 @@ __all__ = [
     "residual_tolerance",
     "separation_tolerance",
 ]
-
-DEFAULT_PRECISION_BITS = 256
-
-# The least precision any analytic route accepts.
-MIN_PRECISION_BITS = 64
 
 # Extra working bits so results are accurate at the *requested* precision.
 _GUARD_BITS = 32

@@ -6,11 +6,12 @@ The two scripts and the README's library snippet run here in fresh
 processes, so a name they need cannot leave the API unnoticed.  Fresh
 processes also show that numpy is loaded only to simulate walks, that a
 command executes only the layer modules it reads and never imports click or
-dataclasses, that the spectral route never imports fractions, that a
-closed stdout ends a command quietly, and that `--version` works from a
-source checkout.  Guard bits
-are named in spectral alone, no module reaches for another's private
-names, and every Python file parses under the 3.10 grammar.
+dataclasses, that importing the CLI and the commands that create no mpmath
+value never import mpmath, that the spectral route never imports fractions,
+that a closed stdout ends a command quietly, and that `--version` works from
+a source checkout.  Guard bits are named in spectral alone, the precision
+defaults are assigned in graphs alone, no module reaches for another's
+private names, and every Python file parses under the 3.10 grammar.
 """
 
 import ast
@@ -88,6 +89,22 @@ def test_guard_bits_are_named_only_in_spectral():
     for module, names in SHARED_HELPERS.items():
         listed = vars(cyclepow)[module].__all__
         assert [name for name in names if name in listed] == [], module
+
+
+def test_precision_constants_are_assigned_in_one_module():
+    # graphs holds them, since the CLI checks and prints them before it reads
+    # any analytic layer; every other module imports them.
+    package = ROOT / "src" / "cyclepow"
+    for name in ("DEFAULT_PRECISION_BITS", "MIN_PRECISION_BITS"):
+        assigning = [
+            path.name
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name)
+            and node.id == name
+            and isinstance(node.ctx, ast.Store)
+        ]
+        assert assigning == ["graphs.py"], name
 
 
 def test_no_module_imports_another_modules_private_name():
@@ -214,21 +231,23 @@ LAYERS = (
 )
 
 # Modules whose import a request should not pay for when it does not use them.
-WATCHED = ("click", "dataclasses", "fractions")
+WATCHED = ("click", "dataclasses", "fractions", "mpmath")
 
-# Prints the layers in sys.modules, then those executed, then the WATCHED
-# modules imported: a LazyLoader module turns into a plain module on its
-# first attribute read, and type() reads no attribute.
+# Prints the command's exit code (0 after the import alone), the layers in
+# sys.modules, those executed, and the WATCHED modules imported: a
+# LazyLoader module turns into a plain module on its first attribute read,
+# and type() reads no attribute.
 LAYER_PROBE = """
 import sys, types
 from cyclepow.cli import main
+code = 0
 if sys.argv[1:]:
     try:
         main(sys.argv[1:])
     except SystemExit as exc:
-        if exc.code:
-            raise
+        code = exc.code
 modules = {{layer: sys.modules.get("cyclepow." + layer) for layer in {layers!r}}}
+print(code)
 print(" ".join(layer for layer, module in modules.items() if module is not None))
 print(" ".join(
     layer for layer, module in modules.items() if type(module) is types.ModuleType
@@ -237,13 +256,14 @@ print(" ".join(name for name in {watched!r} if name in sys.modules))
 """.format(layers=LAYERS, watched=WATCHED)
 
 
-def layers_after(*argv):
+def layers_after(*argv, code=0):
     """The layers registered and executed after the command line `argv`
-    (after the import alone when empty), and the WATCHED modules imported;
-    neither click nor dataclasses ever is."""
+    (after the import alone when empty), which must exit with `code`, and
+    the WATCHED modules imported; neither click nor dataclasses ever is."""
     result = run_python("-c", LAYER_PROBE, *argv)
     assert result.returncode == 0, result.stderr
-    registered, executed, watched = result.stdout.splitlines()[-3:]
+    exit_code, registered, executed, watched = result.stdout.splitlines()[-4:]
+    assert exit_code == str(code), result.stderr
     assert {"click", "dataclasses"}.isdisjoint(watched.split())
     return registered.split(), set(executed.split()), set(watched.split())
 
@@ -260,9 +280,32 @@ def test_the_cli_imports_neither_click_nor_dataclasses():
 
 
 def test_importing_the_cli_registers_every_layer():
-    registered, executed, _ = layers_after()
+    registered, executed, watched = layers_after()
     assert registered == list(LAYERS)
-    assert executed <= {"graphs", "spectral"}
+    assert executed == {"graphs"}
+    assert watched == set()
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        ("hit --n 30 --k 3 --ell 7 --method exact", 0),
+        ("hit --n 30 --k 3 --ell 7 --method simulate --walks 100", 0),
+        ("sweep --n-range 5:9 --k-range 1:3 --quantity forests", 0),
+        ("--help", 0),
+        ("--version", 0),
+        ("hit --n 4 --k 2 --ell 1", 2),
+    ],
+)
+def test_a_command_that_creates_no_mpmath_value_never_loads_mpmath(
+    args, code, tmp_path
+):
+    argv = args.split()
+    if argv[0] == "sweep":
+        argv += ["--out", str(tmp_path / "sweep.csv")]
+    _, executed, watched = layers_after(*argv, code=code)
+    assert "spectral" not in executed
+    assert "mpmath" not in watched
 
 
 UNUSED_BY_ANALYTIC_HIT = {"arboreal", "fractionfree", "verify"}
@@ -279,28 +322,31 @@ UNUSED_BY_ANALYTIC_HIT = {"arboreal", "fractionfree", "verify"}
         ("trees --n 30 --k 3 --ell 7", {"recurrences", "verify"}),
         (
             "hit --n 30 --k 3 --ell 7 --method exact",
-            {"arboreal", "polynomials", "recurrences", "verify"},
+            {"arboreal", "polynomials", "spectral", "recurrences", "verify"},
         ),
         (
             "sweep --n-range 5:9 --k-range 1:2 --quantity forests",
-            {"polynomials", "recurrences", "verify"},
+            {"polynomials", "spectral", "recurrences", "verify"},
         ),
         ("verify --kmax 1 --nmax 5", set()),
     ],
 )
 def test_a_command_executes_only_the_layers_it_reads(args, unexecuted, tmp_path):
+    # A command runs spectral, and with it mpmath, only if it is analytic.
     argv = args.split()
     if argv[0] == "sweep":
         argv += ["--out", str(tmp_path / "sweep.csv")]
-    registered, executed, _ = layers_after(*argv)
+    registered, executed, watched = layers_after(*argv)
     assert registered == list(LAYERS)
     assert "hitting" in executed
     assert executed & unexecuted == set()
+    analytic = "spectral" not in unexecuted
+    assert ("spectral" in executed, "mpmath" in watched) == (analytic, analytic)
 
 
 def test_the_spectral_route_imports_no_fractions():
     *_, watched = layers_after(*"hit --n 30 --k 3 --ell 7 --method spectral".split())
-    assert watched == set()
+    assert watched == {"mpmath"}
 
 
 # `import cyclepow` executes no layer; then each public name is imported
